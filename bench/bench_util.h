@@ -148,6 +148,9 @@ struct TransferSample {
   /// Simulator events fired between issuing the get and its completion
   /// (the fluid-vs-packet cost axis bench_flow reports).
   std::uint64_t events = 0;
+  /// Packets delivered over the whole run, summed over every link of the
+  /// path in both directions: the packet-path work of the run.
+  std::int64_t packets_delivered = 0;
 };
 
 /// Runs one extended_get: transfers `file_size` with the given stream
@@ -239,6 +242,12 @@ inline TransferSample run_wan_get(
                simulator.request_stop();
              });
   simulator.run_until(4 * 3600 * kSecond);
+  std::vector<net::Link*> links;
+  network.path_links(path.host_a->id(), path.host_b->id(), links);
+  network.path_links(path.host_b->id(), path.host_a->id(), links);
+  for (const net::Link* link : links) {
+    sample.packets_delivered += link->stats().packets_delivered;
+  }
   return sample;
 }
 

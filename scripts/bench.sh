@@ -120,7 +120,7 @@ failed = False
 for name, base in baseline.items():
     base_ops = ops_per_sec(base)
     if base_ops is None:
-        continue  # wan_transfer and friends report neither ops nor seconds
+        continue  # rows that report no count or no seconds are not gated
     cur = current.get(name)
     if cur is None:
         print(f"FAIL {name}: present in baseline, missing from current run")

@@ -9,8 +9,11 @@ Link::Link(sim::Simulator& simulator, LinkConfig config, Deliver deliver)
       config_(config),
       deliver_(std::move(deliver)) {}
 
+Link::~Link() { simulator_.cancel(delivery_); }
+
 bool Link::enqueue(const Packet& packet) {
   const Bytes size = packet.wire_size();
+  release_serialized();
   if (backlog_ + size > config_.queue_capacity) {
     ++stats_.packets_dropped;
     stats_.bytes_dropped += size;
@@ -25,25 +28,51 @@ bool Link::enqueue(const Packet& packet) {
   busy_until_ = done;
   busy_time_ += done - start;
 
-  // The packet stops occupying queue space once fully serialized, and
-  // arrives one propagation delay later. The packet itself waits in
-  // in_flight_ (see link.h) so both closures fit the kernel's inline
-  // buffer — the per-packet path allocates nothing.
-  std::weak_ptr<bool> alive = alive_;
-  simulator_.schedule_at(done, [this, alive, size] {
-    if (alive.expired()) return;
-    backlog_ -= size;
-  });
-  in_flight_.push_back(packet);
-  simulator_.schedule_at(done + config_.propagation, [this, alive] {
-    if (alive.expired()) return;
-    const Packet arrived = std::move(in_flight_.front());
-    in_flight_.pop_front();
-    ++stats_.packets_delivered;
-    stats_.bytes_delivered += arrived.wire_size();
-    deliver_(arrived);
-  });
+  // Release first, then delivery: the order in which scheduling the two as
+  // events would take their sequence numbers.
+  const std::uint64_t release_seq = simulator_.reserve_seq();
+  const std::uint64_t delivery_seq = simulator_.reserve_seq();
+  in_flight_.push_back({done, release_seq, delivery_seq, size, packet});
+  if (in_flight_.size() == 1) arm_delivery();
   return true;
+}
+
+void Link::release_serialized() {
+  while (released_ < in_flight_.size()) {
+    const InFlight& next = in_flight_[released_];
+    if (!simulator_.has_fired(next.done, next.release_seq)) return;
+    backlog_ -= next.size;
+    ++released_;
+  }
+}
+
+void Link::arm_delivery() {
+  const InFlight& head = in_flight_.front();
+  const SimTime at = head.done + config_.propagation;
+  // Re-keys the firing event in place when called from deliver_head().
+  if (simulator_.reschedule_at(delivery_, at, head.delivery_seq)) return;
+  // gdmp-lint: owned-callback — ~Link() cancels this event and the Simulator outlives every Link
+  delivery_ = simulator_.schedule_at(at, head.delivery_seq, [this] {
+    deliver_head();
+  });
+}
+
+void Link::deliver_head() {
+  InFlight& head = in_flight_.front();
+  // A delivery follows its own release, which may not have been drained.
+  if (released_ > 0) {
+    --released_;
+  } else {
+    backlog_ -= head.size;
+  }
+  ++stats_.packets_delivered;
+  stats_.bytes_delivered += head.size;
+  // Move the packet out and re-arm first: the receiver may enqueue on this
+  // link again, or destroy it.
+  const Packet arrived = std::move(head.packet);
+  in_flight_.pop_front();
+  if (!in_flight_.empty()) arm_delivery();
+  deliver_(arrived);
 }
 
 SimDuration Link::queueing_delay() const noexcept {

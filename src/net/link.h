@@ -5,11 +5,19 @@
 // queued or in transmission are dropped — this drop-tail bottleneck is what
 // makes tuned parallel TCP streams interact exactly as in the paper's
 // CERN–ANL measurements.
+//
+// A packet-hop costs one kernel event (DESIGN.md §5e). The end of a
+// packet's serialization, which frees its queue space, is not an event: its
+// key is reserved at enqueue and the queue is drained lazily, on the next
+// enqueue, of every packet whose key has passed. Deliveries are in FIFO
+// order, so one armed event per link delivers the head packet and re-arms
+// at the next packet's reserved key. Both keys are reserved in the order
+// two scheduled events would take them, so every event, and every drop
+// decision, lands exactly where it would if both were real events.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 
 #include "common/types.h"
 #include "net/packet.h"
@@ -39,7 +47,12 @@ class Link {
   /// receive hook must not cost a heap-backed std::function.
   using Deliver = sim::InlineFunction<void(const Packet&), 64>;
 
+  /// The simulator must outlive the link: ~Link() cancels its event.
   Link(sim::Simulator& simulator, LinkConfig config, Deliver deliver);
+  ~Link();
+
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   /// Accepts a packet for transmission; drops it if the queue is full.
   /// Returns false on drop.
@@ -55,9 +68,6 @@ class Link {
   void set_bandwidth(BitsPerSec bandwidth) noexcept {
     config_.bandwidth = bandwidth;
   }
-
-  /// Bytes currently queued or being serialized.
-  Bytes backlog() const noexcept { return backlog_; }
 
   /// The queueing delay a newly arriving packet would see right now.
   SimDuration queueing_delay() const noexcept;
@@ -81,11 +91,31 @@ class Link {
   double sample_utilization();
 
  private:
+  /// A packet accepted but not yet delivered, with the reserved kernel keys
+  /// of its serialization end `(done, release_seq)` and of its delivery
+  /// `(done + propagation, delivery_seq)`.
+  struct InFlight {
+    SimTime done;
+    std::uint64_t release_seq;
+    std::uint64_t delivery_seq;
+    Bytes size;
+    Packet packet;
+  };
+
+  /// Frees the queue space of every packet whose serialization end has
+  /// passed.
+  void release_serialized();
+  /// Points the delivery event at the head packet's reserved key.
+  void arm_delivery();
+  /// The delivery event: hands the head packet to the receiver.
+  void deliver_head();
+
   sim::Simulator& simulator_;
   LinkConfig config_;
   Deliver deliver_;
   LinkStats stats_;
-  Bytes backlog_ = 0;
+  Bytes backlog_ = 0;  // bytes of the in-flight packets not yet released
+  std::size_t released_ = 0;  // in_flight_ prefix already out of backlog_
   SimTime busy_until_ = 0;  // when the transmitter becomes idle
   SimDuration busy_time_ = 0;  // serialization time accumulated so far
   obs::Gauge* utilization_gauge_ = nullptr;
@@ -98,15 +128,12 @@ class Link {
   // LinkStats values already mirrored into the counters (delta-synced each
   // sample, so counters stay monotone however often stats_ moves).
   LinkStats published_;
-  /// Packets serialized but not yet delivered. Kept here (FIFO — delivery
-  /// times are monotone: serialization completions are ordered and the
-  /// propagation delay is constant) so the delivery events capture only
-  /// {this, guard} and stay inside the kernel's inline buffer instead of
-  /// hauling a ~140-byte Packet into a heap-allocated closure.
-  std::deque<Packet> in_flight_;
-  /// Liveness sentinel: serialization/propagation completions can still be
-  /// queued in the simulator when a topology is torn down mid-run.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// FIFO: serialization ends and deliveries both come in enqueue order
+  /// (the transmitter is work-conserving and the propagation delay is
+  /// constant). A deque, so its memory follows the packets in flight.
+  std::deque<InFlight> in_flight_;
+  /// Armed at the head packet's delivery key while in_flight_ is non-empty.
+  sim::EventHandle delivery_;
 };
 
 }  // namespace gdmp::net

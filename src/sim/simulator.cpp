@@ -20,9 +20,23 @@ bool Simulator::reschedule_at(EventHandle handle, SimTime when) {
   return heap_.reschedule(handle, when, next_seq_++);
 }
 
+EventHandle Simulator::schedule_at(SimTime when, std::uint64_t seq,
+                                   Callback fn) {
+  assert(fn && "scheduling a null callback");
+  assert(seq < next_seq_ && !has_fired(when, seq) && "key not reserved");
+  return heap_.push(when, seq, std::move(fn));
+}
+
+bool Simulator::reschedule_at(EventHandle handle, SimTime when,
+                              std::uint64_t seq) {
+  assert(seq < next_seq_ && !has_fired(when, seq) && "key not reserved");
+  return heap_.reschedule(handle, when, seq);
+}
+
 void Simulator::fire_next() {
   const auto top = heap_.pop_firing();
   now_ = top.time;
+  passed_ = top;
   ++fired_;
   heap_.firing_fn()();
   heap_.finish_firing();
@@ -48,6 +62,10 @@ std::size_t Simulator::run_until(SimTime deadline) {
     fire_next();
     ++count;
   }
+  // Drained: every event up to the deadline has fired, so every key reserved
+  // so far at those times has passed too. (After a stop the clock still
+  // jumps, but only the keys before the last event fired have passed.)
+  if (!stop_requested_ && now_ <= deadline) passed_ = {deadline, next_seq_};
   if (now_ < deadline) now_ = deadline;
   return count;
 }

@@ -69,6 +69,29 @@ class Simulator {
   /// reschedule() with an absolute target time (clamped to `now()`).
   bool reschedule_at(EventHandle handle, SimTime when);
 
+  /// Takes the next FIFO sequence number without scheduling anything. An
+  /// event later scheduled at `(when, seq)` by the overloads below fires
+  /// exactly where one scheduled now at `when` would: after same-time
+  /// events scheduled before this call, before those scheduled after it.
+  /// Lets a component that knows its event times in advance (a link's
+  /// serialization and delivery completions) keep them out of the heap.
+  std::uint64_t reserve_seq() noexcept { return next_seq_++; }
+
+  /// True if an event keyed `(when, seq)` would already have fired at this
+  /// point of the run: its key precedes the event now firing, or, between
+  /// runs, the last event fired. After a run_until() that drained without a
+  /// stop, every key at or before its deadline reserved so far counts.
+  bool has_fired(SimTime when, std::uint64_t seq) const noexcept {
+    return when < passed_.time ||
+           (when == passed_.time && seq < passed_.seq);
+  }
+
+  /// schedule_at() / reschedule_at() at a key from reserve_seq() that has
+  /// not fired yet. The reschedule form re-arms the firing event from its
+  /// own callback, like reschedule().
+  EventHandle schedule_at(SimTime when, std::uint64_t seq, Callback fn);
+  bool reschedule_at(EventHandle handle, SimTime when, std::uint64_t seq);
+
   /// Runs events until only daemon events (if any) remain. Returns the
   /// number fired. Daemons interleave normally while the queue holds real
   /// work; they never keep the run alive by themselves.
@@ -107,6 +130,8 @@ class Simulator {
   EventHeap<Callback> heap_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
+  /// Every key below this one has fired (see has_fired()).
+  EventHeap<Callback>::Minimum passed_{0, 0};
   std::uint64_t fired_ = 0;
   bool stop_requested_ = false;
 };

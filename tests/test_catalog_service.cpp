@@ -533,7 +533,7 @@ TEST(CatalogService, StaleEntryRevalidatesByStamp) {
 
   bool ok = false;
   rig.client->lookup_batch(
-      "cms", lfns, [&](Status s, std::vector<Result<core::ReplicaInfo>> r) {
+      "cms", lfns, [&](Status s, std::vector<Result<core::ReplicaInfo>>) {
         ok = s.is_ok();
       });
   rig.simulator.run();

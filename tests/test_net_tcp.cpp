@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "net/cross_traffic.h"
 #include "net/tcp.h"
@@ -88,6 +89,86 @@ TEST(Link, DeliveryCountersTrackArrivals) {
   EXPECT_EQ(link.stats().bytes_delivered, 2 * 1040);
   EXPECT_EQ(link.stats().bytes_sent, link.stats().bytes_delivered);
   EXPECT_EQ(link.stats().packets_dropped, 3);
+}
+
+// Equal-time ties between a packet's serialization end and a later enqueue:
+// the serialization end frees its queue space at the point of the kernel's
+// (time, seq) order where an event scheduled by the earlier enqueue would
+// fire. Two 1000 B packets fill a 2000 B queue at t=0; the head finishes
+// serialization at exactly t=1 ms, when a third packet arrives.
+struct TieRig {
+  sim::Simulator simulator;
+  Link link;
+  Packet packet;
+
+  static LinkConfig config() {
+    LinkConfig config;
+    config.bandwidth = 8 * kMbps;  // 1 byte per microsecond
+    config.propagation = 10 * kMillisecond;
+    config.queue_capacity = 2000;
+    return config;
+  }
+
+  TieRig() : link(simulator, config(), [](const Packet&) {}) {
+    packet.payload_len = 960;  // wire = 1000 B -> 1 ms serialization
+  }
+
+  void fill() {
+    ASSERT_TRUE(link.enqueue(packet));
+    ASSERT_TRUE(link.enqueue(packet));
+  }
+};
+
+TEST(Link, EnqueueAtReleaseInstantFromEarlierEventIsDropped) {
+  // Scheduled before the head's enqueue, the arrival precedes the head's
+  // serialization end in FIFO order: the queue is still full.
+  TieRig rig;
+  bool accepted = true;
+  rig.simulator.schedule_at(1 * kMillisecond,
+                            [&] { accepted = rig.link.enqueue(rig.packet); });
+  rig.fill();
+  rig.simulator.run();
+  EXPECT_FALSE(accepted);
+  EXPECT_EQ(rig.link.stats().packets_dropped, 1);
+  EXPECT_EQ(rig.link.stats().packets_delivered, 2);
+}
+
+TEST(Link, EnqueueAtReleaseInstantFromLaterEventIsAccepted) {
+  // Scheduled after the head's enqueue, the arrival follows its
+  // serialization end: one packet of room has opened.
+  TieRig rig;
+  rig.fill();
+  bool accepted = false;
+  rig.simulator.schedule_at(1 * kMillisecond,
+                            [&] { accepted = rig.link.enqueue(rig.packet); });
+  rig.simulator.run();
+  EXPECT_TRUE(accepted);
+  EXPECT_EQ(rig.link.stats().packets_dropped, 0);
+  EXPECT_EQ(rig.link.stats().packets_delivered, 3);
+}
+
+TEST(Link, ReceiverMayReenterTheDeliveringLink) {
+  // A delivery that enqueues on its own link must re-arm the link's single
+  // delivery event from inside that event's callback.
+  sim::Simulator simulator;
+  LinkConfig config;
+  config.bandwidth = 8 * kMbps;
+  config.propagation = 1 * kMillisecond;
+  std::vector<SimTime> arrivals;
+  Link* self = nullptr;
+  Link link(simulator, config, [&](const Packet& p) {
+    arrivals.push_back(simulator.now());
+    if (arrivals.size() < 3) self->enqueue(p);
+  });
+  self = &link;
+  Packet packet;
+  packet.payload_len = 960;  // 1 ms serialization
+  link.enqueue(packet);
+  simulator.run();
+  EXPECT_EQ(arrivals, (std::vector<SimTime>{2 * kMillisecond,
+                                            4 * kMillisecond,
+                                            6 * kMillisecond}));
+  EXPECT_EQ(simulator.pending(), 0u);
 }
 
 TEST(Network, RoutesAcrossMultipleHops) {
@@ -361,6 +442,116 @@ TEST(CrossTraffic, CbrOffersConfiguredRate) {
       static_cast<double>(source.bytes_offered()) * 8.0 / 10.0 / 1e6;
   EXPECT_NEAR(offered_mbps, 10.0, 0.7);
   EXPECT_GT(sink.bytes_received(), 0);
+}
+
+// ------------------------------------------------- packet-model golden runs
+//
+// Exact outcomes of two fixed packet runs, pinned so that any change to the
+// packet model's event order — not only run-to-run nondeterminism — shows
+// up as a diff. Both runs lean on equal-time ties between arrivals and
+// serialization ends. Update the constants only with a change that is meant
+// to alter packet-level behaviour, and say why.
+
+struct GoldenOutcome {
+  SimTime completion = -1;  // when the last sender drained, ns
+  std::int64_t retransmits = 0;
+  std::int64_t bottleneck_dropped = 0;
+  Bytes bottleneck_delivered = 0;
+};
+
+/// Sends `bytes` on each of `streams` connections from `from` to port 5000
+/// of `to` and runs until every sender drains (or `horizon`).
+GoldenOutcome run_golden_streams(sim::Simulator& simulator, TcpStack& from,
+                                 TcpStack& to, NodeId to_id, int streams,
+                                 Bytes bytes, const TcpConfig& config,
+                                 const Link& bottleneck, SimTime horizon,
+                                 CbrSource* cross = nullptr) {
+  std::vector<TcpConnection::Ptr> servers;
+  (void)to.listen(5000, config,
+                  [&](TcpConnection::Ptr c) { servers.push_back(c); });
+  GoldenOutcome outcome;
+  int drained = 0;
+  std::vector<bool> stream_drained(streams, false);
+  std::vector<TcpConnection::Ptr> clients;
+  for (int i = 0; i < streams; ++i) {
+    auto client = from.connect(to_id, 5000, config);
+    auto* raw = client.get();  // `clients` owns it; avoid a self-cycle
+    client->on_established = [raw, bytes](const Status&) {
+      raw->send_synthetic(bytes);
+    };
+    // Fires on every ack once drained; count each stream once.
+    client->on_send_drained = [&, i] {
+      if (stream_drained[i]) return;
+      stream_drained[i] = true;
+      if (++drained == streams) {
+        outcome.completion = simulator.now();
+        if (cross != nullptr) cross->stop();
+      }
+    };
+    clients.push_back(client);
+  }
+  simulator.run_until(horizon);
+  for (const auto& client : clients) {
+    outcome.retransmits += client->stats().retransmits;
+  }
+  outcome.bottleneck_dropped = bottleneck.stats().packets_dropped;
+  outcome.bottleneck_delivered = bottleneck.stats().bytes_delivered;
+  return outcome;
+}
+
+TEST(PacketGolden, TunedParallelStreamsWithCrossTraffic) {
+  // Four tuned streams and 18 Mbit/s of CBR cross traffic overflow the
+  // default 2816 KiB bottleneck of the CERN–ANL path.
+  WanFixture f;
+  DatagramSink sink(*f.path.host_b);
+  CbrConfig cbr;
+  cbr.rate = 18 * kMbps;
+  CbrSource cross(f.network, *f.path.host_a, *f.path.host_b, cbr, 13);
+  cross.start();
+  TcpConfig config;
+  config.send_buffer = 2 * kMiB;
+  config.recv_buffer = 2 * kMiB;
+  const GoldenOutcome outcome = run_golden_streams(
+      f.simulator, *f.stack_a, *f.stack_b, f.path.host_b->id(), 4, 8 * kMiB,
+      config, *f.path.bottleneck_ab, 600 * kSecond, &cross);
+  EXPECT_EQ(outcome.completion, 13'329'120'179);
+  EXPECT_EQ(outcome.retransmits, 217);
+  EXPECT_EQ(outcome.bottleneck_dropped, 1353);
+  EXPECT_EQ(outcome.bottleneck_delivered, 69'797'054);
+}
+
+TEST(PacketGolden, EqualBandwidthChainArrivesOnReleaseInstants) {
+  // h0 -> r1 -> r2 -> h3 at one bandwidth: a packet reaches r1 exactly when
+  // its predecessor finishes serialization on r1 -> r2, whose queue holds
+  // less than two full segments, so each such tie decides a drop.
+  sim::Simulator simulator;
+  Network network(simulator);
+  Node& h0 = network.add_node("h0");
+  Node& r1 = network.add_node("r1");
+  Node& r2 = network.add_node("r2");
+  Node& h3 = network.add_node("h3");
+  LinkConfig link;
+  link.bandwidth = 10 * kMbps;
+  link.propagation = 2 * kMillisecond;
+  link.queue_capacity = 64 * kKiB;
+  LinkConfig tight = link;
+  tight.queue_capacity = 2999;  // one 1500 B segment, not two
+  network.connect(h0, r1, link);
+  network.connect(r1, r2, tight, link);
+  network.connect(r2, h3, link);
+  network.compute_routes();
+  TcpStack from(simulator, h0);
+  TcpStack to(simulator, h3);
+  TcpConfig config;
+  config.send_buffer = 32 * kKiB;
+  config.recv_buffer = 32 * kKiB;
+  const GoldenOutcome outcome = run_golden_streams(
+      simulator, from, to, h3.id(), 1, 1 * kMiB, config,
+      *network.link_between(r1, r2), 600 * kSecond);
+  EXPECT_EQ(outcome.completion, 47'463'548'800);
+  EXPECT_EQ(outcome.retransmits, 205);
+  EXPECT_EQ(outcome.bottleneck_dropped, 206);
+  EXPECT_EQ(outcome.bottleneck_delivered, 1'081'496);
 }
 
 }  // namespace

@@ -238,6 +238,107 @@ TEST(Simulator, CancelOfFiringEventSuppressesSelfRearm) {
   EXPECT_EQ(simulator.pending(), 0u);
 }
 
+// ------------------------------------------------------- reserved sequences
+
+TEST(Simulator, ReservedSeqFiresBeforeLaterSameTimeEvents) {
+  // An event pushed late at a reserved key takes the FIFO place of the
+  // reservation, not of the push.
+  Simulator simulator;
+  std::vector<int> order;
+  simulator.schedule_at(10, [&] { order.push_back(0); });
+  const std::uint64_t reserved = simulator.reserve_seq();
+  simulator.schedule_at(10, [&] { order.push_back(2); });
+  simulator.schedule_at(10, [&] { order.push_back(3); });
+  simulator.schedule_at(10, reserved, [&] { order.push_back(1); });
+  EXPECT_EQ(simulator.run(), 4u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(Simulator, ReservedSeqSelfRearmKeepsFifoPlace) {
+  // The link delivery pattern: one event re-arms itself from its own
+  // callback at keys reserved earlier, interleaving with ordinary events at
+  // the same timestamps exactly as separately scheduled events would.
+  Simulator simulator;
+  std::vector<int> order;
+  const std::uint64_t first = simulator.reserve_seq();
+  simulator.schedule_at(20, [&] { order.push_back(20); });
+  const std::uint64_t second = simulator.reserve_seq();
+  simulator.schedule_at(20, [&] { order.push_back(21); });
+  EventHandle handle;
+  int fires = 0;
+  handle = simulator.schedule_at(10, first, [&] {
+    order.push_back(fires++ == 0 ? 10 : 19);
+    if (fires == 1) {
+      EXPECT_TRUE(simulator.reschedule_at(handle, 20, second));
+    }
+  });
+  simulator.run();
+  EXPECT_EQ(order, (std::vector<int>{10, 20, 19, 21}));
+  EXPECT_EQ(simulator.pending(), 0u);
+}
+
+TEST(Simulator, HasFiredInsideCallbackComparesTheFiringKey) {
+  Simulator simulator;
+  const std::uint64_t before = simulator.reserve_seq();
+  std::uint64_t after = 0;
+  bool checked = false;
+  EXPECT_FALSE(simulator.has_fired(0, before));  // nothing has run yet
+  simulator.schedule_at(10, [&] {
+    EXPECT_TRUE(simulator.has_fired(10, before));  // same time, earlier seq
+    EXPECT_FALSE(simulator.has_fired(10, after));  // same time, later seq
+    EXPECT_TRUE(simulator.has_fired(9, after));    // earlier time
+    EXPECT_FALSE(simulator.has_fired(11, before));  // later time
+    checked = true;
+  });
+  after = simulator.reserve_seq();
+  simulator.run();
+  EXPECT_TRUE(checked);
+}
+
+TEST(Simulator, HasFiredAfterDrainedRunUntilCoversTheDeadline) {
+  Simulator simulator;
+  simulator.schedule_at(5, [] {});
+  const std::uint64_t reserved = simulator.reserve_seq();
+  simulator.run_until(20);
+  // Drained: an event at (20, reserved) would have fired before the run
+  // ended; one reserved now at t=20 would fire on the next run.
+  EXPECT_TRUE(simulator.has_fired(20, reserved));
+  EXPECT_FALSE(simulator.has_fired(21, reserved));
+  const std::uint64_t late = simulator.reserve_seq();
+  EXPECT_FALSE(simulator.has_fired(20, late));
+  // A deadline in the past neither fires nor rewinds the passed key.
+  simulator.run_until(10);
+  EXPECT_TRUE(simulator.has_fired(20, reserved));
+}
+
+TEST(Simulator, HasFiredAfterRequestStopStopsAtTheLastEvent) {
+  Simulator simulator;
+  const std::uint64_t before = simulator.reserve_seq();
+  simulator.schedule_at(5, [&] { simulator.request_stop(); });
+  const std::uint64_t after = simulator.reserve_seq();
+  simulator.schedule_at(7, [] {});
+  simulator.run_until(100);
+  // The clock jumps to the deadline, but only keys before the stopping
+  // event have passed: (7, ·) is still pending.
+  EXPECT_EQ(simulator.now(), 100);
+  EXPECT_TRUE(simulator.has_fired(5, before));
+  EXPECT_FALSE(simulator.has_fired(5, after));
+  EXPECT_FALSE(simulator.has_fired(6, before));
+}
+
+TEST(Simulator, HasFiredBetweenSteps) {
+  Simulator simulator;
+  simulator.schedule_at(10, [] {});
+  const std::uint64_t middle = simulator.reserve_seq();
+  simulator.schedule_at(10, [] {});
+  EXPECT_FALSE(simulator.has_fired(10, middle));
+  ASSERT_TRUE(simulator.step());
+  EXPECT_FALSE(simulator.has_fired(10, middle));
+  ASSERT_TRUE(simulator.step());
+  EXPECT_TRUE(simulator.has_fired(10, middle));
+  EXPECT_FALSE(simulator.step());
+}
+
 TEST(Simulator, ManyEventsStressOrdering) {
   Simulator simulator;
   SimTime last = -1;

@@ -228,6 +228,53 @@ TEST(Teardown, FtpClientSuccessAndErrorFireOnceEvenAfterDestroy) {
   EXPECT_TRUE(missing.exactly_once());
 }
 
+// -------------------------------------------------------------------- net
+
+TEST(Teardown, NetworkDestroyedWithPacketsInFlightFiresNothing) {
+  // Links carry no liveness guard: each cancels its one delivery event when
+  // destroyed. Tear the fabric down with packets queued, serializing and
+  // propagating on several links, then keep the simulator running: nothing
+  // may fire into a freed link (asan) and nothing may stay scheduled.
+  sim::Simulator simulator;
+  auto network = std::make_unique<net::Network>(simulator);
+  const net::WanPath path = net::make_wan_path(*network, "src", "dst");
+  int received = 0;
+  for (net::Node* host : {path.host_a, path.host_b}) {
+    host->set_protocol_handler(net::Protocol::kDatagram,
+                               [&received](const net::Packet&) { ++received; });
+  }
+  for (int i = 0; i < 200; ++i) {
+    for (const auto& [from, to] : {std::pair{path.host_a, path.host_b},
+                                   std::pair{path.host_b, path.host_a}}) {
+      net::Packet packet;
+      packet.src = from->id();
+      packet.dst = to->id();
+      packet.protocol = net::Protocol::kDatagram;
+      packet.payload_len = 1000;
+      ASSERT_TRUE(from->send(packet));
+    }
+  }
+  // 1 ms in: the LAN uplinks are still serializing the bursts and the WAN
+  // links hold queued and propagating packets.
+  simulator.run_until(1 * kMillisecond);
+  std::vector<net::Link*> links;
+  ASSERT_TRUE(network->path_links(path.host_a->id(), path.host_b->id(), links));
+  ASSERT_TRUE(network->path_links(path.host_b->id(), path.host_a->id(), links));
+  int busy_links = 0;
+  for (const net::Link* link : links) {
+    if (link->stats().packets_sent > link->stats().packets_delivered) {
+      ++busy_links;
+    }
+  }
+  EXPECT_GE(busy_links, 4);
+  EXPECT_GT(simulator.pending(), 0u);
+
+  network.reset();
+  EXPECT_EQ(simulator.pending(), 0u);
+  simulator.run_until(simulator.now() + 10 * kSecond);
+  EXPECT_EQ(received, 0);
+}
+
 // -------------------------------------------------------------------- rpc
 
 struct RpcRig {
