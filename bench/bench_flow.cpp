@@ -11,7 +11,8 @@
 // something the packet model cannot attempt (it would be ~10^9 events and
 // per-stream TCP state). Flows ramp up over a minute of sim time, drain
 // under max-min fair sharing with renegotiation batching, and the bench
-// reports events/flow and the renegotiation-locality counters.
+// reports events/flow and the renegotiation-locality counters (flows,
+// rate classes and links recomputed).
 //
 // stdout is sim-deterministic by construction (byte-identical across
 // same-seed and hash-perturbed runs; scripts/check.sh stage 5 runs this
@@ -166,11 +167,14 @@ void part2_grid_scale(BenchReport& report, bool smoke) {
   const auto events = simulator.events_fired();
   const double events_per_flow =
       static_cast<double>(events) / static_cast<double>(n_flows);
-  const double flows_per_reneg =
-      stats.renegotiations > 0
-          ? static_cast<double>(stats.flows_recomputed) /
-                static_cast<double>(stats.renegotiations)
-          : 0.0;
+  const auto per_reneg = [&stats](std::int64_t total) {
+    return stats.renegotiations > 0
+               ? static_cast<double>(total) /
+                     static_cast<double>(stats.renegotiations)
+               : 0.0;
+  };
+  const double flows_per_reneg = per_reneg(stats.flows_recomputed);
+  const double classes_per_reneg = per_reneg(stats.classes_recomputed);
 
   std::printf(
       "  completed            %lld / %lld\n"
@@ -178,12 +182,14 @@ void part2_grid_scale(BenchReport& report, bool smoke) {
       "  payload moved        %.1f GiB in %.0f sim seconds\n"
       "  simulator events     %llu  (%.1f per flow)\n"
       "  renegotiations       %lld  (%.1f flows recomputed each)\n"
+      "  rate classes         %.1f recomputed per renegotiation\n"
       "  links recomputed     %lld\n",
       ctx.completed, n_flows, ctx.peak_active,
       static_cast<double>(ctx.bytes_moved) / static_cast<double>(kGiB),
       to_seconds(ctx.last_finish), static_cast<unsigned long long>(events),
       events_per_flow, static_cast<long long>(stats.renegotiations),
-      flows_per_reneg, static_cast<long long>(stats.links_recomputed));
+      flows_per_reneg, classes_per_reneg,
+      static_cast<long long>(stats.links_recomputed));
   // Host timing is run-dependent; keep it off the deterministic stdout.
   std::fprintf(stderr, "  wall clock           %.2f s (%.0f flows/s)\n",
                wall_seconds, static_cast<double>(n_flows) / wall_seconds);
@@ -199,6 +205,7 @@ void part2_grid_scale(BenchReport& report, bool smoke) {
               {"events_per_flow", events_per_flow},
               {"renegotiations", stats.renegotiations},
               {"flows_per_renegotiation", flows_per_reneg},
+              {"classes_per_renegotiation", classes_per_reneg},
               {"links_recomputed", stats.links_recomputed},
               {"wall_seconds", wall_seconds}});
 }

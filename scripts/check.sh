@@ -13,8 +13,9 @@
 #   5. rollup smoke test (observability example with its 60 s heartbeat ->
 #      JSONL rollup stream -> obs_report --validate + summary).
 #   6. determinism check — scheduler (observability), object-replication
-#      (hep_analysis), fluid-transfer (bench_flow --smoke) and sharded-
-#      catalog (bench_replica_catalog --smoke) workloads must produce
+#      (hep_analysis), fluid-transfer (full bench_flow: 10^5 flows in
+#      ~10^3 rate classes) and sharded-catalog (bench_replica_catalog
+#      --smoke) workloads must produce
 #      byte-identical output across two same-seed runs, and
 #      again with --hash-perturb, where the two runs get different
 #      GDMP_HASH_SEED salts scrambling every unordered container's
@@ -94,11 +95,11 @@ if [ "$smoke" -eq 1 ]; then
   ./build/tools/determinism_check ./build/examples/hep_analysis
   ./build/tools/determinism_check --hash-perturb ./build/examples/hep_analysis
 
-  echo "==> determinism check [fluid transfer workload]"
+  echo "==> determinism check [fluid transfer workload, grid scale]"
   GDMP_BENCH_OUT=build ./build/tools/determinism_check \
-    ./build/bench/bench_flow --smoke
+    ./build/bench/bench_flow
   GDMP_BENCH_OUT=build ./build/tools/determinism_check --hash-perturb \
-    ./build/bench/bench_flow --smoke
+    ./build/bench/bench_flow
 
   echo "==> determinism check [sharded catalog workload]"
   GDMP_BENCH_OUT=build ./build/tools/determinism_check \

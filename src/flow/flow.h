@@ -96,6 +96,9 @@ struct FlowEngineStats {
   /// links it shares capacity with).
   std::int64_t links_recomputed = 0;
   std::int64_t flows_recomputed = 0;
+  /// Rate classes re-rated (flows of one class share a rate, so a
+  /// renegotiation solves over classes; flows_recomputed sums their sizes).
+  std::int64_t classes_recomputed = 0;
   Bytes bytes_completed = 0;
 };
 

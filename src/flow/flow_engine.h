@@ -1,23 +1,35 @@
 // Fluid flow engine: rate-based transfer simulation.
 //
 // Each active transfer is a flow with a payload rate; the engine assigns
-// weighted max-min fair shares per link (fair_share.h) and schedules one
-// completion event per flow via Simulator::reschedule. Rates are
-// renegotiated only when the flow set or a link capacity changes, and the
-// renegotiation is *incremental*: it solves over the closure of links the
-// change touched, folding unaffected traffic in as fixed load, and expands
-// only to links whose freed slack can actually be claimed (a resident flow
-// recorded that link as its bottleneck). Steady state allocates nothing:
-// flow slots, per-slot path vectors, and all solver scratch are pooled
-// (PR 5 kernel discipline).
+// weighted max-min fair shares per link (fair_share.h). Flows with the same
+// (src, dst, weight, window, pinned rate) share a path, an RTT-scaled
+// weight and a window cap, so they always get the same rate: they form one
+// *rate class*, and the class — not the flow — is what renegotiation
+// re-rates and what the kernel schedules. A class keeps a per-flow service
+// clock (`served`: bytes each member has moved since the class last
+// filled), a flow is just a finish target on that clock, and the class
+// holds one completion event for its earliest target (DESIGN.md §5f).
+//
+// Rates are renegotiated only when the flow set or a link capacity
+// changes, and the renegotiation is *incremental*: it solves over the
+// closure of links the change touched, folding unaffected classes in as
+// fixed load, and expands only to links whose freed slack can actually be
+// claimed (a resident class recorded that link as its bottleneck). Steady
+// state allocates nothing: flow slots, classes (never freed) with their
+// heaps and pending lists, and all solver scratch are pooled (DESIGN.md
+// §5e kernel discipline). A class takes its route when it is created;
+// routes must not change while the engine runs.
 //
 // Determinism: closure discovery follows event order (dirty list) and
-// per-link insertion order; the only unordered container is a
-// lookup-only Link* index that is never iterated.
+// per-link insertion order, and a class completes its due flows in
+// (target, join order); the only unordered container is a lookup-only
+// Link* index that is never iterated.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -73,7 +85,7 @@ class FlowEngine {
   double link_utilization(const net::Link* link) const noexcept;
 
   /// Cumulative payload bytes fair-share flows have moved across `link`
-  /// as of now() — settled credit plus each resident flow's unsettled
+  /// as of now() — settled credit plus each resident class's unsettled
   /// in-flight portion, so the value is exact between renegotiations.
   /// Pinned (background) flows are excluded: they model cross-traffic
   /// load, not transfers. 0 for unknown links.
@@ -93,45 +105,81 @@ class FlowEngine {
     FlowSpec spec{};
     Completion on_done{};
     std::uint32_t gen = 0;
+    std::uint32_t cls = 0;       // rate class index
+    std::uint32_t heap_pos = 0;  // slot in the class heap while joined
     bool in_use = false;
+    bool joined = false;  // has a rate and a finish target (else pending)
+    double target = 0.0;  // class `served` at which this flow drains
+                          // (bytes + slow-start deficit past its join)
+    std::uint64_t join_seq = 0;  // tie-break among equal targets
+    SimTime started = 0;
+  };
+
+  /// Flows that always share one rate: same route, weight and window (or
+  /// the same pinned rate). Created on first sight, never freed.
+  struct ClassState {
     bool pinned = false;
-    bool rate_assigned = false;
     bool in_closure = false;
+    Bytes window = 0;
+    SimDuration rtt = 0;
     double weight_eff = 1.0;
     double cap = std::numeric_limits<double>::infinity();
-    double rate = 0.0;        // payload bits/s
-    double remaining = 0.0;   // payload bytes left (incl. slow-start deficit)
-    SimTime settled_at = 0;   // `remaining` is exact as of this instant
-    SimTime started = 0;
-    SimDuration rtt = 0;
-    std::int32_t bottleneck = -1;  // link index that froze this flow's rate
-    sim::EventHandle completion{};
     std::vector<std::int32_t> path;         // link indices, src → dst
-    std::vector<std::int32_t> pos_in_link;  // this flow's slot in each
-                                            // link's flows vector
+    std::vector<std::int32_t> pos_in_link;  // this class's slot in each
+                                            // link's classes vector
+    double rate = 0.0;    // payload bits/s of each joined flow
+    double served = 0.0;  // bytes served per joined flow as of settled_at
+    SimTime settled_at = 0;
+    std::int32_t bottleneck = -1;  // link index that froze the rate
+    std::vector<std::uint32_t> heap;     // joined flows, min-heap on
+                                         // (target, join_seq)
+    std::vector<std::uint32_t> pending;  // started, awaiting a rate
+    sim::EventHandle completion{};       // armed at the heap head's finish
+
+    std::size_t size() const noexcept { return heap.size() + pending.size(); }
+  };
+
+  struct ClassKey {
+    net::NodeId src = net::kInvalidNode;
+    net::NodeId dst = net::kInvalidNode;
+    double weight = 1.0;
+    Bytes window = 0;
+    BitsPerSec pinned_rate = 0;
+    friend auto operator<=>(const ClassKey&, const ClassKey&) = default;
   };
 
   struct LinkState {
     const net::Link* link = nullptr;
     double capacity = 0.0;  // payload bits/s (wire bandwidth × efficiency)
     double pinned = 0.0;    // payload load of pinned flows
-    std::vector<std::uint32_t> flows;  // active fair-share flows crossing
+    std::vector<std::uint32_t> classes;  // non-empty fair-share classes
     double bytes_moved = 0.0;  // settled fair-share payload bytes
     bool dirty = false;
     std::int32_t share_index = -1;  // renegotiation scratch
   };
 
   std::int32_t intern_link(const net::Link* link);
+  std::int32_t find_class(const FlowSpec& spec);
   std::uint32_t alloc_slot();
-  void settle(FlowState& flow, SimTime now);
+  void settle(ClassState& cls, SimTime now);
   double remaining_now(const FlowState& flow) const noexcept;
+  SimTime finish_time(const ClassState& cls, double target) const noexcept;
   void mark_dirty(std::int32_t link_index);
   void schedule_renegotiation();
   void renegotiate();
-  void apply_rate(std::uint32_t slot, double rate, std::int32_t bottleneck);
-  void detach_from_links(std::uint32_t slot);
+  void join(std::uint32_t slot, double deficit);
+  void arm(std::uint32_t class_index);
+  void on_class_due(std::uint32_t class_index);
+  void detach_class(std::uint32_t class_index);
   void complete(std::uint32_t slot);
   void retire(std::uint32_t slot, bool ok);
+
+  // Class heap of joined flows, ordered by (target, join_seq).
+  bool finishes_before(std::uint32_t a, std::uint32_t b) const noexcept;
+  void heap_place(ClassState& cls, std::size_t pos, std::uint32_t slot);
+  void heap_sift_up(ClassState& cls, std::size_t pos);
+  void heap_sift_down(ClassState& cls, std::size_t pos);
+  void heap_erase(ClassState& cls, std::size_t pos);
 
   sim::Simulator& simulator_;
   net::Network& network_;
@@ -140,6 +188,10 @@ class FlowEngine {
   std::vector<FlowState> flows_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t active_count_ = 0;
+  std::uint64_t next_join_seq_ = 0;
+
+  std::vector<ClassState> classes_;
+  std::map<ClassKey, std::uint32_t> class_index_;
 
   std::vector<LinkState> links_;
   common::UnorderedMap<const net::Link*, std::int32_t>
@@ -151,7 +203,7 @@ class FlowEngine {
 
   // Renegotiation scratch, reused across solves.
   WaterFill solver_;
-  std::vector<std::uint32_t> closure_flows_;
+  std::vector<std::uint32_t> closure_classes_;
   std::vector<std::int32_t> solve_links_;
   std::vector<ShareFlow> share_flows_;
   std::vector<ShareLink> share_links_;

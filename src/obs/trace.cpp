@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <numeric>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -61,17 +62,14 @@ void Tracer::attr(SpanId id, std::string_view key, std::int64_t value) {
 }
 
 const Span* Tracer::find(SpanId id) const noexcept {
-  for (const Span& span : spans_) {
-    if (span.id.value == id.value) return &span;
-  }
-  return nullptr;
+  // Ids are handed out sequentially from 1 and spans_ only grows until
+  // clear() restarts both, so span `id` lives at index id - 1.
+  if (id.value == 0 || id.value > spans_.size()) return nullptr;
+  return &spans_[id.value - 1];
 }
 
 Span* Tracer::find_mutable(SpanId id) noexcept {
-  for (auto it = spans_.rbegin(); it != spans_.rend(); ++it) {
-    if (it->id.value == id.value) return &*it;
-  }
-  return nullptr;
+  return const_cast<Span*>(std::as_const(*this).find(id));
 }
 
 std::size_t Tracer::open_spans() const noexcept {

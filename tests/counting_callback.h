@@ -33,7 +33,7 @@ class CountingCallback {
   int count() const noexcept { return state_->count; }
   bool exactly_once() const noexcept { return state_->count == 1; }
   /// Status delivered by the most recent invocation (ok() if none yet, or
-  /// if the callback takes no status-bearing argument).
+  /// if the callback's first argument carries no status).
   const Status& last_status() const noexcept { return state_->last; }
   ErrorCode last_code() const noexcept { return state_->last.code(); }
 
@@ -48,8 +48,10 @@ class CountingCallback {
   static Status status_of(const First& first, const Rest&...) {
     if constexpr (std::is_convertible_v<const First&, const Status&>) {
       return first;
-    } else {
+    } else if constexpr (requires { first.status(); }) {
       return first.status();  // Result<T> and friends
+    } else {
+      return Status::ok();  // plain records (flow::FlowDone)
     }
   }
 

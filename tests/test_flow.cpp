@@ -4,10 +4,15 @@
 // where the fluid model must track the packet model within tolerance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/crc32.h"
+#include "counting_callback.h"
 #include "flow/fair_share.h"
 #include "flow/flow_engine.h"
 #include "gridftp/client.h"
@@ -279,11 +284,115 @@ TEST(FlowEngine, ChurnRenegotiatesOnlyTouchedLinks) {
 
   const std::int64_t links_before = engine.stats().links_recomputed;
   const std::int64_t flows_before = engine.stats().flows_recomputed;
+  const std::int64_t classes_before = engine.stats().classes_recomputed;
   (void)engine.start(ab, [](const FlowDone&) {});
   simulator.run_until(2 * kSecond);
   // Exactly the a→b link; its two resident flows — the c→d pair untouched.
   EXPECT_EQ(engine.stats().links_recomputed - links_before, 1);
   EXPECT_EQ(engine.stats().flows_recomputed - flows_before, 2);
+  // Both a→b flows share route, weight and window: one rate class.
+  EXPECT_EQ(engine.stats().classes_recomputed - classes_before, 1);
+
+  // N more flows on the same path still re-rate as that one class.
+  constexpr int kMore = 6;
+  const std::int64_t flows_mid = engine.stats().flows_recomputed;
+  const std::int64_t classes_mid = engine.stats().classes_recomputed;
+  const std::int64_t reneg_mid = engine.stats().renegotiations;
+  for (int i = 0; i < kMore; ++i) {
+    (void)engine.start(ab, [](const FlowDone&) {});
+  }
+  simulator.run_until(3 * kSecond);
+  EXPECT_EQ(engine.stats().renegotiations - reneg_mid, 1);
+  EXPECT_EQ(engine.stats().classes_recomputed - classes_mid, 1);
+  EXPECT_EQ(engine.stats().flows_recomputed - flows_mid, 2 + kMore);
+}
+
+TEST(FlowEngine, CancellingClassHeadMovesNextCompletion) {
+  // Two flows of one class; the renegotiation quantum keeps the cancel's
+  // re-rating far off, so the survivor finishes at its old rate — and the
+  // class's one completion event must move from the cancelled head's
+  // finish to the survivor's without a wasted wake-up in between.
+  PairNet net;
+  FluidConfig config;
+  config.model_slow_start = false;
+  config.reneg_quantum = 5 * kSecond;
+  FlowEngine engine(net.simulator, net.network, config);
+  FlowSpec spec;
+  spec.src = net.a->id();
+  spec.dst = net.b->id();
+  spec.bytes = 10 * kMiB;
+  const FlowId head = engine.start(spec, [](const FlowDone&) {});
+  spec.bytes = 20 * kMiB;
+  FlowDone survivor{};
+  const FlowId next =
+      engine.start(spec, [&survivor](const FlowDone& d) { survivor = d; });
+  net.simulator.run_until(6 * kSecond);  // rated at t = 5 s, both running
+  const double rate = engine.rate(next);
+  EXPECT_NEAR(rate, 50e6 * kEff, 1e3);
+  EXPECT_EQ(engine.rate(head), rate);
+
+  ASSERT_TRUE(engine.cancel(head));  // due at ~6.72 s; next at ~8.45 s
+  const std::uint64_t events_before = net.simulator.events_fired();
+  net.simulator.run_until(10 * kSecond);  // next renegotiation: t = 11 s
+  EXPECT_TRUE(survivor.ok);
+  const double expected_finish =
+      5.0 + static_cast<double>(20 * kMiB) * 8.0 / rate;
+  EXPECT_NEAR(to_seconds(survivor.finished), expected_finish, 1e-6);
+  EXPECT_EQ(net.simulator.events_fired() - events_before, 1u);
+}
+
+TEST(FlowEngine, SameInstantCompletionReentrancyCompletesEachOnce) {
+  // Three equal flows of one class finish at the same instant. The first
+  // completion callback starts a flow in the same class and cancels a
+  // sibling that is due at that very instant; every flow must still
+  // complete exactly once, and the cancelled sibling reports not-ok.
+  PairNet net;
+  FluidConfig config;
+  config.model_slow_start = false;
+  FlowEngine engine(net.simulator, net.network, config);
+  FlowSpec spec;
+  spec.src = net.a->id();
+  spec.dst = net.b->id();
+  spec.bytes = 4 * kMiB;
+
+  using DoneFn = std::function<void(const FlowDone&)>;
+  testing::CountingCallback counted[4];
+  FlowDone results[4];
+  FlowId ids[4];
+  bool reentered = false;
+  for (int i = 0; i < 3; ++i) {
+    const DoneFn first_reentry = [&, i](const FlowDone& d) {
+      results[i] = d;
+      if (reentered) return;
+      reentered = true;
+      const DoneFn late = [&results](const FlowDone& r) { results[3] = r; };
+      ids[3] = engine.start(spec, counted[3].wrap<const FlowDone&>(late));
+      for (int j = 0; j < 3; ++j) {
+        if (engine.active(ids[j])) {
+          EXPECT_TRUE(engine.cancel(ids[j]));
+          break;
+        }
+      }
+    };
+    ids[i] =
+        engine.start(spec, counted[i].wrap<const FlowDone&>(first_reentry));
+  }
+  net.simulator.run_until(60 * kSecond);
+  ASSERT_TRUE(reentered);
+  int not_ok = 0;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(counted[i].exactly_once()) << "flow " << i;
+    if (!results[i].ok) ++not_ok;
+  }
+  EXPECT_EQ(not_ok, 1);  // the cancelled sibling
+  EXPECT_TRUE(results[3].ok);
+  EXPECT_GT(results[3].finished, results[0].finished);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(results[i].finished, results[0].finished) << "flow " << i;
+  }
+  EXPECT_EQ(engine.active_flows(), 0u);
+  EXPECT_EQ(engine.stats().flows_completed, 3);
+  EXPECT_EQ(engine.stats().flows_cancelled, 1);
 }
 
 TEST(FlowEngine, LinkCapacityChangeRenegotiatesMidFlight) {
@@ -341,6 +450,123 @@ TEST(FlowEngine, TeardownMidFlightDropsWorkWithoutCallbacks) {
   engine.reset();  // pending completion + renegotiation events outlive it
   net.simulator.run_until(60 * kSecond);
   EXPECT_FALSE(fired);  // teardown discipline: in-flight work is dropped
+}
+
+// ------------------------------------------------------ cross-commit golden
+
+/// One run of the golden fluid scenario: hosts a and c reach b through
+/// router r, so the a→b and c→b classes share the 50 Mbit/s r→b
+/// bottleneck (slow start on, the default config).
+struct GoldenRun {
+  std::vector<FlowDone> done;  // completion order
+  FlowEngineStats stats;
+};
+
+GoldenRun run_golden_scenario() {
+  sim::Simulator simulator;
+  net::Network network(simulator);
+  net::Node& a = network.add_node("a");
+  net::Node& b = network.add_node("b");
+  net::Node& c = network.add_node("c");
+  net::Node& r = network.add_node("r");
+  net::LinkConfig near;
+  near.bandwidth = 100 * kMbps;
+  near.propagation = 5 * kMillisecond;
+  net::LinkConfig far = near;
+  far.propagation = 40 * kMillisecond;
+  net::LinkConfig neck;
+  neck.bandwidth = 50 * kMbps;
+  neck.propagation = 10 * kMillisecond;
+  network.connect(a, r, near);
+  network.connect(c, r, far);
+  network.connect(r, b, neck);
+  network.compute_routes();
+  net::Link* rb = network.link_between(r, b);
+
+  GoldenRun run;
+  FlowEngine engine(simulator, network);
+  const auto launch = [&](std::uint64_t tag, net::Node& src, Bytes bytes,
+                          double weight = 1.0, Bytes window = 0) {
+    FlowSpec spec;
+    spec.src = src.id();
+    spec.dst = b.id();
+    spec.bytes = bytes;
+    spec.weight = weight;
+    spec.window = window;
+    spec.tag = tag;
+    return engine.start(
+        spec, [&run](const FlowDone& done) { run.done.push_back(done); });
+  };
+  // a→b class: flows of different sizes and start times; tags 1 and 2 tie.
+  (void)launch(1, a, 20 * kMiB);
+  (void)launch(2, a, 20 * kMiB);
+  (void)launch(3, a, 8 * kMiB);
+  // c→b class: heavier weight, but its window caps it below its share.
+  (void)launch(4, c, 12 * kMiB, 4.0, 96 * kKiB);
+  (void)launch(5, c, 6 * kMiB, 4.0, 96 * kKiB);
+  // Pinned, unbounded cross traffic on the bottleneck path.
+  FlowSpec cross;
+  cross.src = a.id();
+  cross.dst = b.id();
+  cross.bytes = kUnboundedBytes;
+  cross.pinned_rate = 8 * kMbps;
+  (void)engine.start(cross, [](const FlowDone&) {});
+
+  FlowId doomed{};
+  simulator.schedule(500 * kMillisecond,
+                     [&] { doomed = launch(8, a, 30 * kMiB); });
+  simulator.schedule(1500 * kMillisecond,
+                     [&] { (void)launch(7, a, 4 * kMiB); });
+  simulator.schedule(3 * kSecond, [&] { (void)engine.cancel(doomed); });
+  simulator.schedule(4 * kSecond, [&] {
+    rb->set_bandwidth(30 * kMbps);
+    engine.on_link_changed(rb);
+  });
+  simulator.run_until(600 * kSecond);
+  run.stats = engine.stats();
+  return run;
+}
+
+TEST(FlowGolden, MatchesPerFlowEngineValues) {
+  // Values captured from the per-flow engine (one rate and one completion
+  // event per flow) that rate classes replaced. `determinism_check`
+  // compares two runs of one binary, so only a pinned run catches drift
+  // between versions. Finish instants may move by float rounding in the
+  // class clock (a nanosecond or two); everything else must not move.
+  struct Expected {
+    std::uint64_t tag;
+    bool ok;
+    Bytes transferred;
+    SimTime finished;
+  };
+  const Expected expected[] = {
+      {1, true, 20 * kMiB, 24'753'666'543},
+      {2, true, 20 * kMiB, 24'753'666'543},
+      {3, true, 8 * kMiB, 14'267'532'584},
+      {4, true, 12 * kMiB, 17'219'661'928},
+      {5, true, 6 * kMiB, 9'835'571'801},
+      {7, true, 4 * kMiB, 9'683'922'582},
+      {8, false, 1'809'428, 3'000'000'000},
+  };
+  const GoldenRun run = run_golden_scenario();
+  ASSERT_EQ(run.done.size(), std::size(expected));
+  for (const Expected& want : expected) {
+    const auto it = std::find_if(
+        run.done.begin(), run.done.end(),
+        [&want](const FlowDone& done) { return done.tag == want.tag; });
+    ASSERT_NE(it, run.done.end()) << "tag " << want.tag;
+    EXPECT_EQ(it->ok, want.ok) << "tag " << want.tag;
+    EXPECT_EQ(it->transferred, want.transferred) << "tag " << want.tag;
+    EXPECT_NEAR(static_cast<double>(it->finished),
+                static_cast<double>(want.finished), 2.0)
+        << "tag " << want.tag;
+  }
+  EXPECT_EQ(run.stats.renegotiations, 10);
+  EXPECT_EQ(run.stats.flows_recomputed, 44);
+  EXPECT_EQ(run.stats.links_recomputed, 29);
+  EXPECT_EQ(run.stats.flows_started, 8);
+  EXPECT_EQ(run.stats.flows_completed, 6);
+  EXPECT_EQ(run.stats.flows_cancelled, 1);
 }
 
 // ------------------------------------------------------------ fluid GridFTP

@@ -195,6 +195,43 @@ TEST_F(TracerTest, OrphanEndsAreCountedNeverSilent) {
   EXPECT_EQ(tracer_.orphan_ends(), 2);
 }
 
+TEST_F(TracerTest, SpanLookupIsDirectAcrossManyOpenSpans) {
+  // Span ids index the span table directly: end()/attr() reach the first
+  // of 10^5 open spans, unknown ids and double ends still count as
+  // orphans, and clear() restarts the ids.
+  constexpr std::uint64_t kSpans = 100'000;
+  const SpanId first = tracer_.begin("first", Tracer::root_parent());
+  for (std::uint64_t i = 1; i < kSpans; ++i) {
+    (void)tracer_.begin("open", Tracer::root_parent());
+  }
+  EXPECT_EQ(tracer_.open_spans(), kSpans);
+  now_ = 7;
+  tracer_.attr(first, "k", "v");
+  tracer_.end(first);
+  const Span* span = tracer_.find(first);
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->name, "first");
+  EXPECT_FALSE(span->open);
+  EXPECT_EQ(span->end, 7);
+  EXPECT_EQ(span->attrs.size(), 1u);
+  EXPECT_EQ(tracer_.open_spans(), kSpans - 1);
+
+  const SpanId unknown{kSpans + 1};
+  tracer_.end(first);    // double end
+  tracer_.end(unknown);  // one past the last id handed out
+  tracer_.attr(unknown, "k", "v");
+  EXPECT_EQ(tracer_.orphan_ends(), 2);
+  EXPECT_EQ(tracer_.find(unknown), nullptr);
+  EXPECT_EQ(tracer_.find(Tracer::root_parent()), nullptr);
+
+  tracer_.clear();
+  EXPECT_EQ(tracer_.find(first), nullptr);
+  const SpanId again = tracer_.begin("again");
+  EXPECT_EQ(again.value, 1u);
+  ASSERT_NE(tracer_.find(again), nullptr);
+  EXPECT_EQ(tracer_.find(again)->name, "again");
+}
+
 TEST_F(TracerTest, ChromeTraceExportIsWellFormed) {
   const SpanId a = tracer_.begin("outer", Tracer::root_parent());
   tracer_.attr(a, "lfn", "lfn://cms/x \"quoted\"");

@@ -199,19 +199,23 @@ TEST(SimulatorAlloc, RescheduleAndPeriodicTimerAllocateNothing) {
 }
 
 // FlowEngine contract (flow/flow_engine.h): "steady state allocates
-// nothing" — flow slots, per-slot path vectors, free list and all solver
-// scratch are pooled. Exercised here with a fixed working set of unbounded
-// flows churned through cancel/start plus forced link renegotiations, the
-// exact shape of grid cross-traffic turnover.
+// nothing" — flow slots, rate classes with their heaps and pending lists,
+// the free list and all solver scratch are pooled. Exercised here with a
+// fixed working set of unbounded flows over two paths churned through
+// cancel/start plus forced link renegotiations, the exact shape of grid
+// cross-traffic turnover, and a one-flow class that drains (emptying its
+// class and firing the class completion handler) and is restarted into it.
 TEST(FlowEngineAlloc, RenegotiationChurnAllocatesNothing) {
   Simulator sim;
   net::Network network{sim};
   net::Node& a = network.add_node("a");
   net::Node& b = network.add_node("b");
+  net::Node& c = network.add_node("c");
   net::LinkConfig link_config;
   link_config.bandwidth = 100 * kMbps;
   link_config.propagation = 5 * kMillisecond;
   network.connect(a, b, link_config);
+  network.connect(a, c, link_config);
   network.compute_routes();
   net::Link* ab = network.link_between(a, b);
   ASSERT_NE(ab, nullptr);
@@ -223,13 +227,26 @@ TEST(FlowEngineAlloc, RenegotiationChurnAllocatesNothing) {
   constexpr int kFlows = 8;
   flow::FlowId ids[kFlows];
   std::uint64_t retired = 0;
-  const auto launch = [&]() {
+  const auto launch = [&](int i) {
     flow::FlowSpec spec;
     spec.src = a.id();
-    spec.dst = b.id();
+    spec.dst = (i % 2 == 0 ? b : c).id();  // two paths, one class each
     spec.bytes = flow::kUnboundedBytes;
     return engine.start(spec,
                         [&retired](const flow::FlowDone&) { ++retired; });
+  };
+  flow::FlowId finite{};
+  std::uint64_t drained = 0;
+  const auto refill = [&]() {
+    if (engine.active(finite)) return;
+    flow::FlowSpec spec;
+    spec.src = a.id();
+    spec.dst = c.id();
+    spec.weight = 2.0;  // its own class on the a→c path
+    spec.bytes = 64 * 1024;
+    finite = engine.start(spec, [&drained](const flow::FlowDone& done) {
+      if (done.ok) ++drained;
+    });
   };
   std::uint32_t x = 1;
   const auto churn = [&](int operations) {
@@ -237,17 +254,20 @@ TEST(FlowEngineAlloc, RenegotiationChurnAllocatesNothing) {
       x = x * 1664525u + 1013904223u;
       const int i = static_cast<int>(x % kFlows);
       engine.cancel(ids[i]);
-      ids[i] = launch();
+      ids[i] = launch(i);
+      refill();
       if ((op & 7) == 0) engine.on_link_changed(ab);
       sim.run_until(sim.now() + kMillisecond);
     }
   };
-  for (int i = 0; i < kFlows; ++i) ids[i] = launch();
-  churn(200);  // warmup: slot pool, free list and solver scratch grow
+  for (int i = 0; i < kFlows; ++i) ids[i] = launch(i);
+  churn(200);  // warmup: slot pool, classes, free list and scratch grow
   const std::uint64_t before = allocation_count();
+  const std::uint64_t drained_before = drained;
   churn(1'000);
   EXPECT_EQ(allocation_count(), before);
   EXPECT_GE(retired, 1'000u);
+  EXPECT_GE(drained - drained_before, 10u);
   for (int i = 0; i < kFlows; ++i) EXPECT_TRUE(engine.active(ids[i]));
 }
 

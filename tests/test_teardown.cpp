@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "counting_callback.h"
+#include "flow/flow_engine.h"
 #include "gridftp/client.h"
 #include "gridftp/server.h"
 #include "net/topology.h"
@@ -273,6 +274,60 @@ TEST(Teardown, NetworkDestroyedWithPacketsInFlightFiresNothing) {
   EXPECT_EQ(simulator.pending(), 0u);
   simulator.run_until(simulator.now() + 10 * kSecond);
   EXPECT_EQ(received, 0);
+}
+
+// ------------------------------------------------------------------- flow
+
+TEST(Teardown, FlowEngineDestroyedWithClassesInFlightFiresNothing) {
+  // Teardown discipline (flow/flow_engine.h): the destructor drops every
+  // parked completion uninvoked. Several rate classes hold joined flows
+  // with armed completion events, some also hold pending flows that a
+  // deferred renegotiation has not rated yet, and a pinned class runs
+  // cross traffic — none of it may fire into the freed engine (asan), and
+  // nothing may stay scheduled.
+  sim::Simulator simulator;
+  net::Network network(simulator);
+  const net::WanPath path = net::make_wan_path(network, "src", "dst");
+  flow::FluidConfig config;
+  config.reneg_quantum = 1 * kSecond;
+  auto engine = std::make_unique<flow::FlowEngine>(simulator, network, config);
+
+  CountingCallback joined[4], pending[3], pinned;
+  const auto spec = [&](net::Node* from, net::Node* to, Bytes window) {
+    flow::FlowSpec out;
+    out.src = from->id();
+    out.dst = to->id();
+    out.bytes = 64 * kMiB;
+    out.window = window;
+    return out;
+  };
+  // Three fair-share classes: a→b, b→a, and a→b with its own window.
+  const flow::FlowSpec classes[] = {spec(path.host_a, path.host_b, 0),
+                                    spec(path.host_b, path.host_a, 0),
+                                    spec(path.host_a, path.host_b, 256 * kKiB)};
+  using Done = const flow::FlowDone&;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(
+        engine->start(classes[i % 3], joined[i].wrap<Done>()).valid());
+  }
+  flow::FlowSpec cross = spec(path.host_b, path.host_a, 0);
+  cross.bytes = flow::kUnboundedBytes;
+  cross.pinned_rate = 5 * kMbps;
+  ASSERT_TRUE(engine->start(cross, pinned.wrap<Done>()).valid());
+  simulator.run_until(2 * kSecond);  // rated at t = 1 s: all joined
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine->start(classes[i], pending[i].wrap<Done>()).valid());
+  }
+  simulator.run_until(2 * kSecond + 500 * kMillisecond);  // still pending
+  EXPECT_EQ(engine->active_flows(), 8u);
+  EXPECT_GT(simulator.pending(), 0u);
+
+  engine.reset();
+  EXPECT_EQ(simulator.pending(), 0u);
+  simulator.run_until(simulator.now() + 3600 * kSecond);
+  for (const CountingCallback& counted : joined) EXPECT_EQ(counted.count(), 0);
+  for (const CountingCallback& counted : pending) EXPECT_EQ(counted.count(), 0);
+  EXPECT_EQ(pinned.count(), 0);
 }
 
 // -------------------------------------------------------------------- rpc

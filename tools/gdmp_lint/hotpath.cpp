@@ -4,7 +4,8 @@
 // Hot roots:
 //   * the event kernel itself — every function defined in sim/event_heap.h,
 //     sim/simulator.*, sim/inline_function.h, sim/timer_queue.h;
-//   * FlowEngine::renegotiate / apply_rate and HeartbeatReporter::tick /
+//   * FlowEngine::renegotiate, the rate-class completion handler
+//     (on_class_due) and its re-arm (arm), and HeartbeatReporter::tick /
 //     render_rollup (the per-event and per-tick engines);
 //   * every lambda handed to Simulator::schedule/schedule_at or a
 //     PeriodicTimer — callbacks the kernel invokes;
@@ -19,8 +20,9 @@
 // Pooled/reserve-ahead recognition for the alloc rule: a container or
 // string that is `reserve()`d or `clear()`ed anywhere in the TU is treated
 // as capacity-reusing (the EventHeap free list, FlowEngine scratch vectors
-// and the heartbeat line_buffer_/out rendering buffer all follow this
-// idiom), so growth through it is not a finding.
+// and reserved-ahead class heaps, and the heartbeat line_buffer_/out
+// rendering buffer all follow this idiom), so growth through it is not a
+// finding.
 #include <algorithm>
 #include <deque>
 #include <map>
@@ -182,7 +184,8 @@ constexpr Seed kSeeds[] = {
     {"sim/inline_function.h", "", "seed:event-kernel"},
     {"sim/timer_queue.h", "", "seed:event-kernel"},
     {"flow/flow_engine.", "renegotiate", "seed:flow-renegotiation"},
-    {"flow/flow_engine.", "apply_rate", "seed:flow-renegotiation"},
+    {"flow/flow_engine.", "on_class_due", "seed:flow-completion"},
+    {"flow/flow_engine.", "arm", "seed:flow-completion"},
     {"obs/heartbeat.", "tick", "seed:heartbeat-render"},
     {"obs/heartbeat.", "render_rollup", "seed:heartbeat-render"},
 };

@@ -56,7 +56,8 @@
 // hot functions are the transitive callee closure of the event-kernel
 // roots — every callback handed to Simulator::schedule/schedule_at or a
 // PeriodicTimer, the sim kernel itself (EventHeap push/pop, simulator
-// dispatch, InlineFunction), FlowEngine::renegotiate and
+// dispatch, InlineFunction), FlowEngine::renegotiate and its rate-class
+// completion handler and re-arm (on_class_due, arm),
 // HeartbeatReporter::tick/render_rollup — plus any function marked
 // `// gdmp-lint: hot-path — why`. Within hot code:
 //
