@@ -11,6 +11,7 @@
 #include "common/crc32.h"
 #include "common/string_util.h"
 #include "objrep/selection.h"
+#include "objstore/federation.h"
 #include "testbed/grid.h"
 #include "testbed/workload.h"
 
@@ -51,6 +52,68 @@ int main(int argc, char** argv) {
     report.add({{"name", "crc32_update"},
                 {"gb_per_s", gb_per_s},
                 {"bytes", static_cast<long long>(buf.size()) * passes}});
+  }
+
+  // Host-time cost of the object location index (DESIGN.md §5k), at the
+  // objects_fluid consumer's scale: attach ~4x10^5 packed postings in
+  // copier-sized files, probe "held locally" ~5x10^5 times (about 40 %
+  // hits), then detach every file. One operation is one posting attached,
+  // one probe or one posting detached.
+  {
+    sim::Simulator simulator;
+    storage::Disk disk{simulator, storage::DiskConfig{}};
+    storage::DiskPool pool{1024 * kGiB, disk};
+    constexpr std::int64_t kRunEvents = 1'000'000;
+    objstore::Federation federation{
+        "bench-fd", objstore::EventModel::standard(kRunEvents), pool};
+    const int files = smoke ? 8 : 512;
+    const int per_file = 782;  // objects_fluid's mean packed file
+    const std::int64_t probes = smoke ? 10'000 : 500'000;
+    const auto aod = [](std::int64_t event) {
+      return objstore::make_object_id(objstore::Tier::kAod, event);
+    };
+    std::vector<std::string> names;
+    std::vector<std::vector<ObjectId>> layouts;
+    for (int f = 0; f < files; ++f) {
+      names.push_back("/storage/t1-00/cms/objrep/" + std::to_string(f + 1) +
+                      "/req" + std::to_string(f + 1) + ".0");
+      std::vector<ObjectId> objects;
+      for (int i = 0; i < per_file; ++i) {
+        // Distinct, scattered events (7919 is prime to 10^6).
+        objects.push_back(aod((static_cast<std::int64_t>(f) * per_file + i) *
+                              7919 % kRunEvents));
+      }
+      layouts.push_back(std::move(objects));
+      if (!pool.add_file(names.back(), per_file * 10 * kKiB, 1, 0).is_ok()) {
+        return 1;
+      }
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int f = 0; f < files; ++f) {
+      (void)federation.attach_packed_file(names[f], std::move(layouts[f]));
+    }
+    std::int64_t hits = 0;
+    for (std::int64_t k = 0; k < probes; ++k) {
+      hits += federation.has_local(aod(k * 104'729 % kRunEvents)) ? 1 : 0;
+    }
+    for (const std::string& name : names) (void)federation.detach(name);
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    const long long postings = static_cast<long long>(files) * per_file;
+    const long long operations = 2 * postings + probes;
+    std::printf(
+        "object location index: %lld postings attached and detached, "
+        "%lld has_local probes (%lld hits): %.3f s, %.2f M ops/s\n\n",
+        postings, static_cast<long long>(probes),
+        static_cast<long long>(hits), seconds,
+        static_cast<double>(operations) / seconds / 1e6);
+    report.add({{"name", "object_catalog"},
+                {"postings", postings},
+                {"probes", static_cast<long long>(probes)},
+                {"hits", static_cast<long long>(hits)},
+                {"operations", operations},
+                {"wall_seconds", seconds}});
   }
 
   GridConfig config = two_site_config();

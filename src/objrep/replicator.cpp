@@ -15,7 +15,8 @@ constexpr const char* kMethodChunkAck = "objrep.chunk_ack";
 
 /// Source-side packing job.
 struct ObjectReplicationService::PackJob {
-  std::uint64_t request_id = 0;
+  std::uint64_t request_id = 0;  // the consumer's, echoed in its messages
+  std::uint64_t pack_id = 0;     // this source's; names the temporaries
   net::NodeId dest_node = net::kInvalidNode;
   net::Port dest_port = 0;
   bool pipeline = true;
@@ -179,13 +180,16 @@ void ObjectReplicationService::handle_pack(
     return;
   }
   ++stats_.packs_served;
+  // Request ids are only unique per consumer; the source's own counter
+  // keeps concurrent jobs from two consumers off each other's temporaries.
+  job->pack_id = next_pack_id_++;
   job->copier = std::make_unique<objstore::ObjectCopier>(
       server_.site().simulator, *server_.site().federation, config_.copier);
-  pack_jobs_[job->request_id] = job;
+  pack_jobs_[job->pack_id] = job;
   respond(Status::ok(), {});  // accepted; completion signalled via pack_done
 
   const std::string prefix =
-      config_.temp_prefix + "/req" + std::to_string(job->request_id);
+      config_.temp_prefix + "/req" + std::to_string(job->pack_id);
   std::weak_ptr<bool> alive = alive_;
   job->copier->pack(
       std::move(objects), prefix,
@@ -218,7 +222,7 @@ void ObjectReplicationService::handle_pack(
         server_.peer(job->dest_node, job->dest_port)
             .call(kMethodPackDone, w.take(),
                   [](Status, std::vector<std::uint8_t>) {});
-        pack_jobs_.erase(job->request_id);  // chunk acks don't need the job
+        pack_jobs_.erase(job->pack_id);  // chunk acks don't need the job
       });
 }
 
@@ -270,20 +274,10 @@ void ObjectReplicationService::replicate_objects(std::vector<ObjectId> needed,
       static_cast<std::int64_t>(needed.size());
 
   // Step 2: drop what is already here.
-  objstore::Federation* federation = server_.site().federation;
+  const objstore::Federation* federation = server_.site().federation;
   std::vector<ObjectId> missing;
   for (const ObjectId id : needed) {
-    bool local = false;
-    if (federation != nullptr) {
-      for (const objstore::ObjectLocation& loc :
-           federation->catalog().locate(id)) {
-        if (server_.site().pool.contains(loc.file)) {
-          local = true;
-          break;
-        }
-      }
-    }
-    if (local) {
+    if (federation != nullptr && federation->has_local(id)) {
       ++request->outcome.objects_already_local;
     } else {
       missing.push_back(id);

@@ -108,8 +108,9 @@ class ObjectReplicationService {
   ObjectReplicationStats stats_;
   objstore::CopierStats copier_stats_;
   std::uint64_t next_request_id_ = 1;
+  std::uint64_t next_pack_id_ = 1;
   std::map<std::uint64_t, std::shared_ptr<SubRequest>> sub_requests_;
-  std::map<std::uint64_t, std::shared_ptr<PackJob>> pack_jobs_;
+  std::map<std::uint64_t, std::shared_ptr<PackJob>> pack_jobs_;  // by pack id
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

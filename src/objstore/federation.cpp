@@ -40,4 +40,11 @@ Status Federation::detach(const std::string& file) {
   return catalog_.remove_file(file);
 }
 
+// gdmp-lint: hot-path — probed once per object by every replication request
+bool Federation::has_local(ObjectId id) const {
+  return catalog_.visit_locations(id, [this](const std::string& file, Bytes) {
+    return pool_.contains(file);
+  });
+}
+
 }  // namespace gdmp::objstore

@@ -51,6 +51,12 @@ class Federation {
     return catalog_.has_file(file);
   }
 
+  /// True when some attached file holding the object is on local disk:
+  /// the one "held locally" query behind copier validation, the
+  /// already-local filter of object replication and persistency reads.
+  /// Allocation-free.
+  bool has_local(ObjectId id) const;
+
   const ObjectFileCatalog& catalog() const noexcept { return catalog_; }
   storage::DiskPool& pool() noexcept { return pool_; }
   std::size_t attached_count() const noexcept { return catalog_.file_count(); }

@@ -40,14 +40,7 @@ void ObjectCopier::pack(std::vector<ObjectId> objects,
   // Validate availability up front: the caller (object replication service)
   // is responsible for having located a source site that holds everything.
   for (const ObjectId id : job->objects) {
-    bool found = false;
-    for (const ObjectLocation& loc : federation_.catalog().locate(id)) {
-      if (federation_.pool().contains(loc.file)) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    if (!federation_.has_local(id)) {
       job->done(make_error(ErrorCode::kNotFound,
                            "object " + std::to_string(id.value) +
                                " not locally available for packing"));

@@ -1,6 +1,6 @@
 #include "objstore/object_file_catalog.h"
 
-#include <algorithm>
+#include <bit>
 
 namespace gdmp::objstore {
 
@@ -15,9 +15,12 @@ Status ObjectFileCatalog::add_range_file(const std::string& file, Tier tier,
   if (has_file(file)) {
     return make_error(ErrorCode::kAlreadyExists, "file registered: " + file);
   }
-  range_files_.emplace(
-      file, RangeFile{tier, event_lo, event_hi, model.tier(tier).object_size});
-  tier_ranges_[static_cast<std::size_t>(tier)].emplace(event_lo, file);
+  const auto it =
+      range_files_
+          .emplace(file, RangeFile{tier, event_lo, event_hi,
+                                   model.tier(tier).object_size})
+          .first;
+  tier_ranges_[static_cast<std::size_t>(tier)].emplace(event_lo, &*it);
   return Status::ok();
 }
 
@@ -27,18 +30,85 @@ Status ObjectFileCatalog::add_packed_file(const std::string& file,
   if (has_file(file)) {
     return make_error(ErrorCode::kAlreadyExists, "file registered: " + file);
   }
-  PackedFile packed;
-  packed.offsets.reserve(objects.size());
+  // gdmp-lint: hot-alloc — catalog ingest; one entry per packed file registration
+  const auto it = packed_files_.emplace(file, PackedFile{}).first;
+  PackedFile& packed = it->second;
+  packed.objects = std::move(objects);
+  packed.offsets.reserve(packed.objects.size());
   Bytes offset = 0;
-  for (const ObjectId id : objects) {
-    packed_index_[id].push_back(file);
+  for (std::size_t i = 0; i < packed.objects.size(); ++i) {
+    const ObjectId id = packed.objects[i];
     packed.offsets.push_back(offset);
     offset += model.object_size(id);
+    append_posting(id, &*it, static_cast<std::uint32_t>(i));
   }
-  packed.objects = std::move(objects);
-  // gdmp-lint: hot-alloc — catalog ingest; one entry per packed file registration
-  packed_files_.emplace(file, std::move(packed));
   return Status::ok();
+}
+
+void ObjectFileCatalog::append_posting(ObjectId id, const PackedEntry* file,
+                                       std::uint32_t position) {
+  if (2 * (slots_used_ + 1) > slots_.size()) grow_slots();
+  Slot& slot = slots_[probe(id)];
+  if (slot.head != kNone && postings_[slot.tail].file == file) {
+    // A repeated id keeps pointing at its first occurrence in this file.
+    position = postings_[slot.tail].position;
+  }
+  std::uint32_t p = free_postings_;
+  if (p != kNone) {
+    free_postings_ = postings_[p].next;
+    postings_[p] = Posting{file, position, kNone};
+  } else {
+    p = static_cast<std::uint32_t>(postings_.size());
+    // gdmp-lint: hot-alloc — catalog ingest; the pool grows to the peak posting count, then recycles
+    postings_.push_back(Posting{file, position, kNone});
+  }
+  if (slot.head == kNone) {
+    slot = Slot{id, p, p};
+    ++slots_used_;
+  } else {
+    postings_[slot.tail].next = p;
+    slot.tail = p;
+  }
+}
+
+void ObjectFileCatalog::drop_postings(ObjectId id, const PackedEntry* file) {
+  std::size_t hole = probe(id);
+  Slot& slot = slots_[hole];
+  if (slot.head == kNone) return;  // a repeated id, already dropped
+  slot.tail = kNone;
+  for (std::uint32_t* link = &slot.head; *link != kNone;) {
+    const std::uint32_t p = *link;
+    if (postings_[p].file == file) {
+      *link = postings_[p].next;
+      postings_[p].next = free_postings_;
+      free_postings_ = p;
+    } else {
+      slot.tail = p;
+      link = &postings_[p].next;
+    }
+  }
+  if (slot.head != kNone) return;
+  // The chain emptied: free the slot by backward-shift deletion, moving
+  // every later entry of the probe run whose home is not in (hole, i].
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = (hole + 1) & mask; slots_[i].head != kNone;
+       i = (i + 1) & mask) {
+    if (((i - home(slots_[i].id)) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole] = Slot{};
+  --slots_used_;
+}
+
+void ObjectFileCatalog::grow_slots() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
+  shift_ = 64 - std::countr_zero(slots_.size());
+  for (const Slot& slot : old) {
+    if (slot.head != kNone) slots_[probe(slot.id)] = slot;
+  }
 }
 
 Status ObjectFileCatalog::remove_file(const std::string& file) {
@@ -46,7 +116,7 @@ Status ObjectFileCatalog::remove_file(const std::string& file) {
     auto& index = tier_ranges_[static_cast<std::size_t>(it->second.tier)];
     for (auto rit = index.lower_bound(it->second.event_lo);
          rit != index.end() && rit->first == it->second.event_lo; ++rit) {
-      if (rit->second == file) {
+      if (rit->second == &*it) {
         index.erase(rit);
         break;
       }
@@ -55,11 +125,9 @@ Status ObjectFileCatalog::remove_file(const std::string& file) {
     return Status::ok();
   }
   if (const auto it = packed_files_.find(file); it != packed_files_.end()) {
-    for (const ObjectId id : it->second.objects) {
-      auto& files = packed_index_[id];
-      files.erase(std::remove(files.begin(), files.end(), file), files.end());
-      if (files.empty()) packed_index_.erase(id);
-    }
+    // Walks the file's own layout, never the hash table, so removal order
+    // is independent of the hash seed.
+    for (const ObjectId id : it->second.objects) drop_postings(id, &*it);
     packed_files_.erase(it);
     return Status::ok();
   }
@@ -72,37 +140,15 @@ bool ObjectFileCatalog::has_file(const std::string& file) const noexcept {
 
 std::vector<ObjectLocation> ObjectFileCatalog::locate(ObjectId id) const {
   std::vector<ObjectLocation> out;
-  const Tier tier = tier_of(id);
-  const std::int64_t event = event_of(id);
-  const auto& index = tier_ranges_[static_cast<std::size_t>(tier)];
-  // Range files are disjoint per tier in practice but the lookup tolerates
-  // overlap: scan intervals starting at or before `event`.
-  for (auto it = index.upper_bound(event); it != index.begin();) {
-    --it;
-    const RangeFile& range = range_files_.at(it->second);
-    if (event < range.event_lo) continue;
-    if (event >= range.event_hi) break;  // sorted by lo; earlier can't match
-    out.push_back(ObjectLocation{
-        it->second, (event - range.event_lo) * range.object_size});
-  }
-  if (const auto pit = packed_index_.find(id); pit != packed_index_.end()) {
-    for (const std::string& file : pit->second) {
-      const PackedFile& packed = packed_files_.at(file);
-      const auto oit =
-          std::find(packed.objects.begin(), packed.objects.end(), id);
-      const Bytes offset =
-          oit == packed.objects.end()
-              ? 0
-              : packed.offsets[static_cast<std::size_t>(
-                    oit - packed.objects.begin())];
-      out.push_back(ObjectLocation{file, offset});
-    }
-  }
+  visit_locations(id, [&out](const std::string& file, Bytes offset) {
+    out.push_back(ObjectLocation{file, offset});
+    return false;
+  });
   return out;
 }
 
 bool ObjectFileCatalog::contains(ObjectId id) const {
-  return !locate(id).empty();
+  return visit_locations(id, [](const std::string&, Bytes) { return true; });
 }
 
 Result<std::vector<ObjectId>> ObjectFileCatalog::objects_in(

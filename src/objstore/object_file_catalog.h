@@ -10,8 +10,18 @@
 // An object may live in several files at once ("the new files ... are
 // potential object extraction sources for future object replication
 // requests", §5.2).
+//
+// Lookup side (DESIGN.md §5k): the per-tier interval index points at its
+// range-file entry, and each object's packed-file membership is a posting
+// {packed-file entry, position} whose offset is read from that file's own
+// offsets array. Postings live in one pooled array, chained per object in
+// registration order from a seeded open-addressing table, so lookups and
+// steady-state churn allocate nothing. visit_locations() walks both
+// indexes.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -29,6 +39,11 @@ struct ObjectLocation {
 
 class ObjectFileCatalog {
  public:
+  ObjectFileCatalog() = default;
+  // The indexes point into the file maps' nodes; a copy would dangle.
+  ObjectFileCatalog(const ObjectFileCatalog&) = delete;
+  ObjectFileCatalog& operator=(const ObjectFileCatalog&) = delete;
+
   /// Registers a clustered production file holding `tier` objects for
   /// events [event_lo, event_hi).
   Status add_range_file(const std::string& file, Tier tier,
@@ -44,9 +59,37 @@ class ObjectFileCatalog {
   Status remove_file(const std::string& file);
   bool has_file(const std::string& file) const noexcept;
 
-  /// All files (with offsets) containing the object.
+  /// All files (with offsets) containing the object, in visit order.
   std::vector<ObjectLocation> locate(ObjectId id) const;
   bool contains(ObjectId id) const;
+
+  /// Calls `visit(file, offset)` for each file holding `id` until it
+  /// returns true, and returns whether it did. Order: range files first, in
+  /// interval-scan order (latest start first), then packed files in
+  /// registration order. A packed file that lists `id` n times is visited
+  /// n times, each at the first occurrence's offset.
+  template <class Visit>
+  // gdmp-lint: hot-path — every "held locally" probe and copier validation
+  bool visit_locations(ObjectId id, Visit&& visit) const {
+    const std::int64_t event = event_of(id);
+    const auto& index = tier_ranges_[static_cast<std::size_t>(tier_of(id))];
+    // Range files are disjoint per tier in practice but the lookup tolerates
+    // overlap: scan intervals starting at or before `event`.
+    for (auto it = index.upper_bound(event); it != index.begin();) {
+      const auto& [file, range] = *(--it)->second;
+      if (event >= range.event_hi) break;  // sorted by lo; earlier can't match
+      if (visit(file, (event - range.event_lo) * range.object_size)) {
+        return true;
+      }
+    }
+    if (slots_.empty()) return false;
+    for (std::uint32_t p = slots_[probe(id)].head; p != kNone;
+         p = postings_[p].next) {
+      const auto& [file, packed] = *postings_[p].file;
+      if (visit(file, packed.offsets[postings_[p].position])) return true;
+    }
+    return false;
+  }
 
   /// Objects stored in one file, in layout order.
   Result<std::vector<ObjectId>> objects_in(const std::string& file) const;
@@ -74,12 +117,67 @@ class ObjectFileCatalog {
     std::vector<Bytes> offsets;  // parallel to objects
   };
 
+  using RangeEntry = std::map<std::string, RangeFile>::value_type;
+  using PackedEntry = std::map<std::string, PackedFile>::value_type;
+
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  /// One packed file holding an object: the file's entry, the object's
+  /// index in its layout, and the object's next posting (or kNone).
+  struct Posting {
+    const PackedEntry* file;
+    std::uint32_t position;
+    std::uint32_t next;
+  };
+
+  /// An object's posting chain; a slot with head == kNone is free.
+  struct Slot {
+    ObjectId id;
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+  };
+
+  /// First slot of `id`'s linear-probe sequence: the seeded hash spread by
+  /// a Fibonacci multiply over the power-of-two table.
+  std::size_t home(ObjectId id) const noexcept {
+    return static_cast<std::size_t>(
+        (common::SeededHash<ObjectId>{}(id) * 0x9e3779b97f4a7c15ULL) >>
+        shift_);
+  }
+
+  /// The slot holding `id`, or the free slot that ends its probe sequence.
+  /// The table must be non-empty.
+  std::size_t probe(ObjectId id) const noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = home(id);
+    while (slots_[i].head != kNone && slots_[i].id != id) i = (i + 1) & mask;
+    return i;
+  }
+
+  /// Appends a posting to `id`'s chain, growing the table as needed.
+  void append_posting(ObjectId id, const PackedEntry* file,
+                      std::uint32_t position);
+  /// Unlinks `id`'s postings into `file` and frees an emptied slot. `id`
+  /// must have been posted before, so the table is non-empty.
+  void drop_postings(ObjectId id, const PackedEntry* file);
+  /// Doubles the table (64 slots at first) and re-places every chain.
+  void grow_slots();
+
+  // Map nodes never move, so the indexes below point into them.
   std::map<std::string, RangeFile> range_files_;
   std::map<std::string, PackedFile> packed_files_;
-  // Reverse index for packed files only (range files answer by arithmetic).
-  common::UnorderedMap<ObjectId, std::vector<std::string>> packed_index_;  // lookup-only
-  // Range files indexed per tier for interval lookup.
-  std::array<std::multimap<std::int64_t, std::string>, 4> tier_ranges_;
+  // Range files per tier, keyed by first event (range files answer offsets
+  // by arithmetic).
+  std::array<std::multimap<std::int64_t, const RangeEntry*>, 4> tier_ranges_;
+  // Packed-file postings per object: an open-addressing table of chain
+  // heads over a pooled posting array. Chains keep registration order and
+  // the table is only probed (and rehashed as it grows), so the hash seed
+  // cannot reach any output.
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  std::size_t slots_used_ = 0;
+  int shift_ = 64;  // 64 - log2(slots_.size())
+  std::vector<Posting> postings_;
+  std::uint32_t free_postings_ = kNone;  // chained through Posting::next
 };
 
 }  // namespace gdmp::objstore

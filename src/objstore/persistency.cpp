@@ -3,22 +3,11 @@
 namespace gdmp::objstore {
 
 bool PersistencyLayer::available(ObjectId id) const {
-  for (const ObjectLocation& location : federation_.catalog().locate(id)) {
-    if (federation_.pool().contains(location.file)) return true;
-  }
-  return false;
+  return federation_.has_local(id);
 }
 
 void PersistencyLayer::read_object(ObjectId id, ReadCallback done) {
-  const auto locations = federation_.catalog().locate(id);
-  const ObjectLocation* usable = nullptr;
-  for (const ObjectLocation& location : locations) {
-    if (federation_.pool().contains(location.file)) {
-      usable = &location;
-      break;
-    }
-  }
-  if (usable == nullptr) {
+  if (!available(id)) {
     done(make_error(ErrorCode::kNotFound,
                     "object " + std::to_string(id.value) +
                         " not available in any attached local file"));

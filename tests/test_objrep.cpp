@@ -153,8 +153,8 @@ struct ObjRepFixture {
   Grid grid;
 
   ObjRepFixture(bool pipeline = true, std::int64_t events = 20000,
-                Bytes chunk = 8 * kMiB)
-      : grid(make_config(pipeline, events, chunk)) {
+                Bytes chunk = 8 * kMiB, std::size_t consumers = 1)
+      : grid(make_config(pipeline, events, chunk, consumers)) {
     EXPECT_TRUE(grid.start().is_ok());
     // Producer holds the whole AOD tier.
     testbed::ProductionConfig production;
@@ -163,18 +163,24 @@ struct ObjRepFixture {
     auto files = testbed::produce_run(grid.site(0), production);
     grid.site(0).gdmp().publish(files, [](Status) {});
     grid.run_until(120 * kSecond);
-    // Consumer learns the producer's object holdings.
-    bool indexed = false;
-    grid.site(1).objrep().refresh_index_from(
-        "cern", grid.site(0).host().id(), 2000,
-        [&](Status s) { indexed = s.is_ok(); });
+    // Consumers learn the producer's object holdings.
+    std::size_t indexed = 0;
+    for (std::size_t c = 1; c <= consumers; ++c) {
+      grid.site(c).objrep().refresh_index_from(
+          "cern", grid.site(0).host().id(), 2000,
+          [&](Status s) { indexed += s.is_ok() ? 1 : 0; });
+    }
     grid.run_until(grid.simulator().now() + 60 * kSecond);
-    EXPECT_TRUE(indexed);
+    EXPECT_EQ(indexed, consumers);
   }
 
   static GridConfig make_config(bool pipeline, std::int64_t events,
-                                Bytes chunk) {
+                                Bytes chunk, std::size_t consumers) {
     GridConfig config = two_site_config();
+    for (std::size_t c = 2; c <= consumers; ++c) {
+      config.sites.push_back(config.sites[1]);
+      config.sites.back().name = "anl" + std::to_string(c);
+    }
     config.event_count = events;
     for (auto& spec : config.sites) {
       spec.site.gdmp.transfer.parallel_streams = 4;
@@ -270,6 +276,37 @@ TEST(ObjectReplication, SourceTemporariesDeleted) {
   ASSERT_TRUE(done);
   // Give the chunk-ack round trips time to land.
   f.grid.run_until(f.grid.simulator().now() + 120 * kSecond);
+  EXPECT_TRUE(f.grid.site(0).pool().list("/pack").empty());
+}
+
+TEST(ObjectReplication, ConcurrentEqualIdJobsFromTwoConsumers) {
+  // Each consumer numbers its requests from 1, so two first jobs arrive at
+  // the source with equal ids while both are still packing. Their
+  // temporaries must not share names: both complete and none are left.
+  ObjRepFixture f(true, 20000, 8 * kMiB, /*consumers=*/2);
+  Rng rng(9);
+  SelectionConfig selection;
+  selection.fraction = 2e-3;
+  const auto first = select_objects(f.grid.model(), selection, rng);
+  const auto second = select_objects(f.grid.model(), selection, rng);
+  ASSERT_NE(first, second);
+  Status statuses[2] = {make_error(ErrorCode::kInternal, "pending"),
+                        make_error(ErrorCode::kInternal, "pending")};
+  for (std::size_t c = 1; c <= 2; ++c) {
+    f.grid.site(c).objrep().replicate_objects(
+        c == 1 ? first : second,
+        [&statuses, c](Result<ObjectReplicationService::Outcome> r) {
+          statuses[c - 1] = r.status();
+        });
+  }
+  f.grid.run_until(f.grid.simulator().now() + 3600 * kSecond);
+  EXPECT_TRUE(statuses[0].is_ok()) << statuses[0].to_string();
+  EXPECT_TRUE(statuses[1].is_ok()) << statuses[1].to_string();
+  for (std::size_t c = 1; c <= 2; ++c) {
+    for (const ObjectId id : c == 1 ? first : second) {
+      EXPECT_TRUE(f.grid.site(c).persistency()->available(id));
+    }
+  }
   EXPECT_TRUE(f.grid.site(0).pool().list("/pack").empty());
 }
 

@@ -98,6 +98,190 @@ TEST(ObjectFileCatalog, DuplicateRegistrationRejected) {
             ErrorCode::kAlreadyExists);
 }
 
+// Catalog contract (DESIGN.md §5k): locate() lists range files in
+// interval-scan order (latest start first), then packed files in
+// registration order, each with its byte offset. The expected values below
+// were captured from the string-keyed index this one replaced.
+using Located = std::vector<std::pair<std::string, Bytes>>;
+
+Located located(const ObjectFileCatalog& catalog, ObjectId id) {
+  Located out;
+  for (const ObjectLocation& location : catalog.locate(id)) {
+    out.emplace_back(location.file, location.offset);
+  }
+  return out;
+}
+
+TEST(ObjectFileCatalog, LocateOrdersRangeThenPackedFiles) {
+  CatalogFixture f;
+  const Bytes aod = 10 * kKiB;
+  // Nested intervals: every one holding event 160 is reported.
+  ASSERT_TRUE(f.catalog.add_range_file("/wide", Tier::kAod, 0, 5000, f.model)
+                  .is_ok());
+  ASSERT_TRUE(f.catalog.add_range_file("/late", Tier::kAod, 150, 300, f.model)
+                  .is_ok());
+  ASSERT_TRUE(
+      f.catalog.add_range_file("/narrow", Tier::kAod, 100, 400, f.model)
+          .is_ok());
+  ASSERT_TRUE(f.catalog.add_range_file("/esd", Tier::kEsd, 0, 5000, f.model)
+                  .is_ok());
+  const ObjectId id = make_object_id(Tier::kAod, 160);
+  ASSERT_TRUE(f.catalog
+                  .add_packed_file("/pz",
+                                   {make_object_id(Tier::kAod, 7), id,
+                                    make_object_id(Tier::kEsd, 160)},
+                                   f.model)
+                  .is_ok());
+  ASSERT_TRUE(f.catalog.add_packed_file("/pa", {id}, f.model).is_ok());
+  EXPECT_EQ(located(f.catalog, id),
+            (Located{{"/late", 10 * aod},
+                     {"/narrow", 60 * aod},
+                     {"/wide", 160 * aod},
+                     {"/pz", aod},
+                     {"/pa", 0}}));
+  // The ESD object sits behind two AOD objects in the packed layout.
+  EXPECT_EQ(located(f.catalog, make_object_id(Tier::kEsd, 160)),
+            (Located{{"/esd", 160 * 100 * kKiB}, {"/pz", 2 * aod}}));
+  EXPECT_EQ(located(f.catalog, make_object_id(Tier::kAod, 7)),
+            (Located{{"/wide", 7 * aod}, {"/pz", 0}}));
+  EXPECT_TRUE(located(f.catalog, make_object_id(Tier::kRaw, 160)).empty());
+}
+
+TEST(ObjectFileCatalog, PackedFilesListedInRegistrationOrder) {
+  CatalogFixture f;
+  const ObjectId id = make_object_id(Tier::kAod, 42);
+  const ObjectId other = make_object_id(Tier::kAod, 9);
+  ASSERT_TRUE(f.catalog.add_packed_file("/c", {other, id}, f.model).is_ok());
+  ASSERT_TRUE(f.catalog.add_packed_file("/a", {id}, f.model).is_ok());
+  ASSERT_TRUE(
+      f.catalog.add_packed_file("/b", {other, other, id}, f.model).is_ok());
+  EXPECT_EQ(located(f.catalog, id),
+            (Located{{"/c", 10 * kKiB}, {"/a", 0}, {"/b", 20 * kKiB}}));
+}
+
+TEST(ObjectFileCatalog, RemovedThenReaddedFileMovesToTheBack) {
+  CatalogFixture f;
+  const ObjectId id = make_object_id(Tier::kAod, 42);
+  const ObjectId other = make_object_id(Tier::kAod, 9);
+  (void)f.catalog.add_packed_file("/c", {id}, f.model);
+  (void)f.catalog.add_packed_file("/a", {id, other}, f.model);
+  (void)f.catalog.add_packed_file("/b", {id}, f.model);
+  ASSERT_TRUE(f.catalog.remove_file("/a").is_ok());
+  EXPECT_EQ(located(f.catalog, id), (Located{{"/c", 0}, {"/b", 0}}));
+  EXPECT_FALSE(f.catalog.contains(other));
+  EXPECT_EQ(f.catalog.remove_file("/a").code(), ErrorCode::kNotFound);
+  // Same name, new layout: registered last, offsets from the new layout.
+  ASSERT_TRUE(f.catalog.add_packed_file("/a", {other, id}, f.model).is_ok());
+  EXPECT_EQ(located(f.catalog, id),
+            (Located{{"/c", 0}, {"/b", 0}, {"/a", 10 * kKiB}}));
+  EXPECT_EQ(located(f.catalog, other), (Located{{"/a", 0}}));
+  EXPECT_EQ(f.catalog.file_count(), 3u);
+}
+
+TEST(ObjectFileCatalog, RepeatedIdListsFileAtFirstOccurrence) {
+  CatalogFixture f;
+  const ObjectId id = make_object_id(Tier::kAod, 42);
+  const ObjectId other = make_object_id(Tier::kAod, 9);
+  ASSERT_TRUE(
+      f.catalog.add_packed_file("/dup", {other, id, other, id}, f.model)
+          .is_ok());
+  ASSERT_TRUE(f.catalog.add_packed_file("/next", {id}, f.model).is_ok());
+  EXPECT_EQ(located(f.catalog, id), (Located{{"/dup", 10 * kKiB},
+                                             {"/dup", 10 * kKiB},
+                                             {"/next", 0}}));
+  EXPECT_EQ(located(f.catalog, other),
+            (Located{{"/dup", 0}, {"/dup", 0}}));
+  auto payload = f.catalog.file_payload("/dup", f.model);
+  ASSERT_TRUE(payload.is_ok());
+  EXPECT_EQ(*payload, 4 * 10 * kKiB);
+  ASSERT_TRUE(f.catalog.remove_file("/dup").is_ok());
+  EXPECT_EQ(located(f.catalog, id), (Located{{"/next", 0}}));
+  EXPECT_FALSE(f.catalog.contains(other));
+}
+
+TEST(ObjectFileCatalog, ContainsAgreesWithLocate) {
+  CatalogFixture f;
+  (void)f.catalog.add_range_file("/r0", Tier::kAod, 0, 100, f.model);
+  (void)f.catalog.add_range_file("/r1", Tier::kAod, 200, 300, f.model);
+  (void)f.catalog.add_packed_file(
+      "/p", {make_object_id(Tier::kAod, 150), make_object_id(Tier::kTag, 5)},
+      f.model);
+  (void)f.catalog.add_packed_file("/gone", {make_object_id(Tier::kAod, 160)},
+                                  f.model);
+  (void)f.catalog.remove_file("/gone");
+  for (const Tier tier : kAllTiers) {
+    for (std::int64_t event = 0; event < 320; event += 5) {
+      const ObjectId id = make_object_id(tier, event);
+      EXPECT_EQ(f.catalog.contains(id), !f.catalog.locate(id).empty())
+          << tier_name(tier) << " " << event;
+    }
+  }
+  EXPECT_TRUE(f.catalog.contains(make_object_id(Tier::kAod, 150)));
+  EXPECT_FALSE(f.catalog.contains(make_object_id(Tier::kAod, 160)));
+  EXPECT_FALSE(f.catalog.contains(make_object_id(Tier::kAod, 100)));
+}
+
+// Randomised churn against a reference that recomputes locate() from the
+// live packed files by brute force: registration order, repeated ids and
+// offsets must survive table growth, slot reuse and removals.
+TEST(ObjectFileCatalog, PackedChurnMatchesBruteForceReference) {
+  CatalogFixture f;
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  const auto next = [&x](std::uint64_t bound) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (x >> 33) % bound;
+  };
+  const auto random_id = [&] {
+    return make_object_id(next(2) == 0 ? Tier::kAod : Tier::kEsd,
+                          static_cast<std::int64_t>(next(4000)));
+  };
+  std::vector<std::pair<std::string, std::vector<ObjectId>>> live;
+  const auto reference = [&](ObjectId id) {
+    Located out;
+    for (const auto& [file, objects] : live) {
+      Bytes offset = 0;
+      Bytes first = -1;
+      for (const ObjectId o : objects) {
+        if (o == id) {
+          if (first < 0) first = offset;
+          out.emplace_back(file, first);
+        }
+        offset += f.model.object_size(o);
+      }
+    }
+    return out;
+  };
+  const auto check = [&](ObjectId id) {
+    const Located expected = reference(id);
+    EXPECT_EQ(located(f.catalog, id), expected);
+    EXPECT_EQ(f.catalog.contains(id), !expected.empty());
+  };
+  for (int step = 0; step < 3000; ++step) {
+    if (live.empty() || next(3) != 0) {
+      std::vector<ObjectId> objects(1 + next(60));
+      for (ObjectId& id : objects) id = random_id();
+      if (next(4) == 0) objects.push_back(objects.front());  // repeated id
+      const std::string name = "/p" + std::to_string(next(400));
+      if (f.catalog.has_file(name)) continue;
+      ASSERT_TRUE(f.catalog.add_packed_file(name, objects, f.model).is_ok());
+      live.emplace_back(name, std::move(objects));
+    } else {
+      const std::size_t victim = next(live.size());
+      ASSERT_TRUE(f.catalog.remove_file(live[victim].first).is_ok());
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    for (int probe = 0; probe < 4; ++probe) check(random_id());
+    if (!live.empty()) check(live.back().second.front());
+  }
+  while (!live.empty()) {
+    const std::vector<ObjectId> objects = live.front().second;
+    ASSERT_TRUE(f.catalog.remove_file(live.front().first).is_ok());
+    live.erase(live.begin());
+    for (const ObjectId id : objects) check(id);
+  }
+  EXPECT_EQ(f.catalog.file_count(), 0u);
+}
+
 struct FederationFixture {
   sim::Simulator simulator;
   storage::Disk disk{simulator, storage::DiskConfig{}};
@@ -127,6 +311,26 @@ TEST(Federation, SchemaVersionGatesAttach) {
   f.federation.upgrade_schema(3);
   EXPECT_TRUE(
       f.federation.attach_range_file("/db", Tier::kAod, 0, 100, 3).is_ok());
+}
+
+TEST(Federation, HasLocalNeedsAnAttachedFileOnDisk) {
+  FederationFixture f;
+  const ObjectId id = make_object_id(Tier::kAod, 50);
+  (void)f.pool.add_file("/db", 100 * 10 * kKiB, 1, 0);
+  (void)f.pool.add_file("/packed", 10 * kKiB, 2, 0);
+  ASSERT_TRUE(
+      f.federation.attach_range_file("/db", Tier::kAod, 0, 100).is_ok());
+  ASSERT_TRUE(f.federation.attach_packed_file("/packed", {id}).is_ok());
+  EXPECT_TRUE(f.federation.has_local(id));
+  EXPECT_FALSE(f.federation.has_local(make_object_id(Tier::kAod, 100)));
+  // Gone from the pool but still attached: the packed copy keeps it local.
+  ASSERT_TRUE(f.pool.remove("/db").is_ok());
+  EXPECT_TRUE(f.federation.is_attached("/db"));
+  EXPECT_TRUE(f.federation.has_local(id));
+  EXPECT_FALSE(f.federation.has_local(make_object_id(Tier::kAod, 49)));
+  ASSERT_TRUE(f.pool.remove("/packed").is_ok());
+  EXPECT_FALSE(f.federation.has_local(id));
+  EXPECT_TRUE(f.federation.catalog().contains(id));
 }
 
 TEST(Persistency, ReadsLocallyAvailableObject) {

@@ -1,4 +1,5 @@
-// Zero-allocation regression tests for the simulation kernel (DESIGN.md §5e).
+// Zero-allocation regression tests for the simulation kernel (DESIGN.md §5e)
+// and the other hot lookups it drives.
 //
 // The fast-path claim is that steady-state schedule/fire/cancel/reschedule
 // performs no heap allocation as long as callbacks fit InlineFunction's
@@ -16,6 +17,7 @@
 
 #include "flow/flow_engine.h"
 #include "net/topology.h"
+#include "objstore/federation.h"
 #include "obs/heartbeat.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
@@ -311,6 +313,60 @@ TEST(HeartbeatAlloc, SteadyStateTickAndRenderAllocateNothing) {
   EXPECT_EQ(allocation_count(), before);
   EXPECT_GE(lines, 220u);
   EXPECT_NE(last_line.find("\"type\":\"rollup\""), std::string::npos);
+}
+
+// Object location index contract (objstore/object_file_catalog.h, DESIGN.md
+// §5k): on a warm catalog holding range and packed files, the "held
+// locally" query and contains() allocate nothing, hit or miss.
+TEST(ObjectCatalogAlloc, HasLocalAndContainsAllocateNothing) {
+  using namespace objstore;
+  Simulator sim;
+  storage::Disk disk{sim, storage::DiskConfig{}};
+  storage::DiskPool pool{100 * kGiB, disk};
+  Federation federation{"alloc-fd", EventModel::standard(100'000), pool};
+  for (int f = 0; f < 4; ++f) {
+    const std::string name = "/store/aod-" + std::to_string(f);
+    ASSERT_TRUE(pool.add_file(name, 1000 * 10 * kKiB, 1, 0).is_ok());
+    ASSERT_TRUE(federation
+                    .attach_range_file(name, Tier::kAod, f * 1000,
+                                       (f + 1) * 1000)
+                    .is_ok());
+  }
+  for (int f = 0; f < 8; ++f) {
+    const std::string name = "/store/packed-" + std::to_string(f);
+    std::vector<ObjectId> objects;
+    for (int i = 0; i < 64; ++i) {
+      objects.push_back(make_object_id(Tier::kAod, 10'000 + f * 97 + i * 13));
+    }
+    ASSERT_TRUE(pool.add_file(name, 64 * 10 * kKiB, 2, 0).is_ok());
+    ASSERT_TRUE(federation.attach_packed_file(name, objects).is_ok());
+  }
+  // One attached packed file whose pool copy is gone: a has_local miss
+  // that still walks a posting.
+  ASSERT_TRUE(pool.add_file("/store/evicted", 10 * kKiB, 3, 0).is_ok());
+  ASSERT_TRUE(federation
+                  .attach_packed_file("/store/evicted",
+                                      {make_object_id(Tier::kAod, 50'000)})
+                  .is_ok());
+  ASSERT_TRUE(pool.remove("/store/evicted").is_ok());
+
+  const ObjectFileCatalog& catalog = federation.catalog();
+  const ObjectId range_hit = make_object_id(Tier::kAod, 1500);
+  const ObjectId packed_hit = make_object_id(Tier::kAod, 10'000 + 97 + 13);
+  const ObjectId evicted = make_object_id(Tier::kAod, 50'000);
+  const ObjectId miss = make_object_id(Tier::kEsd, 1500);
+  const std::uint64_t before = allocation_count();
+  int local = 0;
+  int held = 0;
+  for (int i = 0; i < 1'000; ++i) {
+    for (const ObjectId id : {range_hit, packed_hit, evicted, miss}) {
+      local += federation.has_local(id) ? 1 : 0;
+      held += catalog.contains(id) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(allocation_count(), before);
+  EXPECT_EQ(local, 2'000);
+  EXPECT_EQ(held, 3'000);
 }
 
 }  // namespace
