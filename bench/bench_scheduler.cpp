@@ -12,6 +12,14 @@
 // The run also reports the routing split of the cost-aware selector: after
 // one probe per site, EWMA bandwidth history should steer the bulk of the
 // batch to the 155 Mbit/s source.
+//
+// A third, host-timed row (deep_queue, JSON report only) queues a few
+// hundred files from one producer at a consumer capped at 4 concurrent / 2
+// per source under the fluid model: every completion re-checks the whole
+// parked queue, so the row times the scheduler's busy-refusal path. It is
+// gated in bench/baselines/scheduler.json on operations (completions plus
+// busy deferrals) per wall second.
+#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -27,6 +35,47 @@ using namespace gdmp::testbed;
 // Overridden to a tiny batch under --smoke.
 int kFiles = 32;
 Bytes kFileSize = 8 * kMiB;
+int kDeepQueueFiles = 800;
+
+/// Seeds `count` files at each of the first `producers` sites (same seed +
+/// size -> same CRC), publishes them from site 0 and registers the other
+/// producers as replica locations. Returns the batch, empty on failure.
+std::vector<LogicalFileName> seed_batch(Grid& grid, std::size_t producers,
+                                        int count, Bytes size,
+                                        const std::string& prefix,
+                                        std::uint64_t seed) {
+  std::vector<core::PublishedFile> files;
+  std::vector<LogicalFileName> lfns;
+  for (int i = 0; i < count; ++i) {
+    const LogicalFileName lfn = prefix + std::to_string(i);
+    for (std::size_t s = 0; s < producers; ++s) {
+      (void)grid.site(s).pool().add_file(
+          grid.site(s).gdmp_server().local_path_for(lfn), size, seed + i, 0);
+    }
+    core::PublishedFile file;
+    file.lfn = lfn;
+    files.push_back(file);
+    lfns.push_back(lfn);
+  }
+  bool seeded = false;
+  grid.site(0).gdmp().publish(files, [&](Status s) { seeded = s.is_ok(); });
+  grid.run_until(grid.simulator().now() + 120 * kSecond);
+  if (!seeded) return {};
+  std::size_t replicas_pending = (producers - 1) * lfns.size();
+  for (std::size_t s = 1; s < producers; ++s) {
+    for (const auto& lfn : lfns) {
+      grid.site(s).gdmp_server().catalog().add_replica(
+          "cms", lfn, grid.site(s).name(),
+          grid.site(s).gdmp_server().url_prefix(),
+          [&](Status status) {
+            if (status.is_ok()) --replicas_pending;
+          });
+    }
+  }
+  grid.run_until(grid.simulator().now() + 120 * kSecond);
+  if (replicas_pending != 0) return {};
+  return lfns;
+}
 
 struct RunResult {
   double seconds = -1;
@@ -57,40 +106,9 @@ RunResult run_once(int max_concurrent, int max_per_source) {
 
   Grid grid(config);
   if (!grid.start().is_ok()) return {};
-
-  // Seed the batch at every producer (same seed + size -> same CRC) and
-  // register all three as replica locations.
-  std::vector<core::PublishedFile> files;
-  std::vector<LogicalFileName> lfns;
-  for (int i = 0; i < kFiles; ++i) {
-    const LogicalFileName lfn = "lfn://cms/batch/" + std::to_string(i);
-    for (std::size_t s = 0; s < 3; ++s) {
-      (void)grid.site(s).pool().add_file(
-          grid.site(s).gdmp_server().local_path_for(lfn), kFileSize,
-          0xbe7c0 + i, 0);
-    }
-    core::PublishedFile file;
-    file.lfn = lfn;
-    files.push_back(file);
-    lfns.push_back(lfn);
-  }
-  bool seeded = false;
-  grid.site(0).gdmp().publish(files, [&](Status s) { seeded = s.is_ok(); });
-  grid.run_until(grid.simulator().now() + 120 * kSecond);
-  if (!seeded) return {};
-  int replicas_pending = 2 * kFiles;
-  for (std::size_t s = 1; s < 3; ++s) {
-    for (const auto& lfn : lfns) {
-      grid.site(s).gdmp_server().catalog().add_replica(
-          "cms", lfn, grid.site(s).name(),
-          grid.site(s).gdmp_server().url_prefix(),
-          [&](Status status) {
-            if (status.is_ok()) --replicas_pending;
-          });
-    }
-  }
-  grid.run_until(grid.simulator().now() + 120 * kSecond);
-  if (replicas_pending != 0) return {};
+  const auto lfns =
+      seed_batch(grid, 3, kFiles, kFileSize, "lfn://cms/batch/", 0xbe7c0);
+  if (lfns.empty()) return {};
 
   auto& scheduler = grid.site(3).scheduler();
   const SimTime start = grid.simulator().now();
@@ -109,6 +127,48 @@ RunResult run_once(int max_concurrent, int max_per_source) {
   return result;
 }
 
+struct DeepQueueResult {
+  double wall_seconds = -1;
+  std::int64_t completed = 0;
+  std::int64_t busy_deferrals = 0;
+  std::int64_t replicate_calls = 0;
+};
+
+DeepQueueResult run_deep_queue() {
+  GridConfig config;
+  GridSiteSpec producer{.name = "cern"};
+  producer.wan.wan_bandwidth = 155 * kMbps;
+  GridSiteSpec consumer{.name = "lyon"};
+  consumer.wan.wan_bandwidth = 622 * kMbps;
+  config.sites = {producer, consumer};
+  config.event_count = 1000;
+  config.transfer_model = flow::TransferModel::kFluid;
+  config.sites[1].site.sched.max_concurrent = 4;
+  config.sites[1].site.sched.max_per_source = 2;
+
+  Grid grid(config);
+  if (!grid.start().is_ok()) return {};
+  const auto lfns =
+      seed_batch(grid, 1, kDeepQueueFiles, 1 * kMiB, "lfn://cms/deep/", 0xdee9);
+  if (lfns.empty()) return {};
+
+  auto& scheduler = grid.site(1).scheduler();
+  bool done = false;
+  const auto wall_start = std::chrono::steady_clock::now();
+  scheduler.submit_batch(lfns, 0,
+                         [&](Status status, Bytes) { done = status.is_ok(); });
+  grid.run_until(grid.simulator().now() + 8 * 3600 * kSecond);
+  DeepQueueResult result;
+  result.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall_start)
+                            .count();
+  if (!done) return {};
+  result.completed = scheduler.stats().completed;
+  result.busy_deferrals = scheduler.stats().busy_deferrals;
+  result.replicate_calls = scheduler.stats().dispatched;
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,6 +177,7 @@ int main(int argc, char** argv) {
   if (smoke) {
     kFiles = 4;
     kFileSize = 2 * kMiB;
+    kDeepQueueFiles = 24;
   }
   std::printf("SCHED: queued vs serial replication, %d x %lld MiB, 3 sources\n\n",
               kFiles, static_cast<long long>(kFileSize / kMiB));
@@ -157,5 +218,18 @@ int main(int argc, char** argv) {
               {"queued_seconds", queued.seconds},
               {"speedup", speedup},
               {"fast_share", fast_share}});
+
+  const DeepQueueResult deep = run_deep_queue();
+  if (deep.wall_seconds < 0) {
+    std::printf("deep_queue failed\n");
+    return 1;
+  }
+  report.add({{"name", "deep_queue"},
+              {"files", kDeepQueueFiles},
+              {"operations", static_cast<long long>(deep.completed +
+                                                    deep.busy_deferrals)},
+              {"wall_seconds", deep.wall_seconds},
+              {"busy_deferrals", static_cast<long long>(deep.busy_deferrals)},
+              {"replicate_calls", static_cast<long long>(deep.replicate_calls)}});
   return 0;
 }

@@ -25,8 +25,9 @@
 #   scripts/check.sh            # lint + all presets + smoke + determinism
 #   scripts/check.sh default    # just one preset (skips lint/smoke)
 #   scripts/check.sh perf-gate  # non-default: full bench_sim_kernel, bench_flow,
-#                               # bench_replica_catalog and
-#                               # bench_copier_overhead runs,
+#                               # bench_replica_catalog,
+#                               # bench_copier_overhead and
+#                               # bench_scheduler runs,
 #                               # gated >15% ops/s vs bench/baselines/
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,12 +37,12 @@ cd "$(dirname "$0")/.."
 # on a quiet machine; refresh the baseline when kernel perf work lands.
 if [ "${1:-}" = "perf-gate" ]; then
   echo "==> perf gate (bench_sim_kernel + bench_flow + bench_replica_catalog"
-  echo "    + bench_copier_overhead vs checked-in baselines)"
+  echo "    + bench_copier_overhead + bench_scheduler vs checked-in baselines)"
   gate_out="$(mktemp -d /tmp/gdmp-perf-gate.XXXXXX)"
   trap 'rm -rf "$gate_out"' EXIT
   scripts/bench.sh --compare bench/baselines \
     "$gate_out" bench_sim_kernel bench_flow bench_replica_catalog \
-    bench_copier_overhead
+    bench_copier_overhead bench_scheduler
   echo "==> all checks passed: perf-gate"
   exit 0
 fi

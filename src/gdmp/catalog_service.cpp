@@ -725,6 +725,16 @@ void CatalogClient::lookup_batch(
   }
 }
 
+const ReplicaInfo* CatalogClient::peek_fresh(const std::string& collection,
+                                             const LogicalFileName& lfn,
+                                             std::uint64_t* stamp_out) {
+  const ReplicaInfo* cached = nullptr;
+  return lookup_cache_.peek(collection, lfn, sim_.now(), &cached,
+                            stamp_out) == catalog::CacheProbe::kFresh
+             ? cached
+             : nullptr;
+}
+
 void CatalogClient::lookup_batch_refs(
     const std::string& collection, const std::vector<LogicalFileName>& lfns,
     std::function<void(Status, std::vector<Result<const ReplicaInfo*>>)>

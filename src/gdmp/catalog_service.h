@@ -154,6 +154,14 @@ class CatalogClient {
       const std::string& collection, const std::vector<LogicalFileName>& lfns,
       std::function<void(Status, std::vector<Result<ReplicaInfo>>)> done);
 
+  /// The cached lookup of `lfn` while it is fresh (within the TTL), else
+  /// nullptr; `*stamp_out` receives its version stamp. A read-only peek:
+  /// no RPC, no copy and no cache accounting. The pointee stays valid
+  /// until this client's next catalog call.
+  const ReplicaInfo* peek_fresh(const std::string& collection,
+                                const LogicalFileName& lfn,
+                                std::uint64_t* stamp_out);
+
   /// Zero-copy bulk lookup for read-only consumers (the scheduler's batch
   /// prefetch, bulk scans). When every file is cached fresh, `done` runs
   /// synchronously with borrowed pointers into the cache — no ReplicaInfo

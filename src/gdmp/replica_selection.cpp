@@ -1,79 +1,23 @@
 #include "gdmp/replica_selection.h"
 
-#include <memory>
-
 namespace gdmp::core {
 
 SelectorFn first_replica_selector() {
   return [](const std::vector<Uri>&) { return std::size_t{0}; };
 }
 
-SelectorFn random_replica_selector(std::uint64_t seed) {
-  auto rng = std::make_shared<Rng>(seed);
-  return [rng](const std::vector<Uri>& candidates) {
-    if (candidates.empty()) return std::size_t{0};
-    return static_cast<std::size_t>(rng->uniform_int(
-        0, static_cast<std::int64_t>(candidates.size()) - 1));
-  };
-}
-
-SelectorFn round_robin_selector() {
-  auto cursor = std::make_shared<std::size_t>(0);
-  return [cursor](const std::vector<Uri>& candidates) {
-    if (candidates.empty()) return std::size_t{0};
-    return (*cursor)++ % candidates.size();
-  };
-}
-
-SelectorFn preferred_hosts_selector(std::vector<std::string> preference) {
-  return [preference = std::move(preference)](
-             const std::vector<Uri>& candidates) {
-    for (const std::string& host : preference) {
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (candidates[i].host == host) return i;
-      }
+std::vector<Uri> remote_candidates(
+    const std::vector<PhysicalFileName>& locations,
+    std::string_view own_site) {
+  std::vector<Uri> candidates;
+  candidates.reserve(locations.size());
+  for (const PhysicalFileName& pfn : locations) {
+    auto uri = parse_uri(pfn);
+    if (uri.is_ok() && uri->host != own_site) {
+      candidates.push_back(std::move(*uri));
     }
-    return std::size_t{0};
-  };
-}
-
-void ThroughputHistorySelector::record(const std::string& host, double mbps) {
-  const auto it = history_.find(host);
-  if (it == history_.end()) {
-    history_[host] = mbps;
-  } else {
-    it->second = (1.0 - smoothing_) * it->second + smoothing_ * mbps;
   }
-}
-
-double ThroughputHistorySelector::estimate(const std::string& host) const {
-  const auto it = history_.find(host);
-  return it == history_.end() ? 0.0 : it->second;
-}
-
-SelectorFn ThroughputHistorySelector::selector() {
-  return [this](const std::vector<Uri>& candidates) {
-    if (candidates.empty()) return std::size_t{0};
-    // Probe unmeasured hosts first (round-robin over them), otherwise take
-    // the best measured estimate.
-    std::vector<std::size_t> unmeasured;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (!history_.contains(candidates[i].host)) unmeasured.push_back(i);
-    }
-    if (!unmeasured.empty()) {
-      return unmeasured[probe_cursor_++ % unmeasured.size()];
-    }
-    std::size_t best = 0;
-    double best_estimate = -1.0;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const double estimate = history_.at(candidates[i].host);
-      if (estimate > best_estimate) {
-        best_estimate = estimate;
-        best = i;
-      }
-    }
-    return best;
-  };
+  return candidates;
 }
 
 }  // namespace gdmp::core

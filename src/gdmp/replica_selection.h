@@ -1,19 +1,17 @@
-// Replica selection strategies.
+// Replica selection: from catalog locations to a source replica.
 //
 // "This information can then be used as a basis for replica selection
 // based on cost functions, which is part of planned future work. (See
 // [VTF01] for some early ideas.)" — §4.2. GDMP 2.0 shipped with trivial
-// selection; this module provides the hook implementations: the trivial
-// ones plus a [VTF01]-style cost-based selector fed by observed transfer
-// history.
+// selection (the first catalog entry); the [VTF01]-style cost selector
+// lives with the replication scheduler (sched/cost_selector.h).
 #pragma once
 
 #include <functional>
-#include <map>
-#include <string>
+#include <string_view>
 #include <vector>
 
-#include "common/random.h"
+#include "common/types.h"
 #include "common/uri.h"
 
 namespace gdmp::core {
@@ -23,36 +21,10 @@ using SelectorFn = std::function<std::size_t(const std::vector<Uri>&)>;
 /// Always the first catalog entry (GDMP 2.0 behaviour).
 SelectorFn first_replica_selector();
 
-/// Uniformly random choice (crude load spreading).
-SelectorFn random_replica_selector(std::uint64_t seed);
-
-/// Round-robin across calls (per-selector state).
-SelectorFn round_robin_selector();
-
-/// Prefers hosts in the given order; unknown hosts lose.
-SelectorFn preferred_hosts_selector(std::vector<std::string> preference);
-
-/// [VTF01]-style cost-based selection: tracks observed per-host throughput
-/// (exponentially weighted) and picks the historically fastest host,
-/// falling back to round-robin over unmeasured hosts so every replica gets
-/// probed.
-class ThroughputHistorySelector {
- public:
-  explicit ThroughputHistorySelector(double smoothing = 0.3)
-      : smoothing_(smoothing) {}
-
-  /// Feed an observation after each transfer.
-  void record(const std::string& host, double mbps);
-
-  /// The selector hook to install on a GdmpServer.
-  SelectorFn selector();
-
-  double estimate(const std::string& host) const;
-
- private:
-  double smoothing_;
-  std::map<std::string, double> history_;
-  std::size_t probe_cursor_ = 0;
-};
+/// The source candidates a consumer at `own_site` can pull a file from:
+/// its catalog locations parsed as URLs, in catalog order, skipping
+/// malformed ones and the site's own replicas.
+std::vector<Uri> remote_candidates(
+    const std::vector<PhysicalFileName>& locations, std::string_view own_site);
 
 }  // namespace gdmp::core

@@ -1,6 +1,7 @@
 #include "gdmp/server.h"
 
 #include "common/logging.h"
+#include "gdmp/replica_selection.h"
 #include "gridftp/protocol.h"
 
 namespace gdmp::core {
@@ -17,7 +18,7 @@ GdmpServer::GdmpServer(SiteServices& site, GdmpConfig config,
                        config.catalog_publish_batch}),
       data_mover_(site, config.transfer, config.max_concurrent_transfers),
       storage_manager_(site),
-      selector_([](const std::vector<Uri>&) { return std::size_t{0}; }),
+      selector_(first_replica_selector()),
       rng_(0x6d6d ^ std::hash<std::string>{}(site.site_name)) {
   // Handlers live in the RpcServer's method table; guard them so a handler
   // dispatched during teardown cannot touch a dead GdmpServer.
@@ -290,14 +291,8 @@ void GdmpServer::replicate(const LogicalFileName& lfn,
           done(info.status());
           return;
         }
-        // Parse candidate replica URLs, excluding our own.
-        std::vector<Uri> candidates;
-        for (const PhysicalFileName& pfn : info->locations) {
-          auto uri = parse_uri(pfn);
-          if (uri.is_ok() && uri->host != site_.site_name) {
-            candidates.push_back(std::move(*uri));
-          }
-        }
+        const std::vector<Uri> candidates =
+            remote_candidates(info->locations, site_.site_name);
         if (candidates.empty()) {
           count_replication_failure();
           done(make_error(ErrorCode::kUnavailable,

@@ -59,6 +59,7 @@ void ReplicationScheduler::set_metrics(const obs::MetricsScope& scope) {
   metrics_.dead_lettered = scope.counter("dead_lettered");
   metrics_.cancelled = scope.counter("cancelled");
   metrics_.busy_deferrals = scope.counter("busy_deferrals");
+  metrics_.dispatched = scope.counter("dispatched");
   metrics_.bytes_moved = scope.counter("bytes_moved");
   metrics_.queue_depth = scope.gauge("queue_depth");
   metrics_.active = scope.gauge("active");
@@ -106,6 +107,7 @@ std::uint64_t ReplicationScheduler::submit(LogicalFileName lfn, int priority,
   request.lfn = std::move(lfn);
   request.priority = priority;
   request.seq = next_seq_++;
+  request.local_path = server_.local_path_for(request.lfn);
   request.done = std::move(done);
   auto& tracer = obs::Tracer::global();
   if (tracer.enabled()) {
@@ -200,9 +202,45 @@ void ReplicationScheduler::pump() {
     ready_.erase(ready_.begin());
     const auto it = requests_.find(key.id);
     if (it == requests_.end()) continue;
+    if (every_source_busy(it->second)) {
+      // The refusal replicate() would return synchronously, minus the
+      // call: park the request exactly where that bounce would.
+      count_busy_deferral();
+      deferred_.push_back(key.id);
+      continue;
+    }
     dispatch(it->second);
   }
   pumping_ = false;
+}
+
+void ReplicationScheduler::count_busy_deferral() {
+  ++stats_.busy_deferrals;
+  if (metrics_.busy_deferrals) metrics_.busy_deferrals->add();
+}
+
+// gdmp-lint: hot-path — re-checks every parked request on each release of a saturated queue
+bool ReplicationScheduler::every_source_busy(Request& request) {
+  std::uint64_t stamp = 0;
+  const core::ReplicaInfo* info = server_.catalog().peek_fresh(
+      server_.config().collection, request.lfn, &stamp);
+  // A miss or a stale entry needs a catalog round trip first; dispatch and
+  // let choose_source decide once the lookup lands.
+  if (info == nullptr) return false;
+  if (stamp == 0 || stamp != request.hosts_stamp) {
+    std::vector<Uri> remote =
+        core::remote_candidates(info->locations, server_.site().site_name);
+    request.source_hosts.clear();
+    for (Uri& uri : remote) request.source_hosts.push_back(std::move(uri.host));
+    request.hosts_stamp = stamp;
+  }
+  // No remote replica is replicate()'s failure to report.
+  if (request.source_hosts.empty()) return false;
+  for (const std::string& host : request.source_hosts) {
+    if (has_slot(host)) return false;
+  }
+  // A replica already on site completes on dispatch whatever the caps.
+  return !server_.site().pool.contains(request.local_path);
 }
 
 void ReplicationScheduler::dispatch(Request& request) {
@@ -210,6 +248,8 @@ void ReplicationScheduler::dispatch(Request& request) {
   request.busy_bounced = false;
   request.source.clear();
   ++request.attempts;
+  ++stats_.dispatched;
+  if (metrics_.dispatched) metrics_.dispatched->add();
   ++active_;
   stats_.peak_active = std::max(stats_.peak_active, active_);
   end_queue_wait(request);
@@ -226,13 +266,11 @@ void ReplicationScheduler::dispatch(Request& request) {
     if (alive.expired()) return std::size_t{0};
     // Best-ranked source whose site is under its in-flight cap.
     for (const std::size_t index : selector_.rank(candidates)) {
-      if (in_flight_to(candidates[index].host) < config_.max_per_source) {
-        return index;
-      }
+      if (has_slot(candidates[index].host)) return index;
     }
     const auto it = requests_.find(id);
     if (it != requests_.end()) it->second.busy_bounced = true;
-    ++stats_.busy_deferrals;
+    count_busy_deferral();
     return make_error(ErrorCode::kResourceExhausted,
                       "every source site at its in-flight cap");
   };

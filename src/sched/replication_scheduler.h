@@ -10,7 +10,9 @@
 //     cap, so one producer's uplink is never oversubscribed,
 //   * cost-aware source selection from EWMA bandwidth history [VTF01]
 //     (see sched/cost_selector.h), with saturated sources skipped in rank
-//     order and the request deferred when every source is at its cap,
+//     order and the request deferred when every source is at its cap —
+//     decided in place, without a replicate() call, whenever the file's
+//     catalog entry is fresh in the site's lookup cache (DESIGN.md §5a),
 //   * exponential backoff with jitter on failure, and a dead-letter list
 //     (surfaced through stats) once max_attempts is exhausted.
 //
@@ -59,9 +61,16 @@ struct SchedulerStats {
   std::int64_t retries = 0;
   std::int64_t dead_lettered = 0;
   std::int64_t cancelled = 0;
-  /// Dispatches bounced because every source site was at its cap.
+  /// Times a request found every source site at its in-flight cap and was
+  /// parked until a slot frees: refusals decided in place from a fresh
+  /// catalog entry plus those decided after a catalog round trip.
   std::int64_t busy_deferrals = 0;
+  /// GdmpServer::replicate() calls: attempts (successful, failed, already
+  /// present) plus the busy refusals decided after a catalog round trip.
+  std::int64_t dispatched = 0;
   Bytes bytes_moved = 0;
+  /// Most requests in flight at once. A request refused in place is never
+  /// in flight; one waiting on a catalog round trip is.
   int peak_active = 0;
   /// Completed transfers per source host (routing breakdown).
   std::map<std::string, std::int64_t> completed_by_source;
@@ -134,6 +143,11 @@ class ReplicationScheduler {
     bool in_flight = false;
     bool busy_bounced = false;  // set by the chooser when all sources at cap
     std::string source;         // current attempt's source host
+    std::string local_path;     // where the replica lands on this site
+    // every_source_busy()'s memo: the remote candidate hosts of catalog
+    // entry version `hosts_stamp` (0 = not derived yet).
+    std::uint64_t hosts_stamp = 0;
+    std::vector<std::string> source_hosts;
     Done done;
     obs::SpanId span;        // "sched.request": submit -> settle
     obs::SpanId queue_span;  // "sched.queue_wait": open while queued
@@ -161,6 +175,16 @@ class ReplicationScheduler {
   void end_queue_wait(Request& request);
   void end_request_span(Request& request, const char* outcome);
   void update_gauges();
+  /// The per-source cap rule of both refusal points: a source site can
+  /// take another transfer while it is under max_per_source.
+  bool has_slot(const std::string& host) const {
+    return in_flight_to(host) < config_.max_per_source;
+  }
+  void count_busy_deferral();
+  /// True when replicate() would refuse `request` synchronously: the file
+  /// is not on site, its catalog entry is fresh in the lookup cache, and
+  /// every remote candidate host is at its cap. Reads the entry in place.
+  bool every_source_busy(Request& request);
   void dispatch(Request& request);
   void on_attempt_done(std::uint64_t id,
                        Result<gridftp::TransferResult> result);
@@ -188,6 +212,7 @@ class ReplicationScheduler {
     obs::Counter* dead_lettered = nullptr;
     obs::Counter* cancelled = nullptr;
     obs::Counter* busy_deferrals = nullptr;
+    obs::Counter* dispatched = nullptr;
     obs::Counter* bytes_moved = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* active = nullptr;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -497,6 +498,142 @@ TEST(ReplicationScheduler, BulkWorkloadHelpersRoundTrip) {
   EXPECT_GT(moved, 0);
   EXPECT_EQ(f.consumer().gdmp_server().stats().files_replicated,
             static_cast<std::int64_t>(files.size()));
+}
+
+// ---------------------------------------------------------------------------
+// Busy refusals: a batch whose caps keep every source saturated.
+
+/// Two producers ("fast" 155 Mbit/s, "slow" 10 Mbit/s uplinks) and a
+/// consumer capped at 4 concurrent / 1 per source: at most two transfers
+/// are ever in flight, so every other dispatch finds both sources at their
+/// cap and parks. `cache_ttl` is the consumer's lookup-cache TTL; files
+/// listed in `already_local` are on the consumer's disk before the batch.
+struct CappedBatch {
+  static constexpr int kFiles = 24;
+  static constexpr Bytes kFileSize = 1 * kMiB;
+
+  Grid grid;
+  std::vector<LogicalFileName> lfns;
+  /// Per file: sim time from batch submission to its completion callback.
+  std::vector<SimDuration> completed_after =
+      std::vector<SimDuration>(kFiles, -1);
+  /// Central catalog operations served while the batch ran.
+  std::int64_t catalog_ops = 0;
+  core::CatalogClient::LookupCache::Stats cache_before;
+
+  CappedBatch(SimDuration cache_ttl, std::vector<int> already_local)
+      : grid(config(cache_ttl)) {
+    EXPECT_TRUE(grid.start().is_ok());
+    lfns = seed_flat_files(grid, {&grid.site(0), &grid.site(1)}, kFiles,
+                           kFileSize);
+    for (const int i : already_local) {
+      EXPECT_TRUE(consumer()
+                      .pool()
+                      .add_file(consumer().gdmp_server().local_path_for(
+                                    lfns[static_cast<std::size_t>(i)]),
+                                kFileSize, 0xF00Du + i,
+                                grid.simulator().now())
+                      .is_ok());
+    }
+  }
+
+  static GridConfig config(SimDuration cache_ttl) {
+    GridConfig config = two_producer_config();
+    config.sites[2].site.sched.max_concurrent = 4;
+    config.sites[2].site.sched.max_per_source = 1;
+    config.sites[2].site.gdmp.catalog_cache_ttl = cache_ttl;
+    return config;
+  }
+
+  Site& consumer() { return grid.site(2); }
+  const SchedulerStats& stats() { return consumer().scheduler().stats(); }
+
+  /// Submits the whole batch and runs until every file has settled.
+  void run() {
+    cache_before = consumer().gdmp_server().catalog().lookup_cache_stats();
+    const std::int64_t ops_before = grid.catalog().operations_served();
+    const SimTime start = grid.simulator().now();
+    int settled = 0;
+    // Warm the lookup cache the way submit_batch does, then submit file by
+    // file to time each completion.
+    auto& server = consumer().gdmp_server();
+    server.catalog().lookup_batch_refs(
+        server.config().collection, lfns,
+        [&, start](Status, std::vector<Result<const core::ReplicaInfo*>>) {
+          for (std::size_t i = 0; i < lfns.size(); ++i) {
+            consumer().scheduler().submit(
+                lfns[i], 0,
+                [&, i, start](Result<gridftp::TransferResult> result) {
+                  EXPECT_TRUE(result.is_ok() ||
+                              result.code() == ErrorCode::kAlreadyExists)
+                      << result.status().to_string();
+                  completed_after[i] = grid.simulator().now() - start;
+                  ++settled;
+                });
+          }
+        });
+    const SimTime deadline = start + 3600 * kSecond;
+    while (settled < kFiles && grid.simulator().now() < deadline) {
+      grid.run_until(grid.simulator().now() + kSecond);
+    }
+    EXPECT_EQ(settled, kFiles);
+    catalog_ops = grid.catalog().operations_served() - ops_before;
+  }
+};
+
+TEST(ReplicationScheduler, RefusalTimelineIsPinned) {
+  // Golden outcomes of a saturated batch: a 5 s lookup TTL is shorter than
+  // the queue wait, so parked requests go stale and revalidate over RPC
+  // before they can be refused again, while files 5 and 17 are already on
+  // site and complete on their first dispatch even with both sources busy.
+  // Every figure here was captured before busy refusals were decided in
+  // the scheduler; deciding them there must not move a single event.
+  CappedBatch batch(5 * kSecond, {5, 17});
+  batch.run();
+
+  const std::vector<SimDuration> expected_ns = {
+      8016780341,  8043399414,  15281321609, 15307641635, 22545862877,
+      379306188,   22572182903, 29810404145, 29836724171, 37074945413,
+      37101268086, 44339487212, 44365809484, 51604029011, 51630351283,
+      58868570810, 58894893082, 379306188,   66133112609, 66159434881,
+      73397654408, 73423976680, 80662196207, 80688518479,
+  };
+  EXPECT_EQ(batch.completed_after, expected_ns);
+  const std::map<std::string, std::int64_t> expected_by_source = {
+      {"fast", 11}, {"slow", 11}};
+  EXPECT_EQ(batch.stats().completed_by_source, expected_by_source);
+  EXPECT_EQ(batch.stats().busy_deferrals, 127);
+  EXPECT_EQ(batch.stats().retries, 0);
+  EXPECT_EQ(batch.catalog_ops, 133);
+}
+
+TEST(ReplicationScheduler, BusyDeferralsReachMetricsRegistry) {
+  // Both refusal points count: the stale TTL sends some refusals through a
+  // catalog round trip, the rest are decided from the fresh cache entry.
+  CappedBatch batch(5 * kSecond, {});
+  batch.run();
+  ASSERT_GT(batch.stats().busy_deferrals, 0);
+  EXPECT_EQ(batch.consumer()
+                .metrics()
+                .counter("site." + batch.consumer().name() +
+                         ".sched.busy_deferrals")
+                .value(),
+            batch.stats().busy_deferrals);
+}
+
+TEST(ReplicationScheduler, FreshRefusalSkipsReplicate) {
+  // With a TTL longer than the whole batch every lookup is a fresh hit, so
+  // each replicate() call shows up as exactly one hit. A refusal decided
+  // from the fresh entry must not call replicate() (nor count a hit): only
+  // the real dispatches, one per file, do.
+  CappedBatch batch(3600 * kSecond, {});
+  batch.run();
+  ASSERT_GT(batch.stats().busy_deferrals, 0);
+  const auto& after =
+      batch.consumer().gdmp_server().catalog().lookup_cache_stats();
+  EXPECT_EQ(after.stale_probes, batch.cache_before.stale_probes);
+  EXPECT_EQ(after.hits - batch.cache_before.hits, batch.stats().completed);
+  EXPECT_EQ(batch.stats().completed, CappedBatch::kFiles);
 }
 
 }  // namespace

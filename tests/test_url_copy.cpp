@@ -1,5 +1,5 @@
 // Tests for the globus_url_copy front end: URL resolution, remote copies,
-// striped multi-source retrieval, and replica selection strategies.
+// striped multi-source retrieval, and the replica selection helpers.
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
@@ -219,47 +219,16 @@ TEST(ReplicaSelection, FirstAlwaysPicksZero) {
   EXPECT_EQ(selector(candidates({"a", "b", "c"})), 0u);
 }
 
-TEST(ReplicaSelection, RandomStaysInRange) {
-  auto selector = random_replica_selector(7);
-  const auto hosts = candidates({"a", "b", "c"});
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_LT(selector(hosts), 3u);
-  }
-}
-
-TEST(ReplicaSelection, RoundRobinCycles) {
-  auto selector = round_robin_selector();
-  const auto hosts = candidates({"a", "b", "c"});
-  EXPECT_EQ(selector(hosts), 0u);
-  EXPECT_EQ(selector(hosts), 1u);
-  EXPECT_EQ(selector(hosts), 2u);
-  EXPECT_EQ(selector(hosts), 0u);
-}
-
-TEST(ReplicaSelection, PreferredHostsWins) {
-  auto selector = preferred_hosts_selector({"caltech", "cern"});
-  EXPECT_EQ(selector(candidates({"cern", "caltech"})), 1u);
-  EXPECT_EQ(selector(candidates({"cern", "slac"})), 0u);
-  EXPECT_EQ(selector(candidates({"slac", "anl"})), 0u);  // fallback
-}
-
-TEST(ReplicaSelection, ThroughputHistoryProbesThenExploits) {
-  ThroughputHistorySelector history;
-  auto selector = history.selector();
-  const auto hosts = candidates({"slow", "fast"});
-  // Both unmeasured: probe round-robin.
-  const auto first = selector(hosts);
-  const auto second = selector(hosts);
-  EXPECT_NE(first, second);
-  history.record("slow", 5.0);
-  history.record("fast", 25.0);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(hosts[selector(hosts)].host, "fast");
-  }
-  // A regression at "fast" flips the decision once the average crosses.
-  for (int i = 0; i < 20; ++i) history.record("fast", 1.0);
-  EXPECT_EQ(hosts[selector(hosts)].host, "slow");
-  EXPECT_NEAR(history.estimate("slow"), 5.0, 1e-9);
+TEST(ReplicaSelection, RemoteCandidatesSkipOwnSiteAndMalformed) {
+  const std::vector<PhysicalFileName> locations = {
+      "gsiftp://cern:2811/pool/f", "not a url", "gsiftp://lyon:2811/pool/f",
+      "gsiftp://anl:2811/pool/f"};
+  const std::vector<Uri> remote = remote_candidates(locations, "lyon");
+  ASSERT_EQ(remote.size(), 2u);
+  EXPECT_EQ(remote[0].host, "cern");
+  EXPECT_EQ(remote[1].host, "anl");
+  EXPECT_EQ(remote[1].path, "/pool/f");
+  EXPECT_TRUE(remote_candidates({"gsiftp://lyon/pool/f"}, "lyon").empty());
 }
 
 }  // namespace
