@@ -6,9 +6,13 @@
 // per byte sent over the network."
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/crc32.h"
+#include "common/random.h"
 #include "common/string_util.h"
 #include "objrep/selection.h"
 #include "objstore/federation.h"
@@ -51,7 +55,50 @@ int main(int argc, char** argv) {
                 gb_per_s, crc.value());
     report.add({{"name", "crc32_update"},
                 {"gb_per_s", gb_per_s},
-                {"bytes", static_cast<long long>(buf.size()) * passes}});
+                {"bytes", static_cast<long long>(buf.size()) * passes},
+                {"operations", passes},
+                {"wall_seconds", seconds}});
+  }
+
+  // Host-time cost of the synthetic CRCs of a wide_fluid campaign (DESIGN.md
+  // §5l): 16 files of ~64 MiB replicated to 63 subscribers, one server range
+  // CRC and one client verify per replication. Each replay gets a fresh
+  // Simulator, so it pays its misses as a real run does. One operation is
+  // one CRC call. Reported in the JSON only; OBJ2's table is unchanged.
+  {
+    constexpr int kFiles = 16;
+    constexpr int kSubscribers = 63;
+    const int replays = smoke ? 2 : 320;
+    Rng rng(5);
+    std::vector<std::pair<std::uint64_t, Bytes>> files;  // seed, size
+    for (int f = 0; f < kFiles; ++f) {
+      const double jitter = rng.uniform(0.998, 1.002);  // wide_fluid's
+      files.emplace_back(rng.next(), static_cast<Bytes>(64 * kMiB * jitter));
+    }
+    std::uint64_t misses = 0;
+    long long operations = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int replay = 0; replay < replays; ++replay) {
+      auto simulator = std::make_unique<sim::Simulator>();
+      SyntheticCrcMemo& memo = simulator->crc_memo();
+      for (int subscriber = 0; subscriber < kSubscribers; ++subscriber) {
+        for (const auto& [seed, size] : files) {
+          (void)memo.crc32_synthetic(seed, 0, size);  // server FGET
+          Crc32 verify;                               // client verify
+          memo.update_synthetic(verify, seed, 0, size);
+          operations += 2;
+        }
+      }
+      misses += memo.misses();
+    }
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    report.add({{"name", "synthetic_crc"},
+                {"replays", replays},
+                {"misses", static_cast<long long>(misses)},
+                {"operations", operations},
+                {"wall_seconds", seconds}});
   }
 
   // Host-time cost of the object location index (DESIGN.md §5k), at the

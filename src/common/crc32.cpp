@@ -94,6 +94,43 @@ void Crc32::update_synthetic(std::uint64_t seed, std::int64_t offset,
   state_ = c;
 }
 
+static_assert(kTable[0] == 0,
+              "SyntheticCrcMemo's zeroed slots must be true entries");
+static_assert(std::has_single_bit(SyntheticCrcMemo::kSlots));
+
+std::size_t SyntheticCrcMemo::slot_of(const Crc32& crc, std::uint64_t seed,
+                                      std::int64_t offset,
+                                      std::int64_t n) noexcept {
+  std::uint64_t h = seed;
+  h ^= static_cast<std::uint64_t>(offset) * 0x9e3779b97f4a7c15ULL;
+  h ^= static_cast<std::uint64_t>(n) * 0xc2b2ae3d27d4eb4fULL;
+  h ^= static_cast<std::uint64_t>(crc.state_) * 0x165667b19e3779f9ULL;
+  // murmur3's fmix64 finaliser; unsalted, so GDMP_HASH_SEED cannot move it.
+  h = (h ^ (h >> 33)) * 0xff51afd7ed558ccdULL;
+  h = (h ^ (h >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+  return static_cast<std::size_t>((h ^ (h >> 33)) & (kSlots - 1));
+}
+
+// gdmp-lint: hot-path — every GridFTP range and reply CRC goes through here
+void SyntheticCrcMemo::update_synthetic(Crc32& crc, std::uint64_t seed,
+                                        std::int64_t offset,
+                                        std::int64_t n) noexcept {
+  Slot& slot = slots_[slot_of(crc, seed, offset, n)];
+  if (slot.before == crc.state_ && slot.seed == seed &&
+      slot.offset == offset && slot.n == n) {
+    ++hits_;
+    crc.state_ = slot.after;
+    return;
+  }
+  ++misses_;
+  slot.before = crc.state_;
+  slot.seed = seed;
+  slot.offset = offset;
+  slot.n = n;
+  crc.update_synthetic(seed, offset, n);
+  slot.after = crc.state_;
+}
+
 std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
   Crc32 crc;
   crc.update(data);

@@ -619,12 +619,12 @@ void CatalogClient::lookup_batch(
     std::uint64_t stamp = 0;
     switch (lookup_cache_.probe(collection, lfns[i], now, &cached, &stamp)) {
       case catalog::CacheProbe::kFresh:
-        results->push_back(*cached);
+        results->emplace_back(*cached);
         break;
       case catalog::CacheProbe::kStale:
         // Carry the stale value: if the server answers "unchanged" it is
         // served as-is and the entry's TTL is renewed.
-        results->push_back(*cached);
+        results->emplace_back(*cached);
         fetch.push_back({i, lfns[i], stamp});
         break;
       case catalog::CacheProbe::kMiss:

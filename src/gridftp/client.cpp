@@ -1,7 +1,6 @@
 #include "gridftp/client.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/crc32.h"
 #include "common/logging.h"
@@ -23,6 +22,21 @@ std::uint64_t derive_partial_seed(std::uint64_t seed, Bytes offset,
   z ^= 0xbf58476d1ce4e5b9ULL * static_cast<std::uint64_t>(length);
   z = (z ^ (z >> 30)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+/// The smallest block content seed above `after` (any seed when `after` is
+/// empty). Walking it from nullopt visits the distinct seeds in ascending
+/// order without building a set; a poisoned seed is `seed ^ const`, so a
+/// verify sees at most two.
+std::optional<std::uint64_t> next_block_seed(
+    const std::map<Bytes, std::pair<Bytes, std::uint64_t>>& blocks,
+    std::optional<std::uint64_t> after) noexcept {
+  std::optional<std::uint64_t> next;
+  for (const auto& [offset, block] : blocks) {
+    const std::uint64_t seed = block.second;
+    if ((!after || seed > *after) && (!next || seed < *next)) next = seed;
+  }
+  return next;
 }
 
 }  // namespace
@@ -666,23 +680,20 @@ void FtpClient::finish_get_attempt(const std::shared_ptr<Transfer>& transfer,
     return;
   }
 
-  // Identify the file's true content: the candidate seed whose full-range
-  // CRC matches the server-side reference. Blocks carrying any other seed
-  // were corrupted on the wire and are re-requested.
+  // Identify the file's true content: the smallest block seed whose
+  // full-range CRC matches the server-side reference. Blocks carrying any
+  // other seed were corrupted on the wire and are re-requested.
   std::uint64_t true_seed = 0;
   bool seed_known = false;
-  std::set<std::uint64_t> candidates;
-  for (const auto& [offset, block] : transfer->blocks) {
-    // gdmp-lint: hot-alloc — checksum recovery path; seed set built once per failed verify
-    candidates.insert(block.second);
-  }
-  for (const std::uint64_t seed : candidates) {
+  auto& memo = stack_.simulator().crc_memo();
+  for (auto seed = next_block_seed(transfer->blocks, std::nullopt); seed;
+       seed = next_block_seed(transfer->blocks, seed)) {
     Crc32 crc;
     for (const ByteRange& range : transfer->requested) {
-      crc.update_synthetic(seed, range.offset, range.length);
+      memo.update_synthetic(crc, *seed, range.offset, range.length);
     }
     if (crc.value() == transfer->source_crc) {
-      true_seed = seed;
+      true_seed = *seed;
       seed_known = true;
       break;
     }

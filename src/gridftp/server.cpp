@@ -437,6 +437,7 @@ void FtpServer::handle_retr(std::span<const std::uint8_t> params,
   // Resolve and validate ranges against the current file size.
   Bytes total = 0;
   Crc32 crc;
+  auto& memo = stack_.simulator().crc_memo();
   for (ByteRange& range : ranges) {
     if (range.length < 0) range.length = file->size - range.offset;
     if (range.offset < 0 || range.length < 0 ||
@@ -446,7 +447,8 @@ void FtpServer::handle_retr(std::span<const std::uint8_t> params,
       return;
     }
     total += range.length;
-    crc.update_synthetic(file->content_seed, range.offset, range.length);
+    memo.update_synthetic(crc, file->content_seed, range.offset,
+                          range.length);
   }
   (void)pool_.pin(path);  // transfers must not lose their source to eviction
   session->mode = DataSession::Mode::kRetr;
@@ -613,7 +615,8 @@ void FtpServer::check_stor_complete(
   }
   pool_.disk().write(session->stor.total, [] {});
   rpc::Writer w;
-  w.u32(crc32_synthetic(session->recv_seed, 0, session->stor.total));
+  w.u32(stack_.simulator().crc_memo().crc32_synthetic(
+      session->recv_seed, 0, session->stor.total));
   respond(Status::ok(), w.take());
 }
 
@@ -721,6 +724,7 @@ void FtpServer::handle_fget(std::span<const std::uint8_t> params,
   // Same range resolution/validation as RETR against the current size.
   Bytes total = 0;
   Crc32 crc;
+  auto& memo = stack_.simulator().crc_memo();
   for (ByteRange& range : ranges) {
     if (range.length < 0) range.length = file->size - range.offset;
     if (range.offset < 0 || range.length < 0 ||
@@ -730,7 +734,8 @@ void FtpServer::handle_fget(std::span<const std::uint8_t> params,
       return;
     }
     total += range.length;
-    crc.update_synthetic(file->content_seed, range.offset, range.length);
+    memo.update_synthetic(crc, file->content_seed, range.offset,
+                          range.length);
   }
   ++stats_.retrievals;
   if (metrics_.retrievals) metrics_.retrievals->add();
@@ -801,7 +806,7 @@ void FtpServer::handle_fput(std::span<const std::uint8_t> params,
   }
   pool_.disk().write(total, [] {});
   rpc::Writer w;
-  w.u32(crc32_synthetic(seed, 0, total));
+  w.u32(stack_.simulator().crc_memo().crc32_synthetic(seed, 0, total));
   respond(Status::ok(), w.take());
 }
 

@@ -138,7 +138,8 @@ void UrlCopy::striped_get(const std::vector<std::string>& source_urls,
               endpoint.node, endpoint.port, endpoint.path,
               job->local_path + ".stripe" + std::to_string(i),
               /*pool=*/nullptr, stripe_options,
-              [job](Result<TransferResult> result) {
+              [job, simulator = &network_.simulator()](
+                  Result<TransferResult> result) {
                 if (!result.is_ok()) {
                   if (job->first_error.is_ok()) {
                     job->first_error = result.status();
@@ -183,12 +184,12 @@ void UrlCopy::striped_get(const std::vector<std::string>& source_urls,
                 assembled.retransmitted_segments = job->retransmits;
                 assembled.content_seed = job->seed;
                 assembled.source_seed = job->seed;
-                assembled.crc =
-                    crc32_synthetic(job->seed, 0, job->file_size);
+                assembled.crc = simulator->crc_memo().crc32_synthetic(
+                    job->seed, 0, job->file_size);
                 if (job->pool != nullptr) {
-                  auto added = job->pool->add_file(job->local_path,
-                                                   job->file_size, job->seed,
-                                                   /*now=*/0);
+                  auto added =
+                      job->pool->add_file(job->local_path, job->file_size,
+                                          job->seed, simulator->now());
                   if (!added.is_ok()) {
                     job->done(added.status());
                     return;

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 
+#include "common/crc32.h"
 #include "common/types.h"
 #include "sim/event_heap.h"
 #include "sim/inline_function.h"
@@ -123,6 +124,10 @@ class Simulator {
   /// Stops `run()` / `run_until()` after the current event returns.
   void request_stop() noexcept { stop_requested_ = true; }
 
+  /// This run's synthetic-CRC memo (DESIGN.md §5l), shared by every GridFTP
+  /// server, client and URL copier on the simulator. A new run starts cold.
+  SyntheticCrcMemo& crc_memo() noexcept { return crc_memo_; }
+
  private:
   /// Pops and executes the minimum event (advancing the clock to it).
   void fire_next();
@@ -134,6 +139,7 @@ class Simulator {
   EventHeap<Callback>::Minimum passed_{0, 0};
   std::uint64_t fired_ = 0;
   bool stop_requested_ = false;
+  SyntheticCrcMemo crc_memo_;
 };
 
 /// Repeating timer built on the kernel; used for periodic monitoring,

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.h"
@@ -189,6 +191,125 @@ TEST(Crc32, SyntheticIncrementalConsistency) {
   b.update_synthetic(99, 0, 8192);
   b.update_synthetic(99, 8192, 8192);
   EXPECT_EQ(a.value(), b.value());
+}
+
+// A register in an arbitrary prior state: eight random bytes already fed.
+Crc32 random_register(Rng& rng) {
+  std::array<std::uint8_t, 8> bytes{};
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  Crc32 crc;
+  crc.update(bytes);
+  return crc;
+}
+
+struct SyntheticKey {
+  Crc32 prior;
+  std::uint64_t seed;
+  std::int64_t offset;
+  std::int64_t n;
+};
+
+// Feeds `key` through the memo and through Crc32::update_synthetic and
+// returns {memo value, loop value}.
+std::pair<std::uint32_t, std::uint32_t> both_ways(SyntheticCrcMemo& memo,
+                                                  const SyntheticKey& key) {
+  Crc32 memoised = key.prior;
+  memo.update_synthetic(memoised, key.seed, key.offset, key.n);
+  Crc32 loop = key.prior;
+  loop.update_synthetic(key.seed, key.offset, key.n);
+  return {memoised.value(), loop.value()};
+}
+
+TEST(SyntheticCrcMemo, MatchesLoopOnRandomKeys) {
+  Rng rng(0x5eedc0de);
+  std::vector<std::int64_t> lengths = {0,          1,          4095,
+                                       4096,       4097,       64 * kMiB - 1,
+                                       64 * kMiB,  64 * kMiB + 1};
+  for (int i = 0; i < 8; ++i) lengths.push_back(rng.uniform_int(0, 80 * kMiB));
+  std::vector<SyntheticKey> keys;
+  for (const std::int64_t n : lengths) {
+    for (int i = 0; i < 4; ++i) {
+      keys.push_back({random_register(rng), rng.next(),
+                      rng.uniform_int(0, std::int64_t{1} << 40), n});
+    }
+  }
+  SyntheticCrcMemo memo;
+  // Cold, then every key again (hits), then in reverse.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const SyntheticKey& key : keys) {
+      const auto [memoised, loop] = both_ways(memo, key);
+      ASSERT_EQ(memoised, loop) << "seed " << key.seed << " offset "
+                                << key.offset << " n " << key.n;
+    }
+  }
+  for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
+    const auto [memoised, loop] = both_ways(memo, *it);
+    ASSERT_EQ(memoised, loop);
+  }
+  EXPECT_GE(memo.hits(), keys.size());
+}
+
+TEST(SyntheticCrcMemo, MultiRangeSequencesMatchLoop) {
+  Rng rng(0x3a17);
+  SyntheticCrcMemo memo;
+  for (int sequence = 0; sequence < 64; ++sequence) {
+    const std::uint64_t seed = rng.next() % 4;  // shared seeds: shared keys
+    std::vector<std::pair<std::int64_t, std::int64_t>> ranges;  // offset, n
+    std::int64_t offset = 0;
+    for (std::int64_t r = rng.uniform_int(1, 5); r > 0; --r) {
+      const std::int64_t n = rng.uniform_int(0, 3) * kMiB +
+                             rng.uniform_int(0, 3) * 4096 +
+                             rng.uniform_int(0, 2);
+      ranges.emplace_back(offset, n);
+      offset += n + rng.uniform_int(0, 1) * 4096;
+    }
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      Crc32 memoised;
+      Crc32 loop;
+      for (const auto& [range_offset, n] : ranges) {
+        memo.update_synthetic(memoised, seed, range_offset, n);
+        loop.update_synthetic(seed, range_offset, n);
+      }
+      ASSERT_EQ(memoised.value(), loop.value()) << "sequence " << sequence;
+    }
+  }
+  EXPECT_GT(memo.hits(), 0u);
+  EXPECT_EQ(memo.crc32_synthetic(9, 0, 64 * kMiB),
+            crc32_synthetic(9, 0, 64 * kMiB));
+}
+
+TEST(SyntheticCrcMemo, KeysSharingASlotEvictEachOther) {
+  // For each key field, a second key that differs only in that field and
+  // maps to the same slot. Alternating the two misses every time and stays
+  // exact, so a memo that ignores any part of the key fails here.
+  Rng rng(0xe71c7);
+  const auto slot = [](const SyntheticKey& key) {
+    return SyntheticCrcMemo::slot_of(key.prior, key.seed, key.offset, key.n);
+  };
+  for (int field = 0; field < 4; ++field) {
+    const SyntheticKey a{random_register(rng), rng.next(),
+                         rng.uniform_int(0, std::int64_t{1} << 30),
+                         rng.uniform_int(1, 8 * kMiB)};
+    SyntheticKey b = a;
+    do {
+      switch (field) {
+        case 0: b.prior = random_register(rng); break;
+        case 1: b.seed = rng.next(); break;
+        case 2: b.offset = rng.uniform_int(0, std::int64_t{1} << 30); break;
+        default: b.n = rng.uniform_int(1, 8 * kMiB); break;
+      }
+    } while (slot(b) != slot(a));
+    SyntheticCrcMemo memo;
+    for (int round = 0; round < 4; ++round) {
+      const auto [memo_a, loop_a] = both_ways(memo, a);
+      const auto [memo_b, loop_b] = both_ways(memo, b);
+      ASSERT_NE(loop_a, loop_b);  // so a wrong hit cannot pass unseen
+      ASSERT_EQ(memo_a, loop_a) << "field " << field << " round " << round;
+      ASSERT_EQ(memo_b, loop_b) << "field " << field << " round " << round;
+    }
+    EXPECT_EQ(memo.hits(), 0u) << "field " << field;
+    EXPECT_EQ(memo.misses(), 8u) << "field " << field;
+  }
 }
 
 TEST(Uri, ParsesFullGsiftpUrl) {

@@ -193,6 +193,25 @@ TEST(Ftp, GetTransfersFileWithCorrectContent) {
   EXPECT_EQ(local->content_seed, 0x1234u);
 }
 
+TEST(Ftp, ServerAndClientShareTheRunCrcMemo) {
+  // The server's range CRC and the client's true-seed verify compute the
+  // same key, so a clean get runs the synthetic CRC loop once.
+  FtpFixture f;
+  (void)f.pool_a->add_file("/pool/f", 2 * kMiB, 0x1234, 0);
+  bool done = false;
+  f.client->get(f.path.host_a->id(), kControlPort, "/pool/f", "/pool/f",
+                f.pool_b.get(), TransferOptions{},
+                [&](Result<TransferResult> result) {
+                  done = true;
+                  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+                  EXPECT_EQ(result->crc, crc32_synthetic(0x1234, 0, 2 * kMiB));
+                });
+  f.simulator.run_until(300 * kSecond);
+  ASSERT_TRUE(done);
+  EXPECT_EQ(f.simulator.crc_memo().misses(), 1u);
+  EXPECT_EQ(f.simulator.crc_memo().hits(), 1u);
+}
+
 TEST(Ftp, GetMissingFileFails) {
   FtpFixture f;
   Status status = Status::ok();

@@ -353,6 +353,19 @@ TEST(Simulator, ManyEventsStressOrdering) {
   EXPECT_TRUE(monotone);
 }
 
+TEST(Simulator, CrcMemoIsScopedToOneRun) {
+  // Two runs never share synthetic-CRC entries: a key computed in one is a
+  // miss in the other, so every run pays its own misses.
+  Simulator first;
+  Simulator second;
+  const std::uint32_t crc = first.crc_memo().crc32_synthetic(7, 0, 64 * kMiB);
+  EXPECT_EQ(first.crc_memo().crc32_synthetic(7, 0, 64 * kMiB), crc);
+  EXPECT_EQ(first.crc_memo().hits(), 1u);
+  EXPECT_EQ(second.crc_memo().crc32_synthetic(7, 0, 64 * kMiB), crc);
+  EXPECT_EQ(second.crc_memo().hits(), 0u);
+  EXPECT_EQ(second.crc_memo().misses(), 1u);
+}
+
 TEST(PeriodicTimer, TicksAtPeriod) {
   Simulator simulator;
   int ticks = 0;

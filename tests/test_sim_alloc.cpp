@@ -369,5 +369,25 @@ TEST(ObjectCatalogAlloc, HasLocalAndContainsAllocateNothing) {
   EXPECT_EQ(held, 3'000);
 }
 
+// Synthetic-CRC memo contract (common/crc32.h, DESIGN.md §5l): a lookup
+// allocates nothing, hit or miss, single range or multi-range.
+TEST(CrcMemoAlloc, HitsAndMissesAllocateNothing) {
+  Simulator sim;
+  SyntheticCrcMemo& memo = sim.crc_memo();
+  const std::uint64_t before = allocation_count();
+  for (int round = 0; round < 4; ++round) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      (void)memo.crc32_synthetic(seed, 0, 4 * kMiB);
+      Crc32 crc;
+      memo.update_synthetic(crc, seed, 0, kMiB);
+      memo.update_synthetic(crc, seed, 2 * kMiB, kMiB + 1);
+    }
+  }
+  EXPECT_EQ(allocation_count(), before);
+  EXPECT_GE(memo.misses(), 24u);
+  EXPECT_GT(memo.hits(), 0u);
+  EXPECT_EQ(memo.hits() + memo.misses(), 96u);
+}
+
 }  // namespace
 }  // namespace gdmp::sim

@@ -112,11 +112,13 @@ TEST(UrlCopy, StripedGetAssemblesFromMultipleSources) {
   TransferOptions options;
   options.parallel_streams = 2;
   bool done = false;
+  SimTime completed_at = -1;
   copier.striped_get({"gsiftp://s1:2811/pool/big", "gsiftp://s2:2811/pool/big",
                       "gsiftp://s3:2811/pool/big"},
                      "/local/big", f.pools[0].get(), options,
                      [&](Result<TransferResult> r) {
                        done = true;
+                       completed_at = f.simulator.now();
                        ASSERT_TRUE(r.is_ok()) << r.status().to_string();
                        EXPECT_EQ(r->bytes, size);
                        EXPECT_EQ(r->content_seed, 0xccu);
@@ -129,6 +131,10 @@ TEST(UrlCopy, StripedGetAssemblesFromMultipleSources) {
   ASSERT_TRUE(assembled.is_ok());
   EXPECT_EQ(assembled->size, size);
   EXPECT_EQ(assembled->content_seed, 0xccu);
+  // The assembled replica is stamped with the run's clock at completion
+  // (GdmpServer::publish copies this into the catalog).
+  EXPECT_GT(completed_at, 0);
+  EXPECT_EQ(assembled->modify_time, completed_at);
 }
 
 TEST(UrlCopy, StripedGetDetectsDivergentSources) {
