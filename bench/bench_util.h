@@ -219,8 +219,7 @@ inline TransferSample run_wan_get(
   gridftp::TransferOptions options;
   options.parallel_streams = streams;
   options.tcp_buffer = tcp_buffer;
-  options.transfer_model = model;
-  options.flow_engine = engine.get();
+  options.flow_engine = engine.get();  // null for kPacket
 
   TransferSample sample;
   // Let the cross traffic reach steady state before measuring.

@@ -29,8 +29,64 @@
 #                               # bench_copier_overhead and
 #                               # bench_scheduler runs,
 #                               # gated >15% ops/s vs bench/baselines/
+#   scripts/check.sh same-behaviour <base-ref>
+#                               # non-default: every perfbench workload
+#                               # (seed 5, 2 s, --trace 1) on <base-ref>
+#                               # and on the working tree must agree on
+#                               # every non-host per-layer metric and
+#                               # produce a byte-identical trace.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Non-default stage: proves a refactor changed nothing a run can observe.
+# <base-ref> is checked out into a temporary git worktree, and perfbench
+# builds and runs it there; the working tree (uncommitted edits included)
+# runs in place. "Non-host" metrics are the ones perfbench's self-test
+# compares (perfbench/run.py `deterministic`).
+if [ "${1:-}" = "same-behaviour" ]; then
+  base_ref="${2:?usage: scripts/check.sh same-behaviour <base-ref>}"
+  base_tree="$(mktemp -d /tmp/gdmp-same-behaviour.XXXXXX)"
+  trap 'git worktree remove --force "$base_tree" 2>/dev/null;
+        rm -rf "$base_tree"; git worktree prune' EXIT
+  git worktree add --detach "$base_tree" "$base_ref" >/dev/null
+  for workload in fanout_packet fanout_fluid wide_fluid objects_fluid; do
+    echo "==> same behaviour [$workload: $base_ref vs working tree]"
+    for tree in "$base_tree" .; do
+      (cd "$tree" && python3 perfbench/run.py --workload "$workload" \
+        --seed 5 --seconds 2 --trace 1 >/dev/null)
+    done
+    python3 - "$workload" "$base_tree/.bench_build/out/$workload-5" \
+      ".bench_build/out/$workload-5" <<'PY'
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, "perfbench")
+from run import deterministic  # noqa: E402
+
+workload, base, tree = sys.argv[1], Path(sys.argv[2]), Path(sys.argv[3])
+views = [deterministic(json.loads((d / "per_layer.json").read_text())["metrics"])
+         for d in (base, tree)]
+for name in sorted(set(views[0]) | set(views[1])):
+    if views[0].get(name) != views[1].get(name):
+        sys.exit(f"{workload}: per-layer {name} differs: base "
+                 f"{views[0].get(name)}, working tree {views[1].get(name)}")
+traces = [(d / "trace.json").read_bytes() for d in (base, tree)]
+if traces[0] != traces[1]:
+    at = next((i for i, (a, b) in enumerate(zip(*traces)) if a != b),
+              min(map(len, traces)))
+    window = [t[max(at - 120, 0):at + 120].decode(errors="replace")
+              for t in traces]
+    sys.exit(f"{workload}: trace.json differs from byte {at}:\n"
+             f"  base:         ...{window[0]}...\n"
+             f"  working tree: ...{window[1]}...")
+print(f"{workload}: {len(views[0])} per-layer metrics equal, "
+      f"trace.json identical ({len(traces[0])} bytes)")
+PY
+  done
+  echo "==> all checks passed: same-behaviour vs $base_ref"
+  exit 0
+fi
 
 # Non-default stage: wall-clock-sensitive, so it never rides the default
 # sweep (CI containers and loaded dev boxes would flake it). Run it by name

@@ -9,9 +9,13 @@
 // event count, which is what makes grid-scale scenarios (10^5+ concurrent
 // transfers, bench/bench_flow.cpp) feasible.
 //
-// gridftp::TransferOptions, gridftp::FtpServerConfig and
-// testbed::SiteConfig / GridConfig carry a {TransferModel, FlowEngine*}
-// pair; both paths emit identical Perf/Restart markers into
+// A scenario picks the model once: testbed::GridConfig::transfer_model
+// decides whether the grid builds a FlowEngine. Below that, the engine
+// pointer is the only switch — gridftp::TransferOptions,
+// gridftp::FtpServerConfig and testbed::SiteConfig carry a FlowEngine*
+// that selects the fluid data plane when set and the packet plane when
+// null. Both planes share GridFTP's control sequence, verification and
+// restart code and emit identical Perf/Restart markers into
 // obs::TransferChannel, so the scheduler's EWMA selector and tracing work
 // unchanged on either.
 #pragma once

@@ -22,77 +22,39 @@ GdmpServer::GdmpServer(SiteServices& site, GdmpConfig config,
       rng_(0x6d6d ^ std::hash<std::string>{}(site.site_name)) {
   // Handlers live in the RpcServer's method table; guard them so a handler
   // dispatched during teardown cannot touch a dead GdmpServer.
-  std::weak_ptr<bool> alive = alive_;
+  const auto guard = [this](auto handler) {
+    return rpc::guarded(this, alive_, "server stopped", handler);
+  };
   rpc_.register_method(
-      kMethodSubscribe,
-      [this, alive](const security::GsiContext& peer, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_subscribe(peer, p, std::move(r));
-      });
+      kMethodSubscribe, guard([](auto& self, auto& peer, auto, auto p, auto r) {
+        self.handle_subscribe(peer, p, std::move(r));
+      }));
   rpc_.register_method(
       kMethodUnsubscribe,
-      [this, alive](const security::GsiContext& peer, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_unsubscribe(peer, p, std::move(r));
-      });
+      guard([](auto& self, auto& peer, auto, auto p, auto r) {
+        self.handle_unsubscribe(peer, p, std::move(r));
+      }));
   rpc_.register_method(
-      kMethodNotify,
-      [this, alive](const security::GsiContext& peer, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_notify(peer, p, std::move(r));
-      });
+      kMethodNotify, guard([](auto& self, auto& peer, auto, auto p, auto r) {
+        self.handle_notify(peer, p, std::move(r));
+      }));
   rpc_.register_method(
-      kMethodGetCatalog,
-      [this, alive](const security::GsiContext& peer, std::uint64_t,
-                    std::span<const std::uint8_t>, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_get_catalog(peer, std::move(r));
-      });
+      kMethodGetCatalog, guard([](auto& self, auto& peer, auto, auto, auto r) {
+        self.handle_get_catalog(peer, std::move(r));
+      }));
   rpc_.register_method(
-      kMethodStage,
-      [this, alive](const security::GsiContext& peer, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_stage(peer, p, std::move(r));
-      });
+      kMethodStage, guard([](auto& self, auto& peer, auto, auto p, auto r) {
+        self.handle_stage(peer, p, std::move(r));
+      }));
   rpc_.register_method(
-      "gdmp.release",
-      [this, alive](const security::GsiContext&, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_release(p, std::move(r));
-      });
+      "gdmp.release", guard([](auto& self, auto&, auto, auto p, auto r) {
+        self.handle_release(p, std::move(r));
+      }));
   rpc_.register_method(
       kMethodDeleteFile,
-      [this, alive](const security::GsiContext& peer, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "server stopped"), {});
-          return;
-        }
-        handle_delete(peer, p, std::move(r));
-      });
+      guard([](auto& self, auto& peer, auto, auto p, auto r) {
+        self.handle_delete(peer, p, std::move(r));
+      }));
 }
 
 GdmpServer::~GdmpServer() {

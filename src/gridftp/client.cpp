@@ -1,6 +1,7 @@
 #include "gridftp/client.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/crc32.h"
 #include "common/logging.h"
@@ -8,11 +9,6 @@
 
 namespace gdmp::gridftp {
 namespace {
-
-bool fluid_selected(const TransferOptions& options) noexcept {
-  return options.transfer_model == flow::TransferModel::kFluid &&
-         options.flow_engine != nullptr;
-}
 
 /// Content identity of a stored *partial* file: a subrange of a synthetic
 /// stream is itself a fresh stream with a derived seed (DESIGN.md §2).
@@ -60,11 +56,22 @@ struct FtpClient::Transfer : std::enable_shared_from_this<Transfer> {
   // Resolved transfer geometry.
   Bytes file_size = 0;
   std::vector<ByteRange> requested;      // original resolved ranges
-  std::vector<ByteRange> attempt_ranges; // what this attempt fetches
+  std::vector<ByteRange> attempt_ranges; // what this attempt moves
 
-  // Data plane.
+  // Packet data plane: one TCP stream per stripe.
   std::vector<net::TcpConnection::Ptr> streams;
   std::vector<std::unique_ptr<BlockStreamParser>> parsers;
+  int streams_established = 0;
+
+  // Fluid data plane (options.flow_engine set): one flow per stripe.
+  std::vector<flow::FlowId> flows;
+  std::vector<std::vector<ByteRange>> flow_ranges;  // stripe -> ranges
+  std::vector<std::uint64_t> flow_seeds;            // stripe -> content seed
+  std::vector<std::uint8_t> fluid_reply;            // saved FGET reply
+  Bytes payload_base = 0;  // payload delivered by earlier attempts
+  int flows_outstanding = 0;
+
+  // What a get received, on either plane.
   RangeSet received;
   std::map<Bytes, std::pair<Bytes, std::uint64_t>> blocks;  // offset -> {len, seed}
   Bytes payload_bytes = 0;  // progress counter for the rate monitor
@@ -87,17 +94,9 @@ struct FtpClient::Transfer : std::enable_shared_from_this<Transfer> {
   std::vector<obs::SpanId> stream_spans;
   std::vector<Bytes> stream_bytes;
 
-  // Fluid path (options.transfer_model == kFluid): one flow per stripe in
-  // place of the TCP data streams; the control channel, verification and
-  // restart logic are shared with the packet path.
-  std::vector<flow::FlowId> flows;
-  std::vector<std::vector<ByteRange>> flow_ranges;  // stripe -> ranges
-  std::vector<std::uint64_t> flow_seeds;            // stripe -> content seed
-  std::vector<std::uint8_t> fluid_reply;            // saved FGET/STOR-style reply
-  Bytes payload_base = 0;  // payload delivered by earlier attempts
-  int flows_outstanding = 0;
-
-  void close_streams() {
+  /// Tears down this attempt's data plane: the TCP streams or the fluid
+  /// flows, whichever is in use (the other is empty).
+  void close_data_plane() {
     auto& tracer = obs::Tracer::global();
     for (const obs::SpanId stream_span : stream_spans) {
       tracer.end(stream_span);
@@ -115,6 +114,25 @@ struct FtpClient::Transfer : std::enable_shared_from_this<Transfer> {
     }
     streams.clear();
     parsers.clear();
+    for (const flow::FlowId id : flows) {
+      options.flow_engine->cancel(id);  // FlowDone callbacks no-op: epoch/finished guards
+    }
+    flows.clear();
+    flows_outstanding = 0;
+  }
+
+  /// Marks the transfer finished and releases everything it holds open:
+  /// the rate monitor, the data plane and the control channel.
+  void shut_down() {
+    finished = true;
+    if (monitor) {
+      monitor->stop();
+      // The timer's callback captures this transfer; destroying the timer
+      // breaks that reference cycle (stop() alone leaves the closure alive).
+      monitor.reset();
+    }
+    close_data_plane();
+    if (rpc) rpc->close();
   }
 
   std::int64_t sum_retransmits() const {
@@ -144,14 +162,7 @@ FtpClient::~FtpClient() {
   for (std::weak_ptr<Transfer>& weak : in_flight) {
     auto transfer = weak.lock();
     if (!transfer || transfer->finished) continue;
-    transfer->finished = true;
-    if (transfer->monitor) {
-      transfer->monitor->stop();
-      transfer->monitor.reset();
-    }
-    transfer->close_streams();
-    cancel_flows(transfer);
-    if (transfer->rpc) transfer->rpc->close();
+    transfer->shut_down();
     if (transfer->span.valid()) {
       auto& tracer = obs::Tracer::global();
       tracer.attr(transfer->span, "status", "cancelled: client destroyed");
@@ -177,11 +188,9 @@ FtpClient::~FtpClient() {
 FtpClient::ControlRpc FtpClient::make_control_rpc(net::NodeId server,
                                                   net::Port port,
                                                   SimDuration timeout) {
-  // gdmp-lint: hot-alloc — one shared box per control RPC (size/checksum/delete/3rd-party)
   auto rpc = std::make_shared<std::unique_ptr<rpc::RpcClient>>(
       make_rpc(server, port, timeout));
   std::erase_if(control_rpcs_, [](const auto& w) { return w.expired(); });
-  // gdmp-lint: hot-alloc — one registry slot per control RPC, reclaimed on the next call
   control_rpcs_.push_back(rpc);
   return rpc;
 }
@@ -196,14 +205,19 @@ std::unique_ptr<rpc::RpcClient> FtpClient::make_rpc(
 }
 
 std::shared_ptr<FtpClient::Transfer> FtpClient::make_transfer(
-    net::NodeId server, net::Port port, const TransferOptions& options,
-    Done done) {
+    net::NodeId server, net::Port port, bool is_put,
+    const std::string& remote_path, const std::string& local_path,
+    storage::DiskPool* pool, const TransferOptions& options, Done done) {
   // gdmp-lint: hot-alloc — one state block per transfer, amortised over its lifetime
   auto transfer = std::make_shared<Transfer>();
   transfer->server = server;
   transfer->control_port = port;
   transfer->options = options;
   transfer->done = std::move(done);
+  transfer->is_put = is_put;
+  transfer->remote_path = remote_path;
+  transfer->local_path = local_path;
+  transfer->pool = pool;
   transfer->started_at = stack_.simulator().now();
   transfer->rpc = make_rpc(server, port, options.rpc_timeout);
   auto& tracer = obs::Tracer::global();
@@ -212,6 +226,7 @@ std::shared_ptr<FtpClient::Transfer> FtpClient::make_transfer(
     tracer.attr(transfer->span, "streams",
                 static_cast<std::int64_t>(options.parallel_streams));
   }
+  tracer.attr(transfer->span, "path", remote_path);
   std::erase_if(in_flight_,
                 [](const std::weak_ptr<Transfer>& t) { return t.expired(); });
   // gdmp-lint: hot-alloc — one registry slot per transfer, amortised over its lifetime
@@ -223,13 +238,9 @@ void FtpClient::get(net::NodeId server, net::Port control_port,
                     const std::string& remote_path,
                     const std::string& local_path, storage::DiskPool* pool,
                     const TransferOptions& options, Done done) {
-  auto transfer = make_transfer(server, control_port, options, std::move(done));
-  transfer->is_put = false;
-  transfer->remote_path = remote_path;
-  transfer->local_path = local_path;
-  transfer->pool = pool;
-  obs::Tracer::global().attr(transfer->span, "path", remote_path);
-
+  auto transfer = make_transfer(server, control_port, /*is_put=*/false,
+                                remote_path, local_path, pool, options,
+                                std::move(done));
   std::weak_ptr<bool> alive = alive_;
   // Resolve the file size first (needed for open-ended ranges and bounds).
   rpc::Writer w;
@@ -255,83 +266,131 @@ void FtpClient::get(net::NodeId server, net::Port control_port,
         }
         transfer->requested = {range};
         transfer->attempt_ranges = {range};
-        start_get_attempt(transfer);
+        start_attempt(transfer);
       });
 }
 
-void FtpClient::start_get_attempt(const std::shared_ptr<Transfer>& transfer) {
-  if (fluid_selected(transfer->options)) {
-    start_fluid_get_attempt(transfer);
+void FtpClient::put(net::NodeId server, net::Port control_port,
+                    storage::DiskPool& pool, const std::string& local_path,
+                    const std::string& remote_path,
+                    const TransferOptions& options, Done done) {
+  auto transfer = make_transfer(server, control_port, /*is_put=*/true,
+                                remote_path, local_path, &pool, options,
+                                std::move(done));
+  auto file = pool.lookup(local_path);
+  if (!file.is_ok()) {
+    complete(transfer, file.status());
     return;
   }
-  ++transfer->attempts;
-  transfer->close_streams();
-  std::weak_ptr<bool> alive = alive_;
+  transfer->file_size = file->size;
+  transfer->source_seed = file->content_seed;
+  transfer->source_crc = file->crc();
+  transfer->requested = {ByteRange{0, file->size}};
+  transfer->attempt_ranges = transfer->requested;
+  start_attempt(transfer);
+}
 
-  rpc::Writer sbuf;
-  sbuf.i64(transfer->options.tcp_buffer);
+void FtpClient::start_attempt(const std::shared_ptr<Transfer>& transfer) {
+  ++transfer->attempts;
+  transfer->close_data_plane();
+  transfer->payload_base = transfer->payload_bytes;
+  std::weak_ptr<bool> alive = alive_;
+  const int streams = transfer->options.parallel_streams;
+
+  if (transfer->options.flow_engine == nullptr) {
+    // Packet get or put: SBUF, PASV, open the data streams, then RETR or
+    // STOR (streams_ready).
+    rpc::Writer sbuf;
+    sbuf.i64(transfer->options.tcp_buffer);
+    transfer->rpc->call(
+        kCmdSetBuffer, sbuf.take(),
+        [this, alive, transfer](Status status, std::vector<std::uint8_t>) {
+          if (alive.expired() || transfer->finished) return;
+          if (!status.is_ok()) {
+            complete(transfer, status);
+            return;
+          }
+          rpc::Writer pasv;
+          pasv.u32(static_cast<std::uint32_t>(
+              transfer->options.parallel_streams));
+          transfer->rpc->call(
+              kCmdPassive, pasv.take(),
+              [this, alive, transfer](Status pasv_status,
+                                      std::vector<std::uint8_t> reply) {
+                if (alive.expired() || transfer->finished) return;
+                if (!pasv_status.is_ok()) {
+                  complete(transfer, pasv_status);
+                  return;
+                }
+                rpc::Reader r(reply);
+                transfer->data_port = r.u16();
+                transfer->token = r.u64();
+                open_streams(transfer);
+              });
+        });
+    return;
+  }
+
+  if (transfer->is_put) {
+    // FPUT carries no stream count, so only the lower bound is checked.
+    if (Status valid =
+            check_stream_count(streams, std::numeric_limits<int>::max());
+        !valid.is_ok()) {
+      complete(transfer, std::move(valid));
+      return;
+    }
+    transfer->flow_ranges = stripe_ranges(transfer->attempt_ranges, streams);
+    launch_flows(transfer);
+    return;
+  }
+
+  // Fluid get: one metadata round-trip replaces SBUF/PASV/RETR. The server
+  // resolves the ranges, charges the source disk read, and returns the
+  // content identity per stripe (a poisoned stripe seed is the fluid
+  // analogue of a corrupted wire block — the shared verification path
+  // re-requests it).
+  rpc::Writer w;
+  w.str(transfer->remote_path);
+  w.u32(static_cast<std::uint32_t>(streams));
+  write_ranges(w, transfer->attempt_ranges);
   transfer->rpc->call(
-      "SBUF", sbuf.take(),
-      [this, alive, transfer](Status status, std::vector<std::uint8_t>) {
+      kCmdFluidGet, w.take(),
+      [this, alive, transfer](Status status, std::vector<std::uint8_t> reply) {
         if (alive.expired() || transfer->finished) return;
         if (!status.is_ok()) {
-          complete(transfer, status);
+          finish_get_attempt(transfer, std::move(status), reply);
           return;
         }
-        rpc::Writer pasv;
-        pasv.u32(static_cast<std::uint32_t>(
-            transfer->options.parallel_streams));
-        transfer->rpc->call(
-            kCmdPassive, pasv.take(),
-            [this, alive, transfer](Status pasv_status,
-                                    std::vector<std::uint8_t> reply) {
-              if (alive.expired() || transfer->finished) return;
-              if (!pasv_status.is_ok()) {
-                complete(transfer, pasv_status);
-                return;
-              }
-              rpc::Reader r(reply);
-              transfer->data_port = r.u16();
-              transfer->token = r.u64();
-              open_streams(transfer, [this, alive, transfer] {
-                if (alive.expired() || transfer->finished) return;
-                rpc::Writer retr;
-                retr.u64(transfer->token);
-                retr.str(transfer->remote_path);
-                retr.u32(static_cast<std::uint32_t>(
-                    transfer->attempt_ranges.size()));
-                for (const ByteRange& range : transfer->attempt_ranges) {
-                  retr.i64(range.offset);
-                  retr.i64(range.length);
-                }
-                transfer->rpc->call(
-                    kCmdRetrieve, retr.take(),
-                    [this, alive, transfer](Status retr_status,
-                                            std::vector<std::uint8_t> rep) {
-                      if (alive.expired() || transfer->finished) return;
-                      finish_get_attempt(transfer, std::move(retr_status),
-                                         rep);
-                    });
-              });
-            });
+        rpc::Reader r(reply);
+        (void)r.i64();  // total bytes; re-read by finish_get_attempt
+        (void)r.u32();  // server CRC; re-read by finish_get_attempt
+        const std::uint32_t stripes = r.u32();
+        transfer->flow_seeds.clear();
+        for (std::uint32_t i = 0; i < stripes && r.ok(); ++i) {
+          transfer->flow_seeds.push_back(r.u64());
+        }
+        if (!r.ok() || stripes == 0) {
+          complete(transfer,
+                   make_error(ErrorCode::kInternal, "malformed FGET reply"));
+          return;
+        }
+        transfer->fluid_reply = std::move(reply);
+        transfer->flow_ranges = stripe_ranges(transfer->attempt_ranges,
+                                              static_cast<int>(stripes));
+        launch_flows(transfer);
       });
 }
 
-void FtpClient::open_streams(const std::shared_ptr<Transfer>& transfer,
-                             std::function<void()> when_ready) {
+void FtpClient::open_streams(const std::shared_ptr<Transfer>& transfer) {
   const int n = transfer->options.parallel_streams;
   net::TcpConfig tcp;
   tcp.send_buffer = transfer->options.tcp_buffer;
   tcp.recv_buffer = transfer->options.tcp_buffer;
-
-  // gdmp-lint: hot-alloc — per-transfer stream setup, once before data flows
-  auto established = std::make_shared<int>(0);
-  // gdmp-lint: hot-alloc — per-transfer stream setup, once before data flows
-  auto ready = std::make_shared<std::function<void()>>(std::move(when_ready));
   std::weak_ptr<bool> alive = alive_;
 
   transfer->streams.resize(static_cast<std::size_t>(n));
   transfer->parsers.resize(static_cast<std::size_t>(n));
+  transfer->streams_established = 0;
   transfer->stream_bytes.assign(static_cast<std::size_t>(n), 0);
   transfer->stream_spans.assign(static_cast<std::size_t>(n), obs::SpanId{});
   auto& tracer = obs::Tracer::global();
@@ -374,8 +433,8 @@ void FtpClient::open_streams(const std::shared_ptr<Transfer>& transfer,
     // Weak self-reference: a strong `conn` capture in its own callback slot
     // would cycle (conn -> on_established -> conn) and leak failed streams.
     std::weak_ptr<net::TcpConnection> weak_conn = conn;
-    conn->on_established = [this, alive, transfer, weak_conn, i, n, established,
-                            ready](const Status& status) {
+    conn->on_established = [this, alive, transfer, weak_conn, i,
+                            n](const Status& status) {
       if (alive.expired() || transfer->finished) return;
       if (!status.is_ok()) {
         complete(transfer, status);
@@ -389,11 +448,7 @@ void FtpClient::open_streams(const std::shared_ptr<Transfer>& transfer,
       rpc::Writer w;
       hello.encode(w);
       conn->send(w.take());
-      if (++*established == n && *ready) {
-        auto fn = std::move(*ready);
-        *ready = nullptr;
-        fn();
-      }
+      if (++transfer->streams_established == n) streams_ready(transfer);
     };
     // Stream failures surface through the server's RETR/STOR error reply
     // (the server observes the same close); nothing to do here beyond
@@ -403,6 +458,133 @@ void FtpClient::open_streams(const std::shared_ptr<Transfer>& transfer,
 
   // Throughput instrumentation: sample payload progress periodically.
   ensure_monitor(transfer);
+}
+
+void FtpClient::streams_ready(const std::shared_ptr<Transfer>& transfer) {
+  rpc::Writer command;
+  command.u64(transfer->token);
+  command.str(transfer->remote_path);
+  if (!transfer->is_put) {
+    write_ranges(command, transfer->attempt_ranges);
+    call_closing(transfer, kCmdRetrieve, command.take());
+    return;
+  }
+  // Issue STOR, then stream the blocks in the stripe layout of a RETR.
+  command.i64(transfer->file_size);
+  call_closing(transfer, kCmdStore, command.take());
+  const auto per_stream = stripe_ranges(transfer->attempt_ranges,
+                                        transfer->options.parallel_streams);
+  for (std::size_t i = 0; i < transfer->streams.size(); ++i) {
+    auto& conn = transfer->streams[i];
+    for (const ByteRange& part : per_stream[i]) {
+      BlockHeader header;
+      header.offset = part.offset;
+      header.length = part.length;
+      header.content_seed = transfer->source_seed;
+      rpc::Writer w;
+      header.encode(w);
+      conn->send(w.take());
+      conn->send_synthetic(part.length);
+      transfer->payload_bytes += part.length;
+      transfer->stream_bytes[i] += part.length;
+      transfer->pool->disk().read(part.length, [] {});
+    }
+    BlockHeader eod;
+    eod.offset = -1;
+    rpc::Writer w;
+    eod.encode(w);
+    conn->send(w.take());
+  }
+}
+
+void FtpClient::launch_flows(const std::shared_ptr<Transfer>& transfer) {
+  const std::size_t stripes = transfer->flow_ranges.size();
+  transfer->flows.assign(stripes, flow::FlowId{});
+  transfer->stream_bytes.assign(stripes, 0);
+  transfer->flows_outstanding = 0;
+  ensure_monitor(transfer);
+
+  flow::FlowEngine* engine = transfer->options.flow_engine;
+  std::weak_ptr<bool> alive = alive_;
+  const int attempt = transfer->attempts;
+  const net::NodeId local = stack_.node().id();
+  for (std::size_t i = 0; i < stripes; ++i) {
+    Bytes stripe_bytes = 0;
+    for (const ByteRange& range : transfer->flow_ranges[i]) {
+      stripe_bytes += range.length;
+    }
+    if (stripe_bytes == 0) continue;
+    if (transfer->is_put) transfer->pool->disk().read(stripe_bytes, [] {});
+    flow::FlowSpec spec;
+    spec.src = transfer->is_put ? local : transfer->server;
+    spec.dst = transfer->is_put ? transfer->server : local;
+    spec.bytes = stripe_bytes;
+    spec.window = transfer->options.tcp_buffer;
+    ++transfer->flows_outstanding;
+    transfer->flows[i] = engine->start(
+        spec,
+        [this, alive, transfer, i, attempt](const flow::FlowDone& done) {
+          if (alive.expired() || transfer->finished ||
+              transfer->attempts != attempt || !done.ok) {
+            return;
+          }
+          Bytes stripe_total = 0;
+          for (const ByteRange& range : transfer->flow_ranges[i]) {
+            if (!transfer->is_put) {
+              transfer->received.add(range.offset, range.length);
+              transfer->blocks[range.offset] = {range.length,
+                                                transfer->flow_seeds[i]};
+            }
+            stripe_total += range.length;
+          }
+          transfer->stream_bytes[i] = stripe_total;
+          // Recompute (not +=): the monitor may have already pulled a
+          // partial count for this stripe into payload_bytes.
+          Bytes attempt_sum = 0;
+          for (const Bytes b : transfer->stream_bytes) attempt_sum += b;
+          transfer->payload_bytes = transfer->payload_base + attempt_sum;
+          if (--transfer->flows_outstanding == 0) flows_drained(transfer);
+        });
+    if (!transfer->flows[i].valid()) {
+      --transfer->flows_outstanding;
+      complete(transfer, make_error(ErrorCode::kUnavailable,
+                                    "no route for fluid flow"));
+      return;
+    }
+  }
+  if (transfer->flows_outstanding == 0) flows_drained(transfer);
+}
+
+void FtpClient::flows_drained(const std::shared_ptr<Transfer>& transfer) {
+  transfer->flows.clear();
+  if (!transfer->is_put) {
+    finish_get_attempt(transfer, Status::ok(), transfer->fluid_reply);
+    return;
+  }
+  // All payload delivered: commit on the server (FPUT charges the
+  // destination disk write and replies with the stored CRC, which
+  // finish_put_attempt verifies as after a STOR).
+  rpc::Writer commit;
+  commit.str(transfer->remote_path);
+  commit.i64(transfer->file_size);
+  commit.u64(transfer->source_seed);
+  call_closing(transfer, kCmdFluidPut, commit.take());
+}
+
+void FtpClient::call_closing(const std::shared_ptr<Transfer>& transfer,
+                             const char* command,
+                             std::vector<std::uint8_t> params) {
+  transfer->rpc->call(
+      command, std::move(params),
+      [this, alive = std::weak_ptr<bool>(alive_), transfer](
+          Status status, std::vector<std::uint8_t> reply) {
+        if (alive.expired() || transfer->finished) return;
+        if (transfer->is_put) {
+          finish_put_attempt(transfer, std::move(status), reply);
+        } else {
+          finish_get_attempt(transfer, std::move(status), reply);
+        }
+      });
 }
 
 void FtpClient::ensure_monitor(const std::shared_ptr<Transfer>& transfer) {
@@ -457,186 +639,6 @@ void FtpClient::monitor_tick(const std::shared_ptr<Transfer>& transfer) {
   }
 }
 
-void FtpClient::cancel_flows(const std::shared_ptr<Transfer>& transfer) {
-  if (transfer->flows.empty()) return;
-  flow::FlowEngine* engine = transfer->options.flow_engine;
-  for (const flow::FlowId id : transfer->flows) {
-    engine->cancel(id);  // FlowDone callbacks no-op: epoch/finished guards
-  }
-  transfer->flows.clear();
-  transfer->flows_outstanding = 0;
-}
-
-void FtpClient::start_fluid_get_attempt(
-    const std::shared_ptr<Transfer>& transfer) {
-  ++transfer->attempts;
-  cancel_flows(transfer);
-  transfer->payload_base = transfer->payload_bytes;
-  std::weak_ptr<bool> alive = alive_;
-
-  // One metadata round-trip replaces SBUF/PASV/RETR: the server resolves
-  // the ranges, charges the source disk read, and returns the content
-  // identity per stripe (a poisoned stripe seed is the fluid analogue of a
-  // corrupted wire block — the shared verification path re-requests it).
-  rpc::Writer w;
-  w.str(transfer->remote_path);
-  w.u32(static_cast<std::uint32_t>(transfer->options.parallel_streams));
-  w.u32(static_cast<std::uint32_t>(transfer->attempt_ranges.size()));
-  for (const ByteRange& range : transfer->attempt_ranges) {
-    w.i64(range.offset);
-    w.i64(range.length);
-  }
-  transfer->rpc->call(
-      kCmdFluidGet, w.take(),
-      [this, alive, transfer](Status status, std::vector<std::uint8_t> reply) {
-        if (alive.expired() || transfer->finished) return;
-        if (!status.is_ok()) {
-          finish_get_attempt(transfer, std::move(status), reply);
-          return;
-        }
-        rpc::Reader r(reply);
-        (void)r.i64();  // total bytes; re-read by finish_get_attempt
-        (void)r.u32();  // server CRC; re-read by finish_get_attempt
-        const std::uint32_t stripes = r.u32();
-        transfer->flow_seeds.clear();
-        for (std::uint32_t i = 0; i < stripes && r.ok(); ++i) {
-          transfer->flow_seeds.push_back(r.u64());
-        }
-        if (!r.ok() || stripes == 0) {
-          complete(transfer,
-                   make_error(ErrorCode::kInternal, "malformed FGET reply"));
-          return;
-        }
-        transfer->fluid_reply = std::move(reply);
-        transfer->flow_ranges = stripe_ranges(
-            transfer->attempt_ranges, static_cast<int>(stripes));
-        transfer->flows.assign(stripes, flow::FlowId{});
-        transfer->stream_bytes.assign(stripes, 0);
-        transfer->flows_outstanding = 0;
-        ensure_monitor(transfer);
-
-        flow::FlowEngine* engine = transfer->options.flow_engine;
-        const int attempt = transfer->attempts;
-        for (std::uint32_t i = 0; i < stripes; ++i) {
-          Bytes stripe_bytes = 0;
-          for (const ByteRange& range : transfer->flow_ranges[i]) {
-            stripe_bytes += range.length;
-          }
-          if (stripe_bytes == 0) continue;
-          flow::FlowSpec spec;
-          spec.src = transfer->server;
-          spec.dst = stack_.node().id();
-          spec.bytes = stripe_bytes;
-          spec.window = transfer->options.tcp_buffer;
-          ++transfer->flows_outstanding;
-          transfer->flows[i] = engine->start(
-              spec, [this, alive, transfer, i, attempt](
-                        const flow::FlowDone& done) {
-                if (alive.expired() || transfer->finished ||
-                    transfer->attempts != attempt || !done.ok) {
-                  return;
-                }
-                Bytes stripe_total = 0;
-                for (const ByteRange& range : transfer->flow_ranges[i]) {
-                  transfer->received.add(range.offset, range.length);
-                  transfer->blocks[range.offset] = {range.length,
-                                                    transfer->flow_seeds[i]};
-                  stripe_total += range.length;
-                }
-                transfer->stream_bytes[i] = stripe_total;
-                // Recompute (not +=): the monitor may have already pulled a
-                // partial count for this stripe into payload_bytes.
-                Bytes attempt_sum = 0;
-                for (const Bytes b : transfer->stream_bytes) attempt_sum += b;
-                transfer->payload_bytes = transfer->payload_base + attempt_sum;
-                if (--transfer->flows_outstanding == 0) {
-                  transfer->flows.clear();
-                  finish_get_attempt(transfer, Status::ok(),
-                                     transfer->fluid_reply);
-                }
-              });
-          if (!transfer->flows[i].valid()) {
-            --transfer->flows_outstanding;
-            complete(transfer, make_error(ErrorCode::kUnavailable,
-                                          "no route for fluid flow"));
-            return;
-          }
-        }
-        if (transfer->flows_outstanding == 0) {
-          transfer->flows.clear();
-          finish_get_attempt(transfer, Status::ok(), transfer->fluid_reply);
-        }
-      });
-}
-
-void FtpClient::start_fluid_put_attempt(
-    const std::shared_ptr<Transfer>& transfer) {
-  ++transfer->attempts;
-  cancel_flows(transfer);
-  transfer->payload_base = transfer->payload_bytes;
-  std::weak_ptr<bool> alive = alive_;
-
-  const auto parts = partition_range(ByteRange{0, transfer->file_size},
-                                     transfer->options.parallel_streams,
-                                     transfer->file_size);
-  transfer->flow_ranges.assign(parts.size(), {});
-  transfer->flows.assign(parts.size(), flow::FlowId{});
-  transfer->stream_bytes.assign(parts.size(), 0);
-  transfer->flows_outstanding = 0;
-  ensure_monitor(transfer);
-
-  flow::FlowEngine* engine = transfer->options.flow_engine;
-  const int attempt = transfer->attempts;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    transfer->flow_ranges[i] = {parts[i]};
-    transfer->pool->disk().read(parts[i].length, [] {});
-    flow::FlowSpec spec;
-    spec.src = stack_.node().id();
-    spec.dst = transfer->server;
-    spec.bytes = parts[i].length;
-    spec.window = transfer->options.tcp_buffer;
-    ++transfer->flows_outstanding;
-    transfer->flows[i] = engine->start(
-        spec,
-        [this, alive, transfer, i, attempt](const flow::FlowDone& done) {
-          if (alive.expired() || transfer->finished ||
-              transfer->attempts != attempt || !done.ok) {
-            return;
-          }
-          transfer->stream_bytes[i] = done.transferred;
-          Bytes attempt_sum = 0;
-          for (const Bytes b : transfer->stream_bytes) attempt_sum += b;
-          transfer->payload_bytes = transfer->payload_base + attempt_sum;
-          if (--transfer->flows_outstanding > 0) return;
-          transfer->flows.clear();
-          // All payload delivered: commit on the server (FPUT charges the
-          // destination disk write and replies with the stored CRC, which
-          // finish_put_attempt verifies as after a STOR).
-          rpc::Writer commit;
-          commit.str(transfer->remote_path);
-          commit.i64(transfer->file_size);
-          commit.u64(transfer->source_seed);
-          transfer->rpc->call(
-              kCmdFluidPut, commit.take(),
-              [this, alive, transfer](Status status,
-                                      std::vector<std::uint8_t> reply) {
-                if (alive.expired() || transfer->finished) return;
-                finish_put_attempt(transfer, std::move(status), reply);
-              });
-        });
-    if (!transfer->flows[i].valid()) {
-      --transfer->flows_outstanding;
-      complete(transfer, make_error(ErrorCode::kUnavailable,
-                                    "no route for fluid flow"));
-      return;
-    }
-  }
-  if (parts.empty()) {
-    complete(transfer,
-             make_error(ErrorCode::kInvalidArgument, "empty fluid PUT"));
-  }
-}
-
 void FtpClient::finish_get_attempt(const std::shared_ptr<Transfer>& transfer,
                                    Status status,
                                    std::span<const std::uint8_t> reply) {
@@ -682,9 +684,12 @@ void FtpClient::finish_get_attempt(const std::shared_ptr<Transfer>& transfer,
 
   // Identify the file's true content: the smallest block seed whose
   // full-range CRC matches the server-side reference. Blocks carrying any
-  // other seed were corrupted on the wire and are re-requested.
+  // other seed were corrupted on the wire and are re-requested. A
+  // zero-byte request moves no block, so there is no seed to vote on, and
+  // none is needed: the CRC of zero bytes is the same for every seed.
+  const ByteRange& whole = transfer->requested.front();
   std::uint64_t true_seed = 0;
-  bool seed_known = false;
+  bool seed_known = whole.length == 0;
   auto& memo = stack_.simulator().crc_memo();
   for (auto seed = next_block_seed(transfer->blocks, std::nullopt); seed;
        seed = next_block_seed(transfer->blocks, seed)) {
@@ -726,32 +731,16 @@ void FtpClient::finish_get_attempt(const std::shared_ptr<Transfer>& transfer,
                              "CRC/coverage check failed after transfer"));
     return;
   }
-  const std::uint64_t majority_seed = true_seed;
-  const std::uint32_t computed = transfer->source_crc;
 
   // Success: optionally materialize the file locally.
-  TransferResult result;
-  result.bytes = transfer->received.total_bytes();
-  result.elapsed = stack_.simulator().now() - transfer->started_at;
-  result.mbps = throughput_mbps(result.bytes, result.elapsed);
-  result.crc = computed;
-  result.attempts = transfer->attempts;
-  result.streams = transfer->options.parallel_streams;
-  result.retransmitted_segments = transfer->sum_retransmits();
-  result.rate_series = transfer->rate_series;
-
-  const ByteRange& whole = transfer->requested.front();
   const bool full_file =
       whole.offset == 0 && whole.length == transfer->file_size;
-  result.source_seed = majority_seed;
-  result.content_seed =
-      full_file ? majority_seed
-                : derive_partial_seed(majority_seed, whole.offset,
-                                      whole.length);
-
+  const std::uint64_t content_seed =
+      full_file ? true_seed
+                : derive_partial_seed(true_seed, whole.offset, whole.length);
   if (transfer->pool != nullptr) {
     auto added = transfer->pool->add_file(
-        transfer->local_path, whole.length, result.content_seed,
+        transfer->local_path, whole.length, content_seed,
         stack_.simulator().now());
     if (!added.is_ok()) {
       complete(transfer, added.status());
@@ -759,108 +748,7 @@ void FtpClient::finish_get_attempt(const std::shared_ptr<Transfer>& transfer,
     }
     transfer->pool->disk().write(whole.length, [] {});
   }
-  complete(transfer, std::move(result));
-}
-
-void FtpClient::put(net::NodeId server, net::Port control_port,
-                    storage::DiskPool& pool, const std::string& local_path,
-                    const std::string& remote_path,
-                    const TransferOptions& options, Done done) {
-  auto transfer = make_transfer(server, control_port, options, std::move(done));
-  transfer->is_put = true;
-  transfer->remote_path = remote_path;
-  transfer->local_path = local_path;
-  transfer->pool = &pool;
-  obs::Tracer::global().attr(transfer->span, "path", remote_path);
-
-  auto file = pool.lookup(local_path);
-  if (!file.is_ok()) {
-    complete(transfer, file.status());
-    return;
-  }
-  transfer->file_size = file->size;
-  transfer->source_seed = file->content_seed;
-  transfer->source_crc = file->crc();
-  transfer->requested = {ByteRange{0, file->size}};
-  start_put_attempt(transfer);
-}
-
-void FtpClient::start_put_attempt(const std::shared_ptr<Transfer>& transfer) {
-  if (fluid_selected(transfer->options)) {
-    start_fluid_put_attempt(transfer);
-    return;
-  }
-  ++transfer->attempts;
-  transfer->close_streams();
-  std::weak_ptr<bool> alive = alive_;
-
-  rpc::Writer sbuf;
-  sbuf.i64(transfer->options.tcp_buffer);
-  transfer->rpc->call(
-      "SBUF", sbuf.take(),
-      [this, alive, transfer](Status status, std::vector<std::uint8_t>) {
-        if (alive.expired() || transfer->finished) return;
-        if (!status.is_ok()) {
-          complete(transfer, status);
-          return;
-        }
-        rpc::Writer pasv;
-        pasv.u32(static_cast<std::uint32_t>(
-            transfer->options.parallel_streams));
-        transfer->rpc->call(
-            kCmdPassive, pasv.take(),
-            [this, alive, transfer](Status pasv_status,
-                                    std::vector<std::uint8_t> reply) {
-              if (alive.expired() || transfer->finished) return;
-              if (!pasv_status.is_ok()) {
-                complete(transfer, pasv_status);
-                return;
-              }
-              rpc::Reader r(reply);
-              transfer->data_port = r.u16();
-              transfer->token = r.u64();
-              open_streams(transfer, [this, alive, transfer] {
-                if (alive.expired() || transfer->finished) return;
-                // Issue STOR, then stream the blocks.
-                rpc::Writer stor;
-                stor.u64(transfer->token);
-                stor.str(transfer->remote_path);
-                stor.i64(transfer->file_size);
-                transfer->rpc->call(
-                    kCmdStore, stor.take(),
-                    [this, alive, transfer](Status stor_status,
-                                            std::vector<std::uint8_t> rep) {
-                      if (alive.expired() || transfer->finished) return;
-                      finish_put_attempt(transfer, std::move(stor_status),
-                                         rep);
-                    });
-                const auto parts = partition_range(
-                    ByteRange{0, transfer->file_size},
-                    transfer->options.parallel_streams, transfer->file_size);
-                for (std::size_t i = 0; i < transfer->streams.size(); ++i) {
-                  auto& conn = transfer->streams[i];
-                  if (i < parts.size()) {
-                    BlockHeader header;
-                    header.offset = parts[i].offset;
-                    header.length = parts[i].length;
-                    header.content_seed = transfer->source_seed;
-                    rpc::Writer w;
-                    header.encode(w);
-                    conn->send(w.take());
-                    conn->send_synthetic(parts[i].length);
-                    transfer->payload_bytes += parts[i].length;
-                    transfer->stream_bytes[i] += parts[i].length;
-                    transfer->pool->disk().read(parts[i].length, [] {});
-                  }
-                  BlockHeader eod;
-                  eod.offset = -1;
-                  rpc::Writer w;
-                  eod.encode(w);
-                  conn->send(w.take());
-                }
-              });
-            });
-      });
+  succeed(transfer, true_seed, content_seed);
 }
 
 void FtpClient::finish_put_attempt(const std::shared_ptr<Transfer>& transfer,
@@ -871,25 +759,13 @@ void FtpClient::finish_put_attempt(const std::shared_ptr<Transfer>& transfer,
     return;
   }
   rpc::Reader r(reply);
-  const std::uint32_t remote_crc = r.u32();
-  if (remote_crc != transfer->source_crc) {
+  if (r.u32() != transfer->source_crc) {
     retry_or_fail(transfer, transfer->requested,
                   make_error(ErrorCode::kCorrupted,
                              "remote CRC mismatch after STOR"));
     return;
   }
-  TransferResult result;
-  result.bytes = transfer->file_size;
-  result.elapsed = stack_.simulator().now() - transfer->started_at;
-  result.mbps = throughput_mbps(result.bytes, result.elapsed);
-  result.crc = remote_crc;
-  result.content_seed = transfer->source_seed;
-  result.source_seed = transfer->source_seed;
-  result.attempts = transfer->attempts;
-  result.streams = transfer->options.parallel_streams;
-  result.retransmitted_segments = transfer->sum_retransmits();
-  result.rate_series = transfer->rate_series;
-  complete(transfer, std::move(result));
+  succeed(transfer, transfer->source_seed, transfer->source_seed);
 }
 
 void FtpClient::retry_or_fail(const std::shared_ptr<Transfer>& transfer,
@@ -914,12 +790,9 @@ void FtpClient::retry_or_fail(const std::shared_ptr<Transfer>& transfer,
   }
   obs::Tracer::global().attr(transfer->span, "restarts",
                              static_cast<std::int64_t>(transfer->attempts));
-  if (transfer->is_put) {
-    start_put_attempt(transfer);
-    return;
-  }
   // Purge block records overlapping the ranges being re-fetched so stale
-  // corrupted seeds do not poison the next attempt's majority vote.
+  // corrupted seeds do not poison the next attempt's majority vote (a put
+  // keeps no block records).
   for (const ByteRange& range : ranges) {
     auto it = transfer->blocks.begin();
     while (it != transfer->blocks.end()) {
@@ -933,22 +806,30 @@ void FtpClient::retry_or_fail(const std::shared_ptr<Transfer>& transfer,
     }
   }
   transfer->attempt_ranges = std::move(ranges);
-  start_get_attempt(transfer);
+  start_attempt(transfer);
+}
+
+void FtpClient::succeed(const std::shared_ptr<Transfer>& transfer,
+                        std::uint64_t source_seed,
+                        std::uint64_t content_seed) {
+  TransferResult result;
+  result.bytes = transfer->requested.front().length;
+  result.elapsed = stack_.simulator().now() - transfer->started_at;
+  result.mbps = throughput_mbps(result.bytes, result.elapsed);
+  result.crc = transfer->source_crc;
+  result.content_seed = content_seed;
+  result.source_seed = source_seed;
+  result.attempts = transfer->attempts;
+  result.streams = transfer->options.parallel_streams;
+  result.retransmitted_segments = transfer->sum_retransmits();
+  result.rate_series = transfer->rate_series;
+  complete(transfer, std::move(result));
 }
 
 void FtpClient::complete(const std::shared_ptr<Transfer>& transfer,
                          Result<TransferResult> result) {
   if (transfer->finished) return;
-  transfer->finished = true;
-  if (transfer->monitor) {
-    transfer->monitor->stop();
-    // The timer's callback captures `transfer`; destroying the timer breaks
-    // that reference cycle (stop() alone leaves the closure alive).
-    transfer->monitor.reset();
-  }
-  transfer->close_streams();
-  cancel_flows(transfer);  // no-op callbacks: finished is already set
-  if (transfer->rpc) transfer->rpc->close();
+  transfer->shut_down();  // queued callbacks no-op: finished is now set
 
   if (transfer->span.valid()) {
     auto& tracer = obs::Tracer::global();

@@ -51,13 +51,11 @@ struct TransferOptions {
   std::string peer;
   /// Parent for the "gridftp.transfer" span; invalid = ambient current.
   obs::SpanId parent_span{};
-  /// Transfer-model seam (flow/transfer_model.h): kFluid moves the payload
-  /// as rate-based flows on `flow_engine` instead of per-segment TCP data
-  /// streams. Control-channel RPCs, restart/verification logic and all
-  /// Perf/Restart markers are identical on both paths.
-  flow::TransferModel transfer_model = flow::TransferModel::kPacket;
-  /// Required when transfer_model == kFluid (falls back to the packet path
-  /// when null). Not owned.
+  /// Transfer-model seam (flow/transfer_model.h): when set, the payload
+  /// moves as rate-based flows on this engine instead of per-segment TCP
+  /// data streams; null selects the packet plane. Control-channel RPCs,
+  /// restart/verification logic and all Perf/Restart markers are shared by
+  /// both planes. Not owned.
   flow::FlowEngine* flow_engine = nullptr;
 };
 
@@ -123,29 +121,35 @@ class FtpClient {
   /// shared box keeps it alive exactly until the call settles).
   using ControlRpc = std::shared_ptr<std::unique_ptr<rpc::RpcClient>>;
 
-  std::shared_ptr<Transfer> make_transfer(net::NodeId server, net::Port port,
-                                          const TransferOptions& options,
-                                          Done done);
+  std::shared_ptr<Transfer> make_transfer(
+      net::NodeId server, net::Port port, bool is_put,
+      const std::string& remote_path, const std::string& local_path,
+      storage::DiskPool* pool, const TransferOptions& options, Done done);
   std::unique_ptr<rpc::RpcClient> make_rpc(net::NodeId server, net::Port port,
                                            SimDuration timeout) const;
   ControlRpc make_control_rpc(net::NodeId server, net::Port port,
                               SimDuration timeout);
 
-  void start_get_attempt(const std::shared_ptr<Transfer>& transfer);
-  void start_put_attempt(const std::shared_ptr<Transfer>& transfer);
-  void start_fluid_get_attempt(const std::shared_ptr<Transfer>& transfer);
-  void start_fluid_put_attempt(const std::shared_ptr<Transfer>& transfer);
-  void open_streams(const std::shared_ptr<Transfer>& transfer,
-                    std::function<void()> when_ready);
+  /// One attempt of a get or put on either data plane: SBUF/PASV/streams
+  /// then RETR or STOR (packet), or FGET then flows / flows then FPUT
+  /// (fluid). The closing command's reply settles the attempt.
+  void start_attempt(const std::shared_ptr<Transfer>& transfer);
+  void open_streams(const std::shared_ptr<Transfer>& transfer);
+  void streams_ready(const std::shared_ptr<Transfer>& transfer);
+  void launch_flows(const std::shared_ptr<Transfer>& transfer);
+  void flows_drained(const std::shared_ptr<Transfer>& transfer);
+  void call_closing(const std::shared_ptr<Transfer>& transfer,
+                    const char* command, std::vector<std::uint8_t> params);
   void ensure_monitor(const std::shared_ptr<Transfer>& transfer);
   void monitor_tick(const std::shared_ptr<Transfer>& transfer);
-  void cancel_flows(const std::shared_ptr<Transfer>& transfer);
   void finish_get_attempt(const std::shared_ptr<Transfer>& transfer,
                           Status status, std::span<const std::uint8_t> reply);
   void finish_put_attempt(const std::shared_ptr<Transfer>& transfer,
                           Status status, std::span<const std::uint8_t> reply);
   void retry_or_fail(const std::shared_ptr<Transfer>& transfer,
                      std::vector<ByteRange> ranges, const Status& cause);
+  void succeed(const std::shared_ptr<Transfer>& transfer,
+               std::uint64_t source_seed, std::uint64_t content_seed);
   void complete(const std::shared_ptr<Transfer>& transfer,
                 Result<TransferResult> result);
 

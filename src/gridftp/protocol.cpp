@@ -1,5 +1,8 @@
 #include "gridftp/protocol.h"
 
+#include <algorithm>
+#include <string>
+
 namespace gdmp::gridftp {
 
 void DataHello::encode(rpc::Writer& w) const {
@@ -34,6 +37,33 @@ std::optional<BlockHeader> BlockHeader::decode(
   header.content_seed = r.u64();
   if (!r.ok()) return std::nullopt;
   return header;
+}
+
+void write_ranges(rpc::Writer& w, const std::vector<ByteRange>& ranges) {
+  w.u32(static_cast<std::uint32_t>(ranges.size()));
+  for (const ByteRange& range : ranges) {
+    w.i64(range.offset);
+    w.i64(range.length);
+  }
+}
+
+std::vector<ByteRange> read_ranges(rpc::Reader& r) {
+  const std::uint32_t n = r.u32();
+  std::vector<ByteRange> ranges;
+  ranges.reserve(std::min<std::uint32_t>(n, 4096));
+  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+    ByteRange range;
+    range.offset = r.i64();
+    range.length = r.i64();
+    ranges.push_back(range);
+  }
+  return ranges;
+}
+
+Status check_stream_count(int streams, int max_streams) {
+  if (streams >= 1 && streams <= max_streams) return Status::ok();
+  return make_error(ErrorCode::kInvalidArgument,
+                    "bad stream count: " + std::to_string(streams));
 }
 
 std::vector<ByteRange> partition_range(ByteRange range, int parts,

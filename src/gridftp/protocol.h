@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "common/result.h"
 #include "common/types.h"
 #include "rpc/serialize.h"
 
@@ -69,6 +70,16 @@ struct BlockHeader {
   static std::optional<BlockHeader> decode(
       std::span<const std::uint8_t> data);
 };
+
+/// Range-list codec shared by RETR and FGET: a u32 count, then an
+/// {i64 offset, i64 length} pair per range. read_ranges() stops at the
+/// first short read; check the reader's ok() afterwards.
+void write_ranges(rpc::Writer& w, const std::vector<ByteRange>& ranges);
+std::vector<ByteRange> read_ranges(rpc::Reader& r);
+
+/// The stream-count check PASV and FGET share: 1..max_streams data
+/// streams, else kInvalidArgument "bad stream count".
+Status check_stream_count(int streams, int max_streams);
 
 /// Splits `range` into at most `parts` contiguous subranges of near-equal
 /// size (the pre-partitioned parallel-stream layout; see DESIGN.md).

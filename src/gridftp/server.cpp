@@ -33,8 +33,6 @@ struct FtpServer::DataSession {
   bool destroyed = false;
   sim::EventHandle idle_timer;
 
-  enum class Mode { kIdle, kRetr, kStor } mode = Mode::kIdle;
-
   struct {
     bool active = false;
     std::string path;
@@ -59,6 +57,28 @@ struct FtpServer::DataSession {
   bool recv_seed_set = false;
   bool seed_conflict = false;
   int eod_count = 0;
+
+  /// Breaks the callback cycles of this session's streams (their parser
+  /// and connection closures capture the session and stream shared_ptrs)
+  /// and drops the streams.
+  void release_streams() {
+    for (auto& stream : streams) {
+      if (!stream) continue;
+      stream->parser.on_payload = nullptr;
+      stream->parser.on_block_begin = nullptr;
+      stream->parser.on_block_end = nullptr;
+      stream->parser.on_eod = nullptr;
+      stream->parser.on_error = nullptr;
+      if (stream->conn) {
+        stream->conn->on_data = nullptr;
+        stream->conn->on_synthetic_data = nullptr;
+        stream->conn->on_closed = nullptr;
+        stream->conn->on_send_drained = nullptr;
+        stream->conn.reset();
+      }
+    }
+    streams.clear();
+  }
 };
 
 FtpServer::FtpServer(net::TcpStack& stack, storage::DiskPool& pool,
@@ -76,107 +96,49 @@ FtpServer::FtpServer(net::TcpStack& stack, storage::DiskPool& pool,
   // outlive `this` — but ~FtpServer tears down data sessions before rpc_ is
   // destroyed, and handlers can fire from frames already queued in the
   // simulator during that window. Guard them all with the liveness sentinel.
-  std::weak_ptr<bool> alive = alive_;
+  const auto guard = [this](auto handler) {
+    return rpc::guarded(this, alive_, "ftp server stopped", handler);
+  };
   rpc_.register_method(
-      kCmdSetBuffer,
-      [this, alive](const security::GsiContext&, std::uint64_t sid,
-                    std::span<const std::uint8_t> p, rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_sbuf(sid, p, std::move(r));
-      });
+      kCmdSetBuffer, guard([](auto& self, auto&, auto id, auto p, auto r) {
+        self.handle_sbuf(id, p, std::move(r));
+      }));
   rpc_.register_method(
-      kCmdPassive,
-      [this, alive](const security::GsiContext&, std::uint64_t sid,
-                    std::span<const std::uint8_t> p, rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_pasv(sid, p, std::move(r));
-      });
+      kCmdPassive, guard([](auto& self, auto&, auto id, auto p, auto r) {
+        self.handle_pasv(id, p, std::move(r));
+      }));
   rpc_.register_method(
-      kCmdRetrieve,
-      [this, alive](const security::GsiContext&, std::uint64_t,
-                    std::span<const std::uint8_t> p, rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_retr(p, std::move(r));
-      });
+      kCmdRetrieve, guard([](auto& self, auto&, auto, auto p, auto r) {
+        self.handle_retr(p, std::move(r));
+      }));
   rpc_.register_method(
-      kCmdStore,
-      [this, alive](const security::GsiContext&, std::uint64_t,
-                    std::span<const std::uint8_t> p, rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_stor(p, std::move(r));
-      });
+      kCmdStore, guard([](auto& self, auto&, auto, auto p, auto r) {
+        self.handle_stor(p, std::move(r));
+      }));
   rpc_.register_method(
-      kCmdSize, [this, alive](const security::GsiContext&, std::uint64_t,
-                              std::span<const std::uint8_t> p,
-                              rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_size(p, std::move(r));
-      });
+      kCmdSize, guard([](auto& self, auto&, auto, auto p, auto r) {
+        self.handle_size(p, std::move(r));
+      }));
   rpc_.register_method(
-      kCmdChecksum, [this, alive](const security::GsiContext&, std::uint64_t,
-                                  std::span<const std::uint8_t> p,
-                                  rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_cksm(p, std::move(r));
-      });
+      kCmdChecksum, guard([](auto& self, auto&, auto, auto p, auto r) {
+        self.handle_cksm(p, std::move(r));
+      }));
   rpc_.register_method(
-      kCmdDelete, [this, alive](const security::GsiContext&, std::uint64_t,
-                                std::span<const std::uint8_t> p,
-                                rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_dele(p, std::move(r));
-      });
+      kCmdDelete, guard([](auto& self, auto&, auto, auto p, auto r) {
+        self.handle_dele(p, std::move(r));
+      }));
   rpc_.register_method(
-      kCmdTransferTo, [this, alive](const security::GsiContext&, std::uint64_t,
-                                    std::span<const std::uint8_t> p,
-                                    rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_xfer(p, std::move(r));
-      });
+      kCmdTransferTo, guard([](auto& self, auto&, auto, auto p, auto r) {
+        self.handle_xfer(p, std::move(r));
+      }));
   rpc_.register_method(
-      kCmdFluidGet, [this, alive](const security::GsiContext&, std::uint64_t,
-                                  std::span<const std::uint8_t> p,
-                                  rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_fget(p, std::move(r));
-      });
+      kCmdFluidGet, guard([](auto& self, auto&, auto, auto p, auto r) {
+        self.handle_fget(p, std::move(r));
+      }));
   rpc_.register_method(
-      kCmdFluidPut, [this, alive](const security::GsiContext&, std::uint64_t,
-                                  std::span<const std::uint8_t> p,
-                                  rpc::RpcServer::Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "ftp server stopped"), {});
-          return;
-        }
-        handle_fput(p, std::move(r));
-      });
+      kCmdFluidPut, guard([](auto& self, auto&, auto, auto p, auto r) {
+        self.handle_fput(p, std::move(r));
+      }));
 }
 
 FtpServer::~FtpServer() {
@@ -185,24 +147,7 @@ FtpServer::~FtpServer() {
   for (auto& [token, session] : sessions_) {
     stack_.close_listener(session->data_port);
     stack_.simulator().cancel(session->idle_timer);
-    // Break the callback cycles of sessions still open at teardown (their
-    // parser/conn closures capture the session and stream shared_ptrs).
-    for (auto& stream : session->streams) {
-      if (!stream) continue;
-      stream->parser.on_payload = nullptr;
-      stream->parser.on_block_begin = nullptr;
-      stream->parser.on_block_end = nullptr;
-      stream->parser.on_eod = nullptr;
-      stream->parser.on_error = nullptr;
-      if (stream->conn) {
-        stream->conn->on_data = nullptr;
-        stream->conn->on_synthetic_data = nullptr;
-        stream->conn->on_closed = nullptr;
-        stream->conn->on_send_drained = nullptr;
-        stream->conn.reset();
-      }
-    }
-    session->streams.clear();
+    session->release_streams();  // sessions still open at teardown
   }
 }
 
@@ -230,11 +175,10 @@ void FtpServer::handle_pasv(std::uint64_t session_id,
                             std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
-  const int streams = static_cast<int>(r.u32());
-  if (!r.ok() || streams < 1 || streams > config_.max_parallel_streams) {
-    respond(make_error(ErrorCode::kInvalidArgument,
-                       "bad stream count: " + std::to_string(streams)),
-            {});
+  const int streams = static_cast<int>(r.u32());  // 0 when truncated
+  if (Status valid = check_stream_count(streams, config_.max_parallel_streams);
+      !valid.is_ok()) {
+    respond(std::move(valid), {});
     return;
   }
   // gdmp-lint: hot-alloc — one session object per PASV negotiation (control plane)
@@ -403,62 +347,30 @@ void FtpServer::handle_retr(std::span<const std::uint8_t> params,
   rpc::Reader r(params);
   const std::uint64_t token = r.u64();
   const std::string path = r.str();
-  const std::uint32_t n_ranges = r.u32();
-  std::vector<ByteRange> ranges;
-  ranges.reserve(std::min<std::uint32_t>(n_ranges, 4096));
-  for (std::uint32_t i = 0; i < n_ranges && r.ok(); ++i) {
-    ByteRange range;
-    range.offset = r.i64();
-    range.length = r.i64();
-    ranges.push_back(range);
-  }
+  std::vector<ByteRange> ranges = read_ranges(r);
   if (!r.ok() || ranges.empty()) {
     respond(make_error(ErrorCode::kInvalidArgument, "malformed RETR"), {});
     return;
   }
-  const auto sit = sessions_.find(token);
-  if (sit == sessions_.end()) {
-    respond(make_error(ErrorCode::kNotFound, "no such data session"), {});
+  auto idle = idle_session(token);
+  if (!idle.is_ok()) {
+    respond(idle.status(), {});
     return;
   }
-  auto session = sit->second;
-  if (session->retr.active || session->stor.active) {
-    respond(make_error(ErrorCode::kFailedPrecondition,
-                       "transfer already in progress"),
-            {});
+  auto plan = plan_read(path, ranges);
+  if (!plan.is_ok()) {
+    respond(plan.status(), {});
     return;
-  }
-  auto file = pool_.lookup(path);
-  if (!file.is_ok()) {
-    respond(make_error(ErrorCode::kNotFound, "file not on disk: " + path),
-            {});
-    return;
-  }
-  // Resolve and validate ranges against the current file size.
-  Bytes total = 0;
-  Crc32 crc;
-  auto& memo = stack_.simulator().crc_memo();
-  for (ByteRange& range : ranges) {
-    if (range.length < 0) range.length = file->size - range.offset;
-    if (range.offset < 0 || range.length < 0 ||
-        range.offset + range.length > file->size) {
-      respond(make_error(ErrorCode::kInvalidArgument, "range out of bounds"),
-              {});
-      return;
-    }
-    total += range.length;
-    memo.update_synthetic(crc, file->content_seed, range.offset,
-                          range.length);
   }
   (void)pool_.pin(path);  // transfers must not lose their source to eviction
-  session->mode = DataSession::Mode::kRetr;
+  const std::shared_ptr<DataSession>& session = *idle;
   session->retr.active = true;
   session->retr.started = false;
   session->retr.path = path;
   session->retr.ranges = std::move(ranges);
-  session->retr.seed = file->content_seed;
-  session->retr.total = total;
-  session->retr.crc = crc.value();
+  session->retr.seed = plan->seed;
+  session->retr.total = plan->total;
+  session->retr.crc = plan->crc;
   session->retr.respond = std::move(respond);
   session->retr.drained = 0;
   for (auto& stream : session->streams) {
@@ -467,6 +379,65 @@ void FtpServer::handle_retr(std::span<const std::uint8_t> params,
   ++stats_.retrievals;
   if (metrics_.retrievals) metrics_.retrievals->add();
   maybe_start_retr(session);
+}
+
+Result<std::shared_ptr<FtpServer::DataSession>> FtpServer::idle_session(
+    std::uint64_t token) const {
+  const auto sit = sessions_.find(token);
+  if (sit == sessions_.end()) {
+    return make_error(ErrorCode::kNotFound, "no such data session");
+  }
+  if (sit->second->retr.active || sit->second->stor.active) {
+    return make_error(ErrorCode::kFailedPrecondition,
+                      "transfer already in progress");
+  }
+  return sit->second;
+}
+
+Result<FtpServer::ReadPlan> FtpServer::plan_read(
+    const std::string& path, std::vector<ByteRange>& ranges) {
+  auto file = pool_.lookup(path);
+  if (!file.is_ok()) {
+    return make_error(ErrorCode::kNotFound, "file not on disk: " + path);
+  }
+  // Resolve and validate ranges against the current file size.
+  ReadPlan plan;
+  plan.seed = file->content_seed;
+  Crc32 crc;
+  auto& memo = stack_.simulator().crc_memo();
+  for (ByteRange& range : ranges) {
+    if (range.length < 0) range.length = file->size - range.offset;
+    if (range.offset < 0 || range.length < 0 ||
+        range.offset + range.length > file->size) {
+      return make_error(ErrorCode::kInvalidArgument, "range out of bounds");
+    }
+    plan.total += range.length;
+    memo.update_synthetic(crc, plan.seed, range.offset, range.length);
+  }
+  plan.crc = crc.value();
+  return plan;
+}
+
+std::uint64_t FtpServer::wire_seed(std::uint64_t seed) {
+  if (config_.corrupt_probability > 0 &&
+      fault_rng_.chance(config_.corrupt_probability)) {
+    ++stats_.blocks_corrupted;
+    if (metrics_.blocks_corrupted) metrics_.blocks_corrupted->add();
+    return seed ^ 0xbadc0ffee0ddf00dULL;
+  }
+  return seed;
+}
+
+void FtpServer::emit_perf(const std::string& path, Bytes bytes,
+                          std::size_t stripe, std::size_t stripe_count) {
+  if (channel_ == nullptr || !channel_->has_subscribers()) return;
+  obs::PerfMarker marker;
+  marker.time = stack_.simulator().now();
+  marker.path = path;
+  marker.bytes = bytes;
+  marker.stripe = static_cast<std::uint32_t>(stripe);
+  marker.stripe_count = static_cast<std::uint32_t>(stripe_count);
+  channel_->perf(marker);
 }
 
 void FtpServer::maybe_start_retr(const std::shared_ptr<DataSession>& session) {
@@ -487,13 +458,7 @@ void FtpServer::maybe_start_retr(const std::shared_ptr<DataSession>& session) {
       BlockHeader header;
       header.offset = range.offset;
       header.length = range.length;
-      header.content_seed = session->retr.seed;
-      if (config_.corrupt_probability > 0 &&
-          fault_rng_.chance(config_.corrupt_probability)) {
-        header.content_seed ^= 0xbadc0ffee0ddf00dULL;
-        ++stats_.blocks_corrupted;
-        if (metrics_.blocks_corrupted) metrics_.blocks_corrupted->add();
-      }
+      header.content_seed = wire_seed(session->retr.seed);
       rpc::Writer w;
       header.encode(w);
       stream->conn->send(w.take());
@@ -504,16 +469,7 @@ void FtpServer::maybe_start_retr(const std::shared_ptr<DataSession>& session) {
     }
     // Server-side perf marker: bytes queued for this stripe (the wire
     // marker a monitoring client would receive over the control channel).
-    if (channel_ != nullptr && channel_->has_subscribers()) {
-      obs::PerfMarker marker;
-      marker.time = stack_.simulator().now();
-      marker.path = session->retr.path;
-      marker.bytes = stream_bytes;
-      marker.stripe = static_cast<std::uint32_t>(i);
-      marker.stripe_count =
-          static_cast<std::uint32_t>(session->streams.size());
-      channel_->perf(marker);
-    }
+    emit_perf(session->retr.path, stream_bytes, i, session->streams.size());
     // End-of-data marker.
     BlockHeader eod;
     eod.offset = -1;
@@ -559,23 +515,16 @@ void FtpServer::handle_stor(std::span<const std::uint8_t> params,
     respond(make_error(ErrorCode::kInvalidArgument, "malformed STOR"), {});
     return;
   }
-  const auto sit = sessions_.find(token);
-  if (sit == sessions_.end()) {
-    respond(make_error(ErrorCode::kNotFound, "no such data session"), {});
-    return;
-  }
-  auto session = sit->second;
-  if (session->retr.active || session->stor.active) {
-    respond(make_error(ErrorCode::kFailedPrecondition,
-                       "transfer already in progress"),
-            {});
+  auto idle = idle_session(token);
+  if (!idle.is_ok()) {
+    respond(idle.status(), {});
     return;
   }
   if (const Status reserved = pool_.reserve(total); !reserved.is_ok()) {
     respond(reserved, {});
     return;
   }
-  session->mode = DataSession::Mode::kStor;
+  const std::shared_ptr<DataSession>& session = *idle;
   session->stor.active = true;
   session->stor.path = path;
   session->stor.total = total;
@@ -606,17 +555,21 @@ void FtpServer::check_stor_complete(
             {});
     return;
   }
-  auto added =
-      pool_.add_file(session->stor.path, session->stor.total,
-                     session->recv_seed, stack_.simulator().now());
+  commit_store(session->stor.path, session->stor.total, session->recv_seed,
+               respond);
+}
+
+void FtpServer::commit_store(const std::string& path, Bytes total,
+                             std::uint64_t seed,
+                             const rpc::RpcServer::Respond& respond) {
+  auto added = pool_.add_file(path, total, seed, stack_.simulator().now());
   if (!added.is_ok()) {
     respond(added.status(), {});
     return;
   }
-  pool_.disk().write(session->stor.total, [] {});
+  pool_.disk().write(total, [] {});
   rpc::Writer w;
-  w.u32(stack_.simulator().crc_memo().crc32_synthetic(
-      session->recv_seed, 0, session->stor.total));
+  w.u32(stack_.simulator().crc_memo().crc32_synthetic(seed, 0, total));
   respond(Status::ok(), w.take());
 }
 
@@ -677,7 +630,6 @@ void FtpServer::handle_xfer(std::span<const std::uint8_t> params,
   TransferOptions options;
   options.parallel_streams = streams;
   options.tcp_buffer = buffer;
-  options.transfer_model = config_.transfer_model;
   options.flow_engine = config_.flow_engine;
   client->put(dest_node, dest_port, pool_, path, dest_path, options,
               [client, respond = std::move(respond)](
@@ -697,51 +649,27 @@ void FtpServer::handle_fget(std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const std::string path = r.str();
-  int streams = static_cast<int>(r.u32());
-  const std::uint32_t n_ranges = r.u32();
-  std::vector<ByteRange> ranges;
-  ranges.reserve(std::min<std::uint32_t>(n_ranges, 4096));
-  for (std::uint32_t i = 0; i < n_ranges && r.ok(); ++i) {
-    ByteRange range;
-    range.offset = r.i64();
-    range.length = r.i64();
-    ranges.push_back(range);
-  }
+  const int streams = static_cast<int>(r.u32());
+  std::vector<ByteRange> ranges = read_ranges(r);
   if (!r.ok() || ranges.empty()) {
     respond(make_error(ErrorCode::kInvalidArgument, "malformed FGET"), {});
     return;
   }
-  if (streams < 1) streams = 1;
-  if (streams > config_.max_parallel_streams) {
-    streams = config_.max_parallel_streams;
-  }
-  auto file = pool_.lookup(path);
-  if (!file.is_ok()) {
-    respond(make_error(ErrorCode::kNotFound, "file not on disk: " + path),
-            {});
+  if (Status valid = check_stream_count(streams, config_.max_parallel_streams);
+      !valid.is_ok()) {
+    respond(std::move(valid), {});
     return;
   }
-  // Same range resolution/validation as RETR against the current size.
-  Bytes total = 0;
-  Crc32 crc;
-  auto& memo = stack_.simulator().crc_memo();
-  for (ByteRange& range : ranges) {
-    if (range.length < 0) range.length = file->size - range.offset;
-    if (range.offset < 0 || range.length < 0 ||
-        range.offset + range.length > file->size) {
-      respond(make_error(ErrorCode::kInvalidArgument, "range out of bounds"),
-              {});
-      return;
-    }
-    total += range.length;
-    memo.update_synthetic(crc, file->content_seed, range.offset,
-                          range.length);
+  auto plan = plan_read(path, ranges);
+  if (!plan.is_ok()) {
+    respond(plan.status(), {});
+    return;
   }
   ++stats_.retrievals;
   if (metrics_.retrievals) metrics_.retrievals->add();
-  stats_.bytes_sent += total;
-  if (metrics_.bytes_sent) metrics_.bytes_sent->add(total);
-  if (total > 0) pool_.disk().read(total, [] {});  // read-ahead, pipelined
+  stats_.bytes_sent += plan->total;
+  if (metrics_.bytes_sent) metrics_.bytes_sent->add(plan->total);
+  if (plan->total > 0) pool_.disk().read(plan->total, [] {});  // read-ahead, pipelined
 
   // One seed per stripe: the fluid analogue of per-block content seeds. A
   // poisoned stripe fails the client's CRC vote and gets re-requested, so
@@ -749,31 +677,19 @@ void FtpServer::handle_fget(std::span<const std::uint8_t> params,
   // layout is stripe_ranges(), the same partition the client derives.
   const auto per_stream = stripe_ranges(ranges, streams);
   rpc::Writer w;
-  w.i64(total);
-  w.u32(crc.value());
+  w.i64(plan->total);
+  w.u32(plan->crc);
   w.u32(static_cast<std::uint32_t>(per_stream.size()));
   for (std::size_t i = 0; i < per_stream.size(); ++i) {
     Bytes stripe_bytes = 0;
     for (const ByteRange& range : per_stream[i]) stripe_bytes += range.length;
-    std::uint64_t seed = file->content_seed;
-    if (stripe_bytes > 0 && config_.corrupt_probability > 0 &&
-        fault_rng_.chance(config_.corrupt_probability)) {
-      seed ^= 0xbadc0ffee0ddf00dULL;
-      ++stats_.blocks_corrupted;
-      if (metrics_.blocks_corrupted) metrics_.blocks_corrupted->add();
+    if (stripe_bytes == 0) {
+      w.u64(plan->seed);
+      continue;
     }
-    w.u64(seed);
+    w.u64(wire_seed(plan->seed));
     // Server-side perf marker: bytes committed to this stripe's flow.
-    if (stripe_bytes > 0 && channel_ != nullptr &&
-        channel_->has_subscribers()) {
-      obs::PerfMarker marker;
-      marker.time = stack_.simulator().now();
-      marker.path = path;
-      marker.bytes = stripe_bytes;
-      marker.stripe = static_cast<std::uint32_t>(i);
-      marker.stripe_count = static_cast<std::uint32_t>(per_stream.size());
-      channel_->perf(marker);
-    }
+    emit_perf(path, stripe_bytes, i, per_stream.size());
   }
   respond(Status::ok(), w.take());
 }
@@ -799,15 +715,7 @@ void FtpServer::handle_fput(std::span<const std::uint8_t> params,
   if (metrics_.stores) metrics_.stores->add();
   stats_.bytes_received += total;
   if (metrics_.bytes_received) metrics_.bytes_received->add(total);
-  auto added = pool_.add_file(path, total, seed, stack_.simulator().now());
-  if (!added.is_ok()) {
-    respond(added.status(), {});
-    return;
-  }
-  pool_.disk().write(total, [] {});
-  rpc::Writer w;
-  w.u32(stack_.simulator().crc_memo().crc32_synthetic(seed, 0, total));
-  respond(Status::ok(), w.take());
+  commit_store(path, total, seed, respond);
 }
 
 void FtpServer::fail_session(const std::shared_ptr<DataSession>& session,
@@ -852,24 +760,7 @@ void FtpServer::destroy_session(const std::shared_ptr<DataSession>& session) {
   // whole session web). One of those closures may be the frame we are
   // currently executing in, so break the cycle from a fresh event instead
   // of clearing the callbacks inline.
-  stack_.simulator().schedule(0, [session] {
-    for (auto& stream : session->streams) {
-      if (!stream) continue;
-      stream->parser.on_payload = nullptr;
-      stream->parser.on_block_begin = nullptr;
-      stream->parser.on_block_end = nullptr;
-      stream->parser.on_eod = nullptr;
-      stream->parser.on_error = nullptr;
-      if (stream->conn) {
-        stream->conn->on_data = nullptr;
-        stream->conn->on_synthetic_data = nullptr;
-        stream->conn->on_closed = nullptr;
-        stream->conn->on_send_drained = nullptr;
-        stream->conn.reset();
-      }
-    }
-    session->streams.clear();
-  });
+  stack_.simulator().schedule(0, [session] { session->release_streams(); });
 }
 
 void FtpServer::set_metrics(const obs::MetricsScope& scope) {

@@ -35,11 +35,10 @@ struct FtpServerConfig {
   int max_parallel_streams = 32;
   double corrupt_probability = 0.0;
   std::uint64_t fault_seed = 0x5eedf00d;
-  /// Transfer model for transfers this server *originates* (the sending
-  /// side of third-party XFER). Inbound FGET/FPUT are always served when a
-  /// client selects the fluid path.
-  flow::TransferModel transfer_model = flow::TransferModel::kPacket;
-  flow::FlowEngine* flow_engine = nullptr;  ///< not owned
+  /// Data plane for transfers this server *originates* (the sending side
+  /// of third-party XFER): fluid flows on this engine when set, TCP
+  /// streams when null. Inbound FGET/FPUT are always served. Not owned.
+  flow::FlowEngine* flow_engine = nullptr;
 };
 
 struct FtpServerStats {
@@ -94,6 +93,13 @@ class FtpServer {
   struct ControlState {
     Bytes data_buffer;
   };
+  /// A read resolved against the file's current size: the seed its
+  /// blocks or stripes carry and the {total, crc} RETR and FGET reply with.
+  struct ReadPlan {
+    std::uint64_t seed = 0;
+    Bytes total = 0;
+    std::uint32_t crc = 0;
+  };
 
   void handle_sbuf(std::uint64_t session_id,
                    std::span<const std::uint8_t> params,
@@ -117,6 +123,23 @@ class FtpServer {
                    rpc::RpcServer::Respond respond);
   void handle_fput(std::span<const std::uint8_t> params,
                    rpc::RpcServer::Respond respond);
+
+  /// RETR and STOR: the PASV session `token` names, if it is idle.
+  Result<std::shared_ptr<DataSession>> idle_session(std::uint64_t token) const;
+  /// RETR and FGET: the one pool lookup of the request, range resolution
+  /// with bounds checks (open-ended ranges are filled in), and the CRC.
+  Result<ReadPlan> plan_read(const std::string& path,
+                             std::vector<ByteRange>& ranges);
+  /// The content seed a RETR block or FGET stripe goes out with: `seed`,
+  /// or a poisoned copy when the fault model fires (blocks_corrupted).
+  std::uint64_t wire_seed(std::uint64_t seed);
+  /// Server-side perf marker for one stripe of a RETR or FGET.
+  void emit_perf(const std::string& path, Bytes bytes, std::size_t stripe,
+                 std::size_t stripe_count);
+  /// STOR and FPUT: materialises the received file, charges the disk
+  /// write and replies with the stored CRC.
+  void commit_store(const std::string& path, Bytes total, std::uint64_t seed,
+                    const rpc::RpcServer::Respond& respond);
 
   void on_data_connection(const std::shared_ptr<DataSession>& session,
                           net::TcpConnection::Ptr conn);

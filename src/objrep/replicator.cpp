@@ -55,60 +55,29 @@ ObjectReplicationService::ObjectReplicationService(
   // The GdmpServer (and its RpcServer) outlives this service in several
   // benches; weak-guard every handler so a late dispatch is a no-op rather
   // than a use-after-free.
-  std::weak_ptr<bool> alive = alive_;
+  const auto guard = [this](auto handler) {
+    return rpc::guarded(this, alive_, "replication service stopped", handler);
+  };
   rpc.register_method(
-      kMethodGetIndex,
-      [this, alive](const security::GsiContext&, std::uint64_t,
-                    std::span<const std::uint8_t>, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "replication service stopped"),
-            {});
-          return;
-        }
-        handle_get_index(std::move(r));
-      });
+      kMethodGetIndex, guard([](auto& self, auto&, auto, auto, auto r) {
+        self.handle_get_index(std::move(r));
+      }));
   rpc.register_method(
-      kMethodPack, [this, alive](const security::GsiContext&, std::uint64_t,
-                                 std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "replication service stopped"),
-            {});
-          return;
-        }
-        handle_pack(p, std::move(r));
-      });
+      kMethodPack, guard([](auto& self, auto&, auto, auto p, auto r) {
+        self.handle_pack(p, std::move(r));
+      }));
   rpc.register_method(
-      kMethodChunk, [this, alive](const security::GsiContext&, std::uint64_t,
-                                  std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "replication service stopped"),
-            {});
-          return;
-        }
-        handle_chunk(p, std::move(r));
-      });
+      kMethodChunk, guard([](auto& self, auto&, auto, auto p, auto r) {
+        self.handle_chunk(p, std::move(r));
+      }));
   rpc.register_method(
-      kMethodPackDone,
-      [this, alive](const security::GsiContext&, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "replication service stopped"),
-            {});
-          return;
-        }
-        handle_pack_done(p, std::move(r));
-      });
+      kMethodPackDone, guard([](auto& self, auto&, auto, auto p, auto r) {
+        self.handle_pack_done(p, std::move(r));
+      }));
   rpc.register_method(
-      kMethodChunkAck,
-      [this, alive](const security::GsiContext&, std::uint64_t,
-                    std::span<const std::uint8_t> p, Respond r) {
-        if (alive.expired()) {
-          r(make_error(ErrorCode::kUnavailable, "replication service stopped"),
-            {});
-          return;
-        }
-        handle_chunk_ack(p, std::move(r));
-      });
+      kMethodChunkAck, guard([](auto& self, auto&, auto, auto p, auto r) {
+        self.handle_chunk_ack(p, std::move(r));
+      }));
 }
 
 ObjectReplicationService::~ObjectReplicationService() { *alive_ = false; }

@@ -10,14 +10,12 @@
 //               deltas (WindowedHistogram) whose merge yields windowed
 //               p50/p95/p99 without retaining samples.
 //
-// Two update paths share the state:
-//   update(snapshot)  snapshot-driven — handles registries that appear,
-//                     reset or get reused between ticks (counter deltas
-//                     clamp at 0 on a reset, so rates never go negative);
-//   add_registry() + tick()  the heartbeat fast path — caches raw metric
-//                     pointers per registry ("the plan") and re-reads them
-//                     each tick with zero lookups or allocations; the plan
-//                     rebuilds whenever a registry's generation() moves.
+// One update path: add_registry() + tick(). A tick re-reads raw metric
+// pointers cached per registry ("the plan") with zero lookups or
+// allocations. The plan rebuilds whenever a registry's generation() moves,
+// so metrics registered between ticks and registries cleared and reused
+// are picked up (counter deltas clamp at 0 on a reset, so rates never go
+// negative).
 #pragma once
 
 #include <cstdint>
@@ -133,18 +131,16 @@ class TimeSeriesStore {
     explicit HistSeries(int capacity) : window(capacity) {}
   };
 
-  /// Snapshot-driven update (one heartbeat tick). Series absent from the
-  /// snapshot keep their state; counters whose total went backwards (a
-  /// registry was cleared and reused) record a 0 delta and re-anchor.
-  void update(const MetricsSnapshot& snapshot);
-
-  /// Fast path: registers a source registry for tick(). Order matters only
-  /// for first-wins on (unexpected) duplicate metric names.
+  /// Registers a source registry for tick(). Order matters only for
+  /// first-wins on (unexpected) duplicate metric names.
   void add_registry(const MetricsRegistry* registry);
 
-  /// Pulls every planned metric straight through its cached pointer; the
-  /// plan rebuilds first if any source registry's generation() changed.
-  /// Source registries must outlive the store.
+  /// One heartbeat tick: pulls every planned metric straight through its
+  /// cached pointer; the plan rebuilds first if any source registry's
+  /// generation() changed. Series no registry holds any more keep their
+  /// state; counters whose total went backwards (a registry was cleared
+  /// and reused) record a 0 delta and re-anchor. Source registries must
+  /// outlive the store.
   void tick();
 
   std::uint64_t ticks() const noexcept { return ticks_; }

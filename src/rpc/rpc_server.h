@@ -82,4 +82,26 @@ class RpcServer {
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
+/// Puts a service's handler behind the service's liveness guard. A
+/// method table can dispatch frames queued before its service died, or
+/// outlive the service outright; once `alive` has expired the method
+/// replies kUnavailable `stopped` instead of calling `handler`. The
+/// handler gets the live service as its first argument, so it captures
+/// nothing: `service` is reachable only through the guard.
+template <typename Service, typename Fn>
+RpcServer::Handler guarded(Service* service, std::weak_ptr<bool> alive,
+                           const char* stopped, Fn handler) {
+  return [service, alive = std::move(alive), stopped,
+          handler = std::move(handler)](
+             const security::GsiContext& peer, std::uint64_t session_id,
+             std::span<const std::uint8_t> params,
+             RpcServer::Respond respond) {
+    if (alive.expired()) {
+      respond(make_error(ErrorCode::kUnavailable, stopped), {});
+      return;
+    }
+    handler(*service, peer, session_id, params, std::move(respond));
+  };
+}
+
 }  // namespace gdmp::rpc

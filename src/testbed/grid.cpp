@@ -37,10 +37,7 @@ Grid::Grid(GridConfig config)
   for (std::size_t i = 0; i < config_.sites.size(); ++i) {
     GridSiteSpec& spec = config_.sites[i];
     spec.site.gdmp.catalog_host = catalog_node_;
-    if (flow_engine_) {
-      spec.site.transfer_model = flow::TransferModel::kFluid;
-      spec.site.flow_engine = flow_engine_.get();
-    }
+    spec.site.flow_engine = flow_engine_.get();
     auto site = std::make_unique<Site>(simulator_, network_,
                                        *topology_.hosts[i], ca_, model_,
                                        spec.site);

@@ -32,10 +32,10 @@ struct GridConfig {
   std::vector<GridSiteSpec> sites;
   std::int64_t event_count = 100'000;
   std::uint64_t seed = 42;
-  /// Grid-wide transfer-model selection. kFluid builds one shared
-  /// FlowEngine, threads it into every site, and replaces CBR cross
-  /// traffic with pinned flows (same uplink occupancy, zero packet
-  /// events). Per-site overrides go through GridSiteSpec::site.
+  /// The scenario's transfer model. kFluid builds one shared FlowEngine,
+  /// threads it into every site (its pointer is then the only switch
+  /// below this config), and replaces CBR cross traffic with pinned flows
+  /// (same uplink occupancy, zero packet events).
   flow::TransferModel transfer_model = flow::TransferModel::kPacket;
   flow::FluidConfig fluid{};
 

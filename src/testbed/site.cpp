@@ -19,13 +19,11 @@ core::SiteServices make_services(Site& owner, const std::string& name,
       ca,         ca.issue("/O=Grid/OU=" + name + "/CN=gdmp-server", kYear)};
 }
 
-// Threads the site-level transfer-model selection into every embedded
-// config that carries TransferOptions, so one SiteConfig field switches
-// GDMP replication and third-party XFER together.
+// Threads the site's flow engine into every embedded config that picks a
+// data plane, so one SiteConfig field switches GDMP replication and
+// third-party XFER together.
 SiteConfig normalize(SiteConfig config) {
-  config.gdmp.transfer.transfer_model = config.transfer_model;
   config.gdmp.transfer.flow_engine = config.flow_engine;
-  config.ftp.transfer_model = config.transfer_model;
   config.ftp.flow_engine = config.flow_engine;
   return config;
 }

@@ -34,12 +34,11 @@ struct SiteConfig {
   /// null) and the transfer channel gets no registry subscriber — the
   /// compiled-in-but-disabled mode bench_obs_overhead measures.
   bool enable_metrics = true;
-  /// Transfer-model seam: kFluid moves every replication payload this site
-  /// originates (GDMP pulls, XFER pushes) as rate-based flows on
-  /// `flow_engine` instead of per-segment TCP streams. Copied into
-  /// gdmp.transfer and ftp at construction, so leave those fields alone.
-  flow::TransferModel transfer_model = flow::TransferModel::kPacket;
-  flow::FlowEngine* flow_engine = nullptr;  ///< not owned
+  /// Transfer-model seam: when set, every replication payload this site
+  /// originates (GDMP pulls, XFER pushes) moves as rate-based flows on this
+  /// engine instead of per-segment TCP streams. Copied into gdmp.transfer
+  /// and ftp at construction, so leave those fields alone. Not owned.
+  flow::FlowEngine* flow_engine = nullptr;
 };
 
 class Site {

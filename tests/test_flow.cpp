@@ -594,7 +594,6 @@ struct FluidFtpFixture {
     disk_b = std::make_unique<storage::Disk>(simulator, disk_config);
     pool_a = std::make_unique<storage::DiskPool>(100 * kGiB, *disk_a);
     pool_b = std::make_unique<storage::DiskPool>(100 * kGiB, *disk_b);
-    server_config.transfer_model = TransferModel::kFluid;
     server_config.flow_engine = engine.get();
     server = std::make_unique<gridftp::FtpServer>(
         *stack_a, *pool_a, ca, ca.issue("/CN=src", kYear), server_config);
@@ -606,7 +605,6 @@ struct FluidFtpFixture {
   gridftp::TransferOptions fluid_options(int streams = 1) {
     gridftp::TransferOptions options;
     options.parallel_streams = streams;
-    options.transfer_model = TransferModel::kFluid;
     options.flow_engine = engine.get();
     return options;
   }
@@ -770,7 +768,7 @@ TEST(FluidFtp, FallsBackToPacketWithoutEngine) {
   FluidFtpFixture f;
   (void)f.pool_a->add_file("/pool/f", 1 * kMiB, 9, 0);
   auto options = f.fluid_options(1);
-  options.flow_engine = nullptr;  // fluid requested but no engine: packet
+  options.flow_engine = nullptr;  // no engine: the packet plane
   bool done = false;
   f.client->get(f.path.host_a->id(), gridftp::kControlPort, "/pool/f",
                 "/pool/f", f.pool_b.get(), options,
@@ -782,6 +780,81 @@ TEST(FluidFtp, FallsBackToPacketWithoutEngine) {
   ASSERT_TRUE(done);
   EXPECT_EQ(f.engine->stats().flows_started, 0);
 }
+
+// Both data planes apply the same rules: PASV and FGET reject a stream
+// count outside 1..max_parallel_streams (32 by default), and an empty file
+// moves in both directions on the first attempt.
+struct Plane {
+  TransferModel model;
+  friend void PrintTo(const Plane& plane, std::ostream* os) {
+    *os << (plane.model == TransferModel::kFluid ? "fluid" : "packet");
+  }
+};
+
+class FtpPlanes : public ::testing::TestWithParam<Plane> {};
+
+TEST_P(FtpPlanes, SameStreamCountChecksAndEmptyTransfers) {
+  FluidFtpFixture f;
+  (void)f.pool_a->add_file("/pool/f", 1 * kMiB, 9, 0);
+  (void)f.pool_a->add_file("/pool/empty", 0, 0x31, 0);
+  (void)f.pool_b->add_file("/local/empty", 0, 0x77, 0);
+  const auto options = [&](int streams) {
+    gridftp::TransferOptions o = f.fluid_options(streams);
+    if (GetParam().model == TransferModel::kPacket) o.flow_engine = nullptr;
+    return o;
+  };
+  const net::NodeId server = f.path.host_a->id();
+
+  std::vector<Status> bad_gets;
+  for (const int streams : {0, 33}) {
+    f.client->get(server, gridftp::kControlPort, "/pool/f",
+                  "/pool/f" + std::to_string(streams), f.pool_b.get(),
+                  options(streams),
+                  [&](Result<gridftp::TransferResult> result) {
+                    bad_gets.push_back(result.status());
+                  });
+  }
+  Result<gridftp::TransferResult> empty_get =
+      make_error(ErrorCode::kInternal, "pending");
+  f.client->get(server, gridftp::kControlPort, "/pool/empty", "/pool/empty",
+                f.pool_b.get(), options(2),
+                [&](Result<gridftp::TransferResult> result) {
+                  empty_get = std::move(result);
+                });
+  Result<gridftp::TransferResult> empty_put =
+      make_error(ErrorCode::kInternal, "pending");
+  f.client->put(server, gridftp::kControlPort, *f.pool_b, "/local/empty",
+                "/pool/stored", options(2),
+                [&](Result<gridftp::TransferResult> result) {
+                  empty_put = std::move(result);
+                });
+  f.simulator.run_until(300 * kSecond);
+
+  ASSERT_EQ(bad_gets.size(), 2u);
+  for (const Status& status : bad_gets) {
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("bad stream count"), std::string::npos)
+        << status.to_string();
+  }
+  ASSERT_TRUE(empty_get.is_ok()) << empty_get.status().to_string();
+  EXPECT_EQ(empty_get->bytes, 0);
+  EXPECT_EQ(empty_get->attempts, 1);
+  EXPECT_EQ(empty_get->crc, f.pool_a->peek("/pool/empty")->crc());
+  EXPECT_EQ(f.pool_b->peek("/pool/empty")->size, 0);
+
+  ASSERT_TRUE(empty_put.is_ok()) << empty_put.status().to_string();
+  EXPECT_EQ(empty_put->bytes, 0);
+  EXPECT_EQ(empty_put->attempts, 1);
+  auto stored = f.pool_a->peek("/pool/stored");
+  ASSERT_TRUE(stored.is_ok());
+  EXPECT_EQ(stored->size, 0);
+  EXPECT_EQ(stored->crc(), f.pool_b->peek("/local/empty")->crc());
+  EXPECT_EQ(f.engine->active_flows(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothPlanes, FtpPlanes,
+                         ::testing::Values(Plane{TransferModel::kPacket},
+                                           Plane{TransferModel::kFluid}));
 
 // ------------------------------------------------- Figure 5/6 equivalence
 

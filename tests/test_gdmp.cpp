@@ -307,6 +307,55 @@ TEST(Gdmp, ObjectivityPostProcessAttachesOnConsumer) {
   EXPECT_EQ(read, 10 * kKiB);
 }
 
+/// A data plane as a test parameter; it prints as the ctest name suffix.
+struct Plane {
+  flow::TransferModel model;
+  friend void PrintTo(const Plane& plane, std::ostream* os) {
+    *os << (plane.model == flow::TransferModel::kFluid ? "fluid" : "packet");
+  }
+};
+
+class GdmpZeroByte : public ::testing::TestWithParam<Plane> {};
+
+TEST_P(GdmpZeroByte, EmptyFileReplicatesOnFirstAttempt) {
+  GridConfig config = two_site_config();
+  config.transfer_model = GetParam().model;
+  TwoSiteFixture f(config);
+  const std::string source_path = "/pool/lfn://cms/empty";
+  (void)f.producer().pool().add_file(source_path, 0, 0x5eed, 0);
+  PublishedFile file;
+  file.lfn = "lfn://cms/empty";
+  bool published = false;
+  f.producer().gdmp().publish({file}, [&](Status s) {
+    ASSERT_TRUE(s.is_ok()) << s.to_string();
+    published = true;
+  });
+  f.grid.run_until(60 * kSecond);
+  ASSERT_TRUE(published);
+
+  Result<gridftp::TransferResult> outcome =
+      make_error(ErrorCode::kInternal, "pending");
+  f.consumer().gdmp().get_file(
+      file.lfn,
+      [&](Result<gridftp::TransferResult> r) { outcome = std::move(r); });
+  f.grid.run_until(f.grid.simulator().now() + 600 * kSecond);
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  const auto source = f.producer().pool().peek(source_path);
+  ASSERT_TRUE(source.is_ok());
+  EXPECT_EQ(outcome->bytes, 0);
+  EXPECT_EQ(outcome->attempts, 1);
+  EXPECT_EQ(outcome->crc, source->crc());
+  const auto local = f.consumer().pool().peek(
+      f.consumer().gdmp_server().local_path_for(file.lfn));
+  ASSERT_TRUE(local.is_ok());
+  EXPECT_EQ(local->size, 0);
+  EXPECT_EQ(local->crc(), source->crc());
+}
+
+INSTANTIATE_TEST_SUITE_P(BothPlanes, GdmpZeroByte,
+                         ::testing::Values(Plane{flow::TransferModel::kPacket},
+                                           Plane{flow::TransferModel::kFluid}));
+
 TEST(Gdmp, GeneratedLfnsAreUnique) {
   TwoSiteFixture f;
   auto& client = f.producer().gdmp();

@@ -490,15 +490,17 @@ TEST(TimeSeries, WindowedHistogramRingMergesTickDeltas) {
 TEST(TimeSeries, SnapshotMetricRegisteredBetweenTicks) {
   MetricsRegistry registry;
   TimeSeriesStore store(4);
+  store.add_registry(&registry);
   registry.counter("a.events").add(5);
-  store.update(registry.snapshot());
+  store.tick();
   EXPECT_EQ(store.counters().at("a.events").delta, 5);
 
-  // A metric that appears between snapshots starts its series with the
-  // full total as its first delta — nothing is silently dropped.
+  // A metric that appears between ticks moves the registry's generation,
+  // so the plan rebuilds and the new series starts with the full total as
+  // its first delta — nothing is silently dropped.
   registry.counter("b.late").add(7);
   registry.counter("a.events").add(1);
-  store.update(registry.snapshot());
+  store.tick();
   EXPECT_EQ(store.ticks(), 2u);
   EXPECT_EQ(store.counters().at("a.events").total, 6);
   EXPECT_EQ(store.counters().at("a.events").delta, 1);
@@ -509,17 +511,18 @@ TEST(TimeSeries, SnapshotMetricRegisteredBetweenTicks) {
 TEST(TimeSeries, CounterResetReanchorsWithoutNegativeDelta) {
   MetricsRegistry registry;
   TimeSeriesStore store;
+  store.add_registry(&registry);
   registry.counter("a.events").add(10);
-  store.update(registry.snapshot());
+  store.tick();
 
   registry.clear();  // registry reuse: totals go backwards
   registry.counter("a.events").add(3);
-  store.update(registry.snapshot());
+  store.tick();
   EXPECT_EQ(store.counters().at("a.events").delta, 0);  // clamped, not -7
   EXPECT_EQ(store.counters().at("a.events").total, 3);  // re-anchored
 
   registry.counter("a.events").add(4);
-  store.update(registry.snapshot());
+  store.tick();
   EXPECT_EQ(store.counters().at("a.events").delta, 4);
   EXPECT_EQ(store.counters().at("a.events").total, 7);
 }

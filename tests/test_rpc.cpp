@@ -236,6 +236,33 @@ TEST(Rpc, ServerDownYieldsUnavailable) {
   EXPECT_FALSE(status.is_ok());
 }
 
+TEST(Rpc, GuardedHandlerRepliesUnavailableOnceServiceIsGone) {
+  struct Service {
+    int calls = 0;
+  } service;
+  auto alive = std::make_shared<bool>(true);
+  const RpcServer::Handler handler = guarded(
+      &service, alive, "service stopped",
+      [](Service& self, const security::GsiContext&, std::uint64_t,
+         std::span<const std::uint8_t>, RpcServer::Respond respond) {
+        ++self.calls;
+        respond(Status::ok(), {});
+      });
+  Status status = make_error(ErrorCode::kInternal, "pending");
+  const auto record = [&status](Status s, std::vector<std::uint8_t>) {
+    status = std::move(s);
+  };
+  handler(security::GsiContext{}, 1, {}, record);
+  EXPECT_TRUE(status.is_ok());
+  EXPECT_EQ(service.calls, 1);
+
+  alive.reset();  // the service is gone; its method table is not
+  handler(security::GsiContext{}, 1, {}, record);
+  EXPECT_EQ(status.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(status.message(), "service stopped");
+  EXPECT_EQ(service.calls, 1);
+}
+
 TEST(Rpc, AsyncHandlerRespondsLater) {
   RpcFixture f;
   RpcServer server(*f.stack_b, 7000, f.ca, f.cert("server"));
