@@ -163,6 +163,84 @@ int main(int argc, char** argv) {
                 {"wall_seconds", seconds}});
   }
 
+  // Host-time cost of the collective "held locally" query (DESIGN.md §5k)
+  // that filters each objects_fluid request and validates each pack job:
+  // missing() over 512 sorted 1,000-id AOD selections of a 10^6-event run.
+  // The federation holds the run's 500 range files, every other one evicted
+  // from the pool but still attached, plus 512 scattered packed files. One
+  // operation is one id probed.
+  {
+    sim::Simulator simulator;
+    storage::Disk disk{simulator, storage::DiskConfig{}};
+    storage::DiskPool pool{1024 * kGiB, disk};
+    constexpr std::int64_t kRunEvents = 1'000'000;
+    const objstore::EventModel model =
+        objstore::EventModel::standard(kRunEvents);
+    objstore::Federation federation{"bench-missing-fd", model, pool};
+    constexpr int kRangeFiles = 500;
+    constexpr std::int64_t kPerRange = kRunEvents / kRangeFiles;
+    const int packed_files = smoke ? 8 : 512;
+    const int jobs = smoke ? 16 : 512;
+    const int per_packed = 782;
+    const auto aod = [](std::int64_t event) {
+      return objstore::make_object_id(objstore::Tier::kAod, event);
+    };
+    for (int f = 0; f < kRangeFiles; ++f) {
+      const std::string name =
+          "/pool/lfn://cms/aod-5/aod/" + std::to_string(f);
+      if (!pool.add_file(name, kPerRange * 10 * kKiB, 1, 0).is_ok() ||
+          !federation
+               .attach_range_file(name, objstore::Tier::kAod, f * kPerRange,
+                                  (f + 1) * kPerRange)
+               .is_ok()) {
+        return 1;
+      }
+      if (f % 2 == 1) (void)pool.remove(name);
+    }
+    for (int f = 0; f < packed_files; ++f) {
+      const std::string name = "/pool/lfn://cms/t1-00/objrep/" +
+                               std::to_string(f + 1) + "/req" +
+                               std::to_string(f + 1) + ".0";
+      std::vector<ObjectId> objects;
+      for (int i = 0; i < per_packed; ++i) {
+        objects.push_back(aod((static_cast<std::int64_t>(f) * per_packed + i) *
+                              7919 % kRunEvents));
+      }
+      if (!pool.add_file(name, per_packed * 10 * kKiB, 2, 0).is_ok() ||
+          !federation.attach_packed_file(name, std::move(objects)).is_ok()) {
+        return 1;
+      }
+    }
+    Rng rng(29);
+    objrep::SelectionConfig selection;
+    selection.fraction = 0.001;
+    std::vector<std::vector<ObjectId>> selections;
+    for (int j = 0; j < jobs; ++j) {
+      selections.push_back(objrep::select_objects(model, selection, rng));
+    }
+    long long probes = 0;
+    long long hits = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const std::vector<ObjectId>& ids : selections) {
+      const std::size_t absent = federation.missing(ids).size();
+      probes += static_cast<long long>(ids.size());
+      hits += static_cast<long long>(ids.size() - absent);
+    }
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    std::printf(
+        "collective held-locally query: %d requests, %lld ids probed "
+        "(%lld held): %.3f s, %.2f M ids/s\n\n",
+        jobs, probes, hits, seconds, static_cast<double>(probes) / seconds / 1e6);
+    report.add({{"name", "object_missing"},
+                {"requests", jobs},
+                {"probes", probes},
+                {"hits", hits},
+                {"operations", probes},
+                {"wall_seconds", seconds}});
+  }
+
   GridConfig config = two_site_config();
   config.event_count = kEvents;
   for (auto& spec : config.sites) {

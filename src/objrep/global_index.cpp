@@ -20,30 +20,31 @@ IndexSnapshot snapshot_catalog(const objstore::ObjectFileCatalog& catalog,
                                std::uint64_t generation) {
   IndexSnapshot snapshot;
   snapshot.generation = generation;
-  for (const std::string& file : catalog.files()) {
-    auto objects = catalog.objects_in(file);
-    if (!objects.is_ok() || objects->empty()) continue;
-    // Detect a contiguous single-tier run (range file) to keep the
-    // snapshot interval-compressed.
-    const objstore::Tier tier = objstore::tier_of(objects->front());
-    bool contiguous = true;
-    for (std::size_t i = 1; i < objects->size(); ++i) {
-      if (objstore::tier_of((*objects)[i]) != tier ||
-          objstore::event_of((*objects)[i]) !=
-              objstore::event_of((*objects)[i - 1]) + 1) {
-        contiguous = false;
-        break;
-      }
-    }
-    if (contiguous) {
-      snapshot.ranges.push_back(IndexSnapshot::RangeEntry{
-          file, tier, objstore::event_of(objects->front()),
-          objstore::event_of(objects->back()) + 1});
-    } else {
-      snapshot.packed.push_back(
-          IndexSnapshot::PackedEntry{file, std::move(*objects)});
-    }
-  }
+  catalog.for_each_file(
+      [&snapshot](const std::string& file, objstore::Tier tier,
+                  std::int64_t event_lo, std::int64_t event_hi) {
+        snapshot.ranges.push_back(
+            IndexSnapshot::RangeEntry{file, tier, event_lo, event_hi});
+      },
+      [&snapshot](const std::string& file,
+                  const std::vector<ObjectId>& objects) {
+        if (objects.empty()) return;
+        // A contiguous single-tier run serializes as an interval too, to
+        // keep the snapshot compressed.
+        const objstore::Tier tier = objstore::tier_of(objects.front());
+        for (std::size_t i = 1; i < objects.size(); ++i) {
+          if (objstore::tier_of(objects[i]) != tier ||
+              objstore::event_of(objects[i]) !=
+                  objstore::event_of(objects[i - 1]) + 1) {
+            snapshot.packed.push_back(
+                IndexSnapshot::PackedEntry{file, objects});
+            return;
+          }
+        }
+        snapshot.ranges.push_back(IndexSnapshot::RangeEntry{
+            file, tier, objstore::event_of(objects.front()),
+            objstore::event_of(objects.back()) + 1});
+      });
   return snapshot;
 }
 
@@ -96,8 +97,15 @@ void GlobalObjectIndex::update_site(const std::string& site,
   index.snapshot = std::move(snapshot);
   for (std::size_t i = 0; i < index.snapshot.ranges.size(); ++i) {
     const auto& entry = index.snapshot.ranges[i];
-    index.tier_ranges[static_cast<std::size_t>(entry.tier)].emplace(
-        entry.event_lo, i);
+    index.tier_ranges[static_cast<std::size_t>(entry.tier)].push_back(
+        RangeSlot{entry.event_lo, i});
+  }
+  for (auto& ranges : index.tier_ranges) {
+    // Stable, so that equal starts keep snapshot order.
+    std::stable_sort(ranges.begin(), ranges.end(),
+                     [](const RangeSlot& a, const RangeSlot& b) {
+                       return a.event_lo < b.event_lo;
+                     });
   }
   for (std::size_t i = 0; i < index.snapshot.packed.size(); ++i) {
     for (const ObjectId id : index.snapshot.packed[i].objects) {
@@ -111,31 +119,37 @@ void GlobalObjectIndex::forget_site(const std::string& site) {
   sites_.erase(site);
 }
 
-bool GlobalObjectIndex::site_has(const SiteIndex& index, ObjectId id) const {
-  const objstore::Tier tier = objstore::tier_of(id);
+template <class Visit>
+bool GlobalObjectIndex::visit_ranges(const SiteIndex& index, ObjectId id,
+                                     Visit&& visit) {
   const std::int64_t event = objstore::event_of(id);
-  const auto& ranges = index.tier_ranges[static_cast<std::size_t>(tier)];
-  for (auto it = ranges.upper_bound(event); it != ranges.begin();) {
-    --it;
-    const auto& entry = index.snapshot.ranges[it->second];
-    if (event >= entry.event_lo && event < entry.event_hi) return true;
+  const auto& ranges =
+      index.tier_ranges[static_cast<std::size_t>(objstore::tier_of(id))];
+  for (auto it = std::upper_bound(
+           ranges.begin(), ranges.end(), event,
+           [](std::int64_t e, const RangeSlot& slot) {
+             return e < slot.event_lo;
+           });
+       it != ranges.begin();) {
+    const auto& entry = index.snapshot.ranges[(--it)->entry];
+    if (event < entry.event_hi && visit(entry)) return true;
   }
-  return index.packed_index.contains(id);
+  return false;
+}
+
+bool GlobalObjectIndex::site_has(const SiteIndex& index, ObjectId id) {
+  return visit_ranges(index, id,
+                      [](const IndexSnapshot::RangeEntry&) { return true; }) ||
+         index.packed_index.contains(id);
 }
 
 std::vector<RemoteObject> GlobalObjectIndex::locate(ObjectId id) const {
   std::vector<RemoteObject> out;
   for (const auto& [site, index] : sites_) {
-    const objstore::Tier tier = objstore::tier_of(id);
-    const std::int64_t event = objstore::event_of(id);
-    const auto& ranges = index.tier_ranges[static_cast<std::size_t>(tier)];
-    for (auto it = ranges.upper_bound(event); it != ranges.begin();) {
-      --it;
-      const auto& entry = index.snapshot.ranges[it->second];
-      if (event >= entry.event_lo && event < entry.event_hi) {
-        out.push_back(RemoteObject{site, entry.file});
-      }
-    }
+    visit_ranges(index, id, [&](const IndexSnapshot::RangeEntry& entry) {
+      out.push_back(RemoteObject{site, entry.file});
+      return false;
+    });
     if (const auto pit = index.packed_index.find(id);
         pit != index.packed_index.end()) {
       for (const std::size_t i : pit->second) {
@@ -150,19 +164,29 @@ std::map<std::string, std::vector<ObjectId>> GlobalObjectIndex::plan(
     const std::vector<ObjectId>& needed) const {
   std::map<std::string, std::vector<ObjectId>> out;
   std::vector<ObjectId> remaining = needed;
-  // Greedy: repeatedly assign the site holding the most of the remainder.
+  // Which remaining ids the site being counted holds, and the same record
+  // for the best site so far: each site is evaluated once per round.
+  std::vector<bool> held;
+  std::vector<bool> best_held;
+  // Greedy: repeatedly assign the site holding the most of the remainder
+  // (the first site in name order on a tie).
   while (!remaining.empty()) {
-    std::string best_site;
+    const std::string* best_site = nullptr;
     std::size_t best_count = 0;
     for (const auto& [site, index] : sites_) {
       if (out.contains(site)) continue;
+      held.assign(remaining.size(), false);
       std::size_t count = 0;
-      for (const ObjectId id : remaining) {
-        if (site_has(index, id)) ++count;
+      for (std::size_t i = 0; i < remaining.size(); ++i) {
+        if (site_has(index, remaining[i])) {
+          held[i] = true;
+          ++count;
+        }
       }
       if (count > best_count) {
         best_count = count;
-        best_site = site;
+        best_site = &site;
+        held.swap(best_held);
       }
     }
     if (best_count == 0) {
@@ -171,15 +195,10 @@ std::map<std::string, std::vector<ObjectId>> GlobalObjectIndex::plan(
     }
     std::vector<ObjectId> taken;
     std::vector<ObjectId> rest;
-    const SiteIndex& index = sites_.at(best_site);
-    for (const ObjectId id : remaining) {
-      if (site_has(index, id)) {
-        taken.push_back(id);
-      } else {
-        rest.push_back(id);
-      }
+    for (std::size_t i = 0; i < remaining.size(); ++i) {
+      (best_held[i] ? taken : rest).push_back(remaining[i]);
     }
-    out[best_site] = std::move(taken);
+    out[*best_site] = std::move(taken);
     remaining = std::move(rest);
   }
   return out;

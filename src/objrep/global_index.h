@@ -68,14 +68,26 @@ class GlobalObjectIndex {
   std::size_t site_count() const noexcept { return sites_.size(); }
 
  private:
+  /// One range entry in its tier's interval index.
+  struct RangeSlot {
+    std::int64_t event_lo;
+    std::size_t entry;  // into snapshot.ranges
+  };
+
   struct SiteIndex {
     IndexSnapshot snapshot;
-    // Per-tier interval index over the range entries.
-    std::array<std::multimap<std::int64_t, std::size_t>, 4> tier_ranges;
+    // Per-tier interval index over the range entries, sorted by first
+    // event with equal starts in snapshot order.
+    std::array<std::vector<RangeSlot>, 4> tier_ranges;
     std::map<ObjectId, std::vector<std::size_t>> packed_index;
   };
 
-  bool site_has(const SiteIndex& index, ObjectId id) const;
+  /// Calls `visit(range entry)` for each range entry of `index` holding
+  /// `id`, latest start first, until it returns true.
+  template <class Visit>
+  static bool visit_ranges(const SiteIndex& index, ObjectId id,
+                           Visit&& visit);
+  static bool site_has(const SiteIndex& index, ObjectId id);
 
   std::map<std::string, SiteIndex> sites_;
 };

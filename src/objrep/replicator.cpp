@@ -244,14 +244,10 @@ void ObjectReplicationService::replicate_objects(std::vector<ObjectId> needed,
 
   // Step 2: drop what is already here.
   const objstore::Federation* federation = server_.site().federation;
-  std::vector<ObjectId> missing;
-  for (const ObjectId id : needed) {
-    if (federation != nullptr && federation->has_local(id)) {
-      ++request->outcome.objects_already_local;
-    } else {
-      missing.push_back(id);
-    }
-  }
+  const std::vector<ObjectId> missing =
+      federation != nullptr ? federation->missing(needed) : needed;
+  request->outcome.objects_already_local =
+      static_cast<std::int64_t>(needed.size() - missing.size());
   if (missing.empty()) {
     request->outcome.elapsed = 0;
     request->done(std::move(request->outcome));

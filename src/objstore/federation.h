@@ -9,8 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "objstore/object_file_catalog.h"
@@ -20,8 +21,14 @@ namespace gdmp::objstore {
 
 class Federation {
  public:
-  Federation(std::string name, EventModel model, storage::DiskPool& pool)
-      : name_(std::move(name)), model_(std::move(model)), pool_(pool) {}
+  /// Registers as `pool`'s residency observer until destroyed, so `pool`
+  /// must outlive the federation.
+  Federation(std::string name, EventModel model, storage::DiskPool& pool);
+  ~Federation();
+
+  // The pool's observer points at this object.
+  Federation(const Federation&) = delete;
+  Federation& operator=(const Federation&) = delete;
 
   const std::string& name() const noexcept { return name_; }
   const EventModel& model() const noexcept { return model_; }
@@ -51,11 +58,16 @@ class Federation {
     return catalog_.has_file(file);
   }
 
-  /// True when some attached file holding the object is on local disk:
-  /// the one "held locally" query behind copier validation, the
-  /// already-local filter of object replication and persistency reads.
-  /// Allocation-free.
+  /// True when some attached file holding the object is on local disk.
+  /// Answered from the catalog's residency bits, which the pool keeps
+  /// current, so the pool is never searched. Allocation-free.
   bool has_local(ObjectId id) const;
+
+  /// The collective "held locally" query behind the already-local filter
+  /// of object replication and copier validation: the ids of `ids` that
+  /// are not held locally, in input order, duplicates kept. One
+  /// allocation, for the result.
+  std::vector<ObjectId> missing(std::span<const ObjectId> ids) const;
 
   const ObjectFileCatalog& catalog() const noexcept { return catalog_; }
   storage::DiskPool& pool() noexcept { return pool_; }

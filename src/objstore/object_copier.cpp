@@ -39,13 +39,11 @@ void ObjectCopier::pack(std::vector<ObjectId> objects,
   }
   // Validate availability up front: the caller (object replication service)
   // is responsible for having located a source site that holds everything.
-  for (const ObjectId id : job->objects) {
-    if (!federation_.has_local(id)) {
-      job->done(make_error(ErrorCode::kNotFound,
-                           "object " + std::to_string(id.value) +
-                               " not locally available for packing"));
-      return;
-    }
+  if (const auto absent = federation_.missing(job->objects); !absent.empty()) {
+    job->done(make_error(ErrorCode::kNotFound,
+                         "object " + std::to_string(absent.front().value) +
+                             " not locally available for packing"));
+    return;
   }
   pump(job);
 }

@@ -20,7 +20,11 @@ Status ObjectFileCatalog::add_range_file(const std::string& file, Tier tier,
           .emplace(file, RangeFile{tier, event_lo, event_hi,
                                    model.tier(tier).object_size})
           .first;
-  tier_ranges_[static_cast<std::size_t>(tier)].emplace(event_lo, &*it);
+  // After any equal starts, so that equal starts keep registration order.
+  auto& index = tier_ranges_[static_cast<std::size_t>(tier)];
+  index.insert(
+      std::upper_bound(index.begin(), index.end(), event_lo, starts_after),
+      RangeSlot{event_lo, &*it});
   return Status::ok();
 }
 
@@ -114,13 +118,10 @@ void ObjectFileCatalog::grow_slots() {
 Status ObjectFileCatalog::remove_file(const std::string& file) {
   if (const auto it = range_files_.find(file); it != range_files_.end()) {
     auto& index = tier_ranges_[static_cast<std::size_t>(it->second.tier)];
-    for (auto rit = index.lower_bound(it->second.event_lo);
-         rit != index.end() && rit->first == it->second.event_lo; ++rit) {
-      if (rit->second == &*it) {
-        index.erase(rit);
-        break;
-      }
-    }
+    index.erase(std::find_if(index.begin(), index.end(),
+                             [entry = &*it](const RangeSlot& slot) {
+                               return slot.entry == entry;
+                             }));
     range_files_.erase(it);
     return Status::ok();
   }
@@ -138,9 +139,18 @@ bool ObjectFileCatalog::has_file(const std::string& file) const noexcept {
   return range_files_.contains(file) || packed_files_.contains(file);
 }
 
+void ObjectFileCatalog::set_resident(std::string_view file, bool resident) {
+  if (const auto it = range_files_.find(file); it != range_files_.end()) {
+    it->second.resident = resident;
+  } else if (const auto pit = packed_files_.find(file);
+             pit != packed_files_.end()) {
+    pit->second.resident = resident;
+  }
+}
+
 std::vector<ObjectLocation> ObjectFileCatalog::locate(ObjectId id) const {
   std::vector<ObjectLocation> out;
-  visit_locations(id, [&out](const std::string& file, Bytes offset) {
+  visit_locations(id, [&out](const std::string& file, Bytes offset, bool) {
     out.push_back(ObjectLocation{file, offset});
     return false;
   });
@@ -148,7 +158,8 @@ std::vector<ObjectLocation> ObjectFileCatalog::locate(ObjectId id) const {
 }
 
 bool ObjectFileCatalog::contains(ObjectId id) const {
-  return visit_locations(id, [](const std::string&, Bytes) { return true; });
+  return visit_locations(
+      id, [](const std::string&, Bytes, bool) { return true; });
 }
 
 Result<std::vector<ObjectId>> ObjectFileCatalog::objects_in(
@@ -182,14 +193,6 @@ Result<Bytes> ObjectFileCatalog::file_payload(const std::string& file,
     return total;
   }
   return make_error(ErrorCode::kNotFound, "file not registered: " + file);
-}
-
-std::vector<std::string> ObjectFileCatalog::files() const {
-  std::vector<std::string> out;
-  out.reserve(file_count());
-  for (const auto& [file, info] : range_files_) out.push_back(file);
-  for (const auto& [file, packed] : packed_files_) out.push_back(file);
-  return out;
 }
 
 }  // namespace gdmp::objstore

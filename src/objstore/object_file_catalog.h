@@ -11,19 +11,23 @@
 // potential object extraction sources for future object replication
 // requests", §5.2).
 //
-// Lookup side (DESIGN.md §5k): the per-tier interval index points at its
-// range-file entry, and each object's packed-file membership is a posting
-// {packed-file entry, position} whose offset is read from that file's own
-// offsets array. Postings live in one pooled array, chained per object in
-// registration order from a seeded open-addressing table, so lookups and
-// steady-state churn allocate nothing. visit_locations() walks both
-// indexes.
+// Lookup side (DESIGN.md §5k): the per-tier interval index is a sorted
+// vector pointing at range-file entries, and each object's packed-file
+// membership is a posting {packed-file entry, position} whose offset is
+// read from that file's own offsets array. Postings live in one pooled
+// array, chained per object in registration order from a seeded
+// open-addressing table, so lookups and steady-state churn allocate
+// nothing. visit_locations() walks both indexes. Every entry also carries
+// a residency bit (is the file on local disk?) that its owner keeps
+// current through set_resident().
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/det_hash.h"
@@ -59,13 +63,19 @@ class ObjectFileCatalog {
   Status remove_file(const std::string& file);
   bool has_file(const std::string& file) const noexcept;
 
+  /// Sets a registered file's residency bit: whether its copy is on local
+  /// disk. Files register resident; a file the catalog does not know is
+  /// ignored.
+  void set_resident(std::string_view file, bool resident);
+
   /// All files (with offsets) containing the object, in visit order.
+  /// Ignores residency, as contains() does.
   std::vector<ObjectLocation> locate(ObjectId id) const;
   bool contains(ObjectId id) const;
 
-  /// Calls `visit(file, offset)` for each file holding `id` until it
-  /// returns true, and returns whether it did. Order: range files first, in
-  /// interval-scan order (latest start first), then packed files in
+  /// Calls `visit(file, offset, resident)` for each file holding `id` until
+  /// it returns true, and returns whether it did. Order: range files first,
+  /// in interval-scan order (latest start first), then packed files in
   /// registration order. A packed file that lists `id` n times is visited
   /// n times, each at the first occurrence's offset.
   template <class Visit>
@@ -75,10 +85,13 @@ class ObjectFileCatalog {
     const auto& index = tier_ranges_[static_cast<std::size_t>(tier_of(id))];
     // Range files are disjoint per tier in practice but the lookup tolerates
     // overlap: scan intervals starting at or before `event`.
-    for (auto it = index.upper_bound(event); it != index.begin();) {
-      const auto& [file, range] = *(--it)->second;
+    for (auto it = std::upper_bound(index.begin(), index.end(), event,
+                                    starts_after);
+         it != index.begin();) {
+      const auto& [file, range] = *(--it)->entry;
       if (event >= range.event_hi) break;  // sorted by lo; earlier can't match
-      if (visit(file, (event - range.event_lo) * range.object_size)) {
+      if (visit(file, (event - range.event_lo) * range.object_size,
+                range.resident)) {
         return true;
       }
     }
@@ -86,9 +99,30 @@ class ObjectFileCatalog {
     for (std::uint32_t p = slots_[probe(id)].head; p != kNone;
          p = postings_[p].next) {
       const auto& [file, packed] = *postings_[p].file;
-      if (visit(file, packed.offsets[postings_[p].position])) return true;
+      if (visit(file, packed.offsets[postings_[p].position],
+                packed.resident)) {
+        return true;
+      }
     }
     return false;
+  }
+
+  /// Starts loading `id`'s posting-table slot into cache, ahead of a visit.
+  void prefetch(ObjectId id) const noexcept {
+    if (!slots_.empty()) __builtin_prefetch(&slots_[home(id)]);
+  }
+
+  /// Calls `on_range(file, tier, event_lo, event_hi)` for every range file,
+  /// then `on_packed(file, objects)` for every packed file, each in file
+  /// name order.
+  template <class OnRange, class OnPacked>
+  void for_each_file(OnRange&& on_range, OnPacked&& on_packed) const {
+    for (const auto& [file, range] : range_files_) {
+      on_range(file, range.tier, range.event_lo, range.event_hi);
+    }
+    for (const auto& [file, packed] : packed_files_) {
+      on_packed(file, packed.objects);
+    }
   }
 
   /// Objects stored in one file, in layout order.
@@ -102,23 +136,34 @@ class ObjectFileCatalog {
     return range_files_.size() + packed_files_.size();
   }
 
-  std::vector<std::string> files() const;
-
  private:
   struct RangeFile {
     Tier tier;
     std::int64_t event_lo;
     std::int64_t event_hi;
     Bytes object_size;  // cached from the model at registration
+    bool resident = true;
   };
 
   struct PackedFile {
     std::vector<ObjectId> objects;
     std::vector<Bytes> offsets;  // parallel to objects
+    bool resident = true;
   };
 
-  using RangeEntry = std::map<std::string, RangeFile>::value_type;
-  using PackedEntry = std::map<std::string, PackedFile>::value_type;
+  using RangeMap = std::map<std::string, RangeFile, std::less<>>;
+  using PackedMap = std::map<std::string, PackedFile, std::less<>>;
+  using RangeEntry = RangeMap::value_type;
+  using PackedEntry = PackedMap::value_type;
+
+  /// One range file in its tier's interval index.
+  struct RangeSlot {
+    std::int64_t event_lo;
+    const RangeEntry* entry;
+  };
+  static bool starts_after(std::int64_t event, const RangeSlot& slot) {
+    return event < slot.event_lo;
+  }
 
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
@@ -164,11 +209,11 @@ class ObjectFileCatalog {
   void grow_slots();
 
   // Map nodes never move, so the indexes below point into them.
-  std::map<std::string, RangeFile> range_files_;
-  std::map<std::string, PackedFile> packed_files_;
-  // Range files per tier, keyed by first event (range files answer offsets
-  // by arithmetic).
-  std::array<std::multimap<std::int64_t, const RangeEntry*>, 4> tier_ranges_;
+  RangeMap range_files_;
+  PackedMap packed_files_;
+  // Range files per tier, sorted by first event with equal starts in
+  // registration order (range files answer offsets by arithmetic).
+  std::array<std::vector<RangeSlot>, 4> tier_ranges_;
   // Packed-file postings per object: an open-addressing table of chain
   // heads over a pooled posting array. Chains keep registration order and
   // the table is only probed (and rehashed as it grows), so the hash seed

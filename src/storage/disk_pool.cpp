@@ -23,6 +23,7 @@ Result<FileInfo> DiskPool::add_file(std::string path, Bytes size,
   }
   touch(path);
   update_space_gauges();
+  if (!existing.is_ok()) notify(path, true);
   return result;
 }
 
@@ -56,6 +57,7 @@ Status DiskPool::remove(std::string_view path) {
       lru_pos_.erase(it);
     }
     update_space_gauges();
+    notify(path, false);
   }
   return status;
 }
@@ -126,6 +128,7 @@ bool DiskPool::make_room(Bytes needed, std::string_view keep) {
       metrics_.bytes_evicted->add(info->size);
     }
     (void)fs_.remove(candidate);
+    notify(candidate, false);
     auto dead = std::next(it).base();
     lru_pos_.erase(candidate);
     it = std::make_reverse_iterator(lru_.erase(dead));

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <string>
 #include <string_view>
@@ -30,6 +31,14 @@ struct DiskPoolStats {
 
 class DiskPool {
  public:
+  /// Told `(path, true)` when add_file creates a path that was not in the
+  /// pool, and `(path, false)` when remove() or an eviction takes one out.
+  /// Replacing a file, pin/unpin and set_content keep membership and stay
+  /// silent, but an eviction that replacing or growing a file triggers is
+  /// reported.
+  using ResidencyObserver = std::function<void(std::string_view path,
+                                               bool resident)>;
+
   DiskPool(Bytes capacity, Disk& disk) : capacity_(capacity), disk_(disk) {}
 
   DiskPool(const DiskPool&) = delete;
@@ -78,6 +87,11 @@ class DiskPool {
   const DiskPoolStats& stats() const noexcept { return stats_; }
   Disk& disk() noexcept { return disk_; }
 
+  /// Installs the one residency observer (an empty function clears it).
+  void set_residency_observer(ResidencyObserver observer) {
+    observer_ = std::move(observer);
+  }
+
   /// Attaches cache metrics (scope e.g. "site.cern.storage.pool"): hit/miss
   /// /eviction counters plus used/free-byte gauges kept current on every
   /// mutation.
@@ -88,6 +102,9 @@ class DiskPool {
   bool make_room(Bytes needed, std::string_view keep);
   void touch(const std::string& path);
   void update_space_gauges();
+  void notify(std::string_view path, bool resident) {
+    if (observer_) observer_(path, resident);
+  }
 
   struct PoolMetrics {
     obs::Counter* hits = nullptr;
@@ -107,6 +124,7 @@ class DiskPool {
   std::list<std::string> lru_;
   common::UnorderedMap<std::string, std::list<std::string>::iterator> lru_pos_;  // lookup-only
   PoolMetrics metrics_;
+  ResidencyObserver observer_;
 };
 
 }  // namespace gdmp::storage

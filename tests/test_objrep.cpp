@@ -1,7 +1,9 @@
 // Tests for object replication: selections, global index, full cycle.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 
 #include "objrep/global_index.h"
 #include "objrep/replicator.h"
@@ -147,6 +149,98 @@ TEST(GlobalIndex, PlanReportsUnlocatable) {
   GlobalObjectIndex index;
   const auto plan = index.plan({make_object_id(Tier::kRaw, 1)});
   ASSERT_TRUE(plan.contains(""));
+}
+
+// Three sites with overlapping holdings. Round 1: beta holds 12 ids.
+// Round 2: alpha and gamma hold 5 each, and alpha wins the tie as the
+// first site in name order. Round 3: gamma. Two ids nobody holds. The
+// partitions were captured from the two-pass plan this one replaced.
+TEST(GlobalIndex, PlanPartitionsOverlappingSitesAndBreaksTiesByName) {
+  const EventModel model = EventModel::standard(10000);
+  const auto aod = [](std::int64_t event) {
+    return make_object_id(Tier::kAod, event);
+  };
+  objstore::ObjectFileCatalog alpha;
+  objstore::ObjectFileCatalog beta;
+  objstore::ObjectFileCatalog gamma;
+  (void)alpha.add_range_file("/alpha", Tier::kAod, 0, 100, model);
+  (void)beta.add_range_file("/beta", Tier::kAod, 50, 150, model);
+  (void)beta.add_packed_file("/beta-p", {aod(500), aod(501)}, model);
+  (void)gamma.add_range_file("/gamma", Tier::kAod, 150, 185, model);
+  (void)gamma.add_packed_file("/gamma-p", {aod(600), aod(501)}, model);
+  GlobalObjectIndex index;
+  index.update_site("gamma", snapshot_catalog(gamma, 1));
+  index.update_site("alpha", snapshot_catalog(alpha, 1));
+  index.update_site("beta", snapshot_catalog(beta, 1));
+  std::vector<ObjectId> needed = {aod(700), aod(600), aod(501), aod(500)};
+  for (int e = 190; e >= 0; e -= 10) needed.push_back(aod(e));
+
+  std::map<std::string, std::vector<std::int64_t>> plan;
+  for (const auto& [site, ids] : index.plan(needed)) {
+    for (const ObjectId id : ids) plan[site].push_back(objstore::event_of(id));
+  }
+  EXPECT_EQ(plan, (std::map<std::string, std::vector<std::int64_t>>{
+                      {"", {700, 190}},
+                      {"alpha", {40, 30, 20, 10, 0}},
+                      {"beta",
+                       {501, 500, 140, 130, 120, 110, 100, 90, 80, 70, 60, 50}},
+                      {"gamma", {600, 180, 170, 160, 150}}}));
+}
+
+// Snapshot wire format: range files come straight from the catalog's range
+// index, packed files are interval-compressed when contiguous, and empty
+// ones are skipped. The bytes were captured from the snapshot built by
+// enumerating every file's objects; its size sets an index refresh's sim
+// time, so it must not move.
+TEST(GlobalIndex, SnapshotEncodingIsByteStable) {
+  const EventModel model = EventModel::standard(10000);
+  objstore::ObjectFileCatalog catalog;
+  (void)catalog.add_range_file("/r/aod-1", Tier::kAod, 2000, 4000, model);
+  (void)catalog.add_range_file("/r/aod-0", Tier::kAod, 0, 2000, model);
+  (void)catalog.add_range_file("/r/esd-0", Tier::kEsd, 0, 500, model);
+  (void)catalog.add_packed_file(
+      "/p/scattered",
+      {make_object_id(Tier::kAod, 5), make_object_id(Tier::kAod, 9),
+       make_object_id(Tier::kEsd, 3), make_object_id(Tier::kAod, 7)},
+      model);
+  (void)catalog.add_packed_file(
+      "/p/contiguous",
+      {make_object_id(Tier::kTag, 10), make_object_id(Tier::kTag, 11),
+       make_object_id(Tier::kTag, 12)},
+      model);
+  (void)catalog.add_packed_file("/p/empty", {}, model);
+  (void)catalog.add_packed_file("/p/single", {make_object_id(Tier::kRaw, 42)},
+                                model);
+  const IndexSnapshot snapshot = snapshot_catalog(catalog, 9);
+  rpc::Writer w;
+  encode_snapshot(w, snapshot);
+  std::string hex;
+  for (const std::uint8_t byte : w.take()) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  EXPECT_EQ(snapshot.wire_bytes(), 234);
+  EXPECT_EQ(hex,
+            "0900000000000000"                     // generation
+            "05000000"                             // range entries
+            "080000002f722f616f642d30"             // "/r/aod-0"
+            "010000000000000000d007000000000000"   // AOD [0, 2000)
+            "080000002f722f616f642d31"             // "/r/aod-1"
+            "01d007000000000000a00f000000000000"   // AOD [2000, 4000)
+            "080000002f722f6573642d30"             // "/r/esd-0"
+            "020000000000000000f401000000000000"   // ESD [0, 500)
+            "0d0000002f702f636f6e746967756f7573"   // "/p/contiguous"
+            "000a000000000000000d00000000000000"   // tag [10, 13)
+            "090000002f702f73696e676c65"           // "/p/single"
+            "032a000000000000002b00000000000000"   // raw [42, 43)
+            "01000000"                             // packed entries
+            "0c0000002f702f736361747465726564"     // "/p/scattered"
+            "04000000"                             // four ids
+            "0500000000000001"                     // AOD 5
+            "0900000000000001"                     // AOD 9
+            "0300000000000002"                     // ESD 3
+            "0700000000000001");                   // AOD 7
 }
 
 struct ObjRepFixture {

@@ -333,6 +333,211 @@ TEST(Federation, HasLocalNeedsAnAttachedFileOnDisk) {
   EXPECT_TRUE(f.federation.catalog().contains(id));
 }
 
+// Residency contract (DESIGN.md §5k): each attached file's bit follows
+// pool membership, so has_local() and missing() give the answer of a
+// per-file pool search. That definition, by brute force:
+bool held_by_search(Federation& federation, ObjectId id) {
+  return federation.catalog().visit_locations(
+      id, [&](const std::string& file, Bytes, bool) {
+        return federation.pool().contains(file);
+      });
+}
+
+/// The residency bit of `file`'s entry as `id` visits it.
+bool resident_bit(const Federation& federation, const std::string& file,
+                  ObjectId id) {
+  bool bit = false;
+  const bool found = federation.catalog().visit_locations(
+      id, [&](const std::string& visited, Bytes, bool resident) {
+        bit = resident;
+        return visited == file;
+      });
+  EXPECT_TRUE(found) << file;
+  return bit;
+}
+
+TEST(Federation, EvictionClearsResidencyBit) {
+  FederationFixture f;
+  storage::DiskPool pool{2 * 10 * kKiB, f.disk};
+  Federation federation{"small-fd", f.model, pool};
+  const ObjectId a = make_object_id(Tier::kAod, 1);
+  const ObjectId b = make_object_id(Tier::kAod, 2);
+  ASSERT_TRUE(pool.add_file("/a", 10 * kKiB, 1, 0).is_ok());
+  ASSERT_TRUE(federation.attach_packed_file("/a", {a}).is_ok());
+  ASSERT_TRUE(pool.add_file("/b", 10 * kKiB, 2, 0).is_ok());
+  ASSERT_TRUE(federation.attach_packed_file("/b", {b}).is_ok());
+  EXPECT_TRUE(resident_bit(federation, "/a", a));
+  // A third file evicts the least recently used one, /a.
+  ASSERT_TRUE(pool.add_file("/c", 10 * kKiB, 3, 0).is_ok());
+  ASSERT_FALSE(pool.contains("/a"));
+  EXPECT_TRUE(federation.is_attached("/a"));
+  EXPECT_FALSE(resident_bit(federation, "/a", a));
+  EXPECT_FALSE(federation.has_local(a));
+  EXPECT_TRUE(federation.has_local(b));
+}
+
+TEST(Federation, ReaddingPathSetsResidencyAgain) {
+  FederationFixture f;
+  const ObjectId id = make_object_id(Tier::kAod, 50);
+  ASSERT_TRUE(f.pool.add_file("/db", 100 * 10 * kKiB, 1, 0).is_ok());
+  ASSERT_TRUE(
+      f.federation.attach_range_file("/db", Tier::kAod, 0, 100).is_ok());
+  ASSERT_TRUE(f.pool.remove("/db").is_ok());
+  EXPECT_FALSE(resident_bit(f.federation, "/db", id));
+  EXPECT_FALSE(f.federation.has_local(id));
+  ASSERT_TRUE(f.pool.add_file("/db", 100 * 10 * kKiB, 1, 0).is_ok());
+  EXPECT_TRUE(resident_bit(f.federation, "/db", id));
+  EXPECT_TRUE(f.federation.has_local(id));
+}
+
+TEST(Federation, ReplacingPathKeepsResidency) {
+  FederationFixture f;
+  const ObjectId id = make_object_id(Tier::kAod, 7);
+  ASSERT_TRUE(f.pool.add_file("/p", 10 * kKiB, 1, 0).is_ok());
+  ASSERT_TRUE(f.federation.attach_packed_file("/p", {id}).is_ok());
+  ASSERT_TRUE(f.pool.add_file("/p", 20 * kKiB, 2, 0).is_ok());  // replace
+  ASSERT_TRUE(f.pool.pin("/p").is_ok());
+  ASSERT_TRUE(f.pool.set_content("/p", 30 * kKiB, 3, 0).is_ok());
+  ASSERT_TRUE(f.pool.unpin("/p").is_ok());
+  EXPECT_TRUE(resident_bit(f.federation, "/p", id));
+  EXPECT_TRUE(f.federation.has_local(id));
+}
+
+TEST(Federation, DetachThenReaddLeavesNoStaleBit) {
+  FederationFixture f;
+  const ObjectId id = make_object_id(Tier::kAod, 7);
+  ASSERT_TRUE(f.pool.add_file("/p", 10 * kKiB, 1, 0).is_ok());
+  ASSERT_TRUE(f.federation.attach_packed_file("/p", {id}).is_ok());
+  ASSERT_TRUE(f.federation.detach("/p").is_ok());
+  // The pool's churn of a detached path reaches no catalog entry.
+  ASSERT_TRUE(f.pool.remove("/p").is_ok());
+  ASSERT_TRUE(f.pool.add_file("/p", 10 * kKiB, 1, 0).is_ok());
+  EXPECT_FALSE(f.federation.has_local(id));
+  ASSERT_TRUE(f.pool.remove("/p").is_ok());
+  // Re-attaching needs the pool copy back, and then the bit is set.
+  EXPECT_EQ(f.federation.attach_packed_file("/p", {id}).code(),
+            ErrorCode::kFailedPrecondition);
+  ASSERT_TRUE(f.pool.add_file("/p", 10 * kKiB, 1, 0).is_ok());
+  ASSERT_TRUE(f.federation.attach_packed_file("/p", {id}).is_ok());
+  EXPECT_TRUE(resident_bit(f.federation, "/p", id));
+  // Detached while off disk, re-attached once back: set again.
+  ASSERT_TRUE(f.pool.remove("/p").is_ok());
+  ASSERT_TRUE(f.federation.detach("/p").is_ok());
+  ASSERT_TRUE(f.pool.add_file("/p", 10 * kKiB, 1, 0).is_ok());
+  ASSERT_TRUE(f.federation.attach_packed_file("/p", {id}).is_ok());
+  EXPECT_TRUE(f.federation.has_local(id));
+}
+
+TEST(Federation, DestroyedBeforePoolLeavesPoolClean) {
+  // The federation clears the pool's observer when it dies; a later pool
+  // mutation that would have reported residency must not reach it (a hard
+  // use-after-free check under the asan preset).
+  FederationFixture f;
+  storage::DiskPool pool{2 * 10 * kKiB, f.disk};
+  auto federation = std::make_unique<Federation>("doomed-fd", f.model, pool);
+  ASSERT_TRUE(pool.add_file("/a", 10 * kKiB, 1, 0).is_ok());
+  ASSERT_TRUE(federation
+                  ->attach_packed_file("/a", {make_object_id(Tier::kAod, 1)})
+                  .is_ok());
+  federation.reset();
+  ASSERT_TRUE(pool.add_file("/b", 10 * kKiB, 2, 0).is_ok());
+  ASSERT_TRUE(pool.add_file("/c", 10 * kKiB, 3, 0).is_ok());  // evicts /a
+  EXPECT_FALSE(pool.contains("/a"));
+  EXPECT_TRUE(pool.remove("/b").is_ok());
+}
+
+// Seeded churn over a small pool: add_file evicts through make_room, and
+// remove, re-add, pin/unpin, replacement, set_content, reservations and
+// attach/detach of range and packed files are mixed in. After every step
+// has_local() and missing() must equal the brute-force pool search.
+TEST(Federation, ResidencyMatchesPoolSearchUnderChurn) {
+  FederationFixture f;
+  constexpr Bytes kUnit = 10 * 10 * kKiB;  // one 10-object AOD range file
+  storage::DiskPool pool{6 * kUnit, f.disk};
+  Federation federation{"churn-fd", f.model, pool};
+  std::uint64_t x = 0x2545f4914f6cdd1dULL;
+  const auto next = [&x](std::uint64_t bound) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (x >> 33) % bound;
+  };
+  constexpr int kPaths = 12;
+  const auto path = [](std::uint64_t i) { return "/f" + std::to_string(i); };
+  std::vector<ObjectId> ids;
+  for (std::int64_t e = 0; e < 10 * kPaths; e += 3) {
+    ids.push_back(make_object_id(Tier::kAod, e));
+  }
+  ids.push_back(make_object_id(Tier::kEsd, 4));
+  ids.push_back(ids.front());  // a duplicate
+  int evictions_seen = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::string name = path(next(kPaths));
+    const std::int64_t before_evictions = pool.stats().evictions;
+    switch (next(9)) {
+      case 0:
+      case 1:  // create or replace, sometimes pinned
+        (void)pool.add_file(name, kUnit * static_cast<Bytes>(1 + next(2)),
+                            next(1000), 0, next(4) == 0);
+        break;
+      case 2:
+        (void)pool.remove(name);
+        break;
+      case 3:
+        (void)(next(2) == 0 ? pool.pin(name) : pool.unpin(name));
+        break;
+      case 4: {  // the i-th range file holds events [10 i, 10 i + 10)
+        const std::int64_t lo = 10 * std::stoll(name.substr(2));
+        (void)federation.attach_range_file(name, Tier::kAod, lo, lo + 10);
+        break;
+      }
+      case 5: {
+        std::vector<ObjectId> objects(1 + next(6));
+        for (ObjectId& id : objects) {
+          id = make_object_id(Tier::kAod,
+                              static_cast<std::int64_t>(next(10 * kPaths)));
+        }
+        (void)federation.attach_packed_file(name, std::move(objects));
+        break;
+      }
+      case 6:
+        (void)federation.detach(name);
+        break;
+      case 7:
+        (void)pool.set_content(name, kUnit * static_cast<Bytes>(1 + next(3)),
+                               next(1000), 0);
+        break;
+      default:  // a reservation evicts like an add
+        if (pool.reserve(kUnit * static_cast<Bytes>(1 + next(3))).is_ok()) {
+          pool.release_reservation(pool.reserved_bytes());
+        }
+        break;
+    }
+    if (pool.stats().evictions > before_evictions) ++evictions_seen;
+    std::vector<ObjectId> expected;
+    for (const ObjectId id : ids) {
+      const bool held = held_by_search(federation, id);
+      ASSERT_EQ(federation.has_local(id), held)
+          << "step " << step << " event " << event_of(id);
+      if (!held) expected.push_back(id);
+    }
+    ASSERT_EQ(federation.missing(ids), expected) << "step " << step;
+  }
+  EXPECT_GT(evictions_seen, 100);
+}
+
+TEST(Federation, MissingKeepsInputOrderAndDuplicates) {
+  FederationFixture f;
+  ASSERT_TRUE(f.pool.add_file("/db", 100 * 10 * kKiB, 1, 0).is_ok());
+  ASSERT_TRUE(
+      f.federation.attach_range_file("/db", Tier::kAod, 0, 100).is_ok());
+  const ObjectId held = make_object_id(Tier::kAod, 10);
+  const ObjectId far = make_object_id(Tier::kAod, 900);
+  const ObjectId esd = make_object_id(Tier::kEsd, 10);
+  const std::vector<ObjectId> ids = {far, held, esd, far, held};
+  EXPECT_EQ(f.federation.missing(ids), (std::vector<ObjectId>{far, esd, far}));
+  EXPECT_TRUE(f.federation.missing({}).empty());
+  EXPECT_TRUE(f.federation.missing(std::vector<ObjectId>{held, held}).empty());
+}
+
 TEST(Persistency, ReadsLocallyAvailableObject) {
   FederationFixture f;
   (void)f.pool.add_file("/db", 1000 * 10 * kKiB, 1, 0);
@@ -425,12 +630,19 @@ TEST(ObjectCopier, PackedChunksAreExtractionSources) {
 
 TEST(ObjectCopier, UnavailableObjectRejected) {
   FederationFixture f;
+  (void)f.pool.add_file("/db", 1000LL * 10 * kKiB, 1, 0);
+  (void)f.federation.attach_range_file("/db", Tier::kAod, 0, 1000);
   ObjectCopier copier(f.simulator, f.federation);
+  const ObjectId first_absent = make_object_id(Tier::kRaw, 1);
   Status status = Status::ok();
-  copier.pack({make_object_id(Tier::kRaw, 1)}, "/pack/y", nullptr,
-              [&](Status s) { status = s; });
+  copier.pack({make_object_id(Tier::kAod, 3), first_absent,
+               make_object_id(Tier::kAod, 4), make_object_id(Tier::kEsd, 2)},
+              "/pack/y", nullptr, [&](Status s) { status = s; });
   f.simulator.run();
   EXPECT_EQ(status.code(), ErrorCode::kNotFound);
+  EXPECT_EQ(status.message(), "object " + std::to_string(first_absent.value) +
+                                  " not locally available for packing");
+  EXPECT_EQ(copier.stats().objects_copied, 0);
 }
 
 TEST(ObjectCopier, SurvivesDestructionMidPack) {

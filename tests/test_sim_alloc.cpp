@@ -317,7 +317,8 @@ TEST(HeartbeatAlloc, SteadyStateTickAndRenderAllocateNothing) {
 
 // Object location index contract (objstore/object_file_catalog.h, DESIGN.md
 // §5k): on a warm catalog holding range and packed files, the "held
-// locally" query and contains() allocate nothing, hit or miss.
+// locally" query and contains() allocate nothing, hit or miss, and the
+// collective missing() allocates only its result.
 TEST(ObjectCatalogAlloc, HasLocalAndContainsAllocateNothing) {
   using namespace objstore;
   Simulator sim;
@@ -367,6 +368,43 @@ TEST(ObjectCatalogAlloc, HasLocalAndContainsAllocateNothing) {
   EXPECT_EQ(allocation_count(), before);
   EXPECT_EQ(local, 2'000);
   EXPECT_EQ(held, 3'000);
+
+  // missing(): one allocation per call, for its result, whether it finds
+  // absent ids or none.
+  const std::vector<ObjectId> request = {range_hit, evicted, packed_hit, miss};
+  const std::vector<ObjectId> all_held = {range_hit, packed_hit, range_hit};
+  for (const auto* ids : {&request, &all_held}) {
+    const std::uint64_t start = allocation_count();
+    const std::vector<ObjectId> absent = federation.missing(*ids);
+    EXPECT_LE(allocation_count() - start, 1u);
+    EXPECT_EQ(absent.size(), ids == &request ? 2u : 0u);
+  }
+}
+
+// The pool reports an LRU eviction to the federation's residency observer;
+// has_local() answers from the updated bit and still allocates nothing.
+TEST(ObjectCatalogAlloc, HasLocalAllocatesNothingAfterEviction) {
+  using namespace objstore;
+  Simulator sim;
+  storage::Disk disk{sim, storage::DiskConfig{}};
+  storage::DiskPool pool{2 * 10 * kKiB, disk};
+  Federation federation{"alloc-evict-fd", EventModel::standard(1'000), pool};
+  const ObjectId first = make_object_id(Tier::kAod, 1);
+  const ObjectId second = make_object_id(Tier::kAod, 2);
+  ASSERT_TRUE(pool.add_file("/a", 10 * kKiB, 1, 0).is_ok());
+  ASSERT_TRUE(federation.attach_packed_file("/a", {first}).is_ok());
+  ASSERT_TRUE(pool.add_file("/b", 10 * kKiB, 2, 0).is_ok());
+  ASSERT_TRUE(federation.attach_packed_file("/b", {second}).is_ok());
+  ASSERT_TRUE(pool.add_file("/c", 10 * kKiB, 3, 0).is_ok());  // evicts /a
+  ASSERT_EQ(pool.stats().evictions, 1);
+  const std::uint64_t before = allocation_count();
+  int local = 0;
+  for (int i = 0; i < 1'000; ++i) {
+    local += federation.has_local(first) ? 1 : 0;
+    local += federation.has_local(second) ? 1 : 0;
+  }
+  EXPECT_EQ(allocation_count(), before);
+  EXPECT_EQ(local, 1'000);
 }
 
 // Synthetic-CRC memo contract (common/crc32.h, DESIGN.md §5l): a lookup
