@@ -34,21 +34,26 @@
 #                               # (seed 5, 2 s, --trace 1) on <base-ref>
 #                               # and on the working tree must agree on
 #                               # every non-host per-layer metric and
-#                               # produce a byte-identical trace.json
+#                               # produce a byte-identical trace.json;
+#                               # then the observability example (heartbeat
+#                               # on) must print the same stdout and write
+#                               # the same rollup stream and trace
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Non-default stage: proves a refactor changed nothing a run can observe.
-# <base-ref> is checked out into a temporary git worktree, and perfbench
-# builds and runs it there; the working tree (uncommitted edits included)
-# runs in place. "Non-host" metrics are the ones perfbench's self-test
-# compares (perfbench/run.py `deterministic`).
+# <base-ref> is exported (git archive) into a temporary directory, and
+# perfbench builds and runs it there; the working tree (uncommitted edits
+# included) runs in place. "Non-host" metrics are the ones perfbench's
+# self-test compares (perfbench/run.py `deterministic`). Perfbench never
+# turns the heartbeat on, so the stage also runs examples/observability
+# in both trees and compares its stdout, rollup stream and trace. Set
+# TMPDIR to put the temporary trees somewhere other than /tmp.
 if [ "${1:-}" = "same-behaviour" ]; then
   base_ref="${2:?usage: scripts/check.sh same-behaviour <base-ref>}"
-  base_tree="$(mktemp -d /tmp/gdmp-same-behaviour.XXXXXX)"
-  trap 'git worktree remove --force "$base_tree" 2>/dev/null;
-        rm -rf "$base_tree"; git worktree prune' EXIT
-  git worktree add --detach "$base_tree" "$base_ref" >/dev/null
+  base_tree="$(mktemp -d -t gdmp-same-behaviour.XXXXXX)"
+  trap 'rm -rf "$base_tree"' EXIT
+  git archive "$base_ref" | tar -x -C "$base_tree"
   for workload in fanout_packet fanout_fluid wide_fluid objects_fluid; do
     echo "==> same behaviour [$workload: $base_ref vs working tree]"
     for tree in "$base_tree" .; do
@@ -83,6 +88,28 @@ if traces[0] != traces[1]:
 print(f"{workload}: {len(views[0])} per-layer metrics equal, "
       f"trace.json identical ({len(traces[0])} bytes)")
 PY
+  done
+  echo "==> same behaviour [observability: $base_ref vs working tree]"
+  # Relative output paths, so the "trace written to" line matches too.
+  for tree in "$base_tree" .; do
+    (cd "$tree" && cmake --preset default >/dev/null &&
+      cmake --build --preset default --target observability \
+        -j "$(nproc)" >/dev/null)
+  done
+  observe() {  # <tree> <run dir>: one run, outputs relative to <run dir>
+    mkdir -p "$2"
+    (cd "$2" && GDMP_ROLLUP_FILE=rollup.jsonl GDMP_TRACE_FILE=trace.json \
+      "$1/build/examples/observability" >stdout.txt)
+  }
+  runs="$base_tree/.observatory"
+  observe "$base_tree" "$runs/base"
+  observe "$PWD" "$runs/tree"
+  for file in stdout.txt rollup.jsonl trace.json; do
+    if ! cmp "$runs/base/$file" "$runs/tree/$file"; then
+      echo "observability: $file differs (base first, working tree second)"
+      exit 1
+    fi
+    echo "observability: $file identical ($(wc -c <"$runs/base/$file") bytes)"
   done
   echo "==> all checks passed: same-behaviour vs $base_ref"
   exit 0

@@ -59,19 +59,23 @@ class CatalogCache {
 
   explicit CatalogCache(Config config = {}) : config_(config) {}
 
+  // set_metrics hands the registry pointers into stats_.
+  CatalogCache(const CatalogCache&) = delete;
+  CatalogCache& operator=(const CatalogCache&) = delete;
+
   bool enabled() const noexcept { return config_.ttl > 0; }
   const Config& config() const noexcept { return config_; }
   const Stats& stats() const noexcept { return stats_; }
   std::size_t size() const noexcept { return entries_.size(); }
 
-  /// Mirrors the counters into an obs registry so they land in the
-  /// Site::metrics() dump. Pointers are cached; a detached scope is free.
+  /// Exposes the counters to an obs registry so they land in the
+  /// Site::metrics() dump; the registry reads stats() in place.
   void set_metrics(const obs::MetricsScope& scope) {
-    hits_ = scope.counter("hits");
-    misses_ = scope.counter("misses");
-    stale_ = scope.counter("stale_revalidate");
-    invalidations_ = scope.counter("invalidations");
-    evictions_ = scope.counter("evictions");
+    scope.expose("hits", &stats_.hits);
+    scope.expose("misses", &stats_.misses);
+    scope.expose("stale_revalidate", &stats_.stale_probes);
+    scope.expose("invalidations", &stats_.invalidations);
+    scope.expose("evictions", &stats_.evictions);
   }
 
   /// Probes the cache and accounts the outcome. On kFresh and kStale,
@@ -87,18 +91,15 @@ class CatalogCache {
     const auto it = entries_.find(composite(collection, key));
     if (it == entries_.end()) {
       ++stats_.misses;
-      if (misses_ != nullptr) misses_->add();
       return CacheProbe::kMiss;
     }
     *value_out = &it->second.value;
     *stamp_out = it->second.stamp;
     if (now - it->second.fetched_at <= config_.ttl) {
       ++stats_.hits;
-      if (hits_ != nullptr) hits_->add();
       return CacheProbe::kFresh;
     }
     ++stats_.stale_probes;
-    if (stale_ != nullptr) stale_->add();
     return CacheProbe::kStale;
   }
 
@@ -119,10 +120,7 @@ class CatalogCache {
   }
 
   /// Accounts `n` fresh hits served by a peeking bulk fast path.
-  void note_hits(std::int64_t n) {
-    stats_.hits += n;
-    if (hits_ != nullptr) hits_->add(n);
-  }
+  void note_hits(std::int64_t n) { stats_.hits += n; }
 
   /// Inserts or replaces an entry after a full fetch.
   void insert(const std::string& collection, const std::string& key,
@@ -165,7 +163,6 @@ class CatalogCache {
     const auto it = entries_.find(composite(collection, key));
     if (it == entries_.end()) return;
     ++stats_.invalidations;
-    if (invalidations_ != nullptr) invalidations_->add();
     erase_entry(it);
   }
 
@@ -177,7 +174,6 @@ class CatalogCache {
       const auto it = entries_.find(composite(collection, key));
       if (it == entries_.end()) continue;  // unreachable: indexes are in sync
       ++stats_.invalidations;
-      if (invalidations_ != nullptr) invalidations_->add();
       order_.erase(it->second.order);
       entries_.erase(it);
     }
@@ -253,7 +249,6 @@ class CatalogCache {
   void evict_oldest() {
     const auto oldest = order_.begin();
     ++stats_.evictions;
-    if (evictions_ != nullptr) evictions_->add();
     erase_entry(oldest->second);
   }
 
@@ -269,12 +264,6 @@ class CatalogCache {
       by_collection_;
   std::string probe_buf_;
   std::uint64_t next_order_ = 0;
-
-  obs::Counter* hits_ = nullptr;
-  obs::Counter* misses_ = nullptr;
-  obs::Counter* stale_ = nullptr;
-  obs::Counter* invalidations_ = nullptr;
-  obs::Counter* evictions_ = nullptr;
 };
 
 }  // namespace gdmp::catalog

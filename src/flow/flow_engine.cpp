@@ -37,10 +37,11 @@ FlowEngine::~FlowEngine() {
 }
 
 void FlowEngine::set_metrics(const obs::MetricsScope& scope) {
-  active_gauge_ = scope.gauge("active_flows");
-  reneg_counter_ = scope.counter("renegotiations");
-  links_recomputed_counter_ = scope.counter("links_recomputed");
-  completed_counter_ = scope.counter("completed");
+  scope.expose_gauge("active_flows",
+                     [this] { return static_cast<double>(active_count_); });
+  scope.expose("renegotiations", &stats_.renegotiations);
+  scope.expose("links_recomputed", &stats_.links_recomputed);
+  scope.expose("completed", &stats_.flows_completed);
 }
 
 std::int32_t FlowEngine::intern_link(const net::Link* link) {
@@ -155,7 +156,6 @@ FlowId FlowEngine::start(const FlowSpec& spec, Completion on_done) {
 
   ++stats_.flows_started;
   ++active_count_;
-  if (active_gauge_) active_gauge_->set(static_cast<double>(active_count_));
 
   if (cls.pinned) {
     // Unresponsive flow: its rate is fixed now and forever; only the
@@ -292,7 +292,6 @@ void FlowEngine::renegotiate() {
   reneg_pending_ = false;
   if (dirty_links_.empty()) return;
   ++stats_.renegotiations;
-  if (reneg_counter_) reneg_counter_->add();
 
   closure_classes_.clear();
   solve_links_.clear();
@@ -408,10 +407,6 @@ void FlowEngine::renegotiate() {
   stats_.links_recomputed += static_cast<std::int64_t>(solve_links_.size());
   stats_.classes_recomputed +=
       static_cast<std::int64_t>(closure_classes_.size());
-  if (links_recomputed_counter_) {
-    links_recomputed_counter_->add(
-        static_cast<std::int64_t>(solve_links_.size()));
-  }
 
   // Apply after the solve has fully converged: settle each class under its
   // old rate, install the new one, give pending flows their finish
@@ -535,7 +530,6 @@ void FlowEngine::detach_class(std::uint32_t class_index) {
 void FlowEngine::complete(std::uint32_t slot) {
   ++stats_.flows_completed;
   stats_.bytes_completed += flows_[slot].spec.bytes;
-  if (completed_counter_) completed_counter_->add();
   retire(slot, true);
 }
 
@@ -592,7 +586,6 @@ void FlowEngine::retire(std::uint32_t slot, bool ok) {
   ++flow.gen;
   free_slots_.push_back(slot);
   --active_count_;
-  if (active_gauge_) active_gauge_->set(static_cast<double>(active_count_));
   schedule_renegotiation();
   // `flow` may dangle past this point: the callback can start new flows
   // (slot-pool growth) — everything it needs was copied out above.

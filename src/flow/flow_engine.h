@@ -96,8 +96,8 @@ class FlowEngine {
   const FluidConfig& config() const noexcept { return config_; }
   sim::Simulator& simulator() noexcept { return simulator_; }
 
-  /// Caches gauges/counters ("active_flows", "renegotiations",
-  /// "links_recomputed") under `scope`.
+  /// Exposes the "active_flows" gauge and the "renegotiations",
+  /// "links_recomputed" and "completed" counters under `scope`.
   void set_metrics(const obs::MetricsScope& scope);
 
  private:
@@ -211,10 +211,6 @@ class FlowEngine {
   std::vector<net::Link*> path_scratch_;
 
   FlowEngineStats stats_;
-  obs::Gauge* active_gauge_ = nullptr;
-  obs::Counter* reneg_counter_ = nullptr;
-  obs::Counter* links_recomputed_counter_ = nullptr;
-  obs::Counter* completed_counter_ = nullptr;
 
   /// Completion / renegotiation events may outlive the engine in the
   /// simulator queue; they hold this sentinel weakly.

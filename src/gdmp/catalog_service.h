@@ -182,7 +182,7 @@ class CatalogClient {
       const std::string& collection,
       std::function<void(Result<std::vector<LogicalFileName>>)> done);
 
-  /// Mirrors cache counters (hits/misses/stale_revalidate/...) into the
+  /// Exposes cache counters (hits/misses/stale_revalidate/...) to the
   /// site registry under <scope>.lookup and <scope>.search.
   void set_metrics(const obs::MetricsScope& scope);
 

@@ -148,7 +148,6 @@ void GdmpServer::publish(std::vector<PublishedFile> files, PublishDone done) {
           if (status.is_ok()) {
             export_catalog_[file.lfn] = file;
             ++stats_.files_published;
-            if (metrics_.files_published) metrics_.files_published->add();
             if (config_.auto_archive_published) {
               storage_manager_.archive(file.local_path, [](Status) {});
             }
@@ -169,7 +168,6 @@ void GdmpServer::notify_subscribers(const std::vector<PublishedFile>& files) {
   const std::vector<std::uint8_t> payload = w.take();
   for (const SubscriberInfo& subscriber : subscribers_) {
     ++stats_.notifications_sent;
-    if (metrics_.notifications_sent) metrics_.notifications_sent->add();
     peer(subscriber.node, subscriber.port)
         .call(kMethodNotify, payload,
               [](Status status, std::vector<std::uint8_t>) {
@@ -408,7 +406,6 @@ void GdmpServer::finish_replication(const LogicalFileName& lfn,
               }
               export_catalog_[lfn] = file;
               ++stats_.files_replicated;
-              if (metrics_.files_replicated) metrics_.files_replicated->add();
               if (config_.auto_archive_published) {
                 storage_manager_.archive(file.local_path, [](Status) {});
               }
@@ -418,16 +415,16 @@ void GdmpServer::finish_replication(const LogicalFileName& lfn,
 }
 
 void GdmpServer::set_metrics(const obs::MetricsScope& scope) {
-  metrics_.files_published = scope.counter("files_published");
-  metrics_.notifications_sent = scope.counter("notifications_sent");
-  metrics_.notifications_received = scope.counter("notifications_received");
-  metrics_.notifications_queued = scope.counter("notifications_queued");
-  metrics_.files_replicated = scope.counter("files_replicated");
-  metrics_.replication_failures = scope.counter("replication_failures");
-  metrics_.stage_requests_served = scope.counter("stage_requests_served");
-  metrics_.replications_retried = scope.counter("replications_retried");
-  metrics_.replications_dead_lettered =
-      scope.counter("replications_dead_lettered");
+  scope.expose("files_published", &stats_.files_published);
+  scope.expose("notifications_sent", &stats_.notifications_sent);
+  scope.expose("notifications_received", &stats_.notifications_received);
+  scope.expose("notifications_queued", &stats_.notifications_queued);
+  scope.expose("files_replicated", &stats_.files_replicated);
+  scope.expose("replication_failures", &stats_.replication_failures);
+  scope.expose("stage_requests_served", &stats_.stage_requests_served);
+  scope.expose("replications_retried", &stats_.replications_retried);
+  scope.expose("replications_dead_lettered",
+               &stats_.replications_dead_lettered);
   rpc_.set_metrics(scope.scope("rpc"));
   catalog_client_.set_metrics(scope.scope("catalog_cache"));
 }
@@ -517,18 +514,12 @@ void GdmpServer::handle_notify(const security::GsiContext& peer_ctx,
   respond(Status::ok(), {});  // ack immediately; replication is async
   for (const PublishedFile& file : files) {
     ++stats_.notifications_received;
-    if (metrics_.notifications_received) {
-      metrics_.notifications_received->add();
-    }
     if (on_notification) on_notification(from_site, file);
     if (config_.auto_replicate_on_notify) {
       if (enqueue_replication_) {
         // A scheduler owns the consumer path: queue instead of firing a
         // concurrency-unbounded replicate() per notification.
         ++stats_.notifications_queued;
-        if (metrics_.notifications_queued) {
-          metrics_.notifications_queued->add();
-        }
         enqueue_replication_(file);
         continue;
       }
@@ -574,7 +565,6 @@ void GdmpServer::handle_stage(const security::GsiContext& peer_ctx,
     return;
   }
   ++stats_.stage_requests_served;
-  if (metrics_.stage_requests_served) metrics_.stage_requests_served->add();
   storage_manager_.ensure_on_disk(
       path, [respond = std::move(respond)](Result<storage::FileInfo> result) {
         respond(result.is_ok() ? Status::ok() : result.status(), {});

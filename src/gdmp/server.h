@@ -165,22 +165,16 @@ class GdmpServer {
     selector_ = std::move(selector);
   }
 
-  /// Attaches producer/consumer counters (scope e.g. "site.cern.gdmp");
-  /// the "rpc" child scope instruments the request-manager RPC server.
-  /// The stats() struct stays authoritative; the registry mirrors it.
+  /// Exposes the stats() counters under `scope` (e.g. "site.cern.gdmp");
+  /// the "rpc" child scope instruments the request-manager RPC server and
+  /// "catalog_cache" the catalog client's caches.
   void set_metrics(const obs::MetricsScope& scope);
 
   // Scheduler feedback, recorded here so the server's stats block covers
   // the whole replication pipeline.
-  void note_replication_retried() noexcept {
-    ++stats_.replications_retried;
-    if (metrics_.replications_retried) metrics_.replications_retried->add();
-  }
+  void note_replication_retried() noexcept { ++stats_.replications_retried; }
   void note_replication_dead_lettered() noexcept {
     ++stats_.replications_dead_lettered;
-    if (metrics_.replications_dead_lettered) {
-      metrics_.replications_dead_lettered->add();
-    }
   }
 
   /// Site-local pool path of a logical file.
@@ -224,10 +218,7 @@ class GdmpServer {
                           obs::SpanId span,
                           Result<gridftp::TransferResult> transfer,
                           ReplicateDone done);
-  void count_replication_failure() noexcept {
-    ++stats_.replication_failures;
-    if (metrics_.replication_failures) metrics_.replication_failures->add();
-  }
+  void count_replication_failure() noexcept { ++stats_.replication_failures; }
 
   SiteServices& site_;
   GdmpConfig config_;
@@ -247,18 +238,6 @@ class GdmpServer {
   std::map<LogicalFileName, PublishedFile> export_catalog_;
   std::map<std::uint64_t, std::unique_ptr<rpc::RpcClient>> peers_;
   GdmpServerStats stats_;
-  struct ServerMetrics {
-    obs::Counter* files_published = nullptr;
-    obs::Counter* notifications_sent = nullptr;
-    obs::Counter* notifications_received = nullptr;
-    obs::Counter* notifications_queued = nullptr;
-    obs::Counter* files_replicated = nullptr;
-    obs::Counter* replication_failures = nullptr;
-    obs::Counter* stage_requests_served = nullptr;
-    obs::Counter* replications_retried = nullptr;
-    obs::Counter* replications_dead_lettered = nullptr;
-  };
-  ServerMetrics metrics_;
   obs::TransferChannel transfer_channel_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };

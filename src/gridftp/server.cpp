@@ -294,7 +294,6 @@ void FtpServer::attach_stream(const std::shared_ptr<DataSession>& session,
                       (stream_raw->parser.payload_remaining() + fresh);
     session->received.add(pos, fresh);
     stats_.bytes_received += fresh;
-    if (metrics_.bytes_received) metrics_.bytes_received->add(fresh);
   };
   stream->parser.on_block_begin = [session](const BlockHeader& header) {
     if (!session->recv_seed_set) {
@@ -377,7 +376,6 @@ void FtpServer::handle_retr(std::span<const std::uint8_t> params,
     if (stream) stream->drained_counted = false;
   }
   ++stats_.retrievals;
-  if (metrics_.retrievals) metrics_.retrievals->add();
   maybe_start_retr(session);
 }
 
@@ -422,7 +420,6 @@ std::uint64_t FtpServer::wire_seed(std::uint64_t seed) {
   if (config_.corrupt_probability > 0 &&
       fault_rng_.chance(config_.corrupt_probability)) {
     ++stats_.blocks_corrupted;
-    if (metrics_.blocks_corrupted) metrics_.blocks_corrupted->add();
     return seed ^ 0xbadc0ffee0ddf00dULL;
   }
   return seed;
@@ -465,7 +462,6 @@ void FtpServer::maybe_start_retr(const std::shared_ptr<DataSession>& session) {
       stream->conn->send_synthetic(range.length);
       stream_bytes += range.length;
       stats_.bytes_sent += range.length;
-      if (metrics_.bytes_sent) metrics_.bytes_sent->add(range.length);
     }
     // Server-side perf marker: bytes queued for this stripe (the wire
     // marker a monitoring client would receive over the control channel).
@@ -531,7 +527,6 @@ void FtpServer::handle_stor(std::span<const std::uint8_t> params,
   session->stor.reserved = total;
   session->stor.respond = std::move(respond);
   ++stats_.stores;
-  if (metrics_.stores) metrics_.stores->add();
   check_stor_complete(session);
 }
 
@@ -622,7 +617,6 @@ void FtpServer::handle_xfer(std::span<const std::uint8_t> params,
     return;
   }
   ++stats_.third_party;
-  if (metrics_.third_party) metrics_.third_party->add();
   // Third-party control: this server acts as the sending party of a
   // server-to-server transfer that the remote client orchestrates.
   // gdmp-lint: hot-alloc — one outbound client per third-party transfer request
@@ -666,9 +660,7 @@ void FtpServer::handle_fget(std::span<const std::uint8_t> params,
     return;
   }
   ++stats_.retrievals;
-  if (metrics_.retrievals) metrics_.retrievals->add();
   stats_.bytes_sent += plan->total;
-  if (metrics_.bytes_sent) metrics_.bytes_sent->add(plan->total);
   if (plan->total > 0) pool_.disk().read(plan->total, [] {});  // read-ahead, pipelined
 
   // One seed per stripe: the fluid analogue of per-block content seeds. A
@@ -712,9 +704,7 @@ void FtpServer::handle_fput(std::span<const std::uint8_t> params,
   }
   pool_.release_reservation(total);
   ++stats_.stores;
-  if (metrics_.stores) metrics_.stores->add();
   stats_.bytes_received += total;
-  if (metrics_.bytes_received) metrics_.bytes_received->add(total);
   commit_store(path, total, seed, respond);
 }
 
@@ -764,12 +754,12 @@ void FtpServer::destroy_session(const std::shared_ptr<DataSession>& session) {
 }
 
 void FtpServer::set_metrics(const obs::MetricsScope& scope) {
-  metrics_.retrievals = scope.counter("retrievals");
-  metrics_.stores = scope.counter("stores");
-  metrics_.third_party = scope.counter("third_party");
-  metrics_.blocks_corrupted = scope.counter("blocks_corrupted");
-  metrics_.bytes_sent = scope.counter("bytes_sent");
-  metrics_.bytes_received = scope.counter("bytes_received");
+  scope.expose("retrievals", &stats_.retrievals);
+  scope.expose("stores", &stats_.stores);
+  scope.expose("third_party", &stats_.third_party);
+  scope.expose("blocks_corrupted", &stats_.blocks_corrupted);
+  scope.expose("bytes_sent", &stats_.bytes_sent);
+  scope.expose("bytes_received", &stats_.bytes_received);
   rpc_.set_metrics(scope.scope("rpc"));
 }
 

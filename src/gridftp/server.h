@@ -77,9 +77,10 @@ class FtpServer {
     return credential_;
   }
 
-  /// Attaches transfer/byte counters (scope e.g. "site.cern.gridftp"); the
-  /// "rpc" child scope instruments the embedded control-channel server.
+  /// Exposes the stats() counters under `scope` (e.g. "site.cern.gridftp");
+  /// the "rpc" child scope instruments the embedded control-channel server.
   void set_metrics(const obs::MetricsScope& scope);
+  const rpc::RpcServer& rpc() const noexcept { return rpc_; }
 
   /// Server-side marker channel: RETR sessions publish per-stripe perf
   /// markers as blocks are queued. Not owned; null disables emission.
@@ -160,15 +161,6 @@ class FtpServer {
   rpc::RpcServer rpc_;
   Rng fault_rng_;
   FtpServerStats stats_;
-  struct ServerMetrics {
-    obs::Counter* retrievals = nullptr;
-    obs::Counter* stores = nullptr;
-    obs::Counter* third_party = nullptr;
-    obs::Counter* blocks_corrupted = nullptr;
-    obs::Counter* bytes_sent = nullptr;
-    obs::Counter* bytes_received = nullptr;
-  };
-  ServerMetrics metrics_;
   obs::TransferChannel* channel_ = nullptr;
   common::UnorderedMap<std::uint64_t, ControlState> control_state_;  // lookup-only
   // Iterated at teardown to cancel timers and tear down streams (both

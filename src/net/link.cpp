@@ -88,9 +88,9 @@ SimDuration Link::busy_time() const noexcept {
 
 void Link::set_metrics(const obs::MetricsScope& scope) {
   utilization_gauge_ = scope.gauge("utilization");
-  bytes_sent_counter_ = scope.counter("bytes_sent");
-  bytes_delivered_counter_ = scope.counter("bytes_delivered");
-  packets_dropped_counter_ = scope.counter("packets_dropped");
+  scope.expose("bytes_sent", &stats_.bytes_sent);
+  scope.expose("bytes_delivered", &stats_.bytes_delivered);
+  scope.expose("packets_dropped", &stats_.packets_dropped);
 }
 
 double Link::sample_utilization() {
@@ -109,22 +109,6 @@ double Link::sample_utilization() {
   sample_busy_base_ = busy;
   last_utilization_ = fraction;
   if (utilization_gauge_ != nullptr) utilization_gauge_->set(fraction);
-  // Mirror the byte/drop totals into monotone counters by delta, so the
-  // heartbeat's counter series (and the conservation watchdog) see them.
-  if (bytes_sent_counter_ != nullptr) {
-    bytes_sent_counter_->add(stats_.bytes_sent - published_.bytes_sent);
-    published_.bytes_sent = stats_.bytes_sent;
-  }
-  if (bytes_delivered_counter_ != nullptr) {
-    bytes_delivered_counter_->add(stats_.bytes_delivered -
-                                  published_.bytes_delivered);
-    published_.bytes_delivered = stats_.bytes_delivered;
-  }
-  if (packets_dropped_counter_ != nullptr) {
-    packets_dropped_counter_->add(stats_.packets_dropped -
-                                  published_.packets_dropped);
-    published_.packets_dropped = stats_.packets_dropped;
-  }
   return fraction;
 }
 

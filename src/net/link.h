@@ -77,8 +77,8 @@ class Link {
   /// queueing_delay() above. busy_time()/elapsed is the true utilization.
   SimDuration busy_time() const noexcept;
 
-  /// Caches a "utilization" gauge and byte/drop counters under `scope`;
-  /// sample_utilization() publishes into them.
+  /// Exposes the byte/drop counters under `scope` and caches a
+  /// "utilization" gauge that sample_utilization() publishes into.
   void set_metrics(const obs::MetricsScope& scope);
 
   /// Busy-time fraction since the previous call (or since t=0 for the
@@ -119,15 +119,9 @@ class Link {
   SimTime busy_until_ = 0;  // when the transmitter becomes idle
   SimDuration busy_time_ = 0;  // serialization time accumulated so far
   obs::Gauge* utilization_gauge_ = nullptr;
-  obs::Counter* bytes_sent_counter_ = nullptr;
-  obs::Counter* bytes_delivered_counter_ = nullptr;
-  obs::Counter* packets_dropped_counter_ = nullptr;
   SimTime sample_anchor_ = 0;         // window start of the last sample
   SimDuration sample_busy_base_ = 0;  // busy_time() at the window start
   double last_utilization_ = 0.0;     // returned for empty sample windows
-  // LinkStats values already mirrored into the counters (delta-synced each
-  // sample, so counters stay monotone however often stats_ moves).
-  LinkStats published_;
   /// FIFO: serialization ends and deliveries both come in enqueue order
   /// (the transmitter is work-conserving and the propagation delay is
   /// constant). A deque, so its memory follows the packets in flight.

@@ -95,9 +95,7 @@ void TcpConnection::abort() {
 void TcpConnection::handle_packet(const Packet& packet) {
   if (state_ == State::kClosed) return;
   ++stats_.segments_received;
-  if (stack_.metrics_.segments_received) {
-    stack_.metrics_.segments_received->add();
-  }
+  ++stack_.totals_.segments_received;
 
   if (packet.has_flag(kFlagRst)) {
     fail(make_error(ErrorCode::kAborted, "connection reset by peer"));
@@ -284,7 +282,7 @@ void TcpConnection::enter_fast_recovery() {
   retx_inflight_ = 0;
   in_fast_recovery_ = true;
   ++stats_.fast_retransmits;
-  if (stack_.metrics_.fast_retransmits) stack_.metrics_.fast_retransmits->add();
+  ++stack_.totals_.fast_retransmits;
   GDMP_TRACE("tcp", "port ", local_port_, " enter recovery: una=", snd_una_,
              " nxt=", snd_nxt_, " cwnd=", static_cast<Bytes>(cwnd_),
              " sacked=", sacked_bytes_);
@@ -379,9 +377,7 @@ void TcpConnection::process_payload(const Packet& packet) {
   const Bytes fresh = packet.payload_len - skip;
   if (fresh > 0) {
     stats_.bytes_delivered += fresh;
-    if (stack_.metrics_.bytes_delivered) {
-      stack_.metrics_.bytes_delivered->add(fresh);
-    }
+    stack_.totals_.bytes_delivered += fresh;
     if (packet.data) {
       if (on_data) {
         on_data(std::span<const std::uint8_t>(packet.data->data() + skip,
@@ -416,9 +412,7 @@ void TcpConnection::deliver_in_order() {
       const Bytes fresh = seg.length - skip;
       if (fresh > 0) {
         stats_.bytes_delivered += fresh;
-        if (stack_.metrics_.bytes_delivered) {
-          stack_.metrics_.bytes_delivered->add(fresh);
-        }
+        stack_.totals_.bytes_delivered += fresh;
         if (seg.data) {
           if (on_data) {
             on_data(std::span<const std::uint8_t>(
@@ -500,10 +494,10 @@ void TcpConnection::send_segment(std::int64_t seq, Bytes length,
   }
 
   ++stats_.segments_sent;
-  if (is_retransmit) ++stats_.retransmits;
-  if (stack_.metrics_.segments_sent) {
-    stack_.metrics_.segments_sent->add();
-    if (is_retransmit) stack_.metrics_.retransmits->add();
+  ++stack_.totals_.segments_sent;
+  if (is_retransmit) {
+    ++stats_.retransmits;
+    ++stack_.totals_.retransmits;
   }
 
   if (!is_retransmit && !rtt_timing_active_) {
@@ -531,7 +525,7 @@ void TcpConnection::send_control(std::uint8_t flags, std::int64_t seq) {
     if ((flags & kFlagSyn) == 0) packet.flags |= kFlagAck;
   }
   ++stats_.segments_sent;
-  if (stack_.metrics_.segments_sent) stack_.metrics_.segments_sent->add();
+  ++stack_.totals_.segments_sent;
   stack_.node().send(packet);
 }
 
@@ -607,7 +601,7 @@ void TcpConnection::retransmit_head() {
   } else if (fin_sent_ && !fin_acked_) {
     send_control(kFlagFin | kFlagAck, stream_length_ + 1);
     ++stats_.retransmits;
-    if (stack_.metrics_.retransmits) stack_.metrics_.retransmits->add();
+    ++stack_.totals_.retransmits;
     arm_rto();
   }
 }
@@ -634,7 +628,7 @@ void TcpConnection::on_rto() {
   if (state_ == State::kClosed) return;
   ++rto_retries_;
   ++stats_.timeouts;
-  if (stack_.metrics_.timeouts) stack_.metrics_.timeouts->add();
+  ++stack_.totals_.timeouts;
   if (rto_retries_ > config_.max_retries) {
     fail(make_error(ErrorCode::kTimedOut,
                     "retransmission retries exhausted to node " +
@@ -733,19 +727,19 @@ TcpConnection::Ptr TcpStack::connect(NodeId remote_node, Port remote_port,
   auto conn = TcpConnection::Ptr(new TcpConnection(
       *this, config, remote_node, remote_port, local_port, /*is_client=*/true));
   connections_.emplace(ConnKey{local_port, remote_node, remote_port}, conn);
-  if (metrics_.connections) metrics_.connections->add();
+  ++connections_opened_;
   conn->start_connect();
   return conn;
 }
 
 void TcpStack::set_metrics(const obs::MetricsScope& scope) {
-  metrics_.connections = scope.counter("connections_opened");
-  metrics_.segments_sent = scope.counter("segments_sent");
-  metrics_.segments_received = scope.counter("segments_received");
-  metrics_.retransmits = scope.counter("retransmits");
-  metrics_.fast_retransmits = scope.counter("fast_retransmits");
-  metrics_.timeouts = scope.counter("timeouts");
-  metrics_.bytes_delivered = scope.counter("bytes_delivered");
+  scope.expose("connections_opened", &connections_opened_);
+  scope.expose("segments_sent", &totals_.segments_sent);
+  scope.expose("segments_received", &totals_.segments_received);
+  scope.expose("retransmits", &totals_.retransmits);
+  scope.expose("fast_retransmits", &totals_.fast_retransmits);
+  scope.expose("timeouts", &totals_.timeouts);
+  scope.expose("bytes_delivered", &totals_.bytes_delivered);
 }
 
 Status TcpStack::listen(Port port, const TcpConfig& config,

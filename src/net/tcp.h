@@ -242,9 +242,17 @@ class TcpStack {
 
   std::size_t connection_count() const noexcept { return connections_.size(); }
 
-  /// Attaches stack-wide aggregate metrics (scope e.g. "site.cern.net.tcp").
-  /// Connections bump the cached counters; a detached scope costs one null
-  /// check per event.
+  /// Stack-wide sums of every connection's segment, retransmit, timeout and
+  /// delivered-byte counts; each connection bumps them next to its own
+  /// stats(). The other TcpStats fields keep their defaults.
+  const TcpStats& totals() const noexcept { return totals_; }
+  /// Connections opened with connect() (accepted ones are not counted).
+  std::int64_t connections_opened() const noexcept {
+    return connections_opened_;
+  }
+
+  /// Exposes connections_opened() and the totals() counts under `scope`
+  /// (e.g. "site.cern.net.tcp").
   void set_metrics(const obs::MetricsScope& scope);
 
  private:
@@ -275,23 +283,13 @@ class TcpStack {
   void send_rst(const Packet& cause);
   void detach(TcpConnection& conn);
 
-  // Cached registry handles; all nullptr when metrics are detached.
-  struct StackMetrics {
-    obs::Counter* connections = nullptr;
-    obs::Counter* segments_sent = nullptr;
-    obs::Counter* segments_received = nullptr;
-    obs::Counter* retransmits = nullptr;
-    obs::Counter* fast_retransmits = nullptr;
-    obs::Counter* timeouts = nullptr;
-    obs::Counter* bytes_delivered = nullptr;
-  };
-
   sim::Simulator& simulator_;
   Node& node_;
   common::UnorderedMap<Port, Listener> listeners_;                        // lookup-only
   common::UnorderedMap<ConnKey, TcpConnection::Ptr, ConnKeyHash> connections_;  // lookup-only
   Port next_ephemeral_ = 49152;
-  StackMetrics metrics_;
+  TcpStats totals_;
+  std::int64_t connections_opened_ = 0;
   /// Liveness sentinel: the node's protocol handler can fire for packets
   /// already in flight after the stack is destroyed.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

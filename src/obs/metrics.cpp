@@ -78,7 +78,7 @@ MetricsRegistry::Slot* MetricsRegistry::find_or_create(std::string_view name,
       GDMP_ERROR("obs.metrics", "metric '", std::string(name),
                  "' already registered as ", kind_name(it->second.kind),
                  ", requested as ", kind_name(kind),
-                 "; handing out a detached scratch metric");
+                 "; the existing metric is left alone");
       return nullptr;
     }
     return &it->second;
@@ -117,6 +117,21 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
     slot->histogram = std::make_unique<Histogram>(std::move(bounds));
   }
   return *slot->histogram;
+}
+
+void MetricsRegistry::expose(std::string_view name, const std::int64_t* total) {
+  Slot* slot = find_or_create(name, MetricKind::kCounter);
+  if (slot == nullptr) return;
+  if (!slot->counter) slot->counter = std::make_unique<Counter>();
+  slot->counter->source_ = total;
+}
+
+void MetricsRegistry::expose_gauge(std::string_view name,
+                                   std::function<double()> read) {
+  Slot* slot = find_or_create(name, MetricKind::kGauge);
+  if (slot == nullptr) return;
+  if (!slot->gauge) slot->gauge = std::make_unique<Gauge>();
+  slot->gauge->read_ = std::move(read);
 }
 
 MetricsScope MetricsRegistry::scope(std::string prefix) {
@@ -192,6 +207,18 @@ Histogram* MetricsScope::histogram(std::string_view name,
                                    std::vector<double> bounds) const {
   if (registry_ == nullptr) return nullptr;
   return &registry_->histogram(full_name(name), std::move(bounds));
+}
+
+void MetricsScope::expose(std::string_view name,
+                          const std::int64_t* total) const {
+  if (registry_ != nullptr) registry_->expose(full_name(name), total);
+}
+
+void MetricsScope::expose_gauge(std::string_view name,
+                                std::function<double()> read) const {
+  if (registry_ != nullptr) {
+    registry_->expose_gauge(full_name(name), std::move(read));
+  }
 }
 
 MetricsScope MetricsScope::scope(std::string_view suffix) const {

@@ -1,11 +1,15 @@
 // Metrics registry: named counters, gauges and histograms.
 //
-// One registry per testbed Site (labelled scope "site.<name>"); subsystems
-// receive a MetricsScope and cache the returned metric pointers, so the
-// per-event cost of instrumentation is one null check plus one add. A
-// default-constructed (detached) scope hands out nullptr for every metric,
-// which is the compiled-in-but-disabled mode the observability bench
-// (`bench_obs_overhead`) keeps under 2% of `bench_pipeline`.
+// One registry per testbed Site (labelled scope "site.<name>"). Components
+// keep their counts in their own fields and expose them from set_metrics():
+// a counter bound by MetricsScope::expose reads an int64 the component
+// increments, and a gauge bound by expose_gauge calls a function of current
+// state, so a registry value cannot drift from the field it names. Values
+// no component keeps, or that are defined by sampling, are pushed through
+// counter()/gauge()/histogram(). A detached scope registers nothing.
+//
+// Lifetime: the registry points into the components that exposed into it,
+// so their storage must outlive every read of the registry (DESIGN.md §5b).
 //
 // Names are hierarchical dotted paths ("site.cern.gridftp.bytes_sent").
 // Snapshots export to JSON and to a flat text dump, and support delta
@@ -28,25 +32,33 @@ namespace gdmp::obs {
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
-/// Monotonic event/byte count.
+/// Monotonic event/byte count: its own add()ed total, or an exposed
+/// total it reads where the component keeps it.
 class Counter {
  public:
   void add(std::int64_t n = 1) noexcept { value_ += n; }
-  std::int64_t value() const noexcept { return value_; }
+  std::int64_t value() const noexcept {
+    return source_ != nullptr ? *source_ : value_;
+  }
 
  private:
+  friend class MetricsRegistry;
   std::int64_t value_ = 0;
+  const std::int64_t* source_ = nullptr;
 };
 
-/// Last-write-wins level (queue depth, bytes used, in-flight transfers).
+/// Level (queue depth, bytes used, in-flight transfers): last write wins,
+/// or an exposed function computes it on every read.
 class Gauge {
  public:
   void set(double v) noexcept { value_ = v; }
   void add(double delta) noexcept { value_ += delta; }
-  double value() const noexcept { return value_; }
+  double value() const noexcept { return read_ ? read_() : value_; }
 
  private:
+  friend class MetricsRegistry;
   double value_ = 0;
+  std::function<double()> read_;
 };
 
 /// Fixed-bucket histogram plus streaming moments (reuses RunningStats).
@@ -116,6 +128,12 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name, std::vector<double> bounds = {});
 
+  /// Finds or creates a counter whose value() then reads `*total`, or a
+  /// gauge whose value() then returns `read()`. A kind clash is logged the
+  /// same way and leaves the existing metric alone.
+  void expose(std::string_view name, const std::int64_t* total);
+  void expose_gauge(std::string_view name, std::function<double()> read);
+
   /// A scope whose metric names are prefixed with `prefix` + ".".
   MetricsScope scope(std::string prefix);
 
@@ -160,9 +178,7 @@ class MetricsRegistry {
 };
 
 /// A (registry, prefix) pair. Copyable; a default-constructed scope is
-/// detached and returns nullptr from every accessor, so instrumented
-/// components cache the pointers once and pay only a null check when
-/// metrics are off.
+/// detached: its accessors return nullptr and its expose calls do nothing.
 class MetricsScope {
  public:
   MetricsScope() = default;
@@ -173,6 +189,13 @@ class MetricsScope {
   Gauge* gauge(std::string_view name) const;
   Histogram* histogram(std::string_view name,
                        std::vector<double> bounds = {}) const;
+
+  /// Registers prefix.name as a counter reading `*total` (a count the
+  /// caller already keeps) or a gauge computed by `read`. The storage
+  /// must outlive every read of the registry.
+  void expose(std::string_view name, const std::int64_t* total) const;
+  void expose_gauge(std::string_view name,
+                    std::function<double()> read) const;
 
   /// Child scope: prefix + "." + suffix.
   MetricsScope scope(std::string_view suffix) const;

@@ -93,7 +93,6 @@ void RpcServer::on_message(const std::shared_ptr<Session>& session,
   if (!session->authenticated) {
     if (message.kind != MessageKind::kAuthInit) {
       ++auth_failures_;
-      if (auth_failures_metric_) auth_failures_metric_->add();
       session->conn->abort();
       return;
     }
@@ -101,7 +100,6 @@ void RpcServer::on_message(const std::shared_ptr<Session>& session,
                                      stack_.simulator().now());
     if (!accepted.is_ok()) {
       ++auth_failures_;
-      if (auth_failures_metric_) auth_failures_metric_->add();
       GDMP_WARN("rpc.server", "GSI reject: ", accepted.status().to_string());
       RpcMessage reply;
       reply.kind = MessageKind::kAuthReply;
@@ -126,7 +124,6 @@ void RpcServer::on_message(const std::shared_ptr<Session>& session,
 void RpcServer::dispatch(const std::shared_ptr<Session>& session,
                          RpcMessage message) {
   ++requests_served_;
-  if (requests_metric_) requests_metric_->add();
   const auto it = methods_.find(message.method);
   const std::uint64_t id = message.request_id;
 
@@ -168,8 +165,8 @@ void RpcServer::dispatch(const std::shared_ptr<Session>& session,
 }
 
 void RpcServer::set_metrics(const obs::MetricsScope& scope) {
-  requests_metric_ = scope.counter("requests_served");
-  auth_failures_metric_ = scope.counter("auth_failures");
+  scope.expose("requests_served", &requests_served_);
+  scope.expose("auth_failures", &auth_failures_);
 }
 
 }  // namespace gdmp::rpc

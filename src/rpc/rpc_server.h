@@ -53,7 +53,7 @@ class RpcServer {
   std::int64_t requests_served() const noexcept { return requests_served_; }
   std::int64_t auth_failures() const noexcept { return auth_failures_; }
 
-  /// Attaches request/auth-failure counters (scope e.g. "site.cern.rpc").
+  /// Exposes the request/auth-failure counts (scope e.g. "site.cern.rpc").
   /// Each dispatched request also gets an "rpc.request" span (the root of
   /// the replication chain) when the global tracer is enabled.
   void set_metrics(const obs::MetricsScope& scope);
@@ -77,8 +77,6 @@ class RpcServer {
   std::uint64_t next_session_id_ = 1;
   std::int64_t requests_served_ = 0;
   std::int64_t auth_failures_ = 0;
-  obs::Counter* requests_metric_ = nullptr;
-  obs::Counter* auth_failures_metric_ = nullptr;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

@@ -53,24 +53,17 @@ ReplicationScheduler::~ReplicationScheduler() {
 }
 
 void ReplicationScheduler::set_metrics(const obs::MetricsScope& scope) {
-  metrics_.submitted = scope.counter("submitted");
-  metrics_.completed = scope.counter("completed");
-  metrics_.retries = scope.counter("retries");
-  metrics_.dead_lettered = scope.counter("dead_lettered");
-  metrics_.cancelled = scope.counter("cancelled");
-  metrics_.busy_deferrals = scope.counter("busy_deferrals");
-  metrics_.dispatched = scope.counter("dispatched");
-  metrics_.bytes_moved = scope.counter("bytes_moved");
-  metrics_.queue_depth = scope.gauge("queue_depth");
-  metrics_.active = scope.gauge("active");
-  update_gauges();
-}
-
-void ReplicationScheduler::update_gauges() {
-  if (metrics_.queue_depth) {
-    metrics_.queue_depth->set(static_cast<double>(queue_depth()));
-  }
-  if (metrics_.active) metrics_.active->set(active_);
+  scope.expose("submitted", &stats_.submitted);
+  scope.expose("completed", &stats_.completed);
+  scope.expose("retries", &stats_.retries);
+  scope.expose("dead_lettered", &stats_.dead_lettered);
+  scope.expose("cancelled", &stats_.cancelled);
+  scope.expose("busy_deferrals", &stats_.busy_deferrals);
+  scope.expose("dispatched", &stats_.dispatched);
+  scope.expose("bytes_moved", &stats_.bytes_moved);
+  scope.expose_gauge("queue_depth",
+                     [this] { return static_cast<double>(queue_depth()); });
+  scope.expose_gauge("active", [this] { return static_cast<double>(active_); });
 }
 
 void ReplicationScheduler::begin_queue_wait(Request& request) {
@@ -122,9 +115,7 @@ std::uint64_t ReplicationScheduler::submit(LogicalFileName lfn, int priority,
   ready_.insert(ReadyKey{request.priority, request.seq, id});
   requests_.emplace(id, std::move(request));
   ++stats_.submitted;
-  if (metrics_.submitted) metrics_.submitted->add();
   pump();
-  update_gauges();
   return id;
 }
 
@@ -186,8 +177,6 @@ bool ReplicationScheduler::cancel(std::uint64_t id) {
   const LogicalFileName lfn = it->second.lfn;
   requests_.erase(it);
   ++stats_.cancelled;
-  if (metrics_.cancelled) metrics_.cancelled->add();
-  update_gauges();
   if (done) {
     done(make_error(ErrorCode::kAborted, "replication cancelled: " + lfn));
   }
@@ -205,18 +194,13 @@ void ReplicationScheduler::pump() {
     if (every_source_busy(it->second)) {
       // The refusal replicate() would return synchronously, minus the
       // call: park the request exactly where that bounce would.
-      count_busy_deferral();
+      ++stats_.busy_deferrals;
       deferred_.push_back(key.id);
       continue;
     }
     dispatch(it->second);
   }
   pumping_ = false;
-}
-
-void ReplicationScheduler::count_busy_deferral() {
-  ++stats_.busy_deferrals;
-  if (metrics_.busy_deferrals) metrics_.busy_deferrals->add();
 }
 
 // gdmp-lint: hot-path — re-checks every parked request on each release of a saturated queue
@@ -249,11 +233,9 @@ void ReplicationScheduler::dispatch(Request& request) {
   request.source.clear();
   ++request.attempts;
   ++stats_.dispatched;
-  if (metrics_.dispatched) metrics_.dispatched->add();
   ++active_;
   stats_.peak_active = std::max(stats_.peak_active, active_);
   end_queue_wait(request);
-  update_gauges();
 
   const std::uint64_t id = request.id;
   const LogicalFileName lfn = request.lfn;
@@ -270,7 +252,7 @@ void ReplicationScheduler::dispatch(Request& request) {
     }
     const auto it = requests_.find(id);
     if (it != requests_.end()) it->second.busy_bounced = true;
-    count_busy_deferral();
+    ++stats_.busy_deferrals;
     return make_error(ErrorCode::kResourceExhausted,
                       "every source site at its in-flight cap");
   };
@@ -316,18 +298,15 @@ void ReplicationScheduler::on_attempt_done(
     begin_queue_wait(request);
     deferred_.push_back(id);
     pump();
-    update_gauges();
     return;
   }
 
   if (result.is_ok() || result.code() == ErrorCode::kAlreadyExists) {
     if (result.is_ok()) {
       stats_.bytes_moved += result->bytes;
-      if (metrics_.bytes_moved) metrics_.bytes_moved->add(result->bytes);
       if (!source.empty()) ++stats_.completed_by_source[source];
     }
     ++stats_.completed;
-    if (metrics_.completed) metrics_.completed->add();
     settle(it, std::move(result));
     return;
   }
@@ -343,7 +322,6 @@ void ReplicationScheduler::on_attempt_done(
                                        request.attempts,
                                        simulator().now()});
     ++stats_.dead_lettered;
-    if (metrics_.dead_lettered) metrics_.dead_lettered->add();
     server_.note_replication_dead_lettered();
     settle(it, std::move(result));
     return;
@@ -352,7 +330,6 @@ void ReplicationScheduler::on_attempt_done(
   schedule_retry(request, result.status());
   release_deferred();
   pump();
-  update_gauges();
 }
 
 void ReplicationScheduler::settle(
@@ -366,13 +343,11 @@ void ReplicationScheduler::settle(
   release_deferred();
   if (done) done(std::move(result));
   pump();
-  update_gauges();
 }
 
 void ReplicationScheduler::schedule_retry(Request& request,
                                           const Status& cause) {
   ++stats_.retries;
-  if (metrics_.retries) metrics_.retries->add();
   server_.note_replication_retried();
   const SimDuration delay = backoff_after(request.attempts);
   GDMP_DEBUG("sched", "retrying ", request.lfn, " in ", to_seconds(delay),
@@ -387,7 +362,6 @@ void ReplicationScheduler::schedule_retry(Request& request,
     // gdmp-lint: hot-alloc — ready queue is an ordered set; one node per retried request
     ready_.insert(ReadyKey{it->second.priority, it->second.seq, id});
     pump();
-    update_gauges();
   });
 }
 

@@ -110,9 +110,8 @@ class ReplicationScheduler {
   /// unknown or in-flight ids. The request's callback fires with kAborted.
   bool cancel(std::uint64_t id);
 
-  /// Attaches queue/outcome counters and depth gauges (scope e.g.
-  /// "site.cern.sched"). The stats() struct stays authoritative; the
-  /// registry mirrors it.
+  /// Exposes the stats() counters and the queue_depth/active gauges under
+  /// `scope` (e.g. "site.cern.sched"); the registry reads them in place.
   void set_metrics(const obs::MetricsScope& scope);
 
   CostAwareSelector& cost_selector() noexcept { return selector_; }
@@ -174,13 +173,11 @@ class ReplicationScheduler {
   void begin_queue_wait(Request& request);
   void end_queue_wait(Request& request);
   void end_request_span(Request& request, const char* outcome);
-  void update_gauges();
   /// The per-source cap rule of both refusal points: a source site can
   /// take another transfer while it is under max_per_source.
   bool has_slot(const std::string& host) const {
     return in_flight_to(host) < config_.max_per_source;
   }
-  void count_busy_deferral();
   /// True when replicate() would refuse `request` synchronously: the file
   /// is not on site, its catalog entry is fresh in the lookup cache, and
   /// every remote candidate host is at its cap. Reads the entry in place.
@@ -205,19 +202,6 @@ class ReplicationScheduler {
   std::map<std::string, int> per_source_;
   std::vector<DeadLetter> dead_letters_;
   SchedulerStats stats_;
-  struct SchedMetrics {
-    obs::Counter* submitted = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* dead_lettered = nullptr;
-    obs::Counter* cancelled = nullptr;
-    obs::Counter* busy_deferrals = nullptr;
-    obs::Counter* dispatched = nullptr;
-    obs::Counter* bytes_moved = nullptr;
-    obs::Gauge* queue_depth = nullptr;
-    obs::Gauge* active = nullptr;
-  };
-  SchedMetrics metrics_;
   obs::TransferChannel::Token channel_token_ = 0;
   int active_ = 0;
   std::uint64_t next_id_ = 1;

@@ -22,7 +22,6 @@ Result<FileInfo> DiskPool::add_file(std::string path, Bytes size,
     result->pinned = true;
   }
   touch(path);
-  update_space_gauges();
   if (!existing.is_ok()) notify(path, true);
   return result;
 }
@@ -31,11 +30,9 @@ Result<FileInfo> DiskPool::lookup(std::string_view path) {
   auto result = fs_.stat(path);
   if (result.is_ok()) {
     ++stats_.hits;
-    if (metrics_.hits) metrics_.hits->add();
     touch(std::string(path));
   } else {
     ++stats_.misses;
-    if (metrics_.misses) metrics_.misses->add();
   }
   return result;
 }
@@ -56,7 +53,6 @@ Status DiskPool::remove(std::string_view path) {
       lru_.erase(it->second);
       lru_pos_.erase(it);
     }
-    update_space_gauges();
     notify(path, false);
   }
   return status;
@@ -79,14 +75,12 @@ Status DiskPool::reserve(Bytes bytes) {
                       "cannot reserve " + std::to_string(bytes) + " bytes");
   }
   reserved_ += bytes;
-  update_space_gauges();
   return Status::ok();
 }
 
 void DiskPool::release_reservation(Bytes bytes) {
   reserved_ -= bytes;
   if (reserved_ < 0) reserved_ = 0;
-  update_space_gauges();
 }
 
 Status DiskPool::set_content(std::string_view path, Bytes size,
@@ -98,9 +92,7 @@ Status DiskPool::set_content(std::string_view path, Bytes size,
     return make_error(ErrorCode::kResourceExhausted,
                       "no room to grow: " + std::string(path));
   }
-  const Status status = fs_.set_content(path, size, content_seed, now);
-  if (status.is_ok()) update_space_gauges();
-  return status;
+  return fs_.set_content(path, size, content_seed, now);
 }
 
 bool DiskPool::make_room(Bytes needed, std::string_view keep) {
@@ -123,10 +115,6 @@ bool DiskPool::make_room(Bytes needed, std::string_view keep) {
     needed -= info->size;
     ++stats_.evictions;
     stats_.bytes_evicted += info->size;
-    if (metrics_.evictions) {
-      metrics_.evictions->add();
-      metrics_.bytes_evicted->add(info->size);
-    }
     (void)fs_.remove(candidate);
     notify(candidate, false);
     auto dead = std::next(it).base();
@@ -146,19 +134,14 @@ void DiskPool::touch(const std::string& path) {
 }
 
 void DiskPool::set_metrics(const obs::MetricsScope& scope) {
-  metrics_.hits = scope.counter("hits");
-  metrics_.misses = scope.counter("misses");
-  metrics_.evictions = scope.counter("evictions");
-  metrics_.bytes_evicted = scope.counter("bytes_evicted");
-  metrics_.used_bytes = scope.gauge("used_bytes");
-  metrics_.free_bytes = scope.gauge("free_bytes");
-  update_space_gauges();
-}
-
-void DiskPool::update_space_gauges() {
-  if (metrics_.used_bytes == nullptr) return;
-  metrics_.used_bytes->set(static_cast<double>(used_bytes()));
-  metrics_.free_bytes->set(static_cast<double>(free_bytes()));
+  scope.expose("hits", &stats_.hits);
+  scope.expose("misses", &stats_.misses);
+  scope.expose("evictions", &stats_.evictions);
+  scope.expose("bytes_evicted", &stats_.bytes_evicted);
+  scope.expose_gauge("used_bytes",
+                     [this] { return static_cast<double>(used_bytes()); });
+  scope.expose_gauge("free_bytes",
+                     [this] { return static_cast<double>(free_bytes()); });
 }
 
 }  // namespace gdmp::storage

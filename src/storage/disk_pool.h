@@ -92,28 +92,17 @@ class DiskPool {
     observer_ = std::move(observer);
   }
 
-  /// Attaches cache metrics (scope e.g. "site.cern.storage.pool"): hit/miss
-  /// /eviction counters plus used/free-byte gauges kept current on every
-  /// mutation.
+  /// Exposes the stats() counters and used/free-byte gauges under `scope`
+  /// (e.g. "site.cern.storage.pool"); the gauges read the pool's state.
   void set_metrics(const obs::MetricsScope& scope);
 
  private:
   /// Evicts LRU unpinned files until at least `needed` bytes are free.
   bool make_room(Bytes needed, std::string_view keep);
   void touch(const std::string& path);
-  void update_space_gauges();
   void notify(std::string_view path, bool resident) {
     if (observer_) observer_(path, resident);
   }
-
-  struct PoolMetrics {
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* bytes_evicted = nullptr;
-    obs::Gauge* used_bytes = nullptr;
-    obs::Gauge* free_bytes = nullptr;
-  };
 
   Bytes capacity_;
   Disk& disk_;
@@ -123,7 +112,6 @@ class DiskPool {
   // LRU bookkeeping: most recent at the front.
   std::list<std::string> lru_;
   common::UnorderedMap<std::string, std::list<std::string>::iterator> lru_pos_;  // lookup-only
-  PoolMetrics metrics_;
   ResidencyObserver observer_;
 };
 

@@ -89,7 +89,9 @@ class Grid {
   flow::FlowEngine* flow_engine() noexcept { return flow_engine_.get(); }
 
   /// Grid-scope instruments: "grid.flow.*" (fluid engine) and
-  /// "grid.uplink.<site>.utilization" (busy-time fraction gauges).
+  /// "grid.uplink.<site>.*" (busy-time fraction gauges plus byte counters).
+  /// Read it only while the grid is alive: it points into the engine and
+  /// the uplinks.
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
   /// Publishes the busy-time fraction of every site uplink since the last
@@ -109,7 +111,10 @@ class Grid {
   security::CertificateAuthority ca_;
   objstore::EventModel model_;
   net::GridTopology topology_;
-  // Declared before the flow engine and sites: both cache metric pointers.
+  // The flow engine and the packet uplinks expose their counts into the
+  // registry, so it points into them. The engine is destroyed first, which
+  // is safe because nothing reads the registry during teardown (the
+  // heartbeat goes before both).
   obs::MetricsRegistry metrics_;
   std::unique_ptr<flow::FlowEngine> flow_engine_;
   net::NodeId catalog_node_ = net::kInvalidNode;
@@ -119,8 +124,9 @@ class Grid {
   std::vector<std::unique_ptr<net::CbrSource>> cross_sources_;
   std::vector<std::unique_ptr<net::DatagramSink>> cross_sinks_;
 
-  /// Fluid-model uplink instruments (the packet model publishes through
-  /// net::Link::sample_utilization instead).
+  /// Fluid-model uplink instruments, pushed at each sample because both are
+  /// defined by sampling the engine's byte integral (the packet model
+  /// publishes its gauge through net::Link::sample_utilization instead).
   struct FluidUplink {
     net::Link* link = nullptr;
     obs::Gauge* utilization = nullptr;

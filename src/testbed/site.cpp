@@ -72,8 +72,8 @@ Site::Site(sim::Simulator& simulator, net::Network& network, net::Node& host,
       objrep_(gdmp_server_, config_.objrep),
       scheduler_(gdmp_server_, config_.sched) {
   if (!config_.enable_metrics) return;
-  // Every subsystem records into the site registry under a labelled
-  // scope; Site::metrics().dump() is the single source of truth.
+  // Every subsystem exposes its counts to the site registry under a
+  // labelled scope; Site::metrics().dump() is the one-stop view.
   const obs::MetricsScope root = metrics_.scope("site." + host_.name());
   stack_.set_metrics(root.scope("net.tcp"));
   pool_.set_metrics(root.scope("storage.pool"));

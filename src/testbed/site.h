@@ -30,9 +30,10 @@ struct SiteConfig {
   gridftp::FtpServerConfig ftp{};
   objrep::ObjectReplicationConfig objrep{};
   sched::SchedulerConfig sched{};
-  /// When false, subsystems keep detached metric scopes (pointers stay
-  /// null) and the transfer channel gets no registry subscriber — the
-  /// compiled-in-but-disabled mode bench_obs_overhead measures.
+  /// When false, no subsystem registers its counts in the site registry
+  /// and the transfer channel gets no registry subscriber — the
+  /// compiled-in-but-disabled mode bench_obs_overhead measures. The
+  /// subsystems count the same events either way.
   bool enable_metrics = true;
   /// Transfer-model seam: when set, every replication payload this site
   /// originates (GDMP pulls, XFER pushes) moves as rate-based flows on this
@@ -67,8 +68,9 @@ class Site {
   core::GdmpClient& gdmp() noexcept { return gdmp_client_; }
   objrep::ObjectReplicationService& objrep() noexcept { return objrep_; }
   sched::ReplicationScheduler& scheduler() noexcept { return scheduler_; }
-  /// The site's metric registry; every subsystem records under
+  /// The site's metric registry; every subsystem exposes its counts under
   /// "site.<name>.<subsystem>.". metrics().dump() is the one-stop view.
+  /// Read it only while the site is alive: it points into the subsystems.
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
   const SiteConfig& config() const noexcept { return config_; }
@@ -79,8 +81,9 @@ class Site {
  private:
   SiteConfig config_;
   net::Node& host_;
-  // Declared before the subsystems so the cached metric pointers they hold
-  // outlive every instrumented component.
+  // The subsystems expose their counts into the registry, so it points
+  // into them. It is destroyed after them, which is safe because nothing
+  // reads it during teardown (a grid's heartbeat goes first).
   obs::MetricsRegistry metrics_;
   net::TcpStack stack_;
   storage::Disk disk_;

@@ -84,6 +84,96 @@ TEST(Metrics, ScopePrefixesAndDetachedScopeReturnsNull) {
   EXPECT_EQ(detached.scope("child").counter("x"), nullptr);
 }
 
+TEST(ExposedMetrics, DetachedScopeIgnoresExpose) {
+  const MetricsScope detached;
+  std::int64_t total = 3;
+  bool read = false;
+  detached.expose("events", &total);
+  detached.expose_gauge("depth", [&read] {
+    read = true;
+    return 1.0;
+  });
+  detached.scope("child").expose("events", &total);
+  EXPECT_FALSE(detached.attached());
+  EXPECT_FALSE(read);
+}
+
+TEST(ExposedMetrics, SnapshotVisitAndTicksReadTheSourceLive) {
+  MetricsRegistry registry;
+  TimeSeriesStore store;
+  store.add_registry(&registry);
+  std::int64_t total = 5;
+  registry.scope("a").expose("events", &total);
+  store.tick();
+  EXPECT_EQ(store.counters().at("a.events").delta, 5);
+
+  total += 7;  // no add(): the registry reads the component's own field
+  const MetricsSnapshot snapshot = registry.snapshot();
+  ASSERT_EQ(snapshot.entries.size(), 1u);
+  EXPECT_EQ(snapshot.entries[0].kind, MetricKind::kCounter);
+  EXPECT_EQ(snapshot.entries[0].counter, 12);
+  std::int64_t visited = -1;
+  registry.visit([&visited](const std::string&, MetricKind,
+                            const Counter* counter, const Gauge*,
+                            const Histogram*) {
+    if (counter != nullptr) visited = counter->value();
+  });
+  EXPECT_EQ(visited, 12);
+  store.tick();
+  EXPECT_EQ(store.counters().at("a.events").total, 12);
+  EXPECT_EQ(store.counters().at("a.events").delta, 7);
+}
+
+TEST(ExposedMetrics, GaugeFunctionRunsOnEveryTick) {
+  MetricsRegistry registry;
+  TimeSeriesStore store;
+  store.add_registry(&registry);
+  int calls = 0;
+  double depth = 2.0;
+  registry.scope("q").expose_gauge("depth", [&calls, &depth] {
+    ++calls;
+    return depth;
+  });
+  store.tick();
+  EXPECT_DOUBLE_EQ(store.gauges().at("q.depth").value, 2.0);
+  depth = 5.0;
+  store.tick();
+  EXPECT_DOUBLE_EQ(store.gauges().at("q.depth").value, 5.0);
+  EXPECT_EQ(calls, 2);
+}
+
+TEST(ExposedMetrics, KindClashIsLoggedAndKeepsTheExistingMetric) {
+  Logger& logger = Logger::global();
+  std::vector<std::string> lines;
+  logger.set_sink(
+      [&lines](LogLevel, std::string_view line) { lines.emplace_back(line); });
+  logger.set_level(LogLevel::kError);
+
+  MetricsRegistry registry;
+  registry.counter("x.depth").add(7);
+  registry.gauge("x.total").set(2.5);
+  const MetricsScope scope = registry.scope("x");
+  std::int64_t total = 99;
+  scope.expose("total", &total);
+  scope.expose_gauge("depth", [] { return 42.0; });
+
+  logger.set_level(LogLevel::kOff);
+  logger.set_sink(nullptr);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("'x.total' already registered as gauge"),
+            std::string::npos);
+  EXPECT_NE(lines[1].find("'x.depth' already registered as counter"),
+            std::string::npos);
+  const MetricsSnapshot snapshot = registry.snapshot();
+  ASSERT_EQ(snapshot.entries.size(), 2u);
+  EXPECT_EQ(snapshot.entries[0].name, "x.depth");
+  EXPECT_EQ(snapshot.entries[0].kind, MetricKind::kCounter);
+  EXPECT_EQ(snapshot.entries[0].counter, 7);
+  EXPECT_EQ(snapshot.entries[1].name, "x.total");
+  EXPECT_EQ(snapshot.entries[1].kind, MetricKind::kGauge);
+  EXPECT_DOUBLE_EQ(snapshot.entries[1].gauge, 2.5);
+}
+
 TEST(Metrics, SnapshotDeltaSubtractsCountersKeepsGauges) {
   MetricsRegistry registry;
   Counter& counter = registry.counter("c");

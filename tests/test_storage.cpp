@@ -1,6 +1,7 @@
 // Tests for the storage substrate: filesystem, disk pool, MSS, HRM.
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "storage/disk_pool.h"
 #include "storage/hrm.h"
 #include "storage/mss.h"
@@ -122,6 +123,23 @@ TEST(DiskPool, HitMissAccounting) {
   (void)pool.lookup("/missing");
   EXPECT_EQ(pool.stats().hits, 2);
   EXPECT_EQ(pool.stats().misses, 1);
+}
+
+TEST(DiskPool, SpaceGaugesFollowFailedAddThatEvicted) {
+  // make_room can evict and still fail: adding 70 bytes evicts /a, then
+  // finds /b pinned. The space gauges must show the pool as it is left.
+  PoolFixture f;
+  DiskPool pool(100, f.disk);
+  obs::MetricsRegistry registry;
+  pool.set_metrics(registry.scope("pool"));
+  ASSERT_TRUE(pool.add_file("/a", 40, 1, 0).is_ok());
+  ASSERT_TRUE(pool.add_file("/b", 40, 2, 1, /*pinned=*/true).is_ok());
+  EXPECT_EQ(pool.add_file("/c", 70, 3, 2).code(),
+            ErrorCode::kResourceExhausted);
+  EXPECT_EQ(pool.stats().evictions, 1);
+  EXPECT_FALSE(pool.contains("/a"));
+  EXPECT_DOUBLE_EQ(registry.gauge("pool.used_bytes").value(), 40.0);
+  EXPECT_DOUBLE_EQ(registry.gauge("pool.free_bytes").value(), 60.0);
 }
 
 TEST(DiskPool, FileLargerThanPoolRejected) {

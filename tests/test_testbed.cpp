@@ -1,6 +1,13 @@
 // Tests for the testbed assembly layer and workload generators.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "testbed/grid.h"
 #include "testbed/workload.h"
 
@@ -212,6 +219,277 @@ TEST(SiteAssembly, StorageBackendSelection) {
   ASSERT_TRUE(grid.start().is_ok());
   ASSERT_NE(grid.site(0).mss(), nullptr);
   ASSERT_NE(grid.site(1).mss(), nullptr);
+}
+
+// ------------------------------------------------------- registry schema
+
+// Sorted "name kind" lines of a registry; `prefix` is cut from the names.
+std::string schema_of(const obs::MetricsRegistry& registry,
+                      const std::string& prefix = "") {
+  std::string out;
+  registry.visit([&](const std::string& name, obs::MetricKind kind,
+                     const obs::Counter*, const obs::Gauge*,
+                     const obs::Histogram*) {
+    out += name.starts_with(prefix) ? name.substr(prefix.size()) : name;
+    out += kind == obs::MetricKind::kCounter ? " counter\n"
+           : kind == obs::MetricKind::kGauge ? " gauge\n"
+                                             : " histogram\n";
+  });
+  return out;
+}
+
+// The metric names and kinds rollups, dumps, watchdog rules and perfbench
+// rows key on. Every site registry holds kSiteSchema under "site.<name>.",
+// under either transfer model.
+constexpr const char* kSiteSchema = R"(gdmp.catalog_cache.lookup.evictions counter
+gdmp.catalog_cache.lookup.hits counter
+gdmp.catalog_cache.lookup.invalidations counter
+gdmp.catalog_cache.lookup.misses counter
+gdmp.catalog_cache.lookup.stale_revalidate counter
+gdmp.catalog_cache.search.evictions counter
+gdmp.catalog_cache.search.hits counter
+gdmp.catalog_cache.search.invalidations counter
+gdmp.catalog_cache.search.misses counter
+gdmp.catalog_cache.search.stale_revalidate counter
+gdmp.files_published counter
+gdmp.files_replicated counter
+gdmp.notifications_queued counter
+gdmp.notifications_received counter
+gdmp.notifications_sent counter
+gdmp.replication_failures counter
+gdmp.replications_dead_lettered counter
+gdmp.replications_retried counter
+gdmp.rpc.auth_failures counter
+gdmp.rpc.requests_served counter
+gdmp.stage_requests_served counter
+gridftp.blocks_corrupted counter
+gridftp.bytes_received counter
+gridftp.bytes_sent counter
+gridftp.retrievals counter
+gridftp.rpc.auth_failures counter
+gridftp.rpc.requests_served counter
+gridftp.stores counter
+gridftp.third_party counter
+net.tcp.bytes_delivered counter
+net.tcp.connections_opened counter
+net.tcp.fast_retransmits counter
+net.tcp.retransmits counter
+net.tcp.segments_received counter
+net.tcp.segments_sent counter
+net.tcp.timeouts counter
+sched.active gauge
+sched.busy_deferrals counter
+sched.bytes_moved counter
+sched.cancelled counter
+sched.completed counter
+sched.dead_lettered counter
+sched.dispatched counter
+sched.queue_depth gauge
+sched.retries counter
+sched.submitted counter
+storage.pool.bytes_evicted counter
+storage.pool.evictions counter
+storage.pool.free_bytes gauge
+storage.pool.hits counter
+storage.pool.misses counter
+storage.pool.used_bytes gauge
+transfer.completed counter
+transfer.failed counter
+transfer.mbps histogram
+transfer.restarts counter
+transfer.seconds histogram
+)";
+constexpr const char* kPacketGridSchema = R"(grid.uplink.anl.bytes_delivered counter
+grid.uplink.anl.bytes_sent counter
+grid.uplink.anl.packets_dropped counter
+grid.uplink.anl.utilization gauge
+grid.uplink.cern.bytes_delivered counter
+grid.uplink.cern.bytes_sent counter
+grid.uplink.cern.packets_dropped counter
+grid.uplink.cern.utilization gauge
+)";
+constexpr const char* kFluidGridSchema = R"(grid.flow.active_flows gauge
+grid.flow.completed counter
+grid.flow.links_recomputed counter
+grid.flow.renegotiations counter
+grid.uplink.anl.bytes_moved counter
+grid.uplink.anl.utilization gauge
+grid.uplink.cern.bytes_moved counter
+grid.uplink.cern.utilization gauge
+)";
+
+// The site metrics no component keeps: the transfer channel's observer
+// pushes them.
+constexpr const char* kPushedSiteMetrics[] = {
+    "transfer.completed", "transfer.failed", "transfer.mbps",
+    "transfer.restarts", "transfer.seconds"};
+
+// Two sites with the heartbeat on, after anl auto-replicated cern's AOD
+// run (two files) through its scheduler.
+std::unique_ptr<Grid> replicated_two_site_grid(flow::TransferModel model) {
+  GridConfig config = two_site_config("cern", "anl");
+  config.transfer_model = model;
+  config.heartbeat_period = 30 * kSecond;
+  config.event_count = 4000;
+  config.sites[1].site.gdmp.auto_replicate_on_notify = true;
+  auto grid = std::make_unique<Grid>(config);
+  EXPECT_TRUE(grid->start().is_ok());
+  grid->heartbeat()->set_sink([](const std::string&) {});
+  Site& cern = grid->site(0);
+  Site& anl = grid->site(1);
+  anl.gdmp().subscribe(cern.host().id(), 2000, [](Status) {});
+  grid->run_until(grid->simulator().now() + 30 * kSecond);
+  ProductionConfig production;
+  production.event_hi = 4000;
+  cern.gdmp().publish(produce_run(cern, production), [](Status) {});
+  grid->run_until(grid->simulator().now() + 3600 * kSecond);
+  EXPECT_TRUE(anl.scheduler().idle());
+  EXPECT_EQ(anl.gdmp_server().stats().files_replicated, 2);
+  return grid;
+}
+
+using Fields = std::vector<std::pair<std::string, double>>;
+
+// Each exposed site metric and the field or state it must read.
+Fields site_fields(Site& site) {
+  const auto d = [](auto v) { return static_cast<double>(v); };
+  const net::TcpStats& tcp = site.stack().totals();
+  const storage::DiskPoolStats& pool = site.pool().stats();
+  const gridftp::FtpServerStats& ftp = site.ftp_server().stats();
+  const core::GdmpServerStats& gdmp = site.gdmp_server().stats();
+  const sched::SchedulerStats& sched = site.scheduler().stats();
+  Fields fields = {
+      {"net.tcp.connections_opened", d(site.stack().connections_opened())},
+      {"net.tcp.segments_sent", d(tcp.segments_sent)},
+      {"net.tcp.segments_received", d(tcp.segments_received)},
+      {"net.tcp.retransmits", d(tcp.retransmits)},
+      {"net.tcp.fast_retransmits", d(tcp.fast_retransmits)},
+      {"net.tcp.timeouts", d(tcp.timeouts)},
+      {"net.tcp.bytes_delivered", d(tcp.bytes_delivered)},
+      {"storage.pool.hits", d(pool.hits)},
+      {"storage.pool.misses", d(pool.misses)},
+      {"storage.pool.evictions", d(pool.evictions)},
+      {"storage.pool.bytes_evicted", d(pool.bytes_evicted)},
+      {"storage.pool.used_bytes", d(site.pool().used_bytes())},
+      {"storage.pool.free_bytes", d(site.pool().free_bytes())},
+      {"gridftp.retrievals", d(ftp.retrievals)},
+      {"gridftp.stores", d(ftp.stores)},
+      {"gridftp.third_party", d(ftp.third_party)},
+      {"gridftp.blocks_corrupted", d(ftp.blocks_corrupted)},
+      {"gridftp.bytes_sent", d(ftp.bytes_sent)},
+      {"gridftp.bytes_received", d(ftp.bytes_received)},
+      {"gridftp.rpc.requests_served",
+       d(site.ftp_server().rpc().requests_served())},
+      {"gridftp.rpc.auth_failures", d(site.ftp_server().rpc().auth_failures())},
+      {"gdmp.files_published", d(gdmp.files_published)},
+      {"gdmp.notifications_sent", d(gdmp.notifications_sent)},
+      {"gdmp.notifications_received", d(gdmp.notifications_received)},
+      {"gdmp.notifications_queued", d(gdmp.notifications_queued)},
+      {"gdmp.files_replicated", d(gdmp.files_replicated)},
+      {"gdmp.replication_failures", d(gdmp.replication_failures)},
+      {"gdmp.stage_requests_served", d(gdmp.stage_requests_served)},
+      {"gdmp.replications_retried", d(gdmp.replications_retried)},
+      {"gdmp.replications_dead_lettered", d(gdmp.replications_dead_lettered)},
+      {"gdmp.rpc.requests_served",
+       d(site.gdmp_server().rpc().requests_served())},
+      {"gdmp.rpc.auth_failures", d(site.gdmp_server().rpc().auth_failures())},
+      {"sched.submitted", d(sched.submitted)},
+      {"sched.completed", d(sched.completed)},
+      {"sched.retries", d(sched.retries)},
+      {"sched.dead_lettered", d(sched.dead_lettered)},
+      {"sched.cancelled", d(sched.cancelled)},
+      {"sched.busy_deferrals", d(sched.busy_deferrals)},
+      {"sched.dispatched", d(sched.dispatched)},
+      {"sched.bytes_moved", d(sched.bytes_moved)},
+      {"sched.queue_depth", d(site.scheduler().queue_depth())},
+      {"sched.active", d(site.scheduler().active())},
+  };
+  const auto add_cache = [&](const std::string& name, const auto& cache) {
+    const std::string scope = "gdmp.catalog_cache." + name + ".";
+    fields.emplace_back(scope + "hits", d(cache.hits));
+    fields.emplace_back(scope + "misses", d(cache.misses));
+    fields.emplace_back(scope + "stale_revalidate", d(cache.stale_probes));
+    fields.emplace_back(scope + "invalidations", d(cache.invalidations));
+    fields.emplace_back(scope + "evictions", d(cache.evictions));
+  };
+  add_cache("lookup", site.gdmp_server().catalog().lookup_cache_stats());
+  add_cache("search", site.gdmp_server().catalog().search_cache_stats());
+  return fields;
+}
+
+// Each exposed grid metric and the field or state it must read.
+Fields grid_fields(Grid& grid) {
+  const auto d = [](auto v) { return static_cast<double>(v); };
+  Fields fields;
+  if (const flow::FlowEngine* engine = grid.flow_engine()) {
+    fields = {{"grid.flow.renegotiations", d(engine->stats().renegotiations)},
+              {"grid.flow.links_recomputed",
+               d(engine->stats().links_recomputed)},
+              {"grid.flow.completed", d(engine->stats().flows_completed)},
+              {"grid.flow.active_flows", d(engine->active_flows())}};
+    return fields;
+  }
+  for (std::size_t i = 0; i < grid.site_count(); ++i) {
+    const std::string scope = "grid.uplink." + grid.site(i).name() + ".";
+    const net::LinkStats& link = grid.uplink(i)->stats();
+    fields.emplace_back(scope + "bytes_sent", d(link.bytes_sent));
+    fields.emplace_back(scope + "bytes_delivered", d(link.bytes_delivered));
+    fields.emplace_back(scope + "packets_dropped", d(link.packets_dropped));
+  }
+  return fields;
+}
+
+// Checks every field against the registry value under `prefix` + name.
+void expect_reads(const obs::MetricsRegistry& registry,
+                  const std::string& prefix, const Fields& fields) {
+  std::map<std::string, double> values;
+  for (const auto& entry : registry.snapshot().entries) {
+    values[entry.name] = entry.kind == obs::MetricKind::kGauge
+                             ? entry.gauge
+                             : static_cast<double>(entry.counter);
+  }
+  for (const auto& [name, value] : fields) {
+    const auto it = values.find(prefix + name);
+    if (it == values.end()) {
+      ADD_FAILURE() << "not registered: " << prefix + name;
+      continue;
+    }
+    EXPECT_EQ(it->second, value) << prefix + name;
+  }
+}
+
+TEST(RegistrySchema, NamesAndKindsHoldUnderBothModels) {
+  for (const auto model :
+       {flow::TransferModel::kPacket, flow::TransferModel::kFluid}) {
+    SCOPED_TRACE(model == flow::TransferModel::kPacket ? "packet" : "fluid");
+    const auto grid = replicated_two_site_grid(model);
+    for (std::size_t i = 0; i < grid->site_count(); ++i) {
+      Site& site = grid->site(i);
+      EXPECT_EQ(schema_of(site.metrics(), "site." + site.name() + "."),
+                kSiteSchema)
+          << site.name();
+    }
+    EXPECT_EQ(schema_of(grid->metrics()),
+              model == flow::TransferModel::kPacket ? kPacketGridSchema
+                                                    : kFluidGridSchema);
+  }
+}
+
+TEST(RegistrySchema, ExposedMetricsReadTheirFields) {
+  for (const auto model :
+       {flow::TransferModel::kPacket, flow::TransferModel::kFluid}) {
+    SCOPED_TRACE(model == flow::TransferModel::kPacket ? "packet" : "fluid");
+    const auto grid = replicated_two_site_grid(model);
+    for (std::size_t i = 0; i < grid->site_count(); ++i) {
+      Site& site = grid->site(i);
+      const Fields fields = site_fields(site);
+      expect_reads(site.metrics(), "site." + site.name() + ".", fields);
+      // Every site metric is either read from its field or pushed.
+      EXPECT_EQ(fields.size() + std::size(kPushedSiteMetrics),
+                site.metrics().size());
+    }
+    expect_reads(grid->metrics(), "", grid_fields(*grid));
+  }
 }
 
 }  // namespace
