@@ -1,11 +1,13 @@
 // GridFTP WAN tuning explorer (§6): computes the RTT x bandwidth rule,
 // then lets you see the effect of buffers and parallel streams on one
-// transfer, with the live throughput timeline.
+// transfer, with the live throughput timeline built from the client's
+// perf markers.
 //
 //   $ ./gridftp_tuning [streams] [buffer_kib] [file_mib]
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/stats.h"
 #include "common/string_util.h"
 
 #include "../bench/bench_util.h"
@@ -60,6 +62,26 @@ int main(int argc, char** argv) {
   options.parallel_streams = streams;
   options.tcp_buffer = buffer;
   options.monitor_interval = 1 * kSecond;
+
+  // Subscribing to perf markers is what turns the client's monitor on.
+  // Each tick publishes every stripe's cumulative bytes, stripe 0 first;
+  // a tick's total less the previous tick's is what moved in between.
+  obs::TransferChannel channel;
+  TimeSeries timeline;  // Mbit/s per monitor interval
+  Bytes tick_bytes = 0;
+  Bytes last_tick_bytes = 0;
+  obs::TransferChannel::Observer monitor;
+  monitor.on_perf = [&](const obs::PerfMarker& marker) {
+    if (marker.stripe == 0) tick_bytes = 0;
+    tick_bytes += marker.bytes;
+    if (marker.stripe + 1 < marker.stripe_count) return;
+    timeline.add(marker.time, throughput_mbps(tick_bytes - last_tick_bytes,
+                                              options.monitor_interval));
+    last_tick_bytes = tick_bytes;
+  };
+  channel.subscribe(std::move(monitor));
+  options.channel = &channel;
+
   client.get(path.host_a->id(), gridftp::kControlPort, "/pool/f", "/x",
              nullptr, options, [&](Result<gridftp::TransferResult> result) {
                if (!result.is_ok()) {
@@ -74,7 +96,7 @@ int main(int argc, char** argv) {
                            static_cast<long long>(
                                result->retransmitted_segments));
                std::printf("throughput timeline (1 s samples):\n");
-               for (const auto& point : result->rate_series.points()) {
+               for (const auto& point : timeline.points()) {
                  const int bars = static_cast<int>(point.value / 1.0);
                  std::printf("  t=%5.1fs %6.2f Mbit/s |", to_seconds(point.time),
                              point.value);

@@ -34,7 +34,9 @@
 #                               # (seed 5, 2 s, --trace 1) on <base-ref>
 #                               # and on the working tree must agree on
 #                               # every non-host per-layer metric and
-#                               # produce a byte-identical trace.json;
+#                               # produce a byte-identical trace.json, and
+#                               # (--trace 0) on attempted, failed and the
+#                               # three sim-time metrics, bit for bit;
 #                               # then the observability example (heartbeat
 #                               # on) must print the same stdout and write
 #                               # the same rollup stream and trace
@@ -45,12 +47,20 @@ cd "$(dirname "$0")/.."
 # <base-ref> is exported (git archive) into a temporary directory, and
 # perfbench builds and runs it there; the working tree (uncommitted edits
 # included) runs in place. "Non-host" metrics are the ones perfbench's
-# self-test compares (perfbench/run.py `deterministic`). Perfbench never
+# self-test compares (perfbench/run.py `deterministic`). A traced run
+# subscribes to perf markers and an untraced one does not, so the two take
+# different paths through GridFTP's monitor (DESIGN.md §5m); each workload
+# therefore also runs untraced, where only the outcome and the sim-time
+# metrics are printed, and those must match bit for bit. Perfbench never
 # turns the heartbeat on, so the stage also runs examples/observability
-# in both trees and compares its stdout, rollup stream and trace. Set
-# TMPDIR to put the temporary trees somewhere other than /tmp.
+# in both trees and compares its stdout, rollup stream and trace. Every
+# stage runs and names what differs, so a count a change moves on purpose
+# on one workload does not hide the rest; any difference fails the stage
+# at the end. Set TMPDIR to put the temporary trees somewhere other than
+# /tmp.
 if [ "${1:-}" = "same-behaviour" ]; then
   base_ref="${2:?usage: scripts/check.sh same-behaviour <base-ref>}"
+  differences=0
   base_tree="$(mktemp -d -t gdmp-same-behaviour.XXXXXX)"
   trap 'rm -rf "$base_tree"' EXIT
   git archive "$base_ref" | tar -x -C "$base_tree"
@@ -61,7 +71,7 @@ if [ "${1:-}" = "same-behaviour" ]; then
         --seed 5 --seconds 2 --trace 1 >/dev/null)
     done
     python3 - "$workload" "$base_tree/.bench_build/out/$workload-5" \
-      ".bench_build/out/$workload-5" <<'PY'
+      ".bench_build/out/$workload-5" <<'PY' || differences=1
 import json
 import sys
 from pathlib import Path
@@ -72,10 +82,11 @@ from run import deterministic  # noqa: E402
 workload, base, tree = sys.argv[1], Path(sys.argv[2]), Path(sys.argv[3])
 views = [deterministic(json.loads((d / "per_layer.json").read_text())["metrics"])
          for d in (base, tree)]
-for name in sorted(set(views[0]) | set(views[1])):
-    if views[0].get(name) != views[1].get(name):
-        sys.exit(f"{workload}: per-layer {name} differs: base "
-                 f"{views[0].get(name)}, working tree {views[1].get(name)}")
+differ = [name for name in sorted(set(views[0]) | set(views[1]))
+          if views[0].get(name) != views[1].get(name)]
+for name in differ:
+    print(f"{workload}: per-layer {name} differs: base "
+          f"{views[0].get(name)}, working tree {views[1].get(name)}")
 traces = [(d / "trace.json").read_bytes() for d in (base, tree)]
 if traces[0] != traces[1]:
     at = next((i for i, (a, b) in enumerate(zip(*traces)) if a != b),
@@ -85,8 +96,42 @@ if traces[0] != traces[1]:
     sys.exit(f"{workload}: trace.json differs from byte {at}:\n"
              f"  base:         ...{window[0]}...\n"
              f"  working tree: ...{window[1]}...")
+if differ:
+    sys.exit(f"{workload}: {len(differ)} of {len(views[0])} per-layer "
+             f"metrics differ, trace.json identical ({len(traces[0])} bytes)")
 print(f"{workload}: {len(views[0])} per-layer metrics equal, "
       f"trace.json identical ({len(traces[0])} bytes)")
+PY
+    echo "==> same behaviour [$workload --trace 0: $base_ref vs working tree]"
+    base_result="$(cd "$base_tree" && python3 perfbench/run.py \
+      --workload "$workload" --seed 5 --seconds 2 --trace 0 | tail -n 1)"
+    tree_result="$(python3 perfbench/run.py \
+      --workload "$workload" --seed 5 --seconds 2 --trace 0 | tail -n 1)"
+    python3 - "$workload" "$base_result" "$tree_result" <<'PY' || differences=1
+import json
+import sys
+
+SIM_TIME = ("makespan_sim_s", "latency_p50_sim_s", "latency_tail_sim_s")
+
+
+def view(line):
+    result = json.loads(line)
+    out = {key: result[key] for key in ("attempted", "failed")}
+    out.update({name: result["metrics"][name]["value"] for name in SIM_TIME})
+    return out
+
+
+workload = sys.argv[1]
+views = [view(line) for line in sys.argv[2:4]]
+differ = [name for name, value in views[0].items() if views[1][name] != value]
+for name in differ:
+    print(f"{workload} --trace 0: {name} differs: base {views[0][name]!r}, "
+          f"working tree {views[1][name]!r}")
+if differ:
+    sys.exit(1)
+print(f"{workload} --trace 0: " +
+      ", ".join(f"{name} {value!r}" for name, value in views[0].items()) +
+      " equal")
 PY
   done
   echo "==> same behaviour [observability: $base_ref vs working tree]"
@@ -107,10 +152,15 @@ PY
   for file in stdout.txt rollup.jsonl trace.json; do
     if ! cmp "$runs/base/$file" "$runs/tree/$file"; then
       echo "observability: $file differs (base first, working tree second)"
-      exit 1
+      differences=1
+      continue
     fi
     echo "observability: $file identical ($(wc -c <"$runs/base/$file") bytes)"
   done
+  if [ "$differences" -ne 0 ]; then
+    echo "==> same-behaviour vs $base_ref FAILED: differences above"
+    exit 1
+  fi
   echo "==> all checks passed: same-behaviour vs $base_ref"
   exit 0
 fi

@@ -68,13 +68,12 @@ struct FtpClient::Transfer : std::enable_shared_from_this<Transfer> {
   std::vector<std::vector<ByteRange>> flow_ranges;  // stripe -> ranges
   std::vector<std::uint64_t> flow_seeds;            // stripe -> content seed
   std::vector<std::uint8_t> fluid_reply;            // saved FGET reply
-  Bytes payload_base = 0;  // payload delivered by earlier attempts
   int flows_outstanding = 0;
 
   // What a get received, on either plane.
   RangeSet received;
   std::map<Bytes, std::pair<Bytes, std::uint64_t>> blocks;  // offset -> {len, seed}
-  Bytes payload_bytes = 0;  // progress counter for the rate monitor
+  Bytes payload_bytes = 0;  // moved so far; a failed transfer's summary bytes
 
   // Put-side bookkeeping.
   std::uint64_t source_seed = 0;
@@ -83,13 +82,11 @@ struct FtpClient::Transfer : std::enable_shared_from_this<Transfer> {
   // Outcome accumulation.
   SimTime started_at = 0;
   int attempts = 0;
-  TimeSeries rate_series;
-  Bytes last_sampled_bytes = 0;
-  std::unique_ptr<sim::PeriodicTimer> monitor;
+  std::unique_ptr<sim::PeriodicTimer> monitor;  // perf subscribers only
   bool finished = false;
 
   // Observability: transfer span, per-stream child spans, and per-stripe
-  // cumulative byte counters feeding the perf markers.
+  // cumulative byte counters (a fluid stripe's is set when its flow ends).
   obs::SpanId span;
   std::vector<obs::SpanId> stream_spans;
   std::vector<Bytes> stream_bytes;
@@ -122,7 +119,7 @@ struct FtpClient::Transfer : std::enable_shared_from_this<Transfer> {
   }
 
   /// Marks the transfer finished and releases everything it holds open:
-  /// the rate monitor, the data plane and the control channel.
+  /// the perf monitor, the data plane and the control channel.
   void shut_down() {
     finished = true;
     if (monitor) {
@@ -293,7 +290,6 @@ void FtpClient::put(net::NodeId server, net::Port control_port,
 void FtpClient::start_attempt(const std::shared_ptr<Transfer>& transfer) {
   ++transfer->attempts;
   transfer->close_data_plane();
-  transfer->payload_base = transfer->payload_bytes;
   std::weak_ptr<bool> alive = alive_;
   const int streams = transfer->options.parallel_streams;
 
@@ -455,8 +451,6 @@ void FtpClient::open_streams(const std::shared_ptr<Transfer>& transfer) {
     // ignoring orderly teardown.
     conn->on_closed = [](const Status&) {};
   }
-
-  // Throughput instrumentation: sample payload progress periodically.
   ensure_monitor(transfer);
 }
 
@@ -538,11 +532,7 @@ void FtpClient::launch_flows(const std::shared_ptr<Transfer>& transfer) {
             stripe_total += range.length;
           }
           transfer->stream_bytes[i] = stripe_total;
-          // Recompute (not +=): the monitor may have already pulled a
-          // partial count for this stripe into payload_bytes.
-          Bytes attempt_sum = 0;
-          for (const Bytes b : transfer->stream_bytes) attempt_sum += b;
-          transfer->payload_bytes = transfer->payload_base + attempt_sum;
+          transfer->payload_bytes += stripe_total;
           if (--transfer->flows_outstanding == 0) flows_drained(transfer);
         });
     if (!transfer->flows[i].valid()) {
@@ -588,8 +578,13 @@ void FtpClient::call_closing(const std::shared_ptr<Transfer>& transfer,
 }
 
 void FtpClient::ensure_monitor(const std::shared_ptr<Transfer>& transfer) {
-  if (transfer->monitor) return;
-  transfer->last_sampled_bytes = 0;
+  // Monitoring on demand (DESIGN.md §5m): the marker stream is the
+  // monitor's only output, so nobody watching means no timer at all.
+  const obs::TransferChannel* channel = transfer->options.channel;
+  if (transfer->monitor || channel == nullptr ||
+      !channel->has_perf_subscribers()) {
+    return;
+  }
   std::weak_ptr<bool> alive = alive_;
   // gdmp-lint: hot-alloc — one progress monitor per transfer, created lazily once
   transfer->monitor = std::make_unique<sim::PeriodicTimer>(
@@ -602,40 +597,27 @@ void FtpClient::ensure_monitor(const std::shared_ptr<Transfer>& transfer) {
 }
 
 void FtpClient::monitor_tick(const std::shared_ptr<Transfer>& transfer) {
-  // Fluid stripes progress continuously inside the engine; pull their
-  // byte counts forward so markers and the rate series see live progress
-  // (the packet path's parsers update stream_bytes directly instead).
-  if (!transfer->flows.empty()) {
-    flow::FlowEngine* engine = transfer->options.flow_engine;
-    Bytes current = 0;
-    for (std::size_t i = 0; i < transfer->flows.size(); ++i) {
-      if (engine->active(transfer->flows[i])) {
-        transfer->stream_bytes[i] = engine->transferred(transfer->flows[i]);
-      }
-      current += transfer->stream_bytes[i];
-    }
-    transfer->payload_bytes = transfer->payload_base + current;
-  }
-  const Bytes now_bytes = transfer->payload_bytes;
-  const double mbps = throughput_mbps(
-      now_bytes - transfer->last_sampled_bytes,
-      transfer->options.monitor_interval);
-  transfer->last_sampled_bytes = now_bytes;
-  transfer->rate_series.add(stack_.simulator().now(), mbps);
-  // Wire-level perf markers: one per stripe, cumulative bytes.
+  // Wire-level perf markers: one per stripe, cumulative bytes. A running
+  // fluid stripe progresses inside the engine and is read there; a finished
+  // one, and every packet stream (its parser counts as bytes arrive), reads
+  // stream_bytes. The tick only reads: whether it runs cannot move a
+  // transfer, so a subscriber never changes a sim-time result.
   const obs::TransferChannel* channel = transfer->options.channel;
-  if (channel != nullptr && channel->has_subscribers()) {
-    obs::PerfMarker marker;
-    marker.time = stack_.simulator().now();
-    marker.peer = transfer->options.peer;
-    marker.path = transfer->remote_path;
-    marker.stripe_count =
-        static_cast<std::uint32_t>(transfer->stream_bytes.size());
-    for (std::size_t s = 0; s < transfer->stream_bytes.size(); ++s) {
-      marker.stripe = static_cast<std::uint32_t>(s);
-      marker.bytes = transfer->stream_bytes[s];
-      channel->perf(marker);
-    }
+  if (!channel->has_perf_subscribers()) return;  // all left since arming
+  const flow::FlowEngine* engine = transfer->options.flow_engine;
+  obs::PerfMarker marker;
+  marker.time = stack_.simulator().now();
+  marker.peer = transfer->options.peer;
+  marker.path = transfer->remote_path;
+  marker.stripe_count =
+      static_cast<std::uint32_t>(transfer->stream_bytes.size());
+  for (std::size_t s = 0; s < transfer->stream_bytes.size(); ++s) {
+    const bool running =
+        s < transfer->flows.size() && engine->active(transfer->flows[s]);
+    marker.stripe = static_cast<std::uint32_t>(s);
+    marker.bytes = running ? engine->transferred(transfer->flows[s])
+                           : transfer->stream_bytes[s];
+    channel->perf(marker);
   }
 }
 
@@ -822,7 +804,6 @@ void FtpClient::succeed(const std::shared_ptr<Transfer>& transfer,
   result.attempts = transfer->attempts;
   result.streams = transfer->options.parallel_streams;
   result.retransmitted_segments = transfer->sum_retransmits();
-  result.rate_series = transfer->rate_series;
   complete(transfer, std::move(result));
 }
 

@@ -3,8 +3,11 @@
 // Implements get/put with parallel TCP streams, TCP buffer negotiation,
 // partial-file ranges, automatic restart of failed or corrupted transfers,
 // third-party transfer control, and integrated throughput instrumentation
-// (a periodic rate sampler, the paper's "monitoring ongoing transfer
-// performance").
+// (the paper's "monitoring ongoing transfer performance"): a periodic
+// monitor publishes per-stripe perf markers on TransferOptions::channel.
+// Like GridFTP's wire markers it is opt-in — it runs only while that
+// channel has a perf subscriber, so an unwatched transfer schedules no
+// monitor events (DESIGN.md §5m).
 #pragma once
 
 #include <cstdint>
@@ -16,7 +19,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/stats.h"
 #include "flow/transfer_model.h"
 #include "gridftp/block_stream.h"
 #include "gridftp/protocol.h"
@@ -40,12 +42,15 @@ struct TransferOptions {
   std::optional<std::uint32_t> expected_crc;
   /// Total attempts including the first (restart on failure/corruption).
   int max_attempts = 3;
+  /// Perf-marker period: each tick publishes one marker per stripe with
+  /// its cumulative bytes. Ticks run only for a perf subscriber.
   SimDuration monitor_interval = 500 * kMillisecond;
   /// Control-channel call timeout; transfers legitimately take minutes.
   SimDuration rpc_timeout = 7200 * kSecond;
   /// Observer channel for perf/restart markers and the terminal summary
   /// (the paper's wire-level performance markers, §3.2). Not owned; null
-  /// disables marker emission.
+  /// disables marker emission. The perf monitor is armed only when this
+  /// channel has an `on_perf` observer at the start of a data phase.
   obs::TransferChannel* channel = nullptr;
   /// Peer label stamped on emitted markers (e.g. the source host name).
   std::string peer;
@@ -72,7 +77,6 @@ struct TransferResult {
   int attempts = 1;
   int streams = 1;
   std::int64_t retransmitted_segments = 0;  // summed over data streams
-  TimeSeries rate_series;                   // sampled instantaneous Mbit/s
 };
 
 class FtpClient {

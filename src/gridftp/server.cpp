@@ -427,7 +427,7 @@ std::uint64_t FtpServer::wire_seed(std::uint64_t seed) {
 
 void FtpServer::emit_perf(const std::string& path, Bytes bytes,
                           std::size_t stripe, std::size_t stripe_count) {
-  if (channel_ == nullptr || !channel_->has_subscribers()) return;
+  if (channel_ == nullptr || !channel_->has_perf_subscribers()) return;
   obs::PerfMarker marker;
   marker.time = stack_.simulator().now();
   marker.path = path;

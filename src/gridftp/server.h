@@ -82,8 +82,9 @@ class FtpServer {
   void set_metrics(const obs::MetricsScope& scope);
   const rpc::RpcServer& rpc() const noexcept { return rpc_; }
 
-  /// Server-side marker channel: RETR sessions publish per-stripe perf
-  /// markers as blocks are queued. Not owned; null disables emission.
+  /// Server-side marker channel: RETR and FGET publish per-stripe perf
+  /// markers as blocks are queued. Not owned; null disables emission, and
+  /// so does a channel without a perf subscriber (no marker is built).
   void set_channel(obs::TransferChannel* channel) noexcept {
     channel_ = channel;
   }

@@ -3,9 +3,9 @@
 //
 // The GridFTP client/server publish markers here; subscribers include the
 // per-site MetricsRegistry and the replication scheduler's EWMA cost
-// selector. Lives in obs (not gridftp) so sched can consume markers without
-// a dependency inversion — event types carry plain numbers, not gridftp
-// structs.
+// selector (neither reads perf markers). Lives in obs (not gridftp) so
+// sched can consume markers without a dependency inversion — event types
+// carry plain numbers, not gridftp structs.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +53,9 @@ struct TransferSummary {
 
 /// Multi-subscriber fan-out. Subscribing returns a token; unsubscribe with
 /// it (e.g. from a destructor) to detach. Publishing with no subscribers is
-/// one empty-vector check.
+/// one empty-vector check. Perf markers are opt-in, as on the wire: the
+/// channel counts its `on_perf` observers, and GridFTP only samples and
+/// builds markers while that count is non-zero (DESIGN.md §5m).
 class TransferChannel {
  public:
   struct Observer {
@@ -65,6 +67,7 @@ class TransferChannel {
 
   Token subscribe(Observer observer) {
     const Token token = next_token_++;
+    if (observer.on_perf) ++perf_subscribers_;
     observers_.emplace_back(token, std::move(observer));
     return token;
   }
@@ -72,6 +75,7 @@ class TransferChannel {
   void unsubscribe(Token token) {
     for (auto it = observers_.begin(); it != observers_.end(); ++it) {
       if (it->first == token) {
+        if (it->second.on_perf) --perf_subscribers_;
         observers_.erase(it);
         return;
       }
@@ -79,6 +83,7 @@ class TransferChannel {
   }
 
   bool has_subscribers() const noexcept { return !observers_.empty(); }
+  bool has_perf_subscribers() const noexcept { return perf_subscribers_ > 0; }
 
   void perf(const PerfMarker& marker) const {
     for (const auto& [token, obs] : observers_) {
@@ -100,6 +105,7 @@ class TransferChannel {
 
  private:
   std::uint64_t next_token_ = 1;
+  std::size_t perf_subscribers_ = 0;
   std::vector<std::pair<Token, Observer>> observers_;
 };
 

@@ -764,6 +764,78 @@ TEST(FluidFtp, EmitsPerfAndRestartMarkers) {
   EXPECT_TRUE(summary_ok);
 }
 
+// The client's marker stream, pinned bit for bit. The golden comes from
+// the always-on monitor that preceded monitoring on demand (DESIGN.md
+// §5m), so a subscriber still sees exactly that stream. Three attempts of
+// a 4-stripe get: every 0.5 s tick reports each stripe's cumulative
+// bytes, read live from the engine while its flow runs. The 2.5 s tick falls in
+// the second attempt's FGET round trip and still shows the first
+// attempt's stripe totals; in the third attempt two repair ranges go to
+// stripes 0 and 1, and stripes 2 and 3 move nothing.
+TEST(FluidFtp, PerfMarkerStreamIsPinned) {
+  gridftp::FtpServerConfig config;
+  config.corrupt_probability = 0.4;
+  config.fault_seed = 12;
+  FluidFtpFixture f(config);
+  const Bytes size = 3 * kMiB + 330000;
+  (void)f.pool_a->add_file("/pool/f", size, 0x5eed, 0);
+  struct Mark {
+    SimTime time;
+    std::uint32_t stripe;
+    Bytes bytes;
+    bool operator==(const Mark&) const = default;
+  };
+  std::vector<Mark> marks;
+  int restarts = 0;
+  obs::TransferChannel channel;
+  obs::TransferChannel::Observer observer;
+  observer.on_perf = [&](const obs::PerfMarker& marker) {
+    EXPECT_EQ(marker.stripe_count, 4u);
+    EXPECT_EQ(marker.path, "/pool/f");
+    marks.push_back({marker.time, marker.stripe, marker.bytes});
+  };
+  observer.on_restart = [&](const obs::RestartMarker&) { ++restarts; };
+  channel.subscribe(std::move(observer));
+  auto options = f.fluid_options(4);
+  options.channel = &channel;
+  options.expected_crc = crc32_synthetic(0x5eed, 0, size);
+  options.max_attempts = 10;
+  Result<gridftp::TransferResult> result =
+      make_error(ErrorCode::kInternal, "pending");
+  f.client->get(f.path.host_a->id(), gridftp::kControlPort, "/pool/f",
+                "/pool/f", f.pool_b.get(), options,
+                [&](Result<gridftp::TransferResult> r) {
+                  result = std::move(r);
+                });
+  f.simulator.run_until(600 * kSecond);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result->attempts, 3);
+  EXPECT_EQ(restarts, 2);
+
+  const std::vector<Mark> golden = {
+      {1000942468, 0, 98655},  {1000942468, 1, 98655},
+      {1000942468, 2, 98655},  {1000942468, 3, 98655},
+      {1500942468, 0, 360380}, {1500942468, 1, 360380},
+      {1500942468, 2, 360380}, {1500942468, 3, 360380},
+      {2000942468, 0, 622105}, {2000942468, 1, 622105},
+      {2000942468, 2, 622105}, {2000942468, 3, 622105},
+      {2500942468, 0, 868932}, {2500942468, 1, 868932},
+      {2500942468, 2, 868932}, {2500942468, 3, 868932},
+      {3000942468, 0, 47996},  {3000942468, 1, 47996},
+      {3000942468, 2, 47996},  {3000942468, 3, 47996},
+      {3500942468, 0, 0},      {3500942468, 1, 0},
+      {3500942468, 2, 0},      {3500942468, 3, 0},
+      {4000942468, 0, 125584}, {4000942468, 1, 125584},
+      {4000942468, 2, 0},      {4000942468, 3, 0},
+  };
+  ASSERT_EQ(marks.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(marks[i], golden[i])
+        << "marker " << i << ": got {" << marks[i].time << ", "
+        << marks[i].stripe << ", " << marks[i].bytes << "}";
+  }
+}
+
 TEST(FluidFtp, FallsBackToPacketWithoutEngine) {
   FluidFtpFixture f;
   (void)f.pool_a->add_file("/pool/f", 1 * kMiB, 9, 0);
@@ -850,6 +922,71 @@ TEST_P(FtpPlanes, SameStreamCountChecksAndEmptyTransfers) {
   EXPECT_EQ(stored->size, 0);
   EXPECT_EQ(stored->crc(), f.pool_b->peek("/local/empty")->crc());
   EXPECT_EQ(f.engine->active_flows(), 0u);
+}
+
+// Monitoring on demand (DESIGN.md §5m): the client arms its 0.5 s monitor
+// only for a channel with a perf subscriber. The same get, watched by an
+// on_complete observer alone and then by an on_perf one, must end at the
+// same instant with the same result; the unwatched run skips exactly one
+// kernel event per monitor tick, and each tick emits one marker per stripe.
+TEST_P(FtpPlanes, MonitorIdleWithoutPerfSubscriber) {
+  struct Run {
+    Result<gridftp::TransferResult> result =
+        make_error(ErrorCode::kInternal, "pending");
+    SimTime finished = 0;
+    std::uint64_t events = 0;
+    std::uint64_t markers = 0;
+    std::uint32_t stripes = 0;
+    int summaries = 0;
+  };
+  const auto run = [this](bool watch_perf) {
+    Run out;
+    obs::TransferChannel channel;
+    FluidFtpFixture f;
+    (void)f.pool_a->add_file("/pool/f", 4 * kMiB, 0x5eed, 0);
+    obs::TransferChannel::Observer observer;
+    observer.on_complete = [&](const obs::TransferSummary&) {
+      ++out.summaries;
+    };
+    if (watch_perf) {
+      observer.on_perf = [&](const obs::PerfMarker& marker) {
+        ++out.markers;
+        out.stripes = marker.stripe_count;
+      };
+    }
+    channel.subscribe(std::move(observer));
+    gridftp::TransferOptions options = f.fluid_options(4);
+    if (GetParam().model == TransferModel::kPacket) {
+      options.flow_engine = nullptr;
+    }
+    options.channel = &channel;
+    f.client->get(f.path.host_a->id(), gridftp::kControlPort, "/pool/f",
+                  "/pool/f", f.pool_b.get(), options,
+                  [&](Result<gridftp::TransferResult> result) {
+                    out.result = std::move(result);
+                    out.finished = f.simulator.now();
+                    out.events = f.simulator.events_fired();
+                  });
+    f.simulator.run_until(600 * kSecond);
+    return out;
+  };
+  const Run quiet = run(false);
+  const Run watched = run(true);
+
+  ASSERT_TRUE(quiet.result.is_ok()) << quiet.result.status().to_string();
+  ASSERT_TRUE(watched.result.is_ok()) << watched.result.status().to_string();
+  EXPECT_EQ(quiet.result->bytes, watched.result->bytes);
+  EXPECT_EQ(quiet.result->elapsed, watched.result->elapsed);
+  EXPECT_EQ(quiet.result->crc, watched.result->crc);
+  EXPECT_EQ(quiet.result->attempts, watched.result->attempts);
+  EXPECT_EQ(quiet.finished, watched.finished);
+  EXPECT_EQ(quiet.summaries, 1);
+  EXPECT_EQ(watched.summaries, 1);
+
+  ASSERT_EQ(watched.stripes, 4u);
+  ASSERT_GT(watched.markers, 0u);
+  ASSERT_EQ(watched.markers % watched.stripes, 0u);
+  EXPECT_EQ(watched.events - quiet.events, watched.markers / watched.stripes);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothPlanes, FtpPlanes,

@@ -370,6 +370,7 @@ TEST_F(TracerTest, ChromeTraceExportIsWellFormed) {
 TEST(TransferChannel, FanOutAndUnsubscribe) {
   TransferChannel channel;
   EXPECT_FALSE(channel.has_subscribers());
+  EXPECT_FALSE(channel.has_perf_subscribers());
   int perfs = 0, restarts = 0, completes = 0;
   TransferChannel::Observer observer;
   observer.on_perf = [&](const PerfMarker&) { ++perfs; };
@@ -381,6 +382,7 @@ TEST(TransferChannel, FanOutAndUnsubscribe) {
   const auto token2 = channel.subscribe(std::move(complete_only));
 
   EXPECT_TRUE(channel.has_subscribers());
+  EXPECT_TRUE(channel.has_perf_subscribers());
   channel.perf(PerfMarker{});
   channel.restart(RestartMarker{});
   channel.complete(TransferSummary{});
@@ -389,6 +391,9 @@ TEST(TransferChannel, FanOutAndUnsubscribe) {
   EXPECT_EQ(completes, 2);
 
   channel.unsubscribe(token);
+  // Only the on_complete observer remains: no one reads perf markers.
+  EXPECT_TRUE(channel.has_subscribers());
+  EXPECT_FALSE(channel.has_perf_subscribers());
   channel.complete(TransferSummary{});
   EXPECT_EQ(completes, 3);  // only the second observer remains
   channel.unsubscribe(token2);
