@@ -8,20 +8,31 @@
 #   scripts/bench.sh out_dir bench_sim_kernel bench_fig6_tuned   # a subset
 #   scripts/bench.sh --compare baseline.json out_dir bench_sim_kernel
 #                                    # then gate: exit 1 if any ops/s
-#                                    # regressed >15% vs the baseline
+#                                    # regressed >15% vs the baseline, or if
+#                                    # a gated row's work counts differ
 #   scripts/bench.sh --compare bench/baselines out_dir bench_sim_kernel bench_flow
 #                                    # a baseline *directory* gates every
 #                                    # <stem>.json against BENCH_<stem>.json
+#   scripts/bench.sh --compare-counts bench/baselines/scheduler.json out_dir bench_scheduler
+#                                    # only the work-count half of the gate:
+#                                    # no timing, so it holds on any machine
+#
+# Work counts are the integer fields in COUNTS below. The workloads are
+# deterministic, so a row that does more or less counted work than its
+# baseline did is a different workload, not a faster or slower one: the
+# gate fails it whatever its ops/s. Only rows gated on ops/s are checked.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 compare_baseline=""
+gate_mode="all"
 args=()
 while [ $# -gt 0 ]; do
   case "$1" in
-    --compare)
-      [ $# -ge 2 ] || { echo "bench.sh: --compare needs a baseline JSON" >&2; exit 2; }
+    --compare|--compare-counts)
+      [ $# -ge 2 ] || { echo "bench.sh: $1 needs a baseline JSON" >&2; exit 2; }
       compare_baseline="$2"
+      [ "$1" = "--compare-counts" ] && gate_mode="counts"
       shift 2
       ;;
     *)
@@ -86,11 +97,13 @@ if [ -n "$compare_baseline" ]; then
       continue
     fi
     echo "==> perf gate: $current vs $baseline"
-    python3 - "$baseline" "$current" <<'PYGATE' || gate_failed=1
+    python3 - "$baseline" "$current" "$gate_mode" <<'PYGATE' || gate_failed=1
 import json
 import sys
 
 THRESHOLD = 0.15  # fail when ops/s drops more than this fraction
+# Work counts a gated row must repeat exactly (each checked where present).
+COUNTS = ("events", "operations", "busy_deferrals", "replicate_calls")
 
 def ops_per_sec(result):
     """events-or-operations per second; None for rows with neither."""
@@ -114,7 +127,7 @@ def load(path):
         report = json.load(f)
     return {row_key(r): r for r in report.get("results", [])}
 
-baseline_path, current_path = sys.argv[1], sys.argv[2]
+baseline_path, current_path, mode = sys.argv[1], sys.argv[2], sys.argv[3]
 baseline, current = load(baseline_path), load(current_path)
 failed = False
 for name, base in baseline.items():
@@ -125,6 +138,17 @@ for name, base in baseline.items():
     if cur is None:
         print(f"FAIL {name}: present in baseline, missing from current run")
         failed = True
+        continue
+    counts_differ = False
+    for key in COUNTS:
+        if key in base and cur.get(key) != base[key]:
+            print(f"FAIL {name}: {key} {base[key]:,} -> {cur.get(key)} "
+                  f"(work counts must match exactly)")
+            counts_differ = True
+    failed = failed or counts_differ
+    if mode == "counts":
+        if not counts_differ:
+            print(f"  ok {name}: work counts match")
         continue
     cur_ops = ops_per_sec(cur)
     if cur_ops is None:
@@ -139,7 +163,7 @@ for name, base in baseline.items():
     print(f"{verdict:>4} {name}: {base_ops:,.0f} -> {cur_ops:,.0f} ops/s "
           f"({delta:+.1%}, gate -{THRESHOLD:.0%})")
 if failed:
-    print(f"perf gate FAILED: >{THRESHOLD:.0%} regression vs {baseline_path}")
+    print(f"perf gate FAILED vs {baseline_path}")
     sys.exit(1)
 print("perf gate passed")
 PYGATE

@@ -28,7 +28,10 @@
 #                               # bench_replica_catalog,
 #                               # bench_copier_overhead and
 #                               # bench_scheduler runs,
-#                               # gated >15% ops/s vs bench/baselines/
+#                               # gated >15% ops/s vs bench/baselines/,
+#                               # and on exact work counts (events,
+#                               # operations, busy_deferrals,
+#                               # replicate_calls) of the same rows
 #   scripts/check.sh same-behaviour <base-ref>
 #                               # non-default: every perfbench workload
 #                               # (seed 5, 2 s, --trace 1) on <base-ref>

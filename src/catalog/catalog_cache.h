@@ -16,6 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -57,6 +59,12 @@ class CatalogCache {
     std::int64_t evictions = 0;             // dropped by capacity
   };
 
+  /// Told (collection, key) whenever that key's entry is inserted,
+  /// replaced or dropped (invalidation, eviction or collection drop).
+  /// refresh() stays silent: a renewed TTL only postpones staleness.
+  using EntryObserver =
+      std::function<void(std::string_view collection, std::string_view key)>;
+
   explicit CatalogCache(Config config = {}) : config_(config) {}
 
   // set_metrics hands the registry pointers into stats_.
@@ -67,6 +75,11 @@ class CatalogCache {
   const Config& config() const noexcept { return config_; }
   const Stats& stats() const noexcept { return stats_; }
   std::size_t size() const noexcept { return entries_.size(); }
+
+  /// Installs the one entry observer (an empty function clears it).
+  void set_entry_observer(EntryObserver observer) {
+    observer_ = std::move(observer);
+  }
 
   /// Exposes the counters to an obs registry so they land in the
   /// Site::metrics() dump; the registry reads stats() in place.
@@ -105,18 +118,27 @@ class CatalogCache {
 
   /// probe() without the accounting. Bulk fast paths peek every key first
   /// and then record one aggregated outcome (note_hits) instead of letting
-  /// a partial walk double-count against the retried per-key probes.
+  /// a partial walk double-count against the retried per-key probes. When
+  /// `fresh_until` is given it receives the last instant the entry is
+  /// fresh: it turns stale once the clock passes that.
   // gdmp-lint: hot-path — zero-copy bulk lookup peeks once per file
   CacheProbe peek(std::string_view collection, std::string_view key,
                   SimTime now, const Value** value_out,
-                  std::uint64_t* stamp_out) {
+                  std::uint64_t* stamp_out, SimTime* fresh_until = nullptr) {
     if (!enabled()) return CacheProbe::kMiss;
     const auto it = entries_.find(composite(collection, key));
     if (it == entries_.end()) return CacheProbe::kMiss;
     *value_out = &it->second.value;
     *stamp_out = it->second.stamp;
-    return now - it->second.fetched_at <= config_.ttl ? CacheProbe::kFresh
-                                                      : CacheProbe::kStale;
+    const SimTime fetched_at = it->second.fetched_at;
+    if (fresh_until != nullptr) {
+      constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+      *fresh_until = config_.ttl > kNever - fetched_at
+                         ? kNever
+                         : fetched_at + config_.ttl;
+    }
+    return now - fetched_at <= config_.ttl ? CacheProbe::kFresh
+                                           : CacheProbe::kStale;
   }
 
   /// Accounts `n` fresh hits served by a peeking bulk fast path.
@@ -139,7 +161,9 @@ class CatalogCache {
     it->second.fetched_at = now;
     it->second.collection_len = collection.size();
     it->second.order = next_order_++;
+    // gdmp-lint: hot-alloc — FIFO-order node, once per full fetch, never on the fresh-hit path
     order_.emplace(it->second.order, it);
+    notify(collection, key);
     while (entries_.size() > config_.capacity) evict_oldest();
   }
 
@@ -176,14 +200,9 @@ class CatalogCache {
       ++stats_.invalidations;
       order_.erase(it->second.order);
       entries_.erase(it);
+      notify(collection, key);
     }
     by_collection_.erase(keys);
-  }
-
-  void clear() {
-    entries_.clear();
-    order_.clear();
-    by_collection_.clear();
   }
 
  private:
@@ -236,6 +255,8 @@ class CatalogCache {
     const std::string_view key(
         it->first.data() + it->second.collection_len + 1,
         it->first.size() - it->second.collection_len - 1);
+    // The observer runs first: both views point into the map key.
+    notify(collection, key);
     const auto keys = by_collection_.find(collection);
     if (keys != by_collection_.end()) {
       const auto key_it = keys->second.find(key);
@@ -244,6 +265,10 @@ class CatalogCache {
     }
     order_.erase(it->second.order);
     entries_.erase(it);
+  }
+
+  void notify(std::string_view collection, std::string_view key) {
+    if (observer_) observer_(collection, key);
   }
 
   void evict_oldest() {
@@ -264,6 +289,7 @@ class CatalogCache {
       by_collection_;
   std::string probe_buf_;
   std::uint64_t next_order_ = 0;
+  EntryObserver observer_;
 };
 
 }  // namespace gdmp::catalog

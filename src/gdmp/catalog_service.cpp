@@ -696,10 +696,11 @@ void CatalogClient::lookup_batch(
 
 const ReplicaInfo* CatalogClient::peek_fresh(const std::string& collection,
                                              const LogicalFileName& lfn,
-                                             std::uint64_t* stamp_out) {
+                                             std::uint64_t* stamp_out,
+                                             SimTime* fresh_until) {
   const ReplicaInfo* cached = nullptr;
-  return lookup_cache_.peek(collection, lfn, sim_.now(), &cached,
-                            stamp_out) == catalog::CacheProbe::kFresh
+  return lookup_cache_.peek(collection, lfn, sim_.now(), &cached, stamp_out,
+                            fresh_until) == catalog::CacheProbe::kFresh
              ? cached
              : nullptr;
 }

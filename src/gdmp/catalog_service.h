@@ -154,12 +154,20 @@ class CatalogClient {
       std::function<void(Status, std::vector<Result<ReplicaInfo>>)> done);
 
   /// The cached lookup of `lfn` while it is fresh (within the TTL), else
-  /// nullptr; `*stamp_out` receives its version stamp. A read-only peek:
-  /// no RPC, no copy and no cache accounting. The pointee stays valid
-  /// until this client's next catalog call.
+  /// nullptr; `*stamp_out` receives its version stamp and `*fresh_until`
+  /// the last instant it stays fresh. A read-only peek: no RPC, no copy and
+  /// no cache accounting. The pointee stays valid until this client's next
+  /// catalog call.
   const ReplicaInfo* peek_fresh(const std::string& collection,
                                 const LogicalFileName& lfn,
-                                std::uint64_t* stamp_out);
+                                std::uint64_t* stamp_out,
+                                SimTime* fresh_until = nullptr);
+
+  /// Installs the lookup cache's one entry observer: told (collection, lfn)
+  /// whenever a cached lookup is inserted, replaced or dropped.
+  void set_lookup_observer(LookupCache::EntryObserver observer) {
+    lookup_cache_.set_entry_observer(std::move(observer));
+  }
 
   /// Zero-copy bulk lookup for read-only consumers (the scheduler's batch
   /// prefetch, bulk scans). When every file is cached fresh, `done` runs

@@ -349,9 +349,16 @@ void ObjectReplicationService::pull_chunk(
                               server_.site().site_name + "/objrep/" +
                               std::to_string(sub->id) + "/" + basename;
   const std::string local_path = server_.local_path_for(lfn);
+  // Chunk pulls publish on the site's transfer channel like file pulls, so
+  // their summaries, restart and perf markers reach its subscribers.
+  gridftp::TransferOptions options = server_.data_mover().defaults();
+  options.expected_crc = crc;
+  options.channel = &server_.transfer_channel();
+  options.peer = sub->site;
   std::weak_ptr<bool> alive = alive_;
-  server_.data_mover().pull(
-      sub->node, server_.config().gridftp_port, remote_path, local_path, crc,
+  server_.data_mover().pull_with_options(
+      sub->node, server_.config().gridftp_port, remote_path, local_path,
+      std::move(options),
       [this, alive, sub, remote_path, local_path, lfn,
        objects = std::move(objects)](
           Result<gridftp::TransferResult> result) mutable {

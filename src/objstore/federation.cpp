@@ -8,12 +8,13 @@ Federation::Federation(std::string name, EventModel model,
   // Attached files register resident (check_attachable) and the pool
   // reports every membership change after that, so each file's bit follows
   // pool_.contains() exactly. Paths the catalog does not know are ignored.
-  pool_.set_residency_observer([this](std::string_view path, bool resident) {
+  observer_ = pool_.add_residency_observer([this](std::string_view path,
+                                                  bool resident) {
     catalog_.set_resident(path, resident);
   });
 }
 
-Federation::~Federation() { pool_.set_residency_observer(nullptr); }
+Federation::~Federation() { pool_.remove_residency_observer(observer_); }
 
 Status Federation::check_attachable(const std::string& file,
                                     std::uint32_t file_schema) const {

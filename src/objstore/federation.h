@@ -21,7 +21,7 @@ namespace gdmp::objstore {
 
 class Federation {
  public:
-  /// Registers as `pool`'s residency observer until destroyed, so `pool`
+  /// Registers a residency observer on `pool` until destroyed, so `pool`
   /// must outlive the federation.
   Federation(std::string name, EventModel model, storage::DiskPool& pool);
   ~Federation();
@@ -82,6 +82,7 @@ class Federation {
   storage::DiskPool& pool_;
   ObjectFileCatalog catalog_;
   std::uint32_t schema_version_ = 1;
+  std::uint64_t observer_ = 0;  // pool_'s residency observer token
 };
 
 }  // namespace gdmp::objstore

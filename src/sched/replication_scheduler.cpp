@@ -1,5 +1,6 @@
 #include "sched/replication_scheduler.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -33,10 +34,24 @@ ReplicationScheduler::ReplicationScheduler(core::GdmpServer& server,
         if (alive.expired()) return;
         submit(file.lfn);
       });
+  // The wake sources outside the scheduler: the lookup cache reports each
+  // entry it inserts, replaces or drops, the pool each file that appears.
+  server_.catalog().set_lookup_observer(
+      [this](std::string_view collection, std::string_view lfn) {
+        if (collection == server_.config().collection) {
+          wake_named(parked_by_lfn_, lfn);
+        }
+      });
+  pool_observer_ = server_.site().pool.add_residency_observer(
+      [this](std::string_view path, bool resident) {
+        if (resident) wake_named(parked_by_path_, path);
+      });
 }
 
 ReplicationScheduler::~ReplicationScheduler() {
   *alive_ = false;
+  server_.catalog().set_lookup_observer(nullptr);
+  server_.site().pool.remove_residency_observer(pool_observer_);
   server_.set_replica_selector(core::first_replica_selector());
   server_.transfer_channel().unsubscribe(channel_token_);
   server_.set_replication_enqueue(nullptr);
@@ -95,11 +110,18 @@ void ReplicationScheduler::end_request_span(Request& request,
 std::uint64_t ReplicationScheduler::submit(LogicalFileName lfn, int priority,
                                            Done done) {
   const std::uint64_t id = next_id_++;
+  if (requests_.empty()) {
+    // Nothing queued, so no rank is live: restart the order index.
+    parked_counts_.clear();
+    cursor_ = kBeforeAll;
+    skips_.clear();
+    release_tick_ = ticks_;
+  }
   Request request;
   request.id = id;
   request.lfn = std::move(lfn);
   request.priority = priority;
-  request.seq = next_seq_++;
+  request.seq = parked_counts_.enroll(priority);
   request.local_path = server_.local_path_for(request.lfn);
   request.done = std::move(done);
   auto& tracer = obs::Tracer::global();
@@ -112,7 +134,8 @@ std::uint64_t ReplicationScheduler::submit(LogicalFileName lfn, int priority,
                 static_cast<std::int64_t>(priority));
   }
   begin_queue_wait(request);
-  ready_.insert(ReadyKey{request.priority, request.seq, id});
+  request.queue = Queue::kReady;
+  ready_.insert(key_of(request));
   requests_.emplace(id, std::move(request));
   ++stats_.submitted;
   pump();
@@ -170,8 +193,9 @@ void ReplicationScheduler::enqueue_batch(
 bool ReplicationScheduler::cancel(std::uint64_t id) {
   const auto it = requests_.find(id);
   if (it == requests_.end() || it->second.in_flight) return false;
-  ready_.erase(ReadyKey{it->second.priority, it->second.seq, id});
-  std::erase(deferred_, id);
+  if (it->second.queue == Queue::kReady) ready_.erase(key_of(it->second));
+  if (it->second.queue == Queue::kParked) unpark(it->second);
+  // A Queue::kRecheck id stays in recheck_; release() skips it once gone.
   end_request_span(it->second, "cancelled");
   Done done = std::move(it->second.done);
   const LogicalFileName lfn = it->second.lfn;
@@ -186,28 +210,57 @@ bool ReplicationScheduler::cancel(std::uint64_t id) {
 void ReplicationScheduler::pump() {
   if (pumping_) return;
   pumping_ = true;
-  while (active_ < config_.max_concurrent && !ready_.empty()) {
-    const ReadyKey key = *ready_.begin();
-    ready_.erase(ready_.begin());
-    const auto it = requests_.find(key.id);
-    if (it == requests_.end()) continue;
-    if (every_source_busy(it->second)) {
+  wake_expired();
+  while (active_ < config_.max_concurrent) {
+    // The walk's next stop in key order: the first request due a re-check,
+    // or the first parked request past the cursor that a free slot can
+    // serve. Every parked request between the cursor and that stop would
+    // be re-checked and refused again, so it is counted instead.
+    ReadyKey next = ready_.empty() ? kAfterAll : *ready_.begin();
+    bool parked_next = false;
+    for (const auto& [host, keys] : parked_by_host_) {
+      if (!has_slot(host)) continue;
+      const auto it = keys.upper_bound(cursor_);
+      if (it != keys.end() && *it < next) {
+        next = *it;
+        parked_next = true;
+      }
+    }
+    if (cursor_ < next) {
+      const std::int64_t skipped =
+          parked_counts_.through(next.priority, next.seq - 1) -
+          parked_counts_.through(cursor_.priority, cursor_.seq);
+      if (skipped > 0) {
+        stats_.busy_deferrals += skipped;
+        skips_.push_back(Skip{cursor_, next, ++ticks_});
+      }
+      cursor_ = next;
+    }
+    if (next.id == kAfterAll.id) break;  // nothing left to visit
+    Request& request = requests_.find(next.id)->second;
+    if (parked_next) {
+      unpark(request);
+    } else {
+      ready_.erase(ready_.begin());
+      request.queue = Queue::kNone;
+    }
+    if (every_source_busy(request)) {
       // The refusal replicate() would return synchronously, minus the
       // call: park the request exactly where that bounce would.
       ++stats_.busy_deferrals;
-      deferred_.push_back(key.id);
+      park(request);
       continue;
     }
-    dispatch(it->second);
+    dispatch(request);
   }
   pumping_ = false;
 }
 
-// gdmp-lint: hot-path — re-checks every parked request on each release of a saturated queue
+// gdmp-lint: hot-path — re-checks each request the walk stops at: first visits, woken parked requests and free-slot candidates
 bool ReplicationScheduler::every_source_busy(Request& request) {
   std::uint64_t stamp = 0;
   const core::ReplicaInfo* info = server_.catalog().peek_fresh(
-      server_.config().collection, request.lfn, &stamp);
+      server_.config().collection, request.lfn, &stamp, &request.fresh_until);
   // A miss or a stale entry needs a catalog round trip first; dispatch and
   // let choose_source decide once the lookup lands.
   if (info == nullptr) return false;
@@ -292,11 +345,14 @@ void ReplicationScheduler::on_attempt_done(
   }
 
   if (request.busy_bounced) {
-    // Not a failure and not an attempt: park until a slot frees up.
+    // Not a failure and not an attempt: park until the next release.
     request.busy_bounced = false;
     --request.attempts;
     begin_queue_wait(request);
-    deferred_.push_back(id);
+    request.queue = Queue::kRecheck;
+    request.park_tick = ++ticks_;
+    if (!request.queue_span.valid()) queue_spans_missing_ = true;
+    recheck_.push_back(id);
     pump();
     return;
   }
@@ -328,7 +384,7 @@ void ReplicationScheduler::on_attempt_done(
   }
 
   schedule_retry(request, result.status());
-  release_deferred();
+  release();
   pump();
 }
 
@@ -340,7 +396,7 @@ void ReplicationScheduler::settle(
   end_request_span(it->second, settled_ok ? "completed" : "dead_lettered");
   Done done = std::move(it->second.done);
   requests_.erase(it);
-  release_deferred();
+  release();
   if (done) done(std::move(result));
   pump();
 }
@@ -359,22 +415,168 @@ void ReplicationScheduler::schedule_retry(Request& request,
     const auto it = requests_.find(id);
     if (it == requests_.end()) return;  // cancelled while backing off
     begin_queue_wait(it->second);
+    it->second.queue = Queue::kReady;
     // gdmp-lint: hot-alloc — ready queue is an ordered set; one node per retried request
-    ready_.insert(ReadyKey{it->second.priority, it->second.seq, id});
+    ready_.insert(key_of(it->second));
     pump();
   });
 }
 
-void ReplicationScheduler::release_deferred() {
-  if (deferred_.empty()) return;
-  for (const std::uint64_t id : deferred_) {
-    const auto it = requests_.find(id);
-    if (it == requests_.end()) continue;
-    begin_queue_wait(it->second);
-    // gdmp-lint: hot-alloc — ready queue is an ordered set; one node per released request
-    ready_.insert(ReadyKey{it->second.priority, it->second.seq, id});
+void ReplicationScheduler::park(Request& request) {
+  const ReadyKey key = key_of(request);
+  request.queue = Queue::kParked;
+  request.park_tick = ++ticks_;
+  if (!request.queue_span.valid()) queue_spans_missing_ = true;
+  parked_counts_.add(key.priority, key.seq, 1);
+  for (const std::string& host : request.source_hosts) {
+    auto it = parked_by_host_.find(host);
+    if (it == parked_by_host_.end()) {
+      // gdmp-lint: hot-alloc — one index per source host, made on its first park
+      it = parked_by_host_.emplace(host, std::set<ReadyKey>{}).first;
+    }
+    // gdmp-lint: hot-alloc — index nodes per park; a counted skip touches none
+    it->second.insert(key);
   }
-  deferred_.clear();
+  // gdmp-lint: hot-alloc — index nodes per park; a counted skip touches none
+  parked_by_deadline_.emplace(request.fresh_until, key);
+  // gdmp-lint: hot-alloc — index nodes per park; a counted skip touches none
+  parked_by_lfn_.emplace(request.lfn, request.id);
+  // gdmp-lint: hot-alloc — index nodes per park; a counted skip touches none
+  parked_by_path_.emplace(request.local_path, request.id);
+}
+
+void ReplicationScheduler::unpark(Request& request) {
+  const ReadyKey key = key_of(request);
+  request.queue = Queue::kNone;
+  parked_counts_.add(key.priority, key.seq, -1);
+  for (const std::string& host : request.source_hosts) {
+    const auto it = parked_by_host_.find(host);
+    if (it != parked_by_host_.end()) it->second.erase(key);
+  }
+  parked_by_deadline_.erase({request.fresh_until, key});
+  parked_by_lfn_.erase({request.lfn, request.id});
+  parked_by_path_.erase({request.local_path, request.id});
+}
+
+void ReplicationScheduler::wake(Request& request) {
+  if (request.queue != Queue::kParked) return;
+  unpark(request);
+  if (cursor_ < key_of(request)) {
+    request.queue = Queue::kReady;
+    // gdmp-lint: hot-alloc — ready queue is an ordered set; one node per woken request
+    ready_.insert(key_of(request));
+  } else {
+    request.queue = Queue::kRecheck;
+    recheck_.push_back(request.id);
+  }
+}
+
+void ReplicationScheduler::wake_named(const NameIndex& index,
+                                      std::string_view name) {
+  auto it = index.lower_bound(NameIndex::value_type{name, 0});
+  while (it != index.end() && it->first == name) {
+    const std::uint64_t id = (it++)->second;  // wake() erases the entry
+    wake(requests_.find(id)->second);
+  }
+}
+
+void ReplicationScheduler::wake_expired() {
+  const SimTime now = simulator().now();
+  while (!parked_by_deadline_.empty() &&
+         parked_by_deadline_.begin()->first < now) {
+    wake(requests_.find(parked_by_deadline_.begin()->second.id)->second);
+  }
+}
+
+void ReplicationScheduler::release() {
+  if (queue_spans_missing_ && obs::Tracer::global().enabled()) {
+    open_missing_queue_spans();
+  }
+  cursor_ = kBeforeAll;
+  skips_.clear();
+  release_tick_ = ticks_;
+  for (const std::uint64_t id : recheck_) {
+    const auto it = requests_.find(id);
+    if (it == requests_.end()) continue;  // cancelled
+    it->second.queue = Queue::kReady;
+    // gdmp-lint: hot-alloc — ready queue is an ordered set; one node per bounced or woken request
+    ready_.insert(key_of(it->second));
+  }
+  recheck_.clear();
+}
+
+void ReplicationScheduler::open_missing_queue_spans() {
+  // Requests parked since the last release, in the order they parked: a
+  // walk visit or a busy bounce stamped its own tick, one counted past in
+  // a skip takes the skip's tick, and a skip parks in queue order.
+  std::vector<std::pair<std::uint64_t, ReadyKey>> order;
+  bool missing = false;
+  for (auto& [id, request] : requests_) {
+    if ((request.queue != Queue::kParked &&
+         request.queue != Queue::kRecheck) ||
+        request.queue_span.valid()) {
+      continue;
+    }
+    const ReadyKey key = key_of(request);
+    std::uint64_t tick = request.park_tick;
+    if (tick <= release_tick_) {
+      const auto skip = std::partition_point(
+          skips_.begin(), skips_.end(),
+          [&key](const Skip& s) { return !(key < s.before); });
+      if (skip == skips_.end() || !(skip->after < key)) {
+        missing = true;  // not visited since the last release
+        continue;
+      }
+      tick = skip->tick;
+    }
+    // gdmp-lint: hot-alloc — runs only at releases after the tracer came on mid-run
+    order.emplace_back(tick, key);
+  }
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first : a.second < b.second;
+  });
+  for (const auto& [tick, key] : order) {
+    begin_queue_wait(requests_.find(key.id)->second);
+  }
+  queue_spans_missing_ = missing;
+}
+
+std::uint64_t ReplicationScheduler::ParkedCounts::enroll(int priority) {
+  Tree& tree = levels_[priority];
+  if (tree.empty()) tree.push_back(0);
+  const std::uint64_t i = tree.size();
+  // Node i sums slots (i - lowbit(i), i]; the new slot i is empty.
+  const std::uint64_t low = i & (~i + 1);
+  tree.push_back(
+      static_cast<std::int32_t>(prefix(tree, i - 1) - prefix(tree, i - low)));
+  return i;
+}
+
+void ReplicationScheduler::ParkedCounts::add(int priority, std::uint64_t seq,
+                                             int delta) {
+  Tree& tree = levels_.find(priority)->second;
+  for (std::uint64_t i = seq; i < tree.size(); i += i & (~i + 1)) {
+    tree[i] += delta;
+  }
+}
+
+std::int64_t ReplicationScheduler::ParkedCounts::through(
+    int priority, std::uint64_t seq) const {
+  std::int64_t n = 0;
+  for (const auto& [level, tree] : levels_) {
+    if (level < priority) break;  // levels run from the highest priority
+    n += prefix(tree, level == priority ? seq : tree.size() - 1);
+  }
+  return n;
+}
+
+std::int64_t ReplicationScheduler::ParkedCounts::prefix(const Tree& tree,
+                                                        std::uint64_t n) {
+  std::int64_t sum = 0;
+  for (n = std::min<std::uint64_t>(n, tree.size() - 1); n > 0; n &= n - 1) {
+    sum += tree[n];
+  }
+  return sum;
 }
 
 SimDuration ReplicationScheduler::backoff_after(int failures) {

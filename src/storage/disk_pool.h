@@ -13,6 +13,8 @@
 #include <list>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/det_hash.h"
 #include "common/result.h"
@@ -87,9 +89,16 @@ class DiskPool {
   const DiskPoolStats& stats() const noexcept { return stats_; }
   Disk& disk() noexcept { return disk_; }
 
-  /// Installs the one residency observer (an empty function clears it).
-  void set_residency_observer(ResidencyObserver observer) {
-    observer_ = std::move(observer);
+  /// Adds a residency observer; observers are told in the order they were
+  /// added. Returns a token for remove_residency_observer().
+  std::uint64_t add_residency_observer(ResidencyObserver observer) {
+    // gdmp-lint: hot-alloc — registration at setup, once per observer
+    observers_.emplace_back(++last_observer_, std::move(observer));
+    return last_observer_;
+  }
+  void remove_residency_observer(std::uint64_t token) {
+    std::erase_if(observers_,
+                  [token](const auto& entry) { return entry.first == token; });
   }
 
   /// Exposes the stats() counters and used/free-byte gauges under `scope`
@@ -101,7 +110,7 @@ class DiskPool {
   bool make_room(Bytes needed, std::string_view keep);
   void touch(const std::string& path);
   void notify(std::string_view path, bool resident) {
-    if (observer_) observer_(path, resident);
+    for (const auto& [token, observer] : observers_) observer(path, resident);
   }
 
   Bytes capacity_;
@@ -112,7 +121,8 @@ class DiskPool {
   // LRU bookkeeping: most recent at the front.
   std::list<std::string> lru_;
   common::UnorderedMap<std::string, std::list<std::string>::iterator> lru_pos_;  // lookup-only
-  ResidencyObserver observer_;
+  std::vector<std::pair<std::uint64_t, ResidencyObserver>> observers_;
+  std::uint64_t last_observer_ = 0;
 };
 
 }  // namespace gdmp::storage

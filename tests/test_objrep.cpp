@@ -1,13 +1,16 @@
 // Tests for object replication: selections, global index, full cycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "objrep/global_index.h"
 #include "objrep/replicator.h"
 #include "objrep/selection.h"
+#include "obs/channel.h"
 #include "testbed/grid.h"
 #include "testbed/workload.h"
 
@@ -320,6 +323,61 @@ TEST(ObjectReplication, FullCycleMovesSelectedObjects) {
                      needed)
           .total_bytes;
   EXPECT_LT(outcome.transferred_bytes, file_equivalent / 4);
+}
+
+TEST(ObjectReplication, ChunkPullsPublishOnTransferChannel) {
+  // Chunk pulls are GridFTP pulls like file pulls, so the consumer's
+  // transfer channel sees each one: an ok summary per chunk, carrying the
+  // chunk file's size and the source site as peer, and perf markers for
+  // an on_perf subscriber.
+  ObjRepFixture f(/*pipeline=*/true, /*events=*/20000, /*chunk=*/1 * kMiB);
+  Site& consumer = f.grid.site(1);
+  std::vector<obs::TransferSummary> summaries;
+  int perf_markers = 0;
+  obs::TransferChannel::Observer observer;
+  observer.on_perf = [&](const obs::PerfMarker&) { ++perf_markers; };
+  observer.on_complete = [&](const obs::TransferSummary& summary) {
+    summaries.push_back(summary);
+  };
+  auto& channel = consumer.gdmp_server().transfer_channel();
+  const auto token = channel.subscribe(std::move(observer));
+
+  Rng rng(5);
+  SelectionConfig selection;
+  selection.fraction = 1e-2;
+  const auto needed = select_objects(f.grid.model(), selection, rng);
+  bool done = false;
+  ObjectReplicationService::Outcome outcome;
+  consumer.objrep().replicate_objects(
+      needed, [&](Result<ObjectReplicationService::Outcome> result) {
+        done = true;
+        ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+        outcome = *result;
+      });
+  f.grid.run_until(f.grid.simulator().now() + 3600 * kSecond);
+  channel.unsubscribe(token);
+  ASSERT_TRUE(done);
+  ASSERT_GT(outcome.chunks, 1);
+
+  ASSERT_EQ(summaries.size(), static_cast<std::size_t>(outcome.chunks));
+  std::vector<Bytes> summary_bytes;
+  for (const obs::TransferSummary& summary : summaries) {
+    EXPECT_TRUE(summary.ok);
+    EXPECT_EQ(summary.peer, "cern");
+    summary_bytes.push_back(summary.bytes);
+  }
+  // The chunks landed as packed files under the consumer's objrep prefix.
+  const auto& server = consumer.gdmp_server();
+  std::vector<Bytes> chunk_bytes;
+  for (const auto& file : consumer.pool().list(server.local_path_for(
+           "lfn://" + server.config().collection + "/" + consumer.name() +
+           "/objrep/"))) {
+    chunk_bytes.push_back(file.size);
+  }
+  std::sort(summary_bytes.begin(), summary_bytes.end());
+  std::sort(chunk_bytes.begin(), chunk_bytes.end());
+  EXPECT_EQ(summary_bytes, chunk_bytes);
+  EXPECT_GT(perf_markers, 0);
 }
 
 TEST(ObjectReplication, SurvivesDestructionMidReplication) {

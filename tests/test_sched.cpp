@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
 #include "sched/cost_selector.h"
 #include "testbed/grid.h"
 #include "testbed/workload.h"
@@ -634,6 +636,414 @@ TEST(ReplicationScheduler, FreshRefusalSkipsReplicate) {
   EXPECT_EQ(after.stale_probes, batch.cache_before.stale_probes);
   EXPECT_EQ(after.hits - batch.cache_before.hits, batch.stats().completed);
   EXPECT_EQ(batch.stats().completed, CappedBatch::kFiles);
+}
+
+
+// ---------------------------------------------------------------------------
+// Wake-rule goldens: saturated queues with scripted mid-run events.
+
+/// A consumer ("lyon", fluid model) replicating a batch from up to three
+/// producers under tight caps while a script mutates the catalog, the
+/// consumer's pool and the queue at fixed sim times. Every parked request
+/// can turn dispatchable in four ways — a slot frees on one of its hosts,
+/// its cache entry's TTL passes, the entry changes, or the file lands in
+/// the pool — so the scripts below cover each of them, and the goldens pin
+/// the exact outcome of every request.
+struct WakeScenario {
+  static constexpr const char* kProducers[] = {"fast", "mid", "slow"};
+
+  struct Spec {
+    int files = 24;
+    /// Producer indices (into kProducers) holding file i; the first
+    /// publishes it and the others register as extra replicas.
+    std::function<std::vector<int>(int)> holders;
+    int max_concurrent = 4;
+    int max_per_source = 1;
+    SimDuration cache_ttl = 5 * kSecond;
+    /// Wire corruption at "fast", so some attempts fail and retry.
+    double corrupt_probability = 0;
+    std::function<int(int)> priority = [](int) { return 0; };
+    /// Files already on the consumer's disk before the batch.
+    std::vector<int> already_local;
+  };
+
+  Spec spec;
+  Grid grid;
+  std::vector<LogicalFileName> lfns;
+  std::vector<std::uint64_t> ids;
+  /// Per file: sim time from submission to its completion callback.
+  std::vector<SimDuration> completed_after;
+  std::vector<ErrorCode> outcome;
+  int settled = 0;
+  std::int64_t catalog_ops = 0;
+  SimTime start = 0;
+
+  explicit WakeScenario(Spec s) : spec(std::move(s)), grid(config(spec)) {
+    EXPECT_TRUE(grid.start().is_ok());
+    completed_after.assign(static_cast<std::size_t>(spec.files), -1);
+    outcome.assign(static_cast<std::size_t>(spec.files), ErrorCode::kOk);
+    seed();
+  }
+
+  static GridConfig config(const Spec& spec) {
+    GridConfig config;
+    for (const char* name : kProducers) {
+      GridSiteSpec producer{.name = name};
+      config.sites.push_back(producer);
+    }
+    config.sites[0].wan.wan_bandwidth = 155 * kMbps;
+    config.sites[1].wan.wan_bandwidth = 45 * kMbps;
+    config.sites[2].wan.wan_bandwidth = 10 * kMbps;
+    config.sites[0].site.ftp.corrupt_probability = spec.corrupt_probability;
+    GridSiteSpec consumer{.name = "lyon"};
+    consumer.wan.wan_bandwidth = 622 * kMbps;
+    consumer.site.sched.max_concurrent = spec.max_concurrent;
+    consumer.site.sched.max_per_source = spec.max_per_source;
+    consumer.site.gdmp.catalog_cache_ttl = spec.cache_ttl;
+    config.sites.push_back(consumer);
+    config.event_count = 20000;
+    config.transfer_model = flow::TransferModel::kFluid;
+    return config;
+  }
+
+  Site& producer(int p) { return grid.site(static_cast<std::size_t>(p)); }
+  Site& consumer() { return grid.site(3); }
+  ReplicationScheduler& scheduler() { return consumer().scheduler(); }
+  const SchedulerStats& stats() { return scheduler().stats(); }
+  std::string path(int i) {
+    return consumer().gdmp_server().local_path_for(
+        lfns[static_cast<std::size_t>(i)]);
+  }
+
+  void seed() {
+    std::vector<std::vector<core::PublishedFile>> published(3);
+    for (int i = 0; i < spec.files; ++i) {
+      const LogicalFileName lfn = "lfn://cms/wake/" + std::to_string(i);
+      lfns.push_back(lfn);
+      const std::vector<int> at = spec.holders(i);
+      for (const int p : at) {
+        EXPECT_TRUE(producer(p)
+                        .pool()
+                        .add_file(producer(p).gdmp_server().local_path_for(lfn),
+                                  kMiB, 0xA11Cu + i, grid.simulator().now())
+                        .is_ok());
+      }
+      core::PublishedFile file;
+      file.lfn = lfn;
+      published[static_cast<std::size_t>(at.front())].push_back(file);
+    }
+    for (int p = 0; p < 3; ++p) {
+      if (published[static_cast<std::size_t>(p)].empty()) continue;
+      producer(p).gdmp().publish(published[static_cast<std::size_t>(p)],
+                                 [](Status status) {
+                                   EXPECT_TRUE(status.is_ok())
+                                       << status.to_string();
+                                 });
+    }
+    grid.run_until(grid.simulator().now() + 120 * kSecond);
+    for (int i = 0; i < spec.files; ++i) {
+      const std::vector<int> at = spec.holders(i);
+      for (std::size_t k = 1; k < at.size(); ++k) register_at(at[k], i);
+    }
+    grid.run_until(grid.simulator().now() + 120 * kSecond);
+    for (const int i : spec.already_local) {
+      EXPECT_TRUE(consumer()
+                      .pool()
+                      .add_file(path(i), kMiB, 0xA11Cu + i,
+                                grid.simulator().now())
+                      .is_ok());
+    }
+  }
+
+  /// Registers producer `p`'s copy of file `i` in the central catalog (a
+  /// remote write the consumer sees on its next revalidation).
+  void register_at(int p, int i) {
+    Site& site = producer(p);
+    site.gdmp_server().catalog().add_replica(
+        "cms", lfns[static_cast<std::size_t>(i)], site.name(),
+        site.gdmp_server().url_prefix(), [](Status status) {
+          EXPECT_TRUE(status.is_ok()) << status.to_string();
+        });
+  }
+
+  /// Warms the lookup cache the way submit_batch does, submits every file,
+  /// then runs the script — (offset from submission, action) pairs in time
+  /// order — and the grid until every request has settled.
+  void run(std::vector<std::pair<SimDuration, std::function<void()>>> script) {
+    const std::int64_t ops_before = grid.catalog().operations_served();
+    start = grid.simulator().now();
+    auto& server = consumer().gdmp_server();
+    server.catalog().lookup_batch_refs(
+        server.config().collection, lfns,
+        [&](Status, std::vector<Result<const core::ReplicaInfo*>>) {
+          for (int i = 0; i < spec.files; ++i) {
+            const auto at = static_cast<std::size_t>(i);
+            ids.push_back(scheduler().submit(
+                lfns[at], spec.priority(i),
+                [this, at](Result<gridftp::TransferResult> result) {
+                  completed_after[at] = grid.simulator().now() - start;
+                  outcome[at] = result.code();
+                  ++settled;
+                }));
+          }
+        });
+    for (auto& [offset, action] : script) {
+      grid.run_until(start + offset);
+      action();
+    }
+    const SimTime deadline = start + 3600 * kSecond;
+    while (settled < spec.files && grid.simulator().now() < deadline) {
+      grid.run_until(grid.simulator().now() + kSecond);
+    }
+    EXPECT_EQ(settled, spec.files);
+    EXPECT_TRUE(scheduler().idle());
+    catalog_ops = grid.catalog().operations_served() - ops_before;
+  }
+};
+
+/// Three hosts at one transfer each under a global cap of 3, 36 files:
+/// most sit at "fast", "slow" or both, every sixth only at "mid", and
+/// every fifth is submitted at priority 1.
+WakeScenario::Spec three_host_spec() {
+  WakeScenario::Spec spec;
+  spec.files = 36;
+  spec.holders = [](int i) -> std::vector<int> {
+    switch (i % 6) {
+      case 0: case 3: return {0};
+      case 1: return {2};
+      case 5: return {1};
+      default: return {0, 2};
+    }
+  };
+  spec.max_concurrent = 3;
+  spec.max_per_source = 1;
+  spec.priority = [](int i) { return i % 5 == 4 ? 1 : 0; };
+  return spec;
+}
+
+TEST(ReplicationScheduler, WakeGoldenSlotsTtlBouncesAndWalkStops) {
+  // A freed slot on one host wakes only that host's parked requests;
+  // dispatching a "mid" file fills the global cap and stops the walk with
+  // requests still unvisited behind it; the 5 s TTL expires under parked
+  // requests, which then revalidate and busy-bounce; priority-1 files jump
+  // the queue; and files 9 and 22 are on site already and complete inside
+  // a walk.
+  WakeScenario::Spec spec = three_host_spec();
+  spec.already_local = {9, 22};
+  WakeScenario s(spec);
+  s.run({});
+
+  const std::vector<SimDuration> expected_ns = {
+      7009626341, 12636844546, 30405298831, 36409660178,
+      13141493198, 7009799584, 46397486786, 42036878383,
+      48041959195, 7009799584, 53668583871, 29516918024,
+      68904780163, 57651431094, 18769433430, 75036647338,
+      65313364761, 40770862324, 81168514513, 35144137923,
+      71318448104, 87300381688, 41918412162, 52024211195,
+      23890193623, 77323531447, 83328614790, 93432248863,
+      89333698133, 18263568955, 99564116038, 95338781476,
+      101343864819, 59686144862, 24778674369, 63278155495,
+  };
+  EXPECT_EQ(s.completed_after, expected_ns);
+  const std::map<std::string, std::int64_t> expected_by_source = {
+      {"fast", 14}, {"mid", 6}, {"slow", 14}};
+  EXPECT_EQ(s.stats().completed_by_source, expected_by_source);
+  EXPECT_EQ(s.stats().busy_deferrals, 147);
+  EXPECT_EQ(s.stats().dispatched, 118);
+  EXPECT_EQ(s.stats().retries, 0);
+  EXPECT_EQ(s.catalog_ops, 138);
+}
+
+TEST(ReplicationScheduler, WakeGoldenInvalidationPoolAddCancelRetries) {
+  // A TTL longer than the run keeps every parked entry fresh, so only the
+  // scripted events and freed slots can wake a parked request: the
+  // consumer's own catalog write drops file 15's entry, file 18 lands in
+  // the consumer's pool without a transfer, file 20 is cancelled while
+  // parked, and wire corruption at "fast" sends attempts to retry.
+  WakeScenario::Spec spec;
+  spec.holders = [](int) -> std::vector<int> { return {0, 2}; };
+  spec.max_concurrent = 4;
+  spec.max_per_source = 1;
+  spec.cache_ttl = 3600 * kSecond;
+  spec.corrupt_probability = 0.3;
+  WakeScenario s(spec);
+  bool cancelled = false;
+  s.run({
+      {2 * kSecond,
+       [&] {
+         s.consumer().gdmp_server().catalog().remove_replica(
+             "cms", s.lfns[15], "slow", [](Status status) {
+               EXPECT_TRUE(status.is_ok()) << status.to_string();
+             });
+       }},
+      {3 * kSecond,
+       [&] {
+         ASSERT_EQ(s.completed_after[18], -1);
+         EXPECT_TRUE(s.consumer()
+                         .pool()
+                         .add_file(s.path(18), kMiB, 0xA11Cu + 18,
+                                   s.grid.simulator().now())
+                         .is_ok());
+       }},
+      {4 * kSecond, [&] { cancelled = s.scheduler().cancel(s.ids[20]); }},
+  });
+  EXPECT_TRUE(cancelled);
+  EXPECT_EQ(s.outcome[18], ErrorCode::kAlreadyExists);
+  EXPECT_EQ(s.outcome[20], ErrorCode::kAborted);
+
+  const std::vector<SimDuration> expected_ns = {
+      6883884007, 6884913332, 12888245354, 12889994144,
+      18892606701, 18895074956, 24896968048, 24900155768,
+      30901329395, 30905236580, 46657643961, 36910319923,
+      42915403266, 48920486609, 72940819981, 68290799103,
+      54925569952, 60930653295, 6883884007, 66935736638,
+      4000000000, 74295160737, 78945903324, 80299522371,
+  };
+  EXPECT_EQ(s.completed_after, expected_ns);
+  const std::map<std::string, std::int64_t> expected_by_source = {
+      {"fast", 9}, {"slow", 13}};
+  EXPECT_EQ(s.stats().completed_by_source, expected_by_source);
+  EXPECT_EQ(s.stats().busy_deferrals, 229);
+  EXPECT_EQ(s.stats().dispatched, 25);
+  EXPECT_EQ(s.stats().retries, 1);
+  EXPECT_EQ(s.catalog_ops, 25);
+}
+
+TEST(ReplicationScheduler, WakeGoldenRemoteRegistrationAndPrefetch) {
+  // Every file starts at "fast" only, and no transfer settles before the
+  // first one at ~6.9 s. At 1 s "slow" registers copies of files 10-19; at
+  // 5.5 s, after the 5 s TTL has expired under every parked request but
+  // before any release, a batch prefetch revalidates their entries, so
+  // those parked requests find their entry replaced under a new stamp
+  // that names a second host.
+  WakeScenario::Spec spec;
+  spec.holders = [](int) -> std::vector<int> { return {0}; };
+  spec.max_concurrent = 4;
+  spec.max_per_source = 2;
+  WakeScenario s(spec);
+  std::vector<LogicalFileName> late(s.lfns.begin() + 10, s.lfns.begin() + 20);
+  for (int i = 10; i < 20; ++i) {
+    EXPECT_TRUE(s.producer(2)
+                    .pool()
+                    .add_file(s.producer(2).gdmp_server().local_path_for(
+                                  s.lfns[static_cast<std::size_t>(i)]),
+                              kMiB, 0xA11Cu + i, s.grid.simulator().now())
+                    .is_ok());
+  }
+  s.run({
+      {1 * kSecond,
+       [&] {
+         for (int i = 10; i < 20; ++i) s.register_at(2, i);
+       }},
+      {5500 * kMillisecond,
+       [&] {
+         auto& catalog = s.consumer().gdmp_server().catalog();
+         catalog.lookup_batch_refs(
+             "cms", late,
+             [](Status, std::vector<Result<const core::ReplicaInfo*>>) {});
+       }},
+  });
+
+  const std::vector<SimDuration> expected_ns = {
+      6883870161, 6883879812, 13015737018, 13015746669,
+      24269581387, 24269730987, 35523425756, 35523575356,
+      46777270125, 46777419725, 18642956925, 18643106525,
+      29896801294, 29896950894, 41150645663, 41150795263,
+      52404490032, 52404639632, 58031114700, 58031264300,
+      64162981875, 64162991526, 70294849050, 70294858701,
+  };
+  EXPECT_EQ(s.completed_after, expected_ns);
+  const std::map<std::string, std::int64_t> expected_by_source = {
+      {"fast", 16}, {"slow", 8}};
+  EXPECT_EQ(s.stats().completed_by_source, expected_by_source);
+  EXPECT_EQ(s.stats().busy_deferrals, 40);
+  EXPECT_EQ(s.stats().dispatched, 42);
+  EXPECT_EQ(s.stats().retries, 0);
+  EXPECT_EQ(s.catalog_ops, 74);
+}
+
+TEST(ReplicationScheduler, WakeGoldenQueueSpansOpenedAfterTracingStarts) {
+  // Tracing starts at 20 s, while requests parked without a queue span
+  // wait. The next release opens those spans in the order the requests
+  // parked, so the run's "sched.queue_wait" spans, in id order, must keep
+  // their start and end instants. Pinned: the span count and an FNV-1a
+  // digest of the (start, end) pairs in ns from submission.
+  auto& tracer = obs::Tracer::global();
+  tracer.clear();
+  std::size_t spans = 0;
+  std::uint64_t digest = 14695981039346656037ull;
+  {
+    WakeScenario s(three_host_spec());
+    s.run({{20 * kSecond, [&] {
+              tracer.set_clock([&s] { return s.grid.simulator().now(); });
+              tracer.enable(true);
+            }}});
+    tracer.enable(false);
+    for (const obs::Span& span : tracer.spans()) {
+      if (span.name != "sched.queue_wait") continue;
+      ++spans;
+      for (const SimTime t : {span.start - s.start, span.end - s.start}) {
+        for (int b = 0; b < 8; ++b) {
+          digest ^= static_cast<std::uint64_t>(t) >> (8 * b) & 0xffu;
+          digest *= 1099511628211ull;
+        }
+      }
+    }
+  }
+  tracer.set_clock(nullptr);
+  tracer.clear();
+  EXPECT_EQ(spans, 96u);
+  EXPECT_EQ(digest, 678744388999162911ull);
+}
+
+TEST(ReplicationScheduler, DeepQueueCountsArePinned) {
+  // bench_scheduler's deep_queue shape: 800 x 1 MiB files from one
+  // producer queued at a consumer capped at 4 concurrent / 2 per source
+  // under the fluid model. Its work counts are gated exactly in
+  // bench/baselines/scheduler.json; they must not depend on how the
+  // scheduler finds the next dispatchable request.
+  GridConfig config;
+  GridSiteSpec producer{.name = "cern"};
+  producer.wan.wan_bandwidth = 155 * kMbps;
+  GridSiteSpec consumer{.name = "lyon"};
+  consumer.wan.wan_bandwidth = 622 * kMbps;
+  config.sites = {producer, consumer};
+  config.event_count = 1000;
+  config.transfer_model = flow::TransferModel::kFluid;
+  config.sites[1].site.sched.max_concurrent = 4;
+  config.sites[1].site.sched.max_per_source = 2;
+  Grid grid(config);
+  ASSERT_TRUE(grid.start().is_ok());
+
+  std::vector<core::PublishedFile> files;
+  std::vector<LogicalFileName> lfns;
+  for (int i = 0; i < 800; ++i) {
+    const LogicalFileName lfn = "lfn://cms/deep/" + std::to_string(i);
+    ASSERT_TRUE(grid.site(0)
+                    .pool()
+                    .add_file(grid.site(0).gdmp_server().local_path_for(lfn),
+                              kMiB, 0xdee9u + i, 0)
+                    .is_ok());
+    core::PublishedFile file;
+    file.lfn = lfn;
+    files.push_back(file);
+    lfns.push_back(lfn);
+  }
+  bool published = false;
+  grid.site(0).gdmp().publish(files,
+                              [&](Status s) { published = s.is_ok(); });
+  grid.run_until(grid.simulator().now() + 240 * kSecond);
+  ASSERT_TRUE(published);
+
+  auto& scheduler = grid.site(1).scheduler();
+  bool done = false;
+  scheduler.submit_batch(lfns, 0,
+                         [&](Status status, Bytes) { done = status.is_ok(); });
+  grid.run_until(grid.simulator().now() + 8 * 3600 * kSecond);
+  ASSERT_TRUE(done);
+  EXPECT_EQ(scheduler.stats().completed, 800);
+  EXPECT_EQ(scheduler.stats().busy_deferrals, 258990);
+  EXPECT_EQ(scheduler.stats().dispatched, 8020);
 }
 
 }  // namespace
