@@ -42,7 +42,9 @@
 #                               # three sim-time metrics, bit for bit;
 #                               # then the observability example (heartbeat
 #                               # on) must print the same stdout and write
-#                               # the same rollup stream and trace
+#                               # the same rollup stream and trace, and
+#                               # hep_analysis, bench_object_vs_file (OBJ1)
+#                               # and bench_pipeline (PIPE) the same stdout
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,7 +58,10 @@ cd "$(dirname "$0")/.."
 # therefore also runs untraced, where only the outcome and the sim-time
 # metrics are printed, and those must match bit for bit. Perfbench never
 # turns the heartbeat on, so the stage also runs examples/observability
-# in both trees and compares its stdout, rollup stream and trace. Every
+# in both trees and compares its stdout, rollup stream and trace. Its
+# objects_fluid loads one range-only index snapshot, so the stage also
+# compares the stdout of hep_analysis, bench_object_vs_file and
+# bench_pipeline, which load packed entries and plan across sites. Every
 # stage runs and names what differs, so a count a change moves on purpose
 # on one workload does not hide the rest; any difference fails the stage
 # at the end. Set TMPDIR to put the temporary trees somewhere other than
@@ -141,8 +146,8 @@ PY
   # Relative output paths, so the "trace written to" line matches too.
   for tree in "$base_tree" .; do
     (cd "$tree" && cmake --preset default >/dev/null &&
-      cmake --build --preset default --target observability \
-        -j "$(nproc)" >/dev/null)
+      cmake --build --preset default --target observability hep_analysis \
+        bench_object_vs_file bench_pipeline -j "$(nproc)" >/dev/null)
   done
   observe() {  # <tree> <run dir>: one run, outputs relative to <run dir>
     mkdir -p "$2"
@@ -159,6 +164,24 @@ PY
       continue
     fi
     echo "observability: $file identical ($(wc -c <"$runs/base/$file") bytes)"
+  done
+  echo "==> same behaviour [object path: $base_ref vs working tree]"
+  for binary in examples/hep_analysis bench/bench_object_vs_file \
+    bench/bench_pipeline; do
+    name="$(basename "$binary")"
+    for side in base tree; do  # each run in its own dir: benches write JSON
+      root="$base_tree"
+      [ "$side" = tree ] && root="$PWD"
+      mkdir -p "$runs/$side/$name"
+      (cd "$runs/$side/$name" && "$root/build/$binary" >stdout.txt)
+    done
+    if ! cmp "$runs/base/$name/stdout.txt" "$runs/tree/$name/stdout.txt"; then
+      echo "$name: stdout differs (base first, working tree second)"
+      differences=1
+      continue
+    fi
+    echo "$name: stdout identical" \
+      "($(wc -c <"$runs/base/$name/stdout.txt") bytes)"
   done
   if [ "$differences" -ne 0 ]; then
     echo "==> same-behaviour vs $base_ref FAILED: differences above"

@@ -82,7 +82,7 @@ IndexSnapshot decode_snapshot(rpc::Reader& r) {
     IndexSnapshot::PackedEntry entry;
     entry.file = r.str();
     const std::uint32_t n = r.u32();
-    entry.objects.reserve(n);
+    entry.objects.reserve(std::min<std::size_t>(n, r.remaining() / 8));
     for (std::uint32_t j = 0; j < n && r.ok(); ++j) {
       entry.objects.push_back(ObjectId{r.u64()});
     }
@@ -91,71 +91,35 @@ IndexSnapshot decode_snapshot(rpc::Reader& r) {
   return snapshot;
 }
 
-void GlobalObjectIndex::update_site(const std::string& site,
-                                    IndexSnapshot snapshot) {
-  SiteIndex index;
-  index.snapshot = std::move(snapshot);
-  for (std::size_t i = 0; i < index.snapshot.ranges.size(); ++i) {
-    const auto& entry = index.snapshot.ranges[i];
-    index.tier_ranges[static_cast<std::size_t>(entry.tier)].push_back(
-        RangeSlot{entry.event_lo, i});
-  }
-  for (auto& ranges : index.tier_ranges) {
-    // Stable, so that equal starts keep snapshot order.
-    std::stable_sort(ranges.begin(), ranges.end(),
-                     [](const RangeSlot& a, const RangeSlot& b) {
-                       return a.event_lo < b.event_lo;
-                     });
-  }
-  for (std::size_t i = 0; i < index.snapshot.packed.size(); ++i) {
-    for (const ObjectId id : index.snapshot.packed[i].objects) {
-      index.packed_index[id].push_back(i);
+Status GlobalObjectIndex::update_site(const std::string& site,
+                                      IndexSnapshot snapshot,
+                                      const objstore::EventModel& model) {
+  objstore::ObjectFileCatalog catalog;
+  for (const auto& entry : snapshot.ranges) {
+    if (const Status ok = catalog.add_range_file(
+            entry.file, entry.tier, entry.event_lo, entry.event_hi, model);
+        !ok.is_ok()) {
+      return ok;
     }
   }
-  sites_[site] = std::move(index);
-}
-
-void GlobalObjectIndex::forget_site(const std::string& site) {
-  sites_.erase(site);
-}
-
-template <class Visit>
-bool GlobalObjectIndex::visit_ranges(const SiteIndex& index, ObjectId id,
-                                     Visit&& visit) {
-  const std::int64_t event = objstore::event_of(id);
-  const auto& ranges =
-      index.tier_ranges[static_cast<std::size_t>(objstore::tier_of(id))];
-  for (auto it = std::upper_bound(
-           ranges.begin(), ranges.end(), event,
-           [](std::int64_t e, const RangeSlot& slot) {
-             return e < slot.event_lo;
-           });
-       it != ranges.begin();) {
-    const auto& entry = index.snapshot.ranges[(--it)->entry];
-    if (event < entry.event_hi && visit(entry)) return true;
+  for (auto& entry : snapshot.packed) {
+    if (const Status ok = catalog.add_packed_file(
+            entry.file, std::move(entry.objects), model);
+        !ok.is_ok()) {
+      return ok;
+    }
   }
-  return false;
-}
-
-bool GlobalObjectIndex::site_has(const SiteIndex& index, ObjectId id) {
-  return visit_ranges(index, id,
-                      [](const IndexSnapshot::RangeEntry&) { return true; }) ||
-         index.packed_index.contains(id);
+  sites_.insert_or_assign(site, std::move(catalog));
+  return Status::ok();
 }
 
 std::vector<RemoteObject> GlobalObjectIndex::locate(ObjectId id) const {
   std::vector<RemoteObject> out;
-  for (const auto& [site, index] : sites_) {
-    visit_ranges(index, id, [&](const IndexSnapshot::RangeEntry& entry) {
-      out.push_back(RemoteObject{site, entry.file});
+  for (const auto& [site, catalog] : sites_) {
+    catalog.visit_locations(id, [&](const std::string& file, Bytes, bool) {
+      out.push_back(RemoteObject{site, file});
       return false;
     });
-    if (const auto pit = index.packed_index.find(id);
-        pit != index.packed_index.end()) {
-      for (const std::size_t i : pit->second) {
-        out.push_back(RemoteObject{site, index.snapshot.packed[i].file});
-      }
-    }
   }
   return out;
 }
@@ -173,12 +137,12 @@ std::map<std::string, std::vector<ObjectId>> GlobalObjectIndex::plan(
   while (!remaining.empty()) {
     const std::string* best_site = nullptr;
     std::size_t best_count = 0;
-    for (const auto& [site, index] : sites_) {
+    for (const auto& [site, catalog] : sites_) {
       if (out.contains(site)) continue;
       held.assign(remaining.size(), false);
       std::size_t count = 0;
       for (std::size_t i = 0; i < remaining.size(); ++i) {
-        if (site_has(index, remaining[i])) {
+        if (catalog.contains(remaining[i])) {
           held[i] = true;
           ++count;
         }
@@ -202,12 +166,6 @@ std::map<std::string, std::vector<ObjectId>> GlobalObjectIndex::plan(
     remaining = std::move(rest);
   }
   return out;
-}
-
-std::uint64_t GlobalObjectIndex::site_generation(
-    const std::string& site) const {
-  const auto it = sites_.find(site);
-  return it == sites_.end() ? 0 : it->second.snapshot.generation;
 }
 
 }  // namespace gdmp::objrep

@@ -3,10 +3,10 @@
 // "A global view of which objects exist where is maintained in a set of
 // index files" — each site publishes a compact snapshot of its
 // object-to-file catalog (range files serialize as intervals, packed files
-// as explicit id lists); consumer sites pull snapshots over the grid and
-// answer collective lookups ("each application run specifies up front
-// exactly which set of objects are needed ... found in one single
-// collective lookup operation").
+// as explicit id lists); consumer sites pull snapshots over the grid, load
+// each into an ObjectFileCatalog of its own, and answer collective lookups
+// ("each application run specifies up front exactly which set of objects
+// are needed ... found in one single collective lookup operation").
 #pragma once
 
 #include <map>
@@ -49,11 +49,16 @@ struct RemoteObject {
   std::string file;
 };
 
+/// One catalog per site, built from its snapshot: locate() and plan() ask
+/// the same ObjectFileCatalog lookup that answers local residency.
 class GlobalObjectIndex {
  public:
-  /// Installs/replaces one site's snapshot.
-  void update_site(const std::string& site, IndexSnapshot snapshot);
-  void forget_site(const std::string& site);
+  /// Installs or replaces one site's holdings, registering every snapshot
+  /// entry under `model`. The first entry the catalog refuses (a file
+  /// named twice, an empty event range, a bad tier) is returned, and the
+  /// site keeps its previous holdings.
+  Status update_site(const std::string& site, IndexSnapshot snapshot,
+                     const objstore::EventModel& model);
 
   /// All known holders of one object.
   std::vector<RemoteObject> locate(ObjectId id) const;
@@ -64,32 +69,10 @@ class GlobalObjectIndex {
   std::map<std::string, std::vector<ObjectId>> plan(
       const std::vector<ObjectId>& needed) const;
 
-  std::uint64_t site_generation(const std::string& site) const;
   std::size_t site_count() const noexcept { return sites_.size(); }
 
  private:
-  /// One range entry in its tier's interval index.
-  struct RangeSlot {
-    std::int64_t event_lo;
-    std::size_t entry;  // into snapshot.ranges
-  };
-
-  struct SiteIndex {
-    IndexSnapshot snapshot;
-    // Per-tier interval index over the range entries, sorted by first
-    // event with equal starts in snapshot order.
-    std::array<std::vector<RangeSlot>, 4> tier_ranges;
-    std::map<ObjectId, std::vector<std::size_t>> packed_index;
-  };
-
-  /// Calls `visit(range entry)` for each range entry of `index` holding
-  /// `id`, latest start first, until it returns true.
-  template <class Visit>
-  static bool visit_ranges(const SiteIndex& index, ObjectId id,
-                           Visit&& visit);
-  static bool site_has(const SiteIndex& index, ObjectId id);
-
-  std::map<std::string, SiteIndex> sites_;
+  std::map<std::string, objstore::ObjectFileCatalog> sites_;
 };
 
 }  // namespace gdmp::objrep

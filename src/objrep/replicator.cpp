@@ -1,5 +1,7 @@
 #include "objrep/replicator.h"
 
+#include <algorithm>
+
 #include "common/crc32.h"
 #include "common/logging.h"
 
@@ -11,6 +13,11 @@ constexpr const char* kMethodPack = "objrep.pack";
 constexpr const char* kMethodChunk = "objrep.chunk";
 constexpr const char* kMethodPackDone = "objrep.pack_done";
 constexpr const char* kMethodChunkAck = "objrep.chunk_ack";
+
+Status no_object_store() {
+  return make_error(ErrorCode::kFailedPrecondition,
+                    "site has no object store");
+}
 }  // namespace
 
 /// Source-side packing job.
@@ -86,9 +93,7 @@ ObjectReplicationService::~ObjectReplicationService() { *alive_ = false; }
 
 void ObjectReplicationService::handle_get_index(Respond respond) {
   if (server_.site().federation == nullptr) {
-    respond(make_error(ErrorCode::kFailedPrecondition,
-                       "site has no object store"),
-            {});
+    respond(no_object_store(), {});
     return;
   }
   const IndexSnapshot snapshot =
@@ -102,6 +107,11 @@ void ObjectReplicationService::handle_get_index(Respond respond) {
 void ObjectReplicationService::refresh_index_from(
     const std::string& site, net::NodeId node, net::Port port,
     std::function<void(Status)> done) {
+  // The site's catalogs take their object sizes from the local model.
+  if (server_.site().federation == nullptr) {
+    done(no_object_store());
+    return;
+  }
   std::weak_ptr<bool> alive = alive_;
   server_.peer(node, port).call(
       kMethodGetIndex, {},
@@ -117,8 +127,14 @@ void ObjectReplicationService::refresh_index_from(
           return;
         }
         rpc::Reader r(reply);
-        index_.update_site(site, decode_snapshot(r));
-        done(Status::ok());
+        IndexSnapshot snapshot = decode_snapshot(r);
+        if (!r.ok() || !r.at_end()) {
+          done(make_error(ErrorCode::kInvalidArgument,
+                          "malformed index from " + site));
+          return;
+        }
+        done(index_.update_site(site, std::move(snapshot),
+                                server_.site().federation->model()));
       });
 }
 
@@ -134,7 +150,7 @@ void ObjectReplicationService::handle_pack(
   job->pipeline = r.boolean();
   const std::uint32_t n = r.u32();
   std::vector<ObjectId> objects;
-  objects.reserve(n);
+  objects.reserve(std::min<std::size_t>(n, r.remaining() / 8));
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     objects.push_back(ObjectId{r.u64()});
   }
@@ -143,9 +159,7 @@ void ObjectReplicationService::handle_pack(
     return;
   }
   if (server_.site().federation == nullptr) {
-    respond(make_error(ErrorCode::kFailedPrecondition,
-                       "site has no object store"),
-            {});
+    respond(no_object_store(), {});
     return;
   }
   ++stats_.packs_served;
@@ -235,6 +249,11 @@ void ObjectReplicationService::handle_chunk_ack(
 
 void ObjectReplicationService::replicate_objects(std::vector<ObjectId> needed,
                                                  Done done) {
+  const objstore::Federation* federation = server_.site().federation;
+  if (federation == nullptr) {
+    done(no_object_store());
+    return;
+  }
   ++stats_.requests;
   auto request = std::make_shared<Request>();
   request->started_at = server_.site().simulator.now();
@@ -243,9 +262,7 @@ void ObjectReplicationService::replicate_objects(std::vector<ObjectId> needed,
       static_cast<std::int64_t>(needed.size());
 
   // Step 2: drop what is already here.
-  const objstore::Federation* federation = server_.site().federation;
-  const std::vector<ObjectId> missing =
-      federation != nullptr ? federation->missing(needed) : needed;
+  const std::vector<ObjectId> missing = federation->missing(needed);
   request->outcome.objects_already_local =
       static_cast<std::int64_t>(needed.size() - missing.size());
   if (missing.empty()) {
@@ -317,7 +334,7 @@ void ObjectReplicationService::handle_chunk(
   const std::uint32_t crc = r.u32();
   const std::uint32_t n = r.u32();
   std::vector<ObjectId> objects;
-  objects.reserve(n);
+  objects.reserve(std::min<std::size_t>(n, r.remaining() / 8));
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     objects.push_back(ObjectId{r.u64()});
   }

@@ -8,9 +8,9 @@ Status ObjectFileCatalog::add_range_file(const std::string& file, Tier tier,
                                          std::int64_t event_lo,
                                          std::int64_t event_hi,
                                          const EventModel& model) {
-  if (event_lo < 0 || event_hi <= event_lo) {
+  if (!valid_tier(tier) || event_lo < 0 || event_hi <= event_lo) {
     return make_error(ErrorCode::kInvalidArgument,
-                      "bad event range for " + file);
+                      "bad tier or event range for " + file);
   }
   if (has_file(file)) {
     return make_error(ErrorCode::kAlreadyExists, "file registered: " + file);
@@ -22,15 +22,29 @@ Status ObjectFileCatalog::add_range_file(const std::string& file, Tier tier,
           .first;
   // After any equal starts, so that equal starts keep registration order.
   auto& index = tier_ranges_[static_cast<std::size_t>(tier)];
-  index.insert(
-      std::upper_bound(index.begin(), index.end(), event_lo, starts_after),
-      RangeSlot{event_lo, &*it});
+  const auto slot =
+      std::upper_bound(index.begin(), index.end(), event_lo, starts_after);
+  update_reach(index, index.insert(slot, RangeSlot{event_lo, event_hi, &*it}));
   return Status::ok();
+}
+
+void ObjectFileCatalog::update_reach(std::vector<RangeSlot>& index,
+                                     std::vector<RangeSlot>::iterator from) {
+  std::int64_t reach = from == index.begin() ? 0 : std::prev(from)->reach;
+  for (; from != index.end(); ++from) {
+    reach = std::max(reach, from->entry->second.event_hi);
+    from->reach = reach;
+  }
 }
 
 Status ObjectFileCatalog::add_packed_file(const std::string& file,
                                           std::vector<ObjectId> objects,
                                           const EventModel& model) {
+  for (const ObjectId id : objects) {
+    if (!valid_tier(tier_of(id))) {
+      return make_error(ErrorCode::kInvalidArgument, "bad tier in " + file);
+    }
+  }
   if (has_file(file)) {
     return make_error(ErrorCode::kAlreadyExists, "file registered: " + file);
   }
@@ -118,10 +132,11 @@ void ObjectFileCatalog::grow_slots() {
 Status ObjectFileCatalog::remove_file(const std::string& file) {
   if (const auto it = range_files_.find(file); it != range_files_.end()) {
     auto& index = tier_ranges_[static_cast<std::size_t>(it->second.tier)];
-    index.erase(std::find_if(index.begin(), index.end(),
-                             [entry = &*it](const RangeSlot& slot) {
-                               return slot.entry == entry;
-                             }));
+    const auto slot = std::find_if(index.begin(), index.end(),
+                                   [entry = &*it](const RangeSlot& s) {
+                                     return s.entry == entry;
+                                   });
+    update_reach(index, index.erase(slot));
     range_files_.erase(it);
     return Status::ok();
   }

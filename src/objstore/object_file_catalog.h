@@ -12,7 +12,8 @@
 // requests", §5.2).
 //
 // Lookup side (DESIGN.md §5k): the per-tier interval index is a sorted
-// vector pointing at range-file entries, and each object's packed-file
+// vector pointing at range-file entries, each slot carrying the furthest
+// event any interval up to it reaches, and each object's packed-file
 // membership is a posting {packed-file entry, position} whose offset is
 // read from that file's own offsets array. Postings live in one pooled
 // array, chained per object in registration order from a seeded
@@ -44,9 +45,13 @@ struct ObjectLocation {
 class ObjectFileCatalog {
  public:
   ObjectFileCatalog() = default;
-  // The indexes point into the file maps' nodes; a copy would dangle.
+  // The indexes point into the file maps' nodes: a copy would dangle, while
+  // a move carries the nodes along (the moved-from catalog may only be
+  // assigned to or destroyed).
   ObjectFileCatalog(const ObjectFileCatalog&) = delete;
   ObjectFileCatalog& operator=(const ObjectFileCatalog&) = delete;
+  ObjectFileCatalog(ObjectFileCatalog&&) = default;
+  ObjectFileCatalog& operator=(ObjectFileCatalog&&) = default;
 
   /// Registers a clustered production file holding `tier` objects for
   /// events [event_lo, event_hi).
@@ -81,16 +86,20 @@ class ObjectFileCatalog {
   template <class Visit>
   // gdmp-lint: hot-path — every "held locally" probe and copier validation
   bool visit_locations(ObjectId id, Visit&& visit) const {
+    if (!valid_tier(tier_of(id))) return false;  // no file can hold it
     const std::int64_t event = event_of(id);
     const auto& index = tier_ranges_[static_cast<std::size_t>(tier_of(id))];
-    // Range files are disjoint per tier in practice but the lookup tolerates
-    // overlap: scan intervals starting at or before `event`.
+    // Intervals starting at or before `event`, latest start first. One
+    // that ends at or before `event` is skipped, and the walk stops where
+    // no interval up to the slot reaches past `event`.
     for (auto it = std::upper_bound(index.begin(), index.end(), event,
                                     starts_after);
          it != index.begin();) {
-      const auto& [file, range] = *(--it)->entry;
-      if (event >= range.event_hi) break;  // sorted by lo; earlier can't match
-      if (visit(file, (event - range.event_lo) * range.object_size,
+      const RangeSlot& slot = *--it;
+      if (slot.reach <= event) break;
+      const auto& [file, range] = *slot.entry;
+      if (event < range.event_hi &&
+          visit(file, (event - range.event_lo) * range.object_size,
                 range.resident)) {
         return true;
       }
@@ -156,14 +165,19 @@ class ObjectFileCatalog {
   using RangeEntry = RangeMap::value_type;
   using PackedEntry = PackedMap::value_type;
 
-  /// One range file in its tier's interval index.
+  /// One range file in its tier's interval index. `reach` is the highest
+  /// `event_hi` of this slot and every earlier one in the tier.
   struct RangeSlot {
     std::int64_t event_lo;
+    std::int64_t reach;
     const RangeEntry* entry;
   };
   static bool starts_after(std::int64_t event, const RangeSlot& slot) {
     return event < slot.event_lo;
   }
+  /// Recomputes `reach` from slot `from` to the end of `index`.
+  static void update_reach(std::vector<RangeSlot>& index,
+                           std::vector<RangeSlot>::iterator from);
 
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
@@ -212,7 +226,8 @@ class ObjectFileCatalog {
   RangeMap range_files_;
   PackedMap packed_files_;
   // Range files per tier, sorted by first event with equal starts in
-  // registration order (range files answer offsets by arithmetic).
+  // registration order, each with its running reach (range files answer
+  // offsets by arithmetic).
   std::array<std::vector<RangeSlot>, 4> tier_ranges_;
   // Packed-file postings per object: an open-addressing table of chain
   // heads over a pooled posting array. Chains keep registration order and

@@ -29,6 +29,11 @@ enum class Tier : std::uint8_t {
 constexpr std::array<Tier, 4> kAllTiers = {Tier::kTag, Tier::kAod, Tier::kEsd,
                                            Tier::kRaw};
 
+/// False for a tier byte outside kAllTiers, as a decoded id may carry.
+constexpr bool valid_tier(Tier tier) noexcept {
+  return static_cast<std::size_t>(tier) < kAllTiers.size();
+}
+
 const char* tier_name(Tier tier) noexcept;
 
 constexpr ObjectId make_object_id(Tier tier, std::int64_t event) noexcept {

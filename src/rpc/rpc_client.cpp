@@ -54,6 +54,7 @@ void RpcClient::call(const std::string& method,
         pending_.erase(it);
         cb(make_error(ErrorCode::kTimedOut, "RPC call timed out"), {});
       });
+  // gdmp-lint: hot-alloc — one pending-call node per RPC, beside the frame and callback every call builds
   pending_.emplace(id, std::move(pending));
 
   if (authenticated_) {

@@ -23,6 +23,7 @@ struct Sim {
 void pump(int rounds);
 
 void helper_alloc(int n);
+void remember(int n);
 void cold_path();
 
 }  // namespace fx

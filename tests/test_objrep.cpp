@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -120,8 +121,10 @@ TEST(GlobalIndex, LocateAcrossSites) {
   (void)cern.add_range_file("/a", Tier::kAod, 0, 5000, model);
   objstore::ObjectFileCatalog anl;
   (void)anl.add_range_file("/b", Tier::kAod, 2500, 7500, model);
-  index.update_site("cern", snapshot_catalog(cern, 1));
-  index.update_site("anl", snapshot_catalog(anl, 1));
+  ASSERT_TRUE(
+      index.update_site("cern", snapshot_catalog(cern, 1), model).is_ok());
+  ASSERT_TRUE(
+      index.update_site("anl", snapshot_catalog(anl, 1), model).is_ok());
 
   EXPECT_EQ(index.locate(make_object_id(Tier::kAod, 100)).size(), 1u);
   EXPECT_EQ(index.locate(make_object_id(Tier::kAod, 3000)).size(), 2u);
@@ -135,8 +138,10 @@ TEST(GlobalIndex, PlanPrefersSiteCoveringMost) {
   (void)big.add_range_file("/all", Tier::kAod, 0, 10000, model);
   objstore::ObjectFileCatalog small;
   (void)small.add_range_file("/some", Tier::kAod, 0, 100, model);
-  index.update_site("big", snapshot_catalog(big, 1));
-  index.update_site("small", snapshot_catalog(small, 1));
+  ASSERT_TRUE(
+      index.update_site("big", snapshot_catalog(big, 1), model).is_ok());
+  ASSERT_TRUE(
+      index.update_site("small", snapshot_catalog(small, 1), model).is_ok());
 
   std::vector<ObjectId> needed;
   for (int e = 0; e < 1000; e += 10) {
@@ -154,10 +159,14 @@ TEST(GlobalIndex, PlanReportsUnlocatable) {
   ASSERT_TRUE(plan.contains(""));
 }
 
-// Three sites with overlapping holdings. Round 1: beta holds 12 ids.
+// Four sites with overlapping holdings. Round 1: beta holds 12 ids.
 // Round 2: alpha and gamma hold 5 each, and alpha wins the tie as the
-// first site in name order. Round 3: gamma. Two ids nobody holds. The
-// partitions were captured from the two-pass plan this one replaced.
+// first site in name order. Round 3: gamma. Round 4: delta, whose
+// snapshot carries its contiguous packed file as a range nested inside its
+// production range, so events 350 and 399 lie past the nested range's end.
+// Three ids nobody holds. The partitions were captured from the two-pass
+// plan this one replaced, and delta's (plan and locate) from the index
+// that kept its own interval walk.
 TEST(GlobalIndex, PlanPartitionsOverlappingSitesAndBreaksTiesByName) {
   const EventModel model = EventModel::standard(10000);
   const auto aod = [](std::int64_t event) {
@@ -166,28 +175,212 @@ TEST(GlobalIndex, PlanPartitionsOverlappingSitesAndBreaksTiesByName) {
   objstore::ObjectFileCatalog alpha;
   objstore::ObjectFileCatalog beta;
   objstore::ObjectFileCatalog gamma;
+  objstore::ObjectFileCatalog delta;
   (void)alpha.add_range_file("/alpha", Tier::kAod, 0, 100, model);
   (void)beta.add_range_file("/beta", Tier::kAod, 50, 150, model);
   (void)beta.add_packed_file("/beta-p", {aod(500), aod(501)}, model);
   (void)gamma.add_range_file("/gamma", Tier::kAod, 150, 185, model);
   (void)gamma.add_packed_file("/gamma-p", {aod(600), aod(501)}, model);
+  (void)delta.add_range_file("/delta", Tier::kAod, 300, 400, model);
+  (void)delta.add_packed_file("/delta-p", {aod(310), aod(311), aod(312)},
+                              model);
+  const IndexSnapshot delta_snapshot = snapshot_catalog(delta, 1);
+  ASSERT_EQ(delta_snapshot.ranges.size(), 2u);
+  ASSERT_TRUE(delta_snapshot.packed.empty());
   GlobalObjectIndex index;
-  index.update_site("gamma", snapshot_catalog(gamma, 1));
-  index.update_site("alpha", snapshot_catalog(alpha, 1));
-  index.update_site("beta", snapshot_catalog(beta, 1));
-  std::vector<ObjectId> needed = {aod(700), aod(600), aod(501), aod(500)};
+  ASSERT_TRUE(
+      index.update_site("gamma", snapshot_catalog(gamma, 1), model).is_ok());
+  ASSERT_TRUE(
+      index.update_site("alpha", snapshot_catalog(alpha, 1), model).is_ok());
+  ASSERT_TRUE(
+      index.update_site("beta", snapshot_catalog(beta, 1), model).is_ok());
+  ASSERT_TRUE(index.update_site("delta", delta_snapshot, model).is_ok());
+  std::vector<ObjectId> needed = {aod(700), aod(600), aod(501), aod(500),
+                                  aod(350), aod(311), aod(399), aod(400)};
   for (int e = 190; e >= 0; e -= 10) needed.push_back(aod(e));
+
+  using Holders = std::vector<std::pair<std::string, std::string>>;
+  const auto holders = [&index](ObjectId id) {
+    Holders out;
+    for (const RemoteObject& holder : index.locate(id)) {
+      out.emplace_back(holder.site, holder.file);
+    }
+    return out;
+  };
+  EXPECT_EQ(holders(aod(350)), (Holders{{"delta", "/delta"}}));
+  EXPECT_EQ(holders(aod(311)),
+            (Holders{{"delta", "/delta-p"}, {"delta", "/delta"}}));
+  EXPECT_EQ(holders(aod(399)), (Holders{{"delta", "/delta"}}));
+  EXPECT_EQ(holders(aod(501)),
+            (Holders{{"beta", "/beta-p"}, {"gamma", "/gamma-p"}}));
+  EXPECT_EQ(holders(aod(60)),
+            (Holders{{"alpha", "/alpha"}, {"beta", "/beta"}}));
+  EXPECT_TRUE(holders(aod(400)).empty());
 
   std::map<std::string, std::vector<std::int64_t>> plan;
   for (const auto& [site, ids] : index.plan(needed)) {
     for (const ObjectId id : ids) plan[site].push_back(objstore::event_of(id));
   }
   EXPECT_EQ(plan, (std::map<std::string, std::vector<std::int64_t>>{
-                      {"", {700, 190}},
+                      {"", {700, 400, 190}},
                       {"alpha", {40, 30, 20, 10, 0}},
                       {"beta",
                        {501, 500, 140, 130, 120, 110, 100, 90, 80, 70, 60, 50}},
+                      {"delta", {350, 311, 399}},
                       {"gamma", {600, 180, 170, 160, 150}}}));
+}
+
+// A site's holdings change only when its whole snapshot registers. Each
+// snapshot below starts with a valid entry, so a partial install would
+// show as a hit at event 7000.
+TEST(GlobalIndex, UpdateSiteRefusesBadEntriesAndKeepsHoldings) {
+  const EventModel model = EventModel::standard(10000);
+  objstore::ObjectFileCatalog cern;
+  (void)cern.add_range_file("/a", Tier::kAod, 0, 5000, model);
+  GlobalObjectIndex index;
+  ASSERT_TRUE(index.update_site("cern", snapshot_catalog(cern, 1), model)
+                  .is_ok());
+  const auto range = [](std::string file, std::int64_t lo, std::int64_t hi,
+                        Tier tier = Tier::kAod) {
+    return IndexSnapshot::RangeEntry{std::move(file), tier, lo, hi};
+  };
+  const auto snapshot = [&](std::vector<IndexSnapshot::RangeEntry> ranges,
+                            std::vector<IndexSnapshot::PackedEntry> packed) {
+    IndexSnapshot out;
+    out.generation = 2;
+    out.ranges = {range("/b", 5000, 10000)};
+    out.ranges.insert(out.ranges.end(), ranges.begin(), ranges.end());
+    out.packed = std::move(packed);
+    return out;
+  };
+  const ObjectId bad_tier_id{0x0900000000000005ULL};
+  const struct {
+    const char* what;
+    IndexSnapshot snapshot;
+    ErrorCode code;
+  } cases[] = {
+      {"range file named twice", snapshot({range("/b", 0, 10)}, {}),
+       ErrorCode::kAlreadyExists},
+      {"range and packed file share a name",
+       snapshot({}, {{"/b", {make_object_id(Tier::kAod, 1)}}}),
+       ErrorCode::kAlreadyExists},
+      {"packed file named twice",
+       snapshot({}, {{"/p", {make_object_id(Tier::kAod, 1)}},
+                     {"/p", {make_object_id(Tier::kAod, 2)}}}),
+       ErrorCode::kAlreadyExists},
+      {"empty event range", snapshot({range("/c", 10, 10)}, {}),
+       ErrorCode::kInvalidArgument},
+      {"reversed event range", snapshot({range("/c", 20, 10)}, {}),
+       ErrorCode::kInvalidArgument},
+      {"negative first event", snapshot({range("/c", -5, 10)}, {}),
+       ErrorCode::kInvalidArgument},
+      {"range file of no tier",
+       snapshot({range("/c", 0, 10, static_cast<Tier>(9))}, {}),
+       ErrorCode::kInvalidArgument},
+      {"packed id of no tier", snapshot({}, {{"/p", {bad_tier_id}}}),
+       ErrorCode::kInvalidArgument},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(index.update_site("cern", c.snapshot, model).code(), c.code)
+        << c.what;
+    EXPECT_TRUE(index.locate(make_object_id(Tier::kAod, 7000)).empty())
+        << c.what;
+    ASSERT_EQ(index.locate(make_object_id(Tier::kAod, 100)).size(), 1u)
+        << c.what;
+    EXPECT_EQ(index.site_count(), 1u);
+  }
+  // An id of no tier is held by no site.
+  EXPECT_TRUE(index.locate(bad_tier_id).empty());
+  EXPECT_EQ(index.plan({bad_tier_id}).count(""), 1u);
+  // A good snapshot replaces the holdings whole.
+  ASSERT_TRUE(index.update_site("cern", snapshot({}, {}), model).is_ok());
+  EXPECT_TRUE(index.locate(make_object_id(Tier::kAod, 100)).empty());
+  EXPECT_EQ(index.locate(make_object_id(Tier::kAod, 7000)).size(), 1u);
+}
+
+// Random multi-site layouts: overlapping range files, contiguous packed
+// files (which snapshots carry as ranges) and scattered ones. locate() must
+// list what a scan of the snapshots finds: site by site in name order, the
+// ranges holding the id latest start first (of equal starts, the later
+// snapshot entry first), then the packed entries in snapshot order, once
+// per listing of the id.
+TEST(GlobalIndex, LocateMatchesScanOfOverlappingSnapshots) {
+  const EventModel model = EventModel::standard(10000);
+  std::uint64_t x = 0x6a09e667f3bcc909ULL;
+  const auto next = [&x](std::uint64_t bound) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (x >> 33) % bound;
+  };
+  const auto random_tier = [&] {
+    return next(2) == 0 ? Tier::kAod : Tier::kEsd;
+  };
+  using Holders = std::vector<std::pair<std::string, std::string>>;
+  for (int layout = 0; layout < 40; ++layout) {
+    std::map<std::string, IndexSnapshot> snapshots;
+    GlobalObjectIndex index;
+    for (const char* site : {"ral", "cern", "lyon"}) {
+      objstore::ObjectFileCatalog catalog;
+      for (int i = 0, n = static_cast<int>(next(12)); i < n; ++i) {
+        const auto lo = static_cast<std::int64_t>(next(300));
+        (void)catalog.add_range_file(
+            "/r" + std::to_string(i), random_tier(), lo,
+            lo + 1 + static_cast<std::int64_t>(next(next(3) == 0 ? 200 : 20)),
+            model);
+      }
+      for (int i = 0, n = static_cast<int>(next(8)); i < n; ++i) {
+        std::vector<ObjectId> objects(1 + next(12));
+        const Tier tier = random_tier();
+        const auto first = static_cast<std::int64_t>(next(320));
+        const bool contiguous = next(2) == 0;
+        for (std::size_t k = 0; k < objects.size(); ++k) {
+          objects[k] = make_object_id(
+              tier, contiguous ? first + static_cast<std::int64_t>(k)
+                               : static_cast<std::int64_t>(next(320)));
+        }
+        (void)catalog.add_packed_file("/p" + std::to_string(i),
+                                      std::move(objects), model);
+      }
+      snapshots[site] = snapshot_catalog(catalog, 1);
+      ASSERT_TRUE(index.update_site(site, snapshots[site], model).is_ok());
+    }
+    const auto scan = [&snapshots](ObjectId id) {
+      const std::int64_t event = objstore::event_of(id);
+      Holders out;
+      for (const auto& [site, snapshot] : snapshots) {
+        std::vector<const IndexSnapshot::RangeEntry*> ranges;
+        for (auto it = snapshot.ranges.rbegin(); it != snapshot.ranges.rend();
+             ++it) {
+          if (it->tier == objstore::tier_of(id) && it->event_lo <= event &&
+              event < it->event_hi) {
+            ranges.push_back(&*it);
+          }
+        }
+        std::stable_sort(ranges.begin(), ranges.end(),
+                         [](const auto* a, const auto* b) {
+                           return a->event_lo > b->event_lo;
+                         });
+        for (const auto* entry : ranges) out.emplace_back(site, entry->file);
+        for (const auto& entry : snapshot.packed) {
+          for (const ObjectId o : entry.objects) {
+            if (o == id) out.emplace_back(site, entry.file);
+          }
+        }
+      }
+      return out;
+    };
+    for (const Tier tier : {Tier::kAod, Tier::kEsd}) {
+      for (std::int64_t event = 0; event <= 520; ++event) {
+        const ObjectId id = make_object_id(tier, event);
+        Holders located;
+        for (const RemoteObject& holder : index.locate(id)) {
+          located.emplace_back(holder.site, holder.file);
+        }
+        ASSERT_EQ(located, scan(id))
+            << "layout " << layout << " " << objstore::tier_name(tier) << " "
+            << event;
+      }
+    }
+  }
 }
 
 // Snapshot wire format: range files come straight from the catalog's range
@@ -500,6 +693,139 @@ TEST(ObjectReplication, UnknownObjectsFail) {
       });
   f.grid.run_until(f.grid.simulator().now() + 600 * kSecond);
   EXPECT_EQ(status.code(), ErrorCode::kNotFound);
+}
+
+TEST(ObjectReplication, ConsumerWithoutObjectStoreFailsAtOnce) {
+  // A site without an object store can neither load an index (its
+  // catalogs take object sizes from the local event model) nor hold the
+  // objects it asks for, so both calls fail at once and send nothing.
+  GridConfig config = two_site_config();
+  config.sites[1].site.has_federation = false;
+  config.event_count = 20000;
+  Grid grid(config);
+  ASSERT_TRUE(grid.start().is_ok());
+  testbed::ProductionConfig production;
+  production.tier = Tier::kAod;
+  production.event_hi = 20000;
+  grid.site(0).gdmp().publish(testbed::produce_run(grid.site(0), production),
+                              [](Status) {});
+  grid.run_until(120 * kSecond);
+  const std::int64_t served =
+      grid.site(0).gdmp_server().rpc().requests_served();
+  ObjectReplicationService& consumer = grid.site(1).objrep();
+
+  std::optional<Status> indexed;
+  consumer.refresh_index_from("cern", grid.site(0).host().id(), 2000,
+                              [&](Status s) { indexed = s; });
+  EXPECT_TRUE(indexed.has_value());
+  grid.run_until(grid.simulator().now() + 60 * kSecond);
+  ASSERT_TRUE(indexed.has_value());
+  EXPECT_EQ(indexed->code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(indexed->message(), "site has no object store");
+
+  std::optional<Status> replicated;
+  consumer.replicate_objects(
+      {make_object_id(Tier::kAod, 5)},
+      [&](Result<ObjectReplicationService::Outcome> r) {
+        replicated = r.status();
+      });
+  EXPECT_TRUE(replicated.has_value());
+  grid.run_until(grid.simulator().now() + 3600 * kSecond);
+  ASSERT_TRUE(replicated.has_value());
+  EXPECT_EQ(replicated->code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(replicated->message(), "site has no object store");
+  EXPECT_EQ(grid.site(0).gdmp_server().rpc().requests_served(), served);
+  EXPECT_EQ(consumer.stats().requests, 0);
+}
+
+TEST(ObjectReplication, MalformedIndexReplyKeepsPreviousHoldings) {
+  // The consumer holds cern's full index. A stub get_index handler then
+  // serves cern's snapshot cut inside its second range entry, again whole
+  // but with a trailing byte, and a packed entry that claims 2^32 - 1 ids
+  // but carries one: each is refused, and the consumer still finds every
+  // object at cern.
+  ObjRepFixture f;
+  ObjectReplicationService& consumer = f.grid.site(1).objrep();
+  const auto located = [&consumer](std::int64_t event) {
+    return consumer.index().locate(make_object_id(Tier::kAod, event)).size();
+  };
+  ASSERT_EQ(located(0), 1u);
+  ASSERT_EQ(located(19999), 1u);
+  const IndexSnapshot snapshot =
+      snapshot_catalog(f.grid.site(0).federation()->catalog(), 2);
+  ASSERT_GT(snapshot.ranges.size(), 2u);
+  rpc::Writer w;
+  encode_snapshot(w, snapshot);
+  const std::vector<std::uint8_t> whole = w.take();
+  // Generation and entry count, the first entry, and part of the second.
+  const std::size_t cut = 12 + 4 + snapshot.ranges[0].file.size() + 17 + 10;
+  rpc::Writer overstated;
+  overstated.u64(3);
+  overstated.u32(0);  // no ranges
+  overstated.u32(1);  // one packed entry...
+  overstated.str("/p");
+  overstated.u32(~std::uint32_t{0});  // ...claiming every id there is
+  overstated.u64(make_object_id(Tier::kAod, 1).value);
+  std::vector<std::vector<std::uint8_t>> replies = {
+      {whole.begin(), whole.begin() + static_cast<std::ptrdiff_t>(cut)},
+      whole, overstated.take()};
+  replies[1].push_back(0);
+  for (const auto& reply : replies) {
+    f.grid.site(0).gdmp_server().rpc().register_method(
+        "objrep.get_index", [reply](auto&, auto, auto, auto respond) {
+          respond(Status::ok(), reply);
+        });
+    std::optional<Status> status;
+    consumer.refresh_index_from("cern", f.grid.site(0).host().id(), 2000,
+                                [&](Status s) { status = s; });
+    f.grid.run_until(f.grid.simulator().now() + 60 * kSecond);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->code(), ErrorCode::kInvalidArgument)
+        << reply.size() << " of " << whole.size() << " bytes";
+    EXPECT_EQ(located(0), 1u);
+    EXPECT_EQ(located(19999), 1u);
+  }
+}
+
+TEST(ObjectReplication, OverstatedIdCountsAreRefused) {
+  // Pack requests and chunk notices carry an id count read off the wire. A
+  // count far beyond the bytes that follow is refused as malformed, and
+  // no reservation is sized from it.
+  ObjRepFixture f;
+  const auto send = [&f](std::size_t from, std::size_t to, const char* method,
+                         std::vector<std::uint8_t> params) {
+    std::optional<Status> status;
+    f.grid.site(from)
+        .gdmp_server()
+        .peer(f.grid.site(to).host().id(), 2000)
+        .call(method, std::move(params),
+              [&status](Status s, std::vector<std::uint8_t>) { status = s; });
+    f.grid.run_until(f.grid.simulator().now() + 60 * kSecond);
+    EXPECT_TRUE(status.has_value()) << method;
+    return status.value_or(Status::ok());
+  };
+  rpc::Writer pack;
+  pack.u64(1);  // request id
+  pack.u32(static_cast<std::uint32_t>(f.grid.site(1).host().id()));
+  pack.u16(2000);
+  pack.boolean(true);
+  pack.u32(~std::uint32_t{0});  // id count
+  pack.u64(make_object_id(Tier::kAod, 1).value);  // one id
+  const Status packed = send(1, 0, "objrep.pack", pack.take());
+  EXPECT_EQ(packed.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(packed.message(), "malformed pack");
+
+  rpc::Writer chunk;
+  chunk.u64(1);  // request id
+  chunk.str("/pack/req1/chunk-0");
+  chunk.i64(10 * kKiB);
+  chunk.u32(0);  // crc
+  chunk.u32(~std::uint32_t{0});  // id count
+  chunk.u64(make_object_id(Tier::kAod, 1).value);  // one id
+  const Status chunked = send(0, 1, "objrep.chunk", chunk.take());
+  EXPECT_EQ(chunked.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(chunked.message(), "malformed chunk");
+  EXPECT_EQ(f.grid.site(0).objrep().stats().packs_served, 0);
 }
 
 TEST(ObjectReplication, PipeliningReducesResponseTime) {

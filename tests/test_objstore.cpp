@@ -2,6 +2,7 @@
 // object copier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "objstore/object_copier.h"
@@ -147,6 +148,41 @@ TEST(ObjectFileCatalog, LocateOrdersRangeThenPackedFiles) {
   EXPECT_TRUE(located(f.catalog, make_object_id(Tier::kRaw, 160)).empty());
 }
 
+// One overlap rule for the range walk: an interval that ends at or before
+// the event is skipped, and the walk stops only where no interval up to it
+// reaches past the event. /inner nests in /outer, so event 50 lies past
+// /inner, the latest start, but inside /outer.
+TEST(ObjectFileCatalog, NestedRangeFilesAnswerEveryEvent) {
+  CatalogFixture f;
+  const Bytes aod = 10 * kKiB;
+  const auto check = [&f](std::int64_t event, const Located& expected) {
+    const ObjectId id = make_object_id(Tier::kAod, event);
+    EXPECT_EQ(located(f.catalog, id), expected) << "event " << event;
+    EXPECT_EQ(f.catalog.contains(id), !expected.empty()) << "event " << event;
+  };
+  ASSERT_TRUE(f.catalog.add_range_file("/outer", Tier::kAod, 0, 100, f.model)
+                  .is_ok());
+  ASSERT_TRUE(f.catalog.add_range_file("/inner", Tier::kAod, 10, 20, f.model)
+                  .is_ok());
+  check(5, {{"/outer", 5 * aod}});
+  check(15, {{"/inner", 5 * aod}, {"/outer", 15 * aod}});
+  check(50, {{"/outer", 50 * aod}});
+  check(150, {});
+
+  ASSERT_TRUE(f.catalog.remove_file("/inner").is_ok());
+  check(15, {{"/outer", 15 * aod}});
+  check(50, {{"/outer", 50 * aod}});
+  check(150, {});
+
+  ASSERT_TRUE(f.catalog.add_range_file("/inner", Tier::kAod, 10, 20, f.model)
+                  .is_ok());
+  ASSERT_TRUE(f.catalog.remove_file("/outer").is_ok());
+  check(5, {});
+  check(15, {{"/inner", 5 * aod}});
+  check(50, {});
+  check(150, {});
+}
+
 TEST(ObjectFileCatalog, PackedFilesListedInRegistrationOrder) {
   CatalogFixture f;
   const ObjectId id = make_object_id(Tier::kAod, 42);
@@ -282,6 +318,146 @@ TEST(ObjectFileCatalog, PackedChurnMatchesBruteForceReference) {
   EXPECT_EQ(f.catalog.file_count(), 0u);
 }
 
+// Seeded layouts with every overlap the lookup must answer: range files of
+// two tiers that nest, overlap, share starts, and are removed and
+// registered again, mixed with contiguous and scattered packed files.
+// locate() (files, order and offsets) and contains() must equal a scan of
+// every live file.
+TEST(ObjectFileCatalog, OverlappingLayoutsMatchBruteForceReference) {
+  CatalogFixture f;
+  std::uint64_t x = 0x853c49e6748fea9bULL;
+  const auto next = [&x](std::uint64_t bound) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (x >> 33) % bound;
+  };
+  const auto random_tier = [&] {
+    return next(2) == 0 ? Tier::kAod : Tier::kEsd;
+  };
+  struct LiveFile {
+    std::string name;
+    bool range;
+    Tier tier;                     // range files
+    std::int64_t event_lo;         // range files
+    std::int64_t event_hi;         // range files
+    std::vector<ObjectId> objects;  // packed files
+  };
+  std::vector<LiveFile> live;  // registration order
+  const auto reference = [&](ObjectId id) {
+    const std::int64_t event = event_of(id);
+    // Range files, latest start first; of equal starts, the latest
+    // registered first.
+    std::vector<const LiveFile*> ranges;
+    for (auto it = live.rbegin(); it != live.rend(); ++it) {
+      if (it->range && it->tier == tier_of(id) && it->event_lo <= event &&
+          event < it->event_hi) {
+        ranges.push_back(&*it);
+      }
+    }
+    std::stable_sort(ranges.begin(), ranges.end(),
+                     [](const LiveFile* a, const LiveFile* b) {
+                       return a->event_lo > b->event_lo;
+                     });
+    Located out;
+    for (const LiveFile* file : ranges) {
+      out.emplace_back(file->name,
+                       (event - file->event_lo) * f.model.object_size(id));
+    }
+    for (const LiveFile& file : live) {
+      Bytes offset = 0;
+      Bytes first = -1;
+      for (const ObjectId o : file.objects) {
+        if (o == id) {
+          if (first < 0) first = offset;
+          out.emplace_back(file.name, first);
+        }
+        offset += f.model.object_size(o);
+      }
+    }
+    return out;
+  };
+  // Probes where a range file holding the id starts at or before another
+  // that ends at or before the event: the walk must step past the latter.
+  std::int64_t nested_hits = 0;
+  const auto check = [&](ObjectId id) {
+    const Located expected = reference(id);
+    ASSERT_EQ(located(f.catalog, id), expected)
+        << tier_name(tier_of(id)) << " " << event_of(id);
+    ASSERT_EQ(f.catalog.contains(id), !expected.empty());
+    const std::int64_t event = event_of(id);
+    std::int64_t first_holder = event + 1;
+    for (const LiveFile& file : live) {
+      if (file.range && file.tier == tier_of(id) && file.event_lo <= event &&
+          event < file.event_hi) {
+        first_holder = std::min(first_holder, file.event_lo);
+      }
+    }
+    nested_hits += std::any_of(
+        live.begin(), live.end(), [&](const LiveFile& file) {
+          return file.range && file.tier == tier_of(id) &&
+                 file.event_lo >= first_holder && file.event_hi <= event;
+        });
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t action = next(20);
+    if (action < 9) {
+      const std::string name = "/r" + std::to_string(next(60));
+      const auto lo = static_cast<std::int64_t>(next(300));
+      const auto length =
+          static_cast<std::int64_t>(1 + next(next(4) == 0 ? 200 : 20));
+      const Tier tier = random_tier();
+      if (f.catalog.has_file(name)) continue;
+      ASSERT_TRUE(
+          f.catalog.add_range_file(name, tier, lo, lo + length, f.model)
+              .is_ok());
+      live.push_back({name, true, tier, lo, lo + length, {}});
+    } else if (action < 14) {
+      const std::string name = "/p" + std::to_string(next(60));
+      std::vector<ObjectId> objects(1 + next(30));
+      if (next(2) == 0) {  // contiguous, as a copier run of one tier
+        const Tier tier = random_tier();
+        const auto first = static_cast<std::int64_t>(next(500));
+        for (std::size_t i = 0; i < objects.size(); ++i) {
+          objects[i] =
+              make_object_id(tier, first + static_cast<std::int64_t>(i));
+        }
+      } else {
+        for (ObjectId& id : objects) {
+          id = make_object_id(random_tier(),
+                              static_cast<std::int64_t>(next(520)));
+        }
+      }
+      if (f.catalog.has_file(name)) continue;
+      ASSERT_TRUE(f.catalog.add_packed_file(name, objects, f.model).is_ok());
+      live.push_back({name, false, Tier::kTag, 0, 0, std::move(objects)});
+    } else if (!live.empty()) {
+      const std::size_t victim = next(live.size());
+      ASSERT_TRUE(f.catalog.remove_file(live[victim].name).is_ok());
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    for (int probe = 0; probe < 6; ++probe) {
+      check(make_object_id(random_tier(),
+                           static_cast<std::int64_t>(next(520))));
+    }
+    if (!live.empty() && live.back().range) {
+      const LiveFile& file = live.back();
+      for (const std::int64_t event :
+           {file.event_lo, file.event_hi - 1, file.event_hi}) {
+        check(make_object_id(file.tier, event));
+      }
+    }
+  }
+  while (!live.empty()) {
+    const LiveFile file = live.front();
+    ASSERT_TRUE(f.catalog.remove_file(file.name).is_ok());
+    live.erase(live.begin());
+    for (std::int64_t event = file.event_lo; event <= file.event_hi; ++event) {
+      check(make_object_id(file.tier, event));
+    }
+  }
+  EXPECT_EQ(f.catalog.file_count(), 0u);
+  EXPECT_GT(nested_hits, 1000);  // the layouts do exercise the overlap rule
+}
+
 struct FederationFixture {
   sim::Simulator simulator;
   storage::Disk disk{simulator, storage::DiskConfig{}};
@@ -331,6 +507,34 @@ TEST(Federation, HasLocalNeedsAnAttachedFileOnDisk) {
   ASSERT_TRUE(f.pool.remove("/packed").is_ok());
   EXPECT_FALSE(f.federation.has_local(id));
   EXPECT_TRUE(f.federation.catalog().contains(id));
+}
+
+// NestedRangeFilesAnswerEveryEvent's layout on disk: with either file
+// evicted, the other still answers for every event it holds, including
+// those past the end of the nested /inner.
+TEST(Federation, NestedRangeFilesAnswerPastAnEvictedOne) {
+  const auto aod = [](std::int64_t event) {
+    return make_object_id(Tier::kAod, event);
+  };
+  const std::vector<ObjectId> ids = {aod(5), aod(15), aod(50), aod(150)};
+  for (const bool evict_inner : {true, false}) {
+    FederationFixture f;
+    ASSERT_TRUE(f.pool.add_file("/outer", 100 * 10 * kKiB, 1, 0).is_ok());
+    ASSERT_TRUE(f.pool.add_file("/inner", 10 * 10 * kKiB, 2, 0).is_ok());
+    ASSERT_TRUE(
+        f.federation.attach_range_file("/outer", Tier::kAod, 0, 100).is_ok());
+    ASSERT_TRUE(
+        f.federation.attach_range_file("/inner", Tier::kAod, 10, 20).is_ok());
+    ASSERT_TRUE(f.pool.remove(evict_inner ? "/inner" : "/outer").is_ok());
+    EXPECT_EQ(f.federation.has_local(aod(5)), evict_inner);
+    EXPECT_TRUE(f.federation.has_local(aod(15)));
+    EXPECT_EQ(f.federation.has_local(aod(50)), evict_inner);
+    EXPECT_FALSE(f.federation.has_local(aod(150)));
+    const std::vector<ObjectId> missing =
+        evict_inner ? std::vector<ObjectId>{aod(150)}
+                    : std::vector<ObjectId>{aod(5), aod(50), aod(150)};
+    EXPECT_EQ(f.federation.missing(ids), missing);
+  }
 }
 
 // Residency contract (DESIGN.md §5k): each attached file's bit follows

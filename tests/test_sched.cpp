@@ -514,11 +514,16 @@ struct CappedBatch {
   static constexpr int kFiles = 24;
   static constexpr Bytes kFileSize = 1 * kMiB;
 
-  Grid grid;
-  std::vector<LogicalFileName> lfns;
+  // What the completion callbacks write is declared before the grid, so a
+  // request still queued when the grid's scheduler aborts it writes into
+  // live members.
   /// Per file: sim time from batch submission to its completion callback.
   std::vector<SimDuration> completed_after =
       std::vector<SimDuration>(kFiles, -1);
+  /// Completion callbacks run so far.
+  int settled = 0;
+  Grid grid;
+  std::vector<LogicalFileName> lfns;
   /// Central catalog operations served while the batch ran.
   std::int64_t catalog_ops = 0;
   core::CatalogClient::LookupCache::Stats cache_before;
@@ -555,7 +560,6 @@ struct CappedBatch {
     cache_before = consumer().gdmp_server().catalog().lookup_cache_stats();
     const std::int64_t ops_before = grid.catalog().operations_served();
     const SimTime start = grid.simulator().now();
-    int settled = 0;
     // Warm the lookup cache the way submit_batch does, then submit file by
     // file to time each completion.
     auto& server = consumer().gdmp_server();
@@ -668,15 +672,17 @@ struct WakeScenario {
   };
 
   Spec spec;
-  Grid grid;
-  std::vector<LogicalFileName> lfns;
-  std::vector<std::uint64_t> ids;
+  // Declared before the grid, as in CappedBatch: the completion callbacks
+  // write here, also for requests the grid's scheduler aborts.
   /// Per file: sim time from submission to its completion callback.
   std::vector<SimDuration> completed_after;
   std::vector<ErrorCode> outcome;
   int settled = 0;
-  std::int64_t catalog_ops = 0;
   SimTime start = 0;
+  Grid grid;
+  std::vector<LogicalFileName> lfns;
+  std::vector<std::uint64_t> ids;
+  std::int64_t catalog_ops = 0;
 
   explicit WakeScenario(Spec s) : spec(std::move(s)), grid(config(spec)) {
     EXPECT_TRUE(grid.start().is_ok());

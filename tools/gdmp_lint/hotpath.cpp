@@ -22,7 +22,8 @@
 // as capacity-reusing (the EventHeap free list, FlowEngine scratch vectors
 // and reserved-ahead class heaps, and the heartbeat line_buffer_/out
 // rendering buffer all follow this idiom), so growth through it is not a
-// finding.
+// finding. Node containers (maps, sets, lists) are never capacity-reusing:
+// every insert allocates a node, whatever was cleared before.
 #include <algorithm>
 #include <deque>
 #include <map>
@@ -292,6 +293,7 @@ class HotClosure {
 struct AllocContext {
   const std::set<std::string>* string_names;
   const std::set<std::string>* map_names;
+  const std::set<std::string>* node_names;
 };
 
 /// True when the statement containing token `at` constructs a diagnostic:
@@ -364,6 +366,14 @@ void check_alloc_region(const TU& tu, const Region& r, const AllocContext& ctx,
                (punct_is(tokens[i - 1], ".") || punct_is(tokens[i - 1], "->")) &&
                tokens[i - 2].kind == TokenKind::kIdentifier) {
       const std::string& recv = tokens[i - 2].text;
+      if (ctx.node_names->contains(recv)) {
+        emit(i, "hot-path-alloc", t.line,
+             "'" + recv + "." + t.text + "' allocates a node on every insert" +
+                 where +
+                 "; clear() reuses no nodes, so use a flat or pooled "
+                 "structure or justify with hot-alloc");
+        continue;
+      }
       if (tu.pooled.contains(recv)) continue;  // reserve/clear-ahead idiom
       emit(i, "hot-path-alloc", t.line,
            "'" + recv + "." + t.text + "' may reallocate" + where +
@@ -587,10 +597,15 @@ void lint_hot_paths(const std::vector<std::pair<std::string, FileScan>>& scans,
   static const std::set<std::string> kMapTypes = {
       "map", "multimap", "unordered_map", "unordered_multimap",
       "UnorderedMap"};
+  static const std::set<std::string> kNodeTypes = {
+      "map", "multimap", "set", "multiset", "unordered_map",
+      "unordered_multimap", "unordered_set", "unordered_multiset",
+      "UnorderedMap", "UnorderedSet", "list"};
   static const std::set<std::string> kSequenceTypes = {"vector", "deque",
                                                        "array", "span"};
   std::set<std::string> string_names;
   std::set<std::string> map_names;
+  std::set<std::string> node_names;
   std::set<std::string> sequence_names;
   std::set<std::string> handle_names;
   for (const auto& [path, scan] : scans) {
@@ -609,13 +624,19 @@ void lint_hot_paths(const std::vector<std::pair<std::string, FileScan>>& scans,
     tu.lambda_hot.assign(tu.lambdas.size(), 0);
     collect_string_names(scan, string_names);
     collect_template_decl_names(scan, kMapTypes, map_names);
+    collect_template_decl_names(scan, kNodeTypes, node_names);
     collect_template_decl_names(scan, kSequenceTypes, sequence_names);
     collect_handle_names(scan, handle_names);
     tus.push_back(std::move(tu));
   }
   // A name declared as both a map and a sequence somewhere in the repo is
   // ambiguous at a subscript site; drop it rather than flag vector indexing.
-  for (const std::string& name : sequence_names) map_names.erase(name);
+  // Likewise a node-container name keeps the reserve/clear exemption when a
+  // sequence somewhere shares it.
+  for (const std::string& name : sequence_names) {
+    map_names.erase(name);
+    node_names.erase(name);
+  }
 
   HotClosure closure(tus);
 
@@ -697,7 +718,7 @@ void lint_hot_paths(const std::vector<std::pair<std::string, FileScan>>& scans,
 
   // Findings: allocation checks over every hot region, handle-lifetime
   // checks over every function of every TU that names an EventHandle.
-  const AllocContext ctx{&string_names, &map_names};
+  const AllocContext ctx{&string_names, &map_names, &node_names};
   std::map<std::size_t, std::set<std::pair<int, std::string>>> emitted;
   {
     // Emitters are per file; keep one per TU for suppression bookkeeping.
