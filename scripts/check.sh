@@ -43,8 +43,11 @@
 #                               # then the observability example (heartbeat
 #                               # on) must print the same stdout and write
 #                               # the same rollup stream and trace, and
-#                               # hep_analysis, bench_object_vs_file (OBJ1)
-#                               # and bench_pipeline (PIPE) the same stdout
+#                               # hep_analysis, bench_object_vs_file (OBJ1),
+#                               # bench_pipeline (PIPE), bench_fig5_untuned,
+#                               # bench_fig6_tuned, bench_buffer_sweep
+#                               # (T-BUF), bench_staging (STAGE) and
+#                               # bench_scheduler (SCHED) the same stdout
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,7 +64,10 @@ cd "$(dirname "$0")/.."
 # in both trees and compares its stdout, rollup stream and trace. Its
 # objects_fluid loads one range-only index snapshot, so the stage also
 # compares the stdout of hep_analysis, bench_object_vs_file and
-# bench_pipeline, which load packed entries and plan across sites. Every
+# bench_pipeline, which load packed entries and plan across sites, and of
+# the deterministic tables that read TCP, GridFTP-server, staging and
+# scheduler constants perfbench does not reach: Fig 5, Fig 6, T-BUF, STAGE
+# and SCHED. CAT and OBJ2 print host-timed rates, so they stay out. Every
 # stage runs and names what differs, so a count a change moves on purpose
 # on one workload does not hide the rest; any difference fails the stage
 # at the end. Set TMPDIR to put the temporary trees somewhere other than
@@ -147,7 +153,9 @@ PY
   for tree in "$base_tree" .; do
     (cd "$tree" && cmake --preset default >/dev/null &&
       cmake --build --preset default --target observability hep_analysis \
-        bench_object_vs_file bench_pipeline -j "$(nproc)" >/dev/null)
+        bench_object_vs_file bench_pipeline bench_fig5_untuned \
+        bench_fig6_tuned bench_buffer_sweep bench_staging bench_scheduler \
+        -j "$(nproc)" >/dev/null)
   done
   observe() {  # <tree> <run dir>: one run, outputs relative to <run dir>
     mkdir -p "$2"
@@ -165,24 +173,30 @@ PY
     fi
     echo "observability: $file identical ($(wc -c <"$runs/base/$file") bytes)"
   done
-  echo "==> same behaviour [object path: $base_ref vs working tree]"
-  for binary in examples/hep_analysis bench/bench_object_vs_file \
-    bench/bench_pipeline; do
-    name="$(basename "$binary")"
-    for side in base tree; do  # each run in its own dir: benches write JSON
-      root="$base_tree"
-      [ "$side" = tree ] && root="$PWD"
-      mkdir -p "$runs/$side/$name"
-      (cd "$runs/$side/$name" && "$root/build/$binary" >stdout.txt)
+  same_stdout() {  # <binary>...: each built binary prints the same stdout
+    for binary in "$@"; do
+      name="$(basename "$binary")"
+      for side in base tree; do  # each run in its own dir: benches write JSON
+        root="$base_tree"
+        [ "$side" = tree ] && root="$PWD"
+        mkdir -p "$runs/$side/$name"
+        (cd "$runs/$side/$name" && "$root/build/$binary" >stdout.txt)
+      done
+      if ! cmp "$runs/base/$name/stdout.txt" "$runs/tree/$name/stdout.txt"; then
+        echo "$name: stdout differs (base first, working tree second)"
+        differences=1
+        continue
+      fi
+      echo "$name: stdout identical" \
+        "($(wc -c <"$runs/base/$name/stdout.txt") bytes)"
     done
-    if ! cmp "$runs/base/$name/stdout.txt" "$runs/tree/$name/stdout.txt"; then
-      echo "$name: stdout differs (base first, working tree second)"
-      differences=1
-      continue
-    fi
-    echo "$name: stdout identical" \
-      "($(wc -c <"$runs/base/$name/stdout.txt") bytes)"
-  done
+  }
+  echo "==> same behaviour [object path: $base_ref vs working tree]"
+  same_stdout examples/hep_analysis bench/bench_object_vs_file \
+    bench/bench_pipeline
+  echo "==> same behaviour [tables: $base_ref vs working tree]"
+  same_stdout bench/bench_fig5_untuned bench/bench_fig6_tuned \
+    bench/bench_buffer_sweep bench/bench_staging bench/bench_scheduler
   if [ "$differences" -ne 0 ]; then
     echo "==> same-behaviour vs $base_ref FAILED: differences above"
     exit 1

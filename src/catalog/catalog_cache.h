@@ -5,7 +5,7 @@
 // server-issued version stamp of the underlying catalog entry; within the
 // TTL they are served without any RPC, after it they are revalidated with
 // a single stamp comparison at the server (DESIGN.md §5j). Local mutations
-// (publish / add_replica / remove_replica / unregister) invalidate
+// (publish / add_replica / remove_replica) invalidate
 // synchronously, so a site never serves its own writes stale; remote
 // writes become visible within one TTL — the soft-state consistency model
 // of the EU DataGrid catalog design.

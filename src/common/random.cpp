@@ -84,6 +84,4 @@ std::int64_t Rng::zipf(std::int64_t n, double alpha) noexcept {
   return rank < n ? rank : n - 1;
 }
 
-Rng Rng::fork() noexcept { return Rng(next() ^ 0xd3833e804f4c574bULL); }
-
 }  // namespace gdmp

@@ -36,9 +36,6 @@ class Rng {
   /// The paper cites Zipf access patterns [Bres99] for replica popularity.
   std::int64_t zipf(std::int64_t n, double alpha) noexcept;
 
-  /// Forks an independent stream (splitmix of the current state).
-  Rng fork() noexcept;
-
  private:
   std::uint64_t state_[4];
 };

@@ -36,7 +36,7 @@ struct FlowSpec {
   net::NodeId dst = net::kInvalidNode;
   /// Payload bytes to move; kUnboundedBytes = runs until cancel().
   Bytes bytes = 0;
-  /// Relative max-min share weight before RTT scaling (FluidConfig).
+  /// Relative max-min share weight before RTT scaling (flow_engine.cpp).
   double weight = 1.0;
   /// TCP window analogue: caps the flow's rate at window/RTT so untuned
   /// buffers reproduce the Figure 5 per-stream ceiling. 0 = uncapped.
@@ -61,29 +61,14 @@ struct FlowDone {
 };
 
 struct FluidConfig {
-  /// Payload fraction of raw link bandwidth (TCP/IP header tax: an MSS of
-  /// 1460 bytes rides in a 1500-byte wire footprint, net/packet.h).
-  double efficiency = 1460.0 / 1500.0;
   /// Model TCP slow start as a one-time byte deficit folded into the flow
   /// at its first rate assignment (DESIGN.md §5f); without it short
   /// window-capped transfers finish unrealistically fast.
   bool model_slow_start = true;
-  /// Initial congestion window for the slow-start deficit (2 segments).
-  Bytes initial_window = 2 * 1460;
-  /// RTT-weighted shares: effective weight = weight * reference_rtt / RTT,
-  /// the long-run TCP bias that keeps parallel-stream tuning meaningful.
-  SimDuration reference_rtt = 100 * kMillisecond;
-  /// Rate floor so completions stay finite under extreme overload.
-  BitsPerSec min_rate = 1 * kKbps;
   /// Renegotiation batching quantum: changes arriving within one quantum
   /// coalesce into a single recompute. 0 = renegotiate at the same instant
   /// (still coalescing same-timestamp changes).
   SimDuration reneg_quantum = 0;
-  /// Max dirty-closure expansion rounds per renegotiation before accepting
-  /// residual slack (bounds worst-case work; see fair_share.h).
-  int max_rounds = 8;
-  /// Link slack below which under-fill is not propagated (bits/s).
-  double slack_epsilon = 1 * kKbps;
 };
 
 struct FlowEngineStats {

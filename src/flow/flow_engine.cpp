@@ -3,10 +3,30 @@
 #include <algorithm>
 #include <cmath>
 
+#include "net/tcp.h"
+
 namespace gdmp::flow {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Payload fraction of raw link bandwidth: TCP's MSS rides in a wire
+/// footprint of MSS plus the TCP/IP header (1460 of 1500 bytes).
+constexpr double kEfficiency =
+    static_cast<double>(net::kMss) /
+    static_cast<double>(net::kMss + net::Packet::kHeaderBytes);
+/// TCP's initial congestion window, where the slow-start deficit starts.
+constexpr double kInitialWindow =
+    static_cast<double>(net::kInitialCwndSegments * net::kMss);
+/// RTT-weighted shares: effective weight = weight * reference RTT / RTT,
+/// the long-run TCP bias that keeps parallel-stream tuning meaningful.
+constexpr double kReferenceRttSeconds = to_seconds(100 * kMillisecond);
+/// Rate floor so completions stay finite under extreme overload.
+constexpr double kMinRate = 1 * kKbps;
+/// Max dirty-closure expansion rounds per renegotiation before accepting
+/// residual slack (bounds worst-case work; see fair_share.h).
+constexpr int kMaxRounds = 8;
+/// Link slack below which under-fill is not propagated (bits/s).
+constexpr double kSlackEpsilon = 1 * kKbps;
 /// Finish instant of a flow that never drains (unbounded background
 /// flows, or rates floored to nothing): it gets no completion event.
 constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
@@ -50,7 +70,7 @@ std::int32_t FlowEngine::intern_link(const net::Link* link) {
   if (inserted) {
     LinkState state;
     state.link = link;
-    state.capacity = link->config().bandwidth * config_.efficiency;
+    state.capacity = link->config().bandwidth * kEfficiency;
     links_.push_back(std::move(state));
   }
   return it->second;
@@ -82,9 +102,8 @@ std::int32_t FlowEngine::find_class(const FlowSpec& spec) {
   cls.pos_in_link.assign(cls.path.size(), -1);
   cls.rtt = std::max<SimDuration>(2 * one_way, kMicrosecond);
   const double rtt_sec = to_seconds(cls.rtt);
-  const double ref_sec =
-      to_seconds(std::max<SimDuration>(config_.reference_rtt, kMicrosecond));
-  cls.weight_eff = std::max(spec.weight, 1e-9) * ref_sec / rtt_sec;
+  cls.weight_eff =
+      std::max(spec.weight, 1e-9) * kReferenceRttSeconds / rtt_sec;
   cls.cap = spec.window > 0
                 ? static_cast<double>(spec.window) * 8.0 / rtt_sec
                 : kInf;
@@ -129,15 +148,13 @@ FlowId FlowEngine::start(const FlowSpec& spec, Completion on_done) {
   flow.started = simulator_.now();
 
   ClassState& cls = classes_[ci];
-  const double pinned_load = spec.pinned_rate * config_.efficiency;
+  const double pinned_load = spec.pinned_rate * kEfficiency;
   if (cls.size() == 0) {
     // The class (re)fills: restart its clock so targets are plain byte
     // counts, and list it on its links.
     cls.served = 0.0;
     cls.settled_at = simulator_.now();
-    cls.rate = cls.pinned ? std::max(pinned_load,
-                                     static_cast<double>(config_.min_rate))
-                          : 0.0;
+    cls.rate = cls.pinned ? std::max(pinned_load, kMinRate) : 0.0;
     cls.bottleneck = -1;
     for (std::size_t i = 0; i < cls.path.size() && !cls.pinned; ++i) {
       LinkState& link = links_[cls.path[i]];
@@ -196,8 +213,7 @@ Bytes FlowEngine::transferred(FlowId id) const noexcept {
 void FlowEngine::on_link_changed(const net::Link* link) {
   const auto it = link_index_.find(link);
   if (it == link_index_.end()) return;
-  links_[it->second].capacity =
-      link->config().bandwidth * config_.efficiency;
+  links_[it->second].capacity = link->config().bandwidth * kEfficiency;
   mark_dirty(it->second);
   schedule_renegotiation();
 }
@@ -369,7 +385,7 @@ void FlowEngine::renegotiate() {
     // The per-flow min_rate floor is applied below, after the even split.
     solver_.solve(share_flows_, share_links_, membership_, 0.0);
     ++round;
-    if (round >= config_.max_rounds) break;
+    if (round >= kMaxRounds) break;
 
     // Expansion: a constraint-only link whose capacity is now under-used
     // only matters if a resident fixed class was bottlenecked *on that
@@ -380,7 +396,7 @@ void FlowEngine::renegotiate() {
     for (std::size_t i = 0; i < solve_links_.size(); ++i) {
       LinkState& link = links_[solve_links_[i]];
       if (link.dirty) continue;  // already absorbed
-      if (share_links_[i].residual <= config_.slack_epsilon) continue;
+      if (share_links_[i].residual <= kSlackEpsilon) continue;
       bool claimable = false;
       for (const std::uint32_t ci : link.classes) {
         const ClassState& cls = classes_[ci];
@@ -418,8 +434,7 @@ void FlowEngine::renegotiate() {
     stats_.flows_recomputed += static_cast<std::int64_t>(cls.size());
     settle(cls, now);
     const double rate = std::max(
-        share_flows_[i].rate / static_cast<double>(cls.size()),
-        static_cast<double>(config_.min_rate));
+        share_flows_[i].rate / static_cast<double>(cls.size()), kMinRate);
     const std::int32_t share_bottleneck = share_flows_[i].bottleneck;
     cls.rate = rate;
     cls.bottleneck =
@@ -435,10 +450,8 @@ void FlowEngine::renegotiate() {
         const double steady_window = std::min(
             cls.window > 0 ? static_cast<double>(cls.window) : kInf,
             rate * to_seconds(cls.rtt) / 8.0);
-        const double initial =
-            std::max(static_cast<double>(config_.initial_window), 1.0);
-        if (steady_window > initial) {
-          const double doublings = std::log2(steady_window / initial);
+        if (steady_window > kInitialWindow) {
+          const double doublings = std::log2(steady_window / kInitialWindow);
           deficit = steady_window * std::max(0.0, doublings - 2.0);
         }
       }
@@ -559,7 +572,7 @@ void FlowEngine::retire(std::uint32_t slot, bool ok) {
   for (const std::int32_t li : cls.path) {
     LinkState& link = links_[li];
     if (cls.pinned) {
-      link.pinned -= flow.spec.pinned_rate * config_.efficiency;
+      link.pinned -= flow.spec.pinned_rate * kEfficiency;
       if (link.pinned < 0.0) link.pinned = 0.0;
     }
     mark_dirty(li);

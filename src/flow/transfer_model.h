@@ -11,13 +11,13 @@
 //
 // A scenario picks the model once: testbed::GridConfig::transfer_model
 // decides whether the grid builds a FlowEngine. Below that, the engine
-// pointer is the only switch — gridftp::TransferOptions,
-// gridftp::FtpServerConfig and testbed::SiteConfig carry a FlowEngine*
-// that selects the fluid data plane when set and the packet plane when
-// null. Both planes share GridFTP's control sequence, verification and
-// restart code and emit identical Perf/Restart markers into
-// obs::TransferChannel, so the scheduler's EWMA selector and tracing work
-// unchanged on either.
+// pointer is the only switch — gridftp::TransferOptions and
+// gridftp::FtpServerConfig carry a FlowEngine* (the grid sets both on
+// every site) that selects the fluid data plane when set and the packet
+// plane when null. Both planes share GridFTP's control sequence,
+// verification and restart code and emit identical Perf/Restart markers
+// into obs::TransferChannel, so the scheduler's EWMA selector and tracing
+// work unchanged on either.
 #pragma once
 
 namespace gdmp::flow {

@@ -88,11 +88,8 @@ CatalogServer::CatalogServer(net::TcpStack& stack,
                        bind(&CatalogServer::handle_add_replica));
   rpc_.register_method("rc.remove_replica",
                        bind(&CatalogServer::handle_remove_replica));
-  rpc_.register_method("rc.unregister",
-                       bind(&CatalogServer::handle_unregister));
   rpc_.register_method("rc.lookup_batch",
                        bind(&CatalogServer::handle_lookup_batch));
-  rpc_.register_method("rc.list", bind(&CatalogServer::handle_list));
   rpc_.register_method("rc.search", bind(&CatalogServer::handle_search));
 }
 
@@ -101,9 +98,11 @@ void CatalogServer::stop() { rpc_.stop(); }
 
 void CatalogServer::with_latency(std::size_t results,
                                  sim::Simulator::Callback fn) {
+  // Base LDAP operation latency plus a cost per returned entry.
+  constexpr SimDuration kOpLatency = 2 * kMillisecond;
+  constexpr SimDuration kPerResult = 20 * kMicrosecond;
   const SimDuration delay =
-      config_.op_latency +
-      static_cast<SimDuration>(results) * config_.per_result;
+      kOpLatency + static_cast<SimDuration>(results) * kPerResult;
   stack_.simulator().schedule(delay, std::move(fn));
 }
 
@@ -226,21 +225,6 @@ void CatalogServer::handle_remove_replica(
   });
 }
 
-void CatalogServer::handle_unregister(std::span<const std::uint8_t> params,
-                                      Respond respond) {
-  rpc::Reader r(params);
-  const std::string collection = r.str();
-  const std::string lfn = r.str();
-  if (!r.ok()) {
-    respond(make_error(ErrorCode::kInvalidArgument, "malformed unregister"),
-            {});
-    return;
-  }
-  with_latency(1, [this, collection, lfn, respond = std::move(respond)] {
-    respond(catalog_.unregister_logical_file(collection, lfn), {});
-  });
-}
-
 void CatalogServer::handle_lookup_batch(std::span<const std::uint8_t> params,
                                         Respond respond) {
   rpc::Reader r(params);
@@ -262,7 +246,7 @@ void CatalogServer::handle_lookup_batch(std::span<const std::uint8_t> params,
   // Reply items align with the request. A stamp match answers "unchanged"
   // (one byte) without materialising anything — that is the whole point of
   // version-stamp revalidation — so only full results pay the per-result
-  // latency, like handle_list.
+  // latency.
   rpc::Writer w;
   w.u32(static_cast<std::uint32_t>(items.size()));
   std::size_t full_results = 0;
@@ -302,29 +286,6 @@ void CatalogServer::handle_lookup_batch(std::span<const std::uint8_t> params,
                               respond = std::move(respond)]() mutable {
     respond(Status::ok(), std::move(payload));
   });
-}
-
-void CatalogServer::handle_list(std::span<const std::uint8_t> params,
-                                Respond respond) {
-  rpc::Reader r(params);
-  const std::string collection = r.str();
-  if (!r.ok()) {
-    respond(make_error(ErrorCode::kInvalidArgument, "malformed list"), {});
-    return;
-  }
-  auto files = catalog_.list_collection(collection);
-  if (!files.is_ok()) {
-    respond(files.status(), {});
-    return;
-  }
-  with_latency(files->size(),
-               [files = std::move(files.value()),
-                respond = std::move(respond)]() mutable {
-                 rpc::Writer w;
-                 w.u32(static_cast<std::uint32_t>(files.size()));
-                 for (const auto& lfn : files) w.str(lfn);
-                 respond(Status::ok(), w.take());
-               });
 }
 
 void CatalogServer::handle_search(std::span<const std::uint8_t> params,
@@ -784,29 +745,6 @@ void CatalogClient::search(
                 // Search results carry no single stamp; they age out by TTL
                 // or die with the next local mutation of the collection.
                 search_cache_.insert(collection, filter, out, 0, sim_.now());
-              }
-              done(std::move(out));
-            });
-}
-
-void CatalogClient::list_collection(
-    const std::string& collection,
-    std::function<void(Result<std::vector<LogicalFileName>>)> done) {
-  rpc::Writer w;
-  w.str(collection);
-  rpc_.call("rc.list", w.take(),
-            [done = std::move(done)](Status status,
-                                     std::vector<std::uint8_t> reply) {
-              if (!status.is_ok()) {
-                done(status);
-                return;
-              }
-              rpc::Reader r(reply);
-              const std::uint32_t n = r.u32();
-              std::vector<LogicalFileName> out;
-              out.reserve(n);
-              for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-                out.push_back(r.str());
               }
               done(std::move(out));
             });

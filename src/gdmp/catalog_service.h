@@ -28,9 +28,6 @@ namespace gdmp::core {
 
 struct CatalogServerConfig {
   net::Port port = 2010;
-  /// Base LDAP operation latency and per-returned-entry cost.
-  SimDuration op_latency = 2 * kMillisecond;
-  SimDuration per_result = 20 * kMicrosecond;
   /// Catalog shards behind the service endpoint.
   int shards = 8;
 };
@@ -69,11 +66,8 @@ class CatalogServer {
                           Respond respond);
   void handle_remove_replica(std::span<const std::uint8_t> params,
                              Respond respond);
-  void handle_unregister(std::span<const std::uint8_t> params,
-                         Respond respond);
   void handle_lookup_batch(std::span<const std::uint8_t> params,
                            Respond respond);
-  void handle_list(std::span<const std::uint8_t> params, Respond respond);
   void handle_search(std::span<const std::uint8_t> params, Respond respond);
 
   net::TcpStack& stack_;
@@ -185,10 +179,6 @@ class CatalogClient {
   /// require"). Results are cached per filter text (TTL only).
   void search(const std::string& collection, const std::string& filter,
               std::function<void(Result<std::vector<ReplicaInfo>>)> done);
-
-  void list_collection(
-      const std::string& collection,
-      std::function<void(Result<std::vector<LogicalFileName>>)> done);
 
   /// Exposes cache counters (hits/misses/stale_revalidate/...) to the
   /// site registry under <scope>.lookup and <scope>.search.

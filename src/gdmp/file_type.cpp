@@ -31,7 +31,8 @@ void ObjectivityPlugin::pre_process(SiteServices& site,
       static_cast<std::uint32_t>(to_int(get_extra(file, "schema")));
   if (schema > site.federation->schema_version()) {
     // Importing new schema into the federation takes DBA time.
-    site.simulator.schedule(schema_import_latency_, [&site, schema, done] {
+    constexpr SimDuration kSchemaImportLatency = 2 * kSecond;
+    site.simulator.schedule(kSchemaImportLatency, [&site, schema, done] {
       site.federation->upgrade_schema(schema);
       done(Status::ok());
     });
@@ -104,7 +105,8 @@ void ObjectivityPlugin::annotate_packed_file(
 
 void OracleFilePlugin::pre_process(SiteServices& site, const PublishedFile&,
                                    Done done) {
-  site.simulator.schedule(import_latency_,
+  constexpr SimDuration kImportLatency = 5 * kSecond;
+  site.simulator.schedule(kImportLatency,
                           [done = std::move(done)] { done(Status::ok()); });
 }
 

@@ -53,9 +53,6 @@ class FlatFilePlugin final : public FileTypePlugin {
 /// "objects" (packed files, comma-separated ids) and "schema" attributes.
 class ObjectivityPlugin final : public FileTypePlugin {
  public:
-  explicit ObjectivityPlugin(SimDuration schema_import_latency = 2 * kSecond)
-      : schema_import_latency_(schema_import_latency) {}
-
   const char* name() const override { return "objectivity"; }
   void pre_process(SiteServices& site, const PublishedFile& file,
                    Done done) override;
@@ -70,17 +67,11 @@ class ObjectivityPlugin final : public FileTypePlugin {
   static void annotate_packed_file(PublishedFile& file,
                                    const std::vector<ObjectId>& objects,
                                    std::uint32_t schema = 1);
-
- private:
-  SimDuration schema_import_latency_;
 };
 
 /// Oracle data files: a fixed schema-import delay before first use.
 class OracleFilePlugin final : public FileTypePlugin {
  public:
-  explicit OracleFilePlugin(SimDuration import_latency = 5 * kSecond)
-      : import_latency_(import_latency) {}
-
   const char* name() const override { return "oracle"; }
   void pre_process(SiteServices& site, const PublishedFile& file,
                    Done done) override;
@@ -88,9 +79,6 @@ class OracleFilePlugin final : public FileTypePlugin {
                     Done done) override {
     done(Status::ok());
   }
-
- private:
-  SimDuration import_latency_;
 };
 
 /// Registry of plug-ins keyed by file type; unknown types fall back to

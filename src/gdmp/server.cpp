@@ -14,8 +14,7 @@ GdmpServer::GdmpServer(SiteServices& site, GdmpConfig config,
       rpc_(site.stack, config.server_port, site.ca, site.credential),
       catalog_client_(site.stack, config.catalog_host, config.catalog_port,
                       site.ca, site.credential,
-                      {config.catalog_cache_ttl, config.catalog_cache_capacity,
-                       config.catalog_publish_batch}),
+                      {.cache_ttl = config.catalog_cache_ttl}),
       data_mover_(site, config.transfer, config.max_concurrent_transfers),
       storage_manager_(site),
       selector_(first_replica_selector()),
@@ -47,8 +46,8 @@ GdmpServer::GdmpServer(SiteServices& site, GdmpConfig config,
         self.handle_stage(peer, p, std::move(r));
       }));
   rpc_.register_method(
-      "gdmp.release", guard([](auto& self, auto&, auto, auto p, auto r) {
-        self.handle_release(p, std::move(r));
+      "gdmp.release", guard([](auto& self, auto& peer, auto, auto p, auto r) {
+        self.handle_release(peer, p, std::move(r));
       }));
   rpc_.register_method(
       kMethodDeleteFile,
@@ -124,7 +123,7 @@ void GdmpServer::publish(std::vector<PublishedFile> files, PublishDone done) {
     file.modify_time = info->modify_time;
   }
 
-  // One rc.publish_batch round trip per 'catalog_publish_batch' files
+  // One rc.publish_batch round trip per CatalogClientConfig::max_batch files
   // instead of one rc.publish per file (DESIGN.md §5j).
   auto shared = std::make_shared<std::vector<PublishedFile>>(std::move(files));
   std::weak_ptr<bool> alive = alive_;
@@ -571,10 +570,21 @@ void GdmpServer::handle_stage(const security::GsiContext& peer_ctx,
       });
 }
 
-void GdmpServer::handle_release(std::span<const std::uint8_t> params,
+void GdmpServer::handle_release(const security::GsiContext& peer_ctx,
+                                std::span<const std::uint8_t> params,
                                 Respond respond) {
+  // Releasing a staged file's pin is the second half of a stage request.
+  if (Status auth = authorize(security::Operation::kStageRequest, peer_ctx);
+      !auth.is_ok()) {
+    respond(auth, {});
+    return;
+  }
   rpc::Reader r(params);
   const std::string path = r.str();
+  if (!r.ok()) {
+    respond(make_error(ErrorCode::kInvalidArgument, "malformed release"), {});
+    return;
+  }
   storage_manager_.unpin(path);
   respond(Status::ok(), {});
 }

@@ -151,7 +151,6 @@ class GdmpServer {
   CatalogClient& catalog() noexcept { return catalog_client_; }
   DataMover& data_mover() noexcept { return data_mover_; }
   StorageManager& storage_manager() noexcept { return storage_manager_; }
-  FileTypeRegistry& plugins() noexcept { return plugins_; }
   rpc::RpcServer& rpc() noexcept { return rpc_; }
   const std::set<SubscriberInfo>& subscribers() const noexcept {
     return subscribers_;
@@ -206,7 +205,8 @@ class GdmpServer {
   void handle_get_catalog(const security::GsiContext& peer, Respond respond);
   void handle_stage(const security::GsiContext& peer,
                     std::span<const std::uint8_t> params, Respond respond);
-  void handle_release(std::span<const std::uint8_t> params, Respond respond);
+  void handle_release(const security::GsiContext& peer,
+                      std::span<const std::uint8_t> params, Respond respond);
   void handle_delete(const security::GsiContext& peer,
                      std::span<const std::uint8_t> params, Respond respond);
 

@@ -37,11 +37,9 @@ struct GdmpConfig {
   std::string collection = "cms";
   net::NodeId catalog_host = net::kInvalidNode;
   net::Port catalog_port = 2010;
-  /// Catalog client cache TTL (0 disables) and capacity; see DESIGN.md §5j.
+  /// Catalog client cache TTL (0 disables; see DESIGN.md §5j). The cache
+  /// capacity and batch size are CatalogClientConfig's defaults.
   SimDuration catalog_cache_ttl = 120 * kSecond;
-  std::size_t catalog_cache_capacity = 65536;
-  /// Files per rc.publish_batch / rc.lookup_batch frame.
-  std::size_t catalog_publish_batch = 256;
   /// Consumers: start replication as soon as a notification arrives.
   bool auto_replicate_on_notify = false;
   /// Producers: archive published files to the MSS automatically.

@@ -26,7 +26,6 @@ void BlockStreamParser::feed_data(std::span<const std::uint8_t> data) {
     current_ = *header;
     if (current_.is_eod()) {
       state_ = State::kDone;
-      eod_ = true;
       if (on_eod) on_eod();
       if (!data.empty()) fail("bytes after end-of-data");
       return;

@@ -35,7 +35,6 @@ class BlockStreamParser {
   /// Feeds synthetic byte counts from the TCP stream.
   void feed_synthetic(Bytes n);
 
-  bool eod_seen() const noexcept { return eod_; }
   Bytes payload_remaining() const noexcept { return remaining_; }
 
  private:
@@ -46,7 +45,6 @@ class BlockStreamParser {
   std::vector<std::uint8_t> header_buffer_;
   BlockHeader current_;
   Bytes remaining_ = 0;
-  bool eod_ = false;
 };
 
 /// Sorted, coalesced set of received byte ranges; computes the complement

@@ -10,6 +10,10 @@
 namespace gdmp::gridftp {
 namespace {
 
+/// Control-channel call timeout of a transfer session; transfers
+/// legitimately take minutes.
+constexpr SimDuration kTransferRpcTimeout = 7200 * kSecond;
+
 /// Content identity of a stored *partial* file: a subrange of a synthetic
 /// stream is itself a fresh stream with a derived seed (DESIGN.md §2).
 std::uint64_t derive_partial_seed(std::uint64_t seed, Bytes offset,
@@ -196,7 +200,6 @@ std::unique_ptr<rpc::RpcClient> FtpClient::make_rpc(
     net::NodeId server, net::Port port, SimDuration timeout) const {
   rpc::RpcClientConfig config;
   config.call_timeout = timeout;
-  // gdmp-lint: hot-alloc — RPC clients live for a whole control session, not per event
   return std::make_unique<rpc::RpcClient>(stack_, server, port, ca_,
                                           credential_, config);
 }
@@ -205,7 +208,6 @@ std::shared_ptr<FtpClient::Transfer> FtpClient::make_transfer(
     net::NodeId server, net::Port port, bool is_put,
     const std::string& remote_path, const std::string& local_path,
     storage::DiskPool* pool, const TransferOptions& options, Done done) {
-  // gdmp-lint: hot-alloc — one state block per transfer, amortised over its lifetime
   auto transfer = std::make_shared<Transfer>();
   transfer->server = server;
   transfer->control_port = port;
@@ -216,7 +218,7 @@ std::shared_ptr<FtpClient::Transfer> FtpClient::make_transfer(
   transfer->local_path = local_path;
   transfer->pool = pool;
   transfer->started_at = stack_.simulator().now();
-  transfer->rpc = make_rpc(server, port, options.rpc_timeout);
+  transfer->rpc = make_rpc(server, port, kTransferRpcTimeout);
   auto& tracer = obs::Tracer::global();
   if (tracer.enabled()) {
     transfer->span = tracer.begin("gridftp.transfer", options.parent_span);
@@ -226,7 +228,6 @@ std::shared_ptr<FtpClient::Transfer> FtpClient::make_transfer(
   tracer.attr(transfer->span, "path", remote_path);
   std::erase_if(in_flight_,
                 [](const std::weak_ptr<Transfer>& t) { return t.expired(); });
-  // gdmp-lint: hot-alloc — one registry slot per transfer, amortised over its lifetime
   in_flight_.push_back(transfer);
   return transfer;
 }
@@ -399,7 +400,6 @@ void FtpClient::open_streams(const std::shared_ptr<Transfer>& transfer) {
       tracer.attr(stream_span, "stripe", static_cast<std::int64_t>(i));
       transfer->stream_spans[static_cast<std::size_t>(i)] = stream_span;
     }
-    // gdmp-lint: hot-alloc — one parser per data stream, allocated at stream open
     auto parser = std::make_unique<BlockStreamParser>();
     auto* parser_raw = parser.get();
 
@@ -586,7 +586,6 @@ void FtpClient::ensure_monitor(const std::shared_ptr<Transfer>& transfer) {
     return;
   }
   std::weak_ptr<bool> alive = alive_;
-  // gdmp-lint: hot-alloc — one progress monitor per transfer, created lazily once
   transfer->monitor = std::make_unique<sim::PeriodicTimer>(
       stack_.simulator(), transfer->options.monitor_interval,
       [this, alive, transfer] {
@@ -629,7 +628,6 @@ void FtpClient::finish_get_attempt(const std::shared_ptr<Transfer>& transfer,
     std::vector<ByteRange> missing;
     for (const ByteRange& range : transfer->requested) {
       auto holes = transfer->received.missing_within(range.offset, range.length);
-      // gdmp-lint: hot-alloc — retry path only; recomputes the hole list after a failure
       missing.insert(missing.end(), holes.begin(), holes.end());
     }
     if (missing.empty()) missing = transfer->requested;
@@ -694,14 +692,12 @@ void FtpClient::finish_get_attempt(const std::shared_ptr<Transfer>& transfer,
   } else {
     for (const auto& [offset, block] : transfer->blocks) {
       if (block.second != true_seed) {
-        // gdmp-lint: hot-alloc — corruption recovery path; lists ranges to re-request
         bad.push_back(ByteRange{offset, block.first});
       }
     }
     for (const ByteRange& range : transfer->requested) {
       auto holes =
           transfer->received.missing_within(range.offset, range.length);
-      // gdmp-lint: hot-alloc — corruption recovery path; merges holes into the re-request list
       bad.insert(bad.end(), holes.begin(), holes.end());
     }
   }
@@ -849,7 +845,7 @@ void FtpClient::third_party(net::NodeId source, net::Port source_port,
                             const std::string& path, net::NodeId dest,
                             net::Port dest_port, const std::string& dest_path,
                             const TransferOptions& options, Done done) {
-  auto rpc = make_control_rpc(source, source_port, options.rpc_timeout);
+  auto rpc = make_control_rpc(source, source_port, kTransferRpcTimeout);
   rpc::Writer w;
   w.str(path);
   w.u32(static_cast<std::uint32_t>(dest));

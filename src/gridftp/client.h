@@ -45,8 +45,6 @@ struct TransferOptions {
   /// Perf-marker period: each tick publishes one marker per stripe with
   /// its cumulative bytes. Ticks run only for a perf subscriber.
   SimDuration monitor_interval = 500 * kMillisecond;
-  /// Control-channel call timeout; transfers legitimately take minutes.
-  SimDuration rpc_timeout = 7200 * kSecond;
   /// Observer channel for perf/restart markers and the terminal summary
   /// (the paper's wire-level performance markers, §3.2). Not owned; null
   /// disables marker emission. The perf monitor is armed only when this

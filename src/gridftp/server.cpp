@@ -10,6 +10,11 @@ namespace gdmp::gridftp {
 
 namespace {
 constexpr SimDuration kSessionIdleTimeout = 3600 * kSecond;
+/// Data-stream socket buffer until the client's SBUF, and SBUF's ceiling.
+constexpr Bytes kDefaultDataBuffer = 64 * kKiB;
+constexpr Bytes kMaxDataBuffer = 64 * kMiB;
+/// PASV/FGET stream-count ceiling.
+constexpr int kMaxParallelStreams = 32;
 }
 
 struct FtpServer::DataStream {
@@ -89,8 +94,7 @@ FtpServer::FtpServer(net::TcpStack& stack, storage::DiskPool& pool,
       ca_(ca),
       credential_(credential),
       config_(config),
-      rpc_(stack, config.control_port, ca, std::move(credential),
-           config.control_tcp),
+      rpc_(stack, config.control_port, ca, std::move(credential)),
       fault_rng_(config.fault_seed) {
   // The embedded RpcServer is a member, so these handlers cannot normally
   // outlive `this` — but ~FtpServer tears down data sessions before rpc_ is
@@ -160,13 +164,12 @@ void FtpServer::handle_sbuf(std::uint64_t session_id,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const Bytes buffer = r.i64();
-  if (!r.ok() || buffer <= 0 || buffer > config_.max_data_buffer) {
+  if (!r.ok() || buffer <= 0 || buffer > kMaxDataBuffer) {
     respond(make_error(ErrorCode::kInvalidArgument,
                        "SBUF out of range: " + std::to_string(buffer)),
             {});
     return;
   }
-  // gdmp-lint: hot-alloc — per-session control state created on first SBUF, reused after
   control_state_[session_id].data_buffer = buffer;
   respond(Status::ok(), {});
 }
@@ -176,12 +179,11 @@ void FtpServer::handle_pasv(std::uint64_t session_id,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const int streams = static_cast<int>(r.u32());  // 0 when truncated
-  if (Status valid = check_stream_count(streams, config_.max_parallel_streams);
+  if (Status valid = check_stream_count(streams, kMaxParallelStreams);
       !valid.is_ok()) {
     respond(std::move(valid), {});
     return;
   }
-  // gdmp-lint: hot-alloc — one session object per PASV negotiation (control plane)
   auto session = std::make_shared<DataSession>();
   session->token = next_token_++;
   session->data_port = stack_.allocate_port();
@@ -190,7 +192,7 @@ void FtpServer::handle_pasv(std::uint64_t session_id,
   const auto cs = control_state_.find(session_id);
   session->buffer = cs != control_state_.end()
                         ? cs->second.data_buffer
-                        : config_.default_data_buffer;
+                        : kDefaultDataBuffer;
 
   net::TcpConfig data_tcp;
   data_tcp.send_buffer = session->buffer;
@@ -216,7 +218,6 @@ void FtpServer::handle_pasv(std::uint64_t session_id,
                                      "data session idle timeout"));
         }
       });
-  // gdmp-lint: hot-alloc — session table keyed by token; one insert per negotiation
   sessions_.emplace(session->token, session);
 
   rpc::Writer w;
@@ -228,7 +229,6 @@ void FtpServer::handle_pasv(std::uint64_t session_id,
 void FtpServer::on_data_connection(const std::shared_ptr<DataSession>& session,
                                    net::TcpConnection::Ptr conn) {
   // The stream is anonymous until its hello arrives.
-  // gdmp-lint: hot-alloc — per-connection hello buffer, dropped once attached
   auto pending = std::make_shared<std::vector<std::uint8_t>>();
   std::weak_ptr<bool> alive = alive_;
   auto raw = conn.get();
@@ -240,7 +240,6 @@ void FtpServer::on_data_connection(const std::shared_ptr<DataSession>& session,
     if (alive.expired()) return;
     auto conn = weak_conn.lock();
     if (!conn) return;
-    // gdmp-lint: hot-alloc — buffers at most one DataHello (fixed wire size) per stream
     pending->insert(pending->end(), data.begin(), data.end());
     if (pending->size() < DataHello::kWireSize) return;
     const auto hello = DataHello::decode(*pending);
@@ -274,7 +273,6 @@ void FtpServer::attach_stream(const std::shared_ptr<DataSession>& session,
     conn->abort();  // duplicate stream index
     return;
   }
-  // gdmp-lint: hot-alloc — one stream record per attached data connection
   auto stream = std::make_shared<DataStream>();
   stream->conn = conn;
   stream->attached = true;
@@ -619,7 +617,6 @@ void FtpServer::handle_xfer(std::span<const std::uint8_t> params,
   ++stats_.third_party;
   // Third-party control: this server acts as the sending party of a
   // server-to-server transfer that the remote client orchestrates.
-  // gdmp-lint: hot-alloc — one outbound client per third-party transfer request
   auto client = std::make_shared<FtpClient>(stack_, ca_, credential_);
   TransferOptions options;
   options.parallel_streams = streams;
@@ -649,7 +646,7 @@ void FtpServer::handle_fget(std::span<const std::uint8_t> params,
     respond(make_error(ErrorCode::kInvalidArgument, "malformed FGET"), {});
     return;
   }
-  if (Status valid = check_stream_count(streams, config_.max_parallel_streams);
+  if (Status valid = check_stream_count(streams, kMaxParallelStreams);
       !valid.is_ok()) {
     respond(std::move(valid), {});
     return;

@@ -29,10 +29,6 @@ namespace gdmp::gridftp {
 
 struct FtpServerConfig {
   net::Port control_port = kControlPort;
-  net::TcpConfig control_tcp{};
-  Bytes default_data_buffer = 64 * kKiB;
-  Bytes max_data_buffer = 64 * kMiB;
-  int max_parallel_streams = 32;
   double corrupt_probability = 0.0;
   std::uint64_t fault_seed = 0x5eedf00d;
   /// Data plane for transfers this server *originates* (the sending side

@@ -1,6 +1,13 @@
 #include "net/cross_traffic.h"
 
 namespace gdmp::net {
+namespace {
+
+constexpr Bytes kPacketSize = 1000;
+/// Inter-packet gap jitter: each gap is uniform in [1-j, 1+j] × the mean.
+constexpr double kJitter = 0.3;
+
+}  // namespace
 
 CbrSource::CbrSource(Network& network, Node& src, Node& dst, CbrConfig config,
                      std::uint64_t seed)
@@ -27,11 +34,9 @@ void CbrSource::stop() {
 
 void CbrSource::arm() {
   const double mean_gap_s =
-      static_cast<double>(config_.packet_size) * 8.0 / config_.rate;
-  double gap_s = mean_gap_s;
-  if (config_.jitter > 0) {
-    gap_s *= rng_.uniform(1.0 - config_.jitter, 1.0 + config_.jitter);
-  }
+      static_cast<double>(kPacketSize) * 8.0 / config_.rate;
+  const double gap_s =
+      mean_gap_s * rng_.uniform(1.0 - kJitter, 1.0 + kJitter);
   // Steady state: arm() runs inside the previous shot's callback, so
   // reschedule() re-arms the same event slot — one persistent closure for
   // the whole packet train.
@@ -45,8 +50,8 @@ void CbrSource::arm() {
     packet.dst = dst_;
     packet.dst_port = config_.port;
     packet.protocol = Protocol::kDatagram;
-    packet.payload_len = config_.packet_size - Packet::kHeaderBytes;
-    bytes_offered_ += config_.packet_size;
+    packet.payload_len = kPacketSize - Packet::kHeaderBytes;
+    bytes_offered_ += kPacketSize;
     src_.send(packet);
     arm();
   });

@@ -3,7 +3,7 @@
 // The paper's GridFTP numbers were taken on the *production* CERN–ANL
 // link: the TCP flows under test shared the 45 Mbit/s bottleneck with other
 // traffic. A CbrSource models that share as an unreliable constant-bit-rate
-// packet stream (with optional jitter) occupying the drop-tail queue, which
+// packet stream (with jittered gaps) occupying the drop-tail queue, which
 // is what pushes the untuned aggregate toward the ~23 Mbit/s plateau in
 // Figure 5 rather than the full link rate.
 #pragma once
@@ -19,9 +19,6 @@ namespace gdmp::net {
 
 struct CbrConfig {
   BitsPerSec rate = 20 * kMbps;
-  Bytes packet_size = 1000;
-  /// Inter-packet jitter fraction in [0, 1): 0 = strictly periodic.
-  double jitter = 0.3;
   Port port = 9;  // discard
 };
 

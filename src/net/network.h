@@ -37,7 +37,6 @@ class Network {
   Node* find(std::string_view name) noexcept;
   Node& node(NodeId id) noexcept { return *nodes_[id]; }
   const Node& node(NodeId id) const noexcept { return *nodes_[id]; }
-  std::size_t node_count() const noexcept { return nodes_.size(); }
 
   /// The link carrying traffic from `a` toward neighbor `b`; null if the
   /// nodes are not adjacent. Exposed so benches can inspect bottleneck

@@ -9,6 +9,14 @@ namespace gdmp::net {
 namespace {
 
 constexpr double kSsthreshUnbounded = 1e15;
+/// Linux 2.4-style RTO floor (the HEP platform of the day); RFC 2988's
+/// conservative 1 s floor makes window-synchronized loss episodes on a
+/// deterministic simulator far more punishing than reality.
+constexpr SimDuration kMinRto = 200 * kMillisecond;
+constexpr SimDuration kMaxRto = 64 * kSecond;
+constexpr SimDuration kInitialRto = 3 * kSecond;
+/// Per-segment RTO retries before the connection fails.
+constexpr int kMaxRetries = 8;
 
 }  // namespace
 
@@ -24,10 +32,10 @@ TcpConnection::TcpConnection(TcpStack& stack, TcpConfig config,
       local_port_(local_port),
       is_client_(is_client),
       state_(is_client ? State::kSynSent : State::kSynReceived),
-      cwnd_(static_cast<double>(config.initial_cwnd_segments * config.mss)),
+      cwnd_(static_cast<double>(kInitialCwndSegments * kMss)),
       ssthresh_(kSsthreshUnbounded),
-      peer_window_(config.mss),  // until the peer advertises
-      rto_(config.initial_rto) {
+      peer_window_(kMss),  // until the peer advertises
+      rto_(kInitialRto) {
   snd_una_ = 0;
   snd_nxt_ = 1;  // SYN consumes sequence 0
   rcv_nxt_ = 0;
@@ -71,7 +79,6 @@ void TcpConnection::send_synthetic(Bytes n) {
       return;
     }
   }
-  // gdmp-lint: hot-alloc — synthetic chunks carry no payload; one node per app write
   chunks_.emplace(stream_length_, Chunk{nullptr, n});
   stream_length_ += n;
   stats_.bytes_queued += n;
@@ -111,7 +118,7 @@ void TcpConnection::handle_packet(const Packet& packet) {
       state_ = State::kEstablished;
       stats_.established_at = stack_.simulator().now();
       rto_retries_ = 0;
-      rto_ = config_.initial_rto;
+      rto_ = kInitialRto;
       cancel_rto();
       send_pure_ack();
       if (on_established) on_established(Status::ok());
@@ -126,7 +133,7 @@ void TcpConnection::handle_packet(const Packet& packet) {
       state_ = State::kEstablished;
       stats_.established_at = stack_.simulator().now();
       rto_retries_ = 0;
-      rto_ = config_.initial_rto;
+      rto_ = kInitialRto;
       cancel_rto();
       peer_window_ = packet.advertised_window;
       if (accept_handler_) {
@@ -151,7 +158,7 @@ void TcpConnection::handle_packet(const Packet& packet) {
 void TcpConnection::process_ack(const Packet& packet) {
   if (!packet.has_flag(kFlagAck)) return;
   peer_window_ = packet.advertised_window;
-  const double mss = static_cast<double>(config_.mss);
+  const double mss = static_cast<double>(kMss);
   process_sack(packet);
 
   if (packet.ack > snd_una_) {
@@ -242,7 +249,7 @@ void TcpConnection::process_ack(const Packet& packet) {
       sack_retransmit_holes();  // each dupack drains the pipe a little
     } else if (snd_una_ > recover_ &&
                (dup_acks_ >= 3 ||
-                sacked_bytes_ > 3 * config_.mss)) {  // RFC 3517 entry
+                sacked_bytes_ > 3 * kMss)) {  // RFC 3517 entry
       // The snd_una_ > recover_ guard (RFC 6582) stops stale dupacks from
       // an earlier loss episode (or a timeout rewind) from halving the
       // window again and re-entering recovery with bogus state.
@@ -274,7 +281,7 @@ void TcpConnection::process_sack(const Packet& packet) {
 }
 
 void TcpConnection::enter_fast_recovery() {
-  const double mss = static_cast<double>(config_.mss);
+  const double mss = static_cast<double>(kMss);
   ssthresh_ = std::max(static_cast<double>(in_flight()) / 2.0, 2.0 * mss);
   cwnd_ = ssthresh_;
   recover_ = snd_nxt_;
@@ -325,7 +332,7 @@ void TcpConnection::sack_retransmit_holes() {
       --it;
       const Bytes chunk_remaining = it->first + it->second.length - app_off;
       const Bytes length = std::min(
-          {config_.mss, limit - hole, chunk_remaining,
+          {kMss, limit - hole, chunk_remaining,
            static_cast<Bytes>(stream_length_ - app_off)});
       if (length <= 0) break;
       send_segment(hole, length, /*is_retransmit=*/true);
@@ -343,7 +350,7 @@ void TcpConnection::sack_retransmit_holes() {
     --it;
     const Bytes chunk_remaining = it->first + it->second.length - next_app;
     const Bytes length = std::min(
-        {config_.mss, stream_length_ - next_app, chunk_remaining});
+        {kMss, stream_length_ - next_app, chunk_remaining});
     if (length <= 0) break;
     send_segment(snd_nxt_, length, /*is_retransmit=*/false);
   }
@@ -457,7 +464,7 @@ void TcpConnection::try_send() {
     --it;
     const std::int64_t chunk_remaining = it->first + it->second.length - next_app;
     const Bytes length =
-        std::min({config_.mss, stream_length_ - next_app, avail,
+        std::min({kMss, stream_length_ - next_app, avail,
                   static_cast<Bytes>(chunk_remaining)});
     assert(length > 0);
     send_segment(snd_nxt_, length, /*is_retransmit=*/false);
@@ -595,7 +602,7 @@ void TcpConnection::retransmit_head() {
     const std::int64_t chunk_remaining =
         it->first + it->second.length - app_off;
     const Bytes length =
-        std::min({config_.mss, stream_length_ - app_off,
+        std::min({kMss, stream_length_ - app_off,
                   static_cast<Bytes>(chunk_remaining)});
     send_segment(snd_una_, length, /*is_retransmit=*/true);
   } else if (fin_sent_ && !fin_acked_) {
@@ -629,14 +636,14 @@ void TcpConnection::on_rto() {
   ++rto_retries_;
   ++stats_.timeouts;
   ++stack_.totals_.timeouts;
-  if (rto_retries_ > config_.max_retries) {
+  if (rto_retries_ > kMaxRetries) {
     fail(make_error(ErrorCode::kTimedOut,
                     "retransmission retries exhausted to node " +
                         std::to_string(remote_node_)));
     return;
   }
   if (state_ == State::kSynSent || state_ == State::kSynReceived) {
-    rto_ = std::min(rto_ * 2, config_.max_rto);
+    rto_ = std::min(rto_ * 2, kMaxRto);
     retransmit_head();
     arm_rto();
     return;
@@ -645,7 +652,7 @@ void TcpConnection::on_rto() {
              " nxt=", snd_nxt_, " inflight=", in_flight(),
              " recovery=", in_fast_recovery_ ? 1 : 0,
              " retx_inflight=", retx_inflight_, " sacked=", sacked_bytes_);
-  const double mss = static_cast<double>(config_.mss);
+  const double mss = static_cast<double>(kMss);
   ssthresh_ = std::max(static_cast<double>(in_flight()) / 2.0, 2.0 * mss);
   cwnd_ = mss;
   in_fast_recovery_ = false;
@@ -660,7 +667,7 @@ void TcpConnection::on_rto() {
   // Go-back-N: rewind and let slow start re-send the window.
   snd_nxt_ = snd_una_;
   if (snd_nxt_ <= stream_length_ + 1) fin_sent_ = false;
-  rto_ = std::min(rto_ * 2, config_.max_rto);
+  rto_ = std::min(rto_ * 2, kMaxRto);
   retransmit_head();
   arm_rto();
 }
@@ -677,7 +684,7 @@ void TcpConnection::sample_rtt(SimDuration rtt) {
   }
   stats_.smoothed_rtt = srtt_;
   const SimDuration var_term = std::max<SimDuration>(4 * rttvar_, 10 * kMillisecond);
-  rto_ = std::clamp(srtt_ + var_term, config_.min_rto, config_.max_rto);
+  rto_ = std::clamp(srtt_ + var_term, kMinRto, kMaxRto);
 }
 
 void TcpConnection::maybe_finish_close() {
@@ -748,7 +755,6 @@ Status TcpStack::listen(Port port, const TcpConfig& config,
     return make_error(ErrorCode::kAlreadyExists,
                       "port already listening: " + std::to_string(port));
   }
-  // gdmp-lint: hot-alloc — listener table is set up once per service port
   listeners_.emplace(port, Listener{config, std::move(handler)});
   return Status::ok();
 }

@@ -30,21 +30,19 @@
 
 namespace gdmp::net {
 
+/// Maximum segment size: 1460 payload bytes plus the 40-byte TCP/IP header
+/// (Packet::kHeaderBytes) fill a 1500-byte Ethernet frame.
+constexpr Bytes kMss = 1460;
+/// Initial congestion window, in segments (RFC 2581).
+constexpr Bytes kInitialCwndSegments = 2;
+
+/// The per-connection settings: the two socket buffers GridFTP tunes (§6).
 struct TcpConfig {
-  Bytes mss = 1460;
   /// Socket send buffer: caps unacknowledged data in flight. The paper's
   /// "default TCP buffers" are 64 KB; "tuned" is 1 MB (Figures 5 vs 6).
   Bytes send_buffer = 64 * kKiB;
   /// Socket receive buffer: advertised window ceiling.
   Bytes recv_buffer = 64 * kKiB;
-  Bytes initial_cwnd_segments = 2;
-  /// Linux 2.4-style RTO floor (the HEP platform of the day); RFC 2988's
-  /// conservative 1 s floor makes window-synchronized loss episodes on a
-  /// deterministic simulator far more punishing than reality.
-  SimDuration min_rto = 200 * kMillisecond;
-  SimDuration max_rto = 64 * kSecond;
-  SimDuration initial_rto = 3 * kSecond;
-  int max_retries = 8;  // per-segment RTO retries before the connection fails
 };
 
 struct TcpStats {
@@ -106,9 +104,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   }
   const TcpStats& stats() const noexcept { return stats_; }
   const TcpConfig& config() const noexcept { return config_; }
-  Bytes congestion_window() const noexcept {
-    return static_cast<Bytes>(cwnd_);
-  }
   NodeId remote_node() const noexcept { return remote_node_; }
   Port remote_port() const noexcept { return remote_port_; }
   Port local_port() const noexcept { return local_port_; }

@@ -33,9 +33,6 @@ struct WanConfig {
   /// typical for DS3 router interfaces of the era (calibrated so tuned
   /// parallel streams show the Figure 6 shape; see EXPERIMENTS.md).
   Bytes wan_queue = 2816 * kKiB;
-  BitsPerSec lan_bandwidth = 1000 * kMbps;
-  SimDuration lan_delay = 50 * kMicrosecond;
-  Bytes lan_queue = 4 * kMiB;
 };
 
 /// Builds the CERN–ANL style dumbbell. Node names are

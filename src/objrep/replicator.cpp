@@ -235,6 +235,14 @@ void ObjectReplicationService::handle_chunk_ack(
   rpc::Reader r(params);
   (void)r.u64();  // request id (temporaries are uniquely named)
   const std::string path = r.str();
+  // Only this service's own packed temporaries (handle_pack names them
+  // under temp_prefix/req<id>) may be deleted on a peer's word.
+  if (!r.ok() || !path.starts_with(config_.temp_prefix + "/req")) {
+    respond(make_error(ErrorCode::kInvalidArgument,
+                       "chunk ack names no packed temporary"),
+            {});
+    return;
+  }
   // "As a final step, the new file can be deleted at the source site."
   if (server_.site().federation != nullptr &&
       server_.site().federation->is_attached(path)) {
@@ -330,7 +338,7 @@ void ObjectReplicationService::handle_chunk(
   rpc::Reader r(params);
   const std::uint64_t request_id = r.u64();
   const std::string remote_path = r.str();
-  const Bytes size = r.i64();
+  (void)r.i64();  // chunk size; the pull's CRC check covers the content
   const std::uint32_t crc = r.u32();
   const std::uint32_t n = r.u32();
   std::vector<ObjectId> objects;
@@ -349,13 +357,12 @@ void ObjectReplicationService::handle_chunk(
   }
   respond(Status::ok(), {});
   ++it->second->chunks_in_flight;
-  pull_chunk(it->second, remote_path, size, crc, std::move(objects));
+  pull_chunk(it->second, remote_path, crc, std::move(objects));
 }
 
 void ObjectReplicationService::pull_chunk(
     const std::shared_ptr<SubRequest>& sub, const std::string& remote_path,
-    Bytes size, std::uint32_t crc, std::vector<ObjectId> objects) {
-  (void)size;
+    std::uint32_t crc, std::vector<ObjectId> objects) {
   std::string basename = remote_path;
   if (const auto slash = basename.rfind('/'); slash != std::string::npos) {
     basename = basename.substr(slash + 1);
@@ -397,21 +404,20 @@ void ObjectReplicationService::pull_chunk(
           request->outcome.payload_bytes +=
               server_.site().federation->model().object_size(id);
         }
-        // Step 5: first-class citizen — attach locally, optionally publish.
+        // Step 5: first-class citizen — attach locally and publish in the
+        // central replica catalog.
         Status attached = server_.site().federation->attach_packed_file(
             local_path, objects);
         if (!attached.is_ok() && request->first_error.is_ok()) {
           request->first_error = attached;
         }
-        if (config_.publish_chunks) {
-          core::PublishedFile file;
-          file.lfn = lfn;
-          file.local_path = local_path;
-          file.file_type = "objectivity";
-          file.extra["layout"] = "packed";
-          file.extra["objectcount"] = std::to_string(objects.size());
-          server_.publish({file}, [](Status) {});
-        }
+        core::PublishedFile file;
+        file.lfn = lfn;
+        file.local_path = local_path;
+        file.file_type = "objectivity";
+        file.extra["layout"] = "packed";
+        file.extra["objectcount"] = std::to_string(objects.size());
+        server_.publish({file}, [](Status) {});
         // Step 6: tell the source it can delete the temporary.
         rpc::Writer w;
         w.u64(sub->id);

@@ -29,8 +29,6 @@ struct ObjectReplicationConfig {
   bool pipeline = true;
   /// Pool directory for packed temporaries at the source.
   std::string temp_prefix = "/pack";
-  /// Publish arrived chunk files in the central replica catalog.
-  bool publish_chunks = true;
 };
 
 struct ObjectReplicationStats {
@@ -97,8 +95,8 @@ class ObjectReplicationService {
                           const std::string& site,
                           std::vector<ObjectId> objects);
   void pull_chunk(const std::shared_ptr<SubRequest>& sub,
-                  const std::string& remote_path, Bytes size,
-                  std::uint32_t crc, std::vector<ObjectId> objects);
+                  const std::string& remote_path, std::uint32_t crc,
+                  std::vector<ObjectId> objects);
   void check_sub_complete(const std::shared_ptr<SubRequest>& sub);
   void finish_request(const std::shared_ptr<Request>& request);
 

@@ -3,6 +3,9 @@
 namespace gdmp::objstore {
 namespace {
 
+/// CPU cost per object copied (file-system calls, context switches).
+constexpr SimDuration kCpuPerObject = 50 * kMicrosecond;
+
 std::uint64_t seed_for_objects(const std::vector<ObjectId>& objects) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const ObjectId id : objects) {
@@ -59,14 +62,14 @@ void ObjectCopier::pump(const std::shared_ptr<Job>& job) {
   ++stats_.objects_copied;
   ++stats_.io_ops;
   stats_.bytes_copied += size;
-  stats_.cpu_time += config_.cpu_per_object;
+  stats_.cpu_time += kCpuPerObject;
 
   // One seek+read per object, then the per-object CPU charge, then the
   // write is folded into the chunk emission (a single sequential write).
   std::weak_ptr<bool> alive = alive_;
   federation_.pool().disk().read(size, [this, alive, job, id, size] {
     if (alive.expired()) return;
-    simulator_.schedule(config_.cpu_per_object, [this, alive, job, id, size] {
+    simulator_.schedule(kCpuPerObject, [this, alive, job, id, size] {
       if (alive.expired()) return;
       job->chunk_objects.push_back(id);
       job->chunk_bytes += size;

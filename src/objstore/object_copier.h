@@ -26,8 +26,6 @@ struct CopierConfig {
   /// chunk can start moving over the WAN while later ones are still being
   /// copied.
   Bytes max_output_file = 256 * kMiB;
-  /// CPU cost per object copied (file-system calls, context switches).
-  SimDuration cpu_per_object = 50 * kMicrosecond;
 };
 
 struct CopierStats {

@@ -40,6 +40,10 @@ void append_escaped(std::string& out, std::string_view s) {
   out += s;
 }
 
+/// Campaign grouping prefixes (per-site and per-link totals).
+constexpr std::string_view kSitePrefix = "site.";
+constexpr std::string_view kLinkPrefix = "grid.uplink.";
+
 /// Splits "<prefix><group>.<key>" into (group, key); false when `name`
 /// lacks the prefix or a key after the group.
 bool split_grouped(std::string_view name, std::string_view prefix,
@@ -250,7 +254,7 @@ std::string HeartbeatReporter::campaign_json() const {
   bool any_group = false;
   for (const auto& [name, series] : store_.counters()) {
     std::string_view group, key;
-    if (!split_grouped(name, config_.site_prefix, group, key)) continue;
+    if (!split_grouped(name, kSitePrefix, group, key)) continue;
     if (series.total == 0) continue;
     if (group != open_group) {
       if (!open_group.empty()) out += "},";
@@ -269,7 +273,7 @@ std::string HeartbeatReporter::campaign_json() const {
   std::map<std::string, std::string, std::less<>> links;
   for (const auto& [name, series] : store_.counters()) {
     std::string_view group, key;
-    if (!split_grouped(name, config_.link_prefix, group, key)) continue;
+    if (!split_grouped(name, kLinkPrefix, group, key)) continue;
     if (series.total == 0) continue;
     std::string& fields = links[std::string(group)];
     if (!fields.empty()) fields += ",";
@@ -277,7 +281,7 @@ std::string HeartbeatReporter::campaign_json() const {
   }
   for (const auto& [name, series] : store_.gauges()) {
     std::string_view group, key;
-    if (!split_grouped(name, config_.link_prefix, group, key)) continue;
+    if (!split_grouped(name, kLinkPrefix, group, key)) continue;
     if (key != "utilization") continue;
     std::string& fields = links[std::string(group)];
     if (!fields.empty()) fields += ",";

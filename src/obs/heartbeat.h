@@ -41,9 +41,6 @@ struct HeartbeatConfig {
   /// Rollup destination; empty consults $GDMP_ROLLUP_FILE at construction.
   /// Empty both ways means no stream (series and watchdog still run).
   std::string rollup_path;
-  /// Campaign grouping prefixes (per-site and per-link totals).
-  std::string site_prefix = "site.";
-  std::string link_prefix = "grid.uplink.";
 };
 
 class HeartbeatReporter {
@@ -80,11 +77,6 @@ class HeartbeatReporter {
   std::int64_t alerts_total() const noexcept { return alerts_total_; }
   const TimeSeriesStore& series() const noexcept { return store_; }
   const HeartbeatConfig& config() const noexcept { return config_; }
-  /// The reporter's own registry ("obs.heartbeat.*", "obs.alert.*");
-  /// merged into every rollup like any registered source.
-  const MetricsRegistry& self_metrics() const noexcept {
-    return self_metrics_;
-  }
 
   /// The campaign record (also what finish() appends), for programmatic
   /// summaries without re-parsing the stream.
@@ -98,7 +90,9 @@ class HeartbeatReporter {
 
   sim::Simulator& simulator_;
   HeartbeatConfig config_;
-  // Own registry first: the store's plan caches pointers into it.
+  // Own registry ("obs.heartbeat.*", "obs.alert.*"), merged into every
+  // rollup like any registered source. First: the store's plan caches
+  // pointers into it.
   MetricsRegistry self_metrics_;
   Counter* ticks_counter_ = nullptr;
   TimeSeriesStore store_;

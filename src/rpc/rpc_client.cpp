@@ -54,7 +54,6 @@ void RpcClient::call(const std::string& method,
         pending_.erase(it);
         cb(make_error(ErrorCode::kTimedOut, "RPC call timed out"), {});
       });
-  // gdmp-lint: hot-alloc — one pending-call node per RPC, beside the frame and callback every call builds
   pending_.emplace(id, std::move(pending));
 
   if (authenticated_) {
@@ -81,7 +80,7 @@ void RpcClient::ensure_connection() {
   if (conn_ && conn_->state() != net::TcpConnection::State::kClosed) return;
   authenticated_ = false;
   decoder_ = FrameDecoder();
-  conn_ = stack_.connect(server_, port_, config_.tcp);
+  conn_ = stack_.connect(server_, port_, net::TcpConfig{});
   std::weak_ptr<bool> alive = alive_;
   conn_->on_established = [this, alive](const Status& status) {
     if (alive.expired()) return;

@@ -17,7 +17,6 @@
 namespace gdmp::rpc {
 
 struct RpcClientConfig {
-  net::TcpConfig tcp;
   SimDuration call_timeout = 60 * kSecond;
 };
 

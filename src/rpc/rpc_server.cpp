@@ -15,12 +15,8 @@ struct RpcServer::Session {
 
 RpcServer::RpcServer(net::TcpStack& stack, net::Port port,
                      const security::CertificateAuthority& ca,
-                     security::Certificate credential,
-                     net::TcpConfig tcp_config)
-    : stack_(stack),
-      port_(port),
-      acceptor_(ca, std::move(credential)),
-      tcp_config_(tcp_config) {}
+                     security::Certificate credential)
+    : stack_(stack), port_(port), acceptor_(ca, std::move(credential)) {}
 
 RpcServer::~RpcServer() {
   *alive_ = false;
@@ -37,14 +33,13 @@ RpcServer::~RpcServer() {
 }
 
 void RpcServer::register_method(std::string name, Handler handler) {
-  // gdmp-lint: hot-alloc — method table is populated once at server setup
   methods_[std::move(name)] = std::move(handler);
 }
 
 Status RpcServer::start() {
   if (listening_) return Status::ok();
   const Status status = stack_.listen(
-      port_, tcp_config_,
+      port_, net::TcpConfig{},
       [this, alive = std::weak_ptr<bool>(alive_)](net::TcpConnection::Ptr conn) {
         if (alive.expired()) return;
         on_accept(std::move(conn));

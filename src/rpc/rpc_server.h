@@ -37,7 +37,7 @@ class RpcServer {
 
   RpcServer(net::TcpStack& stack, net::Port port,
             const security::CertificateAuthority& ca,
-            security::Certificate credential, net::TcpConfig tcp_config = {});
+            security::Certificate credential);
   ~RpcServer();
 
   RpcServer(const RpcServer&) = delete;
@@ -68,7 +68,6 @@ class RpcServer {
   net::TcpStack& stack_;
   net::Port port_;
   security::GsiAcceptor acceptor_;
-  net::TcpConfig tcp_config_;
   common::UnorderedMap<std::string, Handler> methods_;  // lookup-only
   // Iterated at teardown to close live connections (a scheduling sink), so
   // the walk order must be deterministic: ordered by session id.

@@ -11,7 +11,6 @@ ReplicationScheduler::ReplicationScheduler(core::GdmpServer& server,
                                            SchedulerConfig config)
     : server_(server),
       config_(config),
-      selector_(config.selector_smoothing),
       rng_(config.seed ^ std::hash<std::string>{}(server.site().site_name)) {
   if (config_.max_concurrent < 1) config_.max_concurrent = 1;
   if (config_.max_per_source < 1) config_.max_per_source = 1;
@@ -580,12 +579,15 @@ std::int64_t ReplicationScheduler::ParkedCounts::prefix(const Tree& tree,
 }
 
 SimDuration ReplicationScheduler::backoff_after(int failures) {
+  // Each failure doubles the backoff; the capped delay is then scaled by
+  // a uniform draw from [1 - kJitter, 1 + kJitter].
+  constexpr double kBackoffMultiplier = 2.0;
+  constexpr double kJitter = 0.25;
   const double exponent = failures > 1 ? failures - 1 : 0;
   double delay = static_cast<double>(config_.initial_backoff) *
-                 std::pow(config_.backoff_multiplier, exponent);
+                 std::pow(kBackoffMultiplier, exponent);
   delay = std::min(delay, static_cast<double>(config_.max_backoff));
-  const double jitter = std::clamp(config_.jitter, 0.0, 1.0);
-  delay *= rng_.uniform(1.0 - jitter, 1.0 + jitter);
+  delay *= rng_.uniform(1.0 - kJitter, 1.0 + kJitter);
   return std::max<SimDuration>(kMillisecond,
                                static_cast<SimDuration>(delay));
 }

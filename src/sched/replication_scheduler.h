@@ -51,14 +51,10 @@ struct SchedulerConfig {
   int max_per_source = 2;
   /// Total dispatch attempts per request before dead-lettering.
   int max_attempts = 4;
-  /// Backoff after the n-th failure: initial * multiplier^(n-1), capped at
-  /// max_backoff, then scaled by uniform [1-jitter, 1+jitter].
+  /// Backoff after the n-th failure: initial * 2^(n-1), capped at
+  /// max_backoff, then jittered by ±25 % (backoff_after).
   SimDuration initial_backoff = 2 * kSecond;
-  double backoff_multiplier = 2.0;
   SimDuration max_backoff = 300 * kSecond;
-  double jitter = 0.25;
-  /// EWMA weight of the newest bandwidth observation (cost selector).
-  double selector_smoothing = 0.3;
   std::uint64_t seed = 0x5c4ed;
 };
 

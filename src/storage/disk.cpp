@@ -16,9 +16,4 @@ void Disk::submit(Bytes bytes, Done done) {
   simulator_.schedule_at(busy_until_, std::move(done));
 }
 
-SimDuration Disk::queue_delay() const noexcept {
-  const SimTime now = simulator_.now();
-  return busy_until_ > now ? busy_until_ - now : 0;
-}
-
 }  // namespace gdmp::storage

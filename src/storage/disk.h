@@ -46,9 +46,6 @@ class Disk {
   const DiskStats& stats() const noexcept { return stats_; }
   const DiskConfig& config() const noexcept { return config_; }
 
-  /// Time a new request would wait before starting.
-  SimDuration queue_delay() const noexcept;
-
  private:
   void submit(Bytes bytes, Done done);
 

@@ -92,7 +92,6 @@ class DiskPool {
   /// Adds a residency observer; observers are told in the order they were
   /// added. Returns a token for remove_residency_observer().
   std::uint64_t add_residency_observer(ResidencyObserver observer) {
-    // gdmp-lint: hot-alloc — registration at setup, once per observer
     observers_.emplace_back(++last_observer_, std::move(observer));
     return last_observer_;
   }

@@ -4,9 +4,9 @@
 // the original *staging script* solution and the newer *HRM* API "which
 // provides a common interface to be used to access different Mass Storage
 // Systems" and "a cleaner interface as compared to the staging script
-// solution". Both are implemented here against the same simulated MSS so
+// solution". Both are one class here, over the same simulated MSS, so
 // their overheads can be compared (the script path pays a process-spawn
-// latency per request).
+// latency per request where HRM pays an RPC).
 #pragma once
 
 #include <cstdint>
@@ -21,42 +21,46 @@
 
 namespace gdmp::storage {
 
-/// Abstract staging interface used by the GDMP Storage Manager Service.
+/// What tells the two plug-ins apart: the fixed cost of one request and
+/// the plug-in's name.
+struct StagingPlugin {
+  SimDuration request_delay;
+  const char* name;
+};
+
+/// HRM plug-in: direct API calls onto the MSS, one CORBA round trip each.
+inline constexpr StagingPlugin kHrmPlugin{5 * kMillisecond, "hrm"};
+/// Staging-script plug-in: each request forks an external stager process
+/// (the pre-HRM GDMP deployment; noticeably higher per-request cost).
+inline constexpr StagingPlugin kScriptStagerPlugin{400 * kMillisecond,
+                                                   "script"};
+
+/// The staging interface used by the GDMP Storage Manager Service: every
+/// stage or archive request waits out the plug-in's request delay, then
+/// goes to the MSS.
 class StorageBackend {
  public:
   using StageCallback = MassStorageSystem::StageCallback;
   using ArchiveCallback = MassStorageSystem::ArchiveCallback;
 
-  virtual ~StorageBackend() = default;
+  StorageBackend(sim::Simulator& simulator, MassStorageSystem& mss,
+                 StagingPlugin plugin)
+      : mss_(mss), plugin_(plugin), pending_(simulator) {}
 
-  virtual void stage_to_disk(const std::string& path, DiskPool& pool,
-                             StageCallback done) = 0;
-  virtual void archive_file(const FileInfo& info, ArchiveCallback done) = 0;
-  virtual bool in_archive(std::string_view path) const = 0;
-  virtual const char* name() const = 0;
-};
+  /// Fails every parked completion (kUnavailable): request-delay timers
+  /// are silenced on teardown, so nobody else would fire them.
+  ~StorageBackend();
 
-/// HRM plug-in: direct API calls onto the MSS (models the CORBA-based HRM).
-class HrmBackend final : public StorageBackend {
- public:
-  HrmBackend(sim::Simulator& simulator, MassStorageSystem& mss,
-             SimDuration rpc_overhead = 5 * kMillisecond)
-      : simulator_(simulator),
-        mss_(mss),
-        rpc_overhead_(rpc_overhead),
-        pending_(simulator) {}
-
-  /// Fails every parked completion (kUnavailable): RPC-delay timers are
-  /// silenced on teardown, so nobody else would fire them.
-  ~HrmBackend() override;
+  StorageBackend(const StorageBackend&) = delete;
+  StorageBackend& operator=(const StorageBackend&) = delete;
 
   void stage_to_disk(const std::string& path, DiskPool& pool,
-                     StageCallback done) override;
-  void archive_file(const FileInfo& info, ArchiveCallback done) override;
-  bool in_archive(std::string_view path) const override {
+                     StageCallback done);
+  void archive_file(const FileInfo& info, ArchiveCallback done);
+  bool in_archive(std::string_view path) const {
     return mss_.in_archive(path);
   }
-  const char* name() const override { return "hrm"; }
+  const char* name() const noexcept { return plugin_.name; }
 
  private:
   struct StageJob {
@@ -69,60 +73,15 @@ class HrmBackend final : public StorageBackend {
     ArchiveCallback done;
   };
 
-  sim::Simulator& simulator_;
   MassStorageSystem& mss_;
-  SimDuration rpc_overhead_;  // one CORBA round trip per request
+  StagingPlugin plugin_;
   /// Parked requests, keyed so the timer closures carry no owning state and
   /// the destructor can fail whatever is still waiting.
   std::uint64_t next_job_ = 0;
   std::map<std::uint64_t, StageJob> staging_;
   std::map<std::uint64_t, ArchiveJob> archiving_;
-  /// All in-flight RPC-delay completions share one re-armed kernel timer;
-  /// the queue's sentinel silences armed events on teardown.
-  sim::TimerQueue pending_;
-};
-
-/// Staging-script plug-in: each request forks an external stager process
-/// (models the pre-HRM GDMP deployment; noticeably higher per-request cost).
-class ScriptStagerBackend final : public StorageBackend {
- public:
-  ScriptStagerBackend(sim::Simulator& simulator, MassStorageSystem& mss,
-                      SimDuration spawn_latency = 400 * kMillisecond)
-      : simulator_(simulator),
-        mss_(mss),
-        spawn_latency_(spawn_latency),
-        pending_(simulator) {}
-
-  /// Fails every parked completion (kUnavailable), mirroring HrmBackend.
-  ~ScriptStagerBackend() override;
-
-  void stage_to_disk(const std::string& path, DiskPool& pool,
-                     StageCallback done) override;
-  void archive_file(const FileInfo& info, ArchiveCallback done) override;
-  bool in_archive(std::string_view path) const override {
-    return mss_.in_archive(path);
-  }
-  const char* name() const override { return "script"; }
-
- private:
-  struct StageJob {
-    std::string path;
-    DiskPool* pool;
-    StageCallback done;
-  };
-  struct ArchiveJob {
-    FileInfo info;
-    ArchiveCallback done;
-  };
-
-  sim::Simulator& simulator_;
-  MassStorageSystem& mss_;
-  SimDuration spawn_latency_;
-  std::uint64_t next_job_ = 0;
-  std::map<std::uint64_t, StageJob> staging_;
-  std::map<std::uint64_t, ArchiveJob> archiving_;
-  /// All spawn-delay completions share one re-armed kernel timer; the
-  /// queue's sentinel silences armed events on teardown.
+  /// All in-flight request-delay completions share one re-armed kernel
+  /// timer; the queue's sentinel silences armed events on teardown.
   sim::TimerQueue pending_;
 };
 

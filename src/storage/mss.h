@@ -63,9 +63,6 @@ class MassStorageSystem {
   bool in_archive(std::string_view path) const noexcept {
     return archive_.exists(path);
   }
-  Result<FileInfo> archived_stat(std::string_view path) const {
-    return archive_.stat(path);
-  }
   std::size_t archived_count() const noexcept { return archive_.file_count(); }
 
   const MssStats& stats() const noexcept { return stats_; }

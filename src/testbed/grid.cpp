@@ -1,6 +1,18 @@
 #include "testbed/grid.h"
 
 namespace gdmp::testbed {
+namespace {
+
+/// Default watchdog thresholds (armed only when the heartbeat is on).
+constexpr double kWatchQueueDepth = 1000.0;  ///< scheduler queue-depth ceiling
+constexpr double kWatchSaturation = 0.95;    ///< uplink utilization ceiling
+constexpr int kWatchSaturationTicks = 3;     ///< sustained ticks before firing
+/// Conservation slack per uplink: bytes legitimately in flight (queue
+/// backlog + bandwidth-delay product) before sent-vs-delivered drift is
+/// alert-worthy. Packet model only.
+constexpr Bytes kWatchConservationSlack = 4 * kMiB;
+
+}  // namespace
 
 Grid::Grid(GridConfig config)
     : config_(std::move(config)),
@@ -23,8 +35,7 @@ Grid::Grid(GridConfig config)
   network_.connect(rc_host, *topology_.core, rc_lan);
   network_.compute_routes();
   if (config_.transfer_model == flow::TransferModel::kFluid) {
-    flow_engine_ = std::make_unique<flow::FlowEngine>(simulator_, network_,
-                                                      config_.fluid);
+    flow_engine_ = std::make_unique<flow::FlowEngine>(simulator_, network_);
     flow_engine_->set_metrics(metrics_.scope("grid.flow"));
   }
   catalog_node_ = rc_host.id();
@@ -37,7 +48,10 @@ Grid::Grid(GridConfig config)
   for (std::size_t i = 0; i < config_.sites.size(); ++i) {
     GridSiteSpec& spec = config_.sites[i];
     spec.site.gdmp.catalog_host = catalog_node_;
-    spec.site.flow_engine = flow_engine_.get();
+    // The grid's flow engine switches GDMP replication and third-party
+    // XFER to the fluid plane together.
+    spec.site.gdmp.transfer.flow_engine = flow_engine_.get();
+    spec.site.ftp.flow_engine = flow_engine_.get();
     auto site = std::make_unique<Site>(simulator_, network_,
                                        *topology_.hosts[i], ca_, model_,
                                        spec.site);
@@ -96,7 +110,6 @@ Grid::Grid(GridConfig config)
   if (config_.heartbeat_period > 0) {
     obs::HeartbeatConfig hb;
     hb.period = config_.heartbeat_period;
-    hb.window_ticks = config_.heartbeat_window_ticks;
     heartbeat_ = std::make_unique<obs::HeartbeatReporter>(simulator_, hb);
     heartbeat_->add_registry(&metrics_);
     for (auto& site : sites_) heartbeat_->add_registry(&site->metrics());
@@ -106,15 +119,15 @@ Grid::Grid(GridConfig config)
     queue.name = "queue_depth_ceiling";
     queue.kind = obs::WatchRule::Kind::kGaugeCeiling;
     queue.metric = "site.*.sched.queue_depth";
-    queue.threshold = config_.watch_queue_depth;
+    queue.threshold = kWatchQueueDepth;
     heartbeat_->watchdog().add_rule(std::move(queue));
 
     obs::WatchRule saturation;
     saturation.name = "link_saturation";
     saturation.kind = obs::WatchRule::Kind::kGaugeCeiling;
     saturation.metric = "grid.uplink.*.utilization";
-    saturation.threshold = config_.watch_saturation;
-    saturation.for_ticks = config_.watch_saturation_ticks;
+    saturation.threshold = kWatchSaturation;
+    saturation.for_ticks = kWatchSaturationTicks;
     heartbeat_->watchdog().add_rule(std::move(saturation));
 
     if (!flow_engine_) {
@@ -125,8 +138,7 @@ Grid::Grid(GridConfig config)
       conservation.kind = obs::WatchRule::Kind::kConservation;
       conservation.metric = "grid.uplink.*.bytes_sent";
       conservation.metric_b = "grid.uplink.*.bytes_delivered";
-      conservation.threshold =
-          static_cast<double>(config_.watch_conservation_slack);
+      conservation.threshold = static_cast<double>(kWatchConservationSlack);
       heartbeat_->watchdog().add_rule(std::move(conservation));
     }
     heartbeat_->start();

@@ -37,23 +37,13 @@ struct GridConfig {
   /// below this config), and replaces CBR cross traffic with pinned flows
   /// (same uplink occupancy, zero packet events).
   flow::TransferModel transfer_model = flow::TransferModel::kPacket;
-  flow::FluidConfig fluid{};
 
   /// Heartbeat quantum for the grid observatory (0 = no heartbeat). When
   /// set, the grid builds an obs::HeartbeatReporter over its own registry
   /// plus every site's, samples uplink utilization each tick, arms the
-  /// default watchdog rules below, and appends one JSONL rollup per tick
-  /// to $GDMP_ROLLUP_FILE (see DESIGN.md §5g).
+  /// default watchdog rules, and appends one JSONL rollup per tick to
+  /// $GDMP_ROLLUP_FILE (see DESIGN.md §5g).
   SimDuration heartbeat_period = 0;
-  int heartbeat_window_ticks = 10;
-  /// Default watchdog thresholds (only used when the heartbeat is on).
-  double watch_queue_depth = 1000.0;   ///< scheduler queue-depth ceiling
-  double watch_saturation = 0.95;      ///< uplink utilization ceiling
-  int watch_saturation_ticks = 3;      ///< sustained ticks before firing
-  /// Conservation slack per uplink: bytes legitimately in flight (queue
-  /// backlog + bandwidth-delay product) before sent-vs-delivered drift is
-  /// alert-worthy. Packet model only.
-  Bytes watch_conservation_slack = 4 * kMiB;
 };
 
 class Grid {

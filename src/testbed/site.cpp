@@ -19,21 +19,12 @@ core::SiteServices make_services(Site& owner, const std::string& name,
       ca,         ca.issue("/O=Grid/OU=" + name + "/CN=gdmp-server", kYear)};
 }
 
-// Threads the site's flow engine into every embedded config that picks a
-// data plane, so one SiteConfig field switches GDMP replication and
-// third-party XFER together.
-SiteConfig normalize(SiteConfig config) {
-  config.gdmp.transfer.flow_engine = config.flow_engine;
-  config.ftp.flow_engine = config.flow_engine;
-  return config;
-}
-
 }  // namespace
 
 Site::Site(sim::Simulator& simulator, net::Network& network, net::Node& host,
            security::CertificateAuthority& ca,
            const objstore::EventModel& model, SiteConfig config)
-    : config_(normalize(std::move(config))),
+    : config_(std::move(config)),
       host_(host),
       stack_(simulator, host),
       disk_(simulator, config_.disk),
@@ -41,13 +32,11 @@ Site::Site(sim::Simulator& simulator, net::Network& network, net::Node& host,
       mss_(config_.has_mss ? std::make_unique<storage::MassStorageSystem>(
                                  simulator, config_.mss)
                            : nullptr),
-      backend_(mss_ ? (config_.use_script_stager
-                           ? std::unique_ptr<storage::StorageBackend>(
-                                 std::make_unique<storage::ScriptStagerBackend>(
-                                     simulator, *mss_))
-                           : std::unique_ptr<storage::StorageBackend>(
-                                 std::make_unique<storage::HrmBackend>(
-                                     simulator, *mss_)))
+      backend_(mss_ ? std::make_unique<storage::StorageBackend>(
+                          simulator, *mss_,
+                          config_.use_script_stager
+                              ? storage::kScriptStagerPlugin
+                              : storage::kHrmPlugin)
                     : nullptr),
       federation_(config_.has_federation
                       ? std::make_unique<objstore::Federation>(

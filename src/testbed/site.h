@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 
-#include "flow/transfer_model.h"
 #include "gdmp/client.h"
 #include "gdmp/server.h"
 #include "gridftp/server.h"
@@ -35,11 +34,6 @@ struct SiteConfig {
   /// compiled-in-but-disabled mode bench_obs_overhead measures. The
   /// subsystems count the same events either way.
   bool enable_metrics = true;
-  /// Transfer-model seam: when set, every replication payload this site
-  /// originates (GDMP pulls, XFER pushes) moves as rate-based flows on this
-  /// engine instead of per-segment TCP streams. Copied into gdmp.transfer
-  /// and ftp at construction, so leave those fields alone. Not owned.
-  flow::FlowEngine* flow_engine = nullptr;
 };
 
 class Site {

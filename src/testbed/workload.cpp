@@ -12,7 +12,6 @@ std::vector<core::PublishedFile> produce_run(Site& site,
   if (federation == nullptr) return out;
   const objstore::EventModel& model = federation->model();
   const objstore::TierSpec& spec = model.tier(config.tier);
-  federation->upgrade_schema(config.schema);
 
   std::int64_t lo = config.event_lo;
   int index = 0;
@@ -33,8 +32,7 @@ std::vector<core::PublishedFile> produce_run(Site& site,
     auto added = site.pool().add_file(
         path, size, seed, site.stack().simulator().now());
     if (!added.is_ok()) break;  // pool full: stop producing
-    (void)federation->attach_range_file(path, config.tier, lo, hi,
-                                        config.schema);
+    (void)federation->attach_range_file(path, config.tier, lo, hi);
     if (config.archive_to_mss) {
       site.gdmp_server().storage_manager().archive(path, [](Status) {});
     }
@@ -42,8 +40,7 @@ std::vector<core::PublishedFile> produce_run(Site& site,
     core::PublishedFile file;
     file.lfn = lfn;
     file.local_path = path;
-    core::ObjectivityPlugin::annotate_range_file(file, config.tier, lo, hi,
-                                                 config.schema);
+    core::ObjectivityPlugin::annotate_range_file(file, config.tier, lo, hi);
     out.push_back(std::move(file));
     lo = hi;
   }

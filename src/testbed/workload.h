@@ -17,7 +17,6 @@ struct ProductionConfig {
   std::int64_t event_lo = 0;
   std::int64_t event_hi = 0;  // exclusive
   std::string run_name = "run1";
-  std::uint32_t schema = 1;
   bool archive_to_mss = false;
 };
 

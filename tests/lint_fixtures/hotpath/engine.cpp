@@ -10,7 +10,7 @@
 namespace fx {
 
 void pump(int rounds) {
-  for (int i = 0; i < rounds; ++i) { helper_alloc(i); remember(i); }
+  for (int i = 0; i < rounds; ++i) { helper_alloc(i); remember(i); settle(i); }
 }
 
 // gdmp-lint: hot-path — fixture render loop; scratch is capacity-reused

@@ -25,5 +25,7 @@ void pump(int rounds);
 void helper_alloc(int n);
 void remember(int n);
 void cold_path();
+void settle(int n);
+bool has_slot(int n);
 
 }  // namespace fx

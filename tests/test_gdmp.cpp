@@ -287,6 +287,59 @@ TEST(Gdmp, AclBlocksUnauthorizedSubscribe) {
   EXPECT_EQ(status.code(), ErrorCode::kPermissionDenied);
 }
 
+/// Sends one request from the consumer's GDMP server to the producer's
+/// and runs the grid until it is answered.
+Status call_producer(TwoSiteFixture& f, const char* method,
+                     std::vector<std::uint8_t> params) {
+  Status status = make_error(ErrorCode::kInternal, "pending");
+  f.consumer()
+      .gdmp_server()
+      .peer(f.producer().host().id(), 2000)
+      .call(method, std::move(params),
+            [&](Status s, std::vector<std::uint8_t>) { status = s; });
+  f.grid.run_until(f.grid.simulator().now() + 60 * kSecond);
+  return status;
+}
+
+std::vector<std::uint8_t> path_param(const std::string& path) {
+  rpc::Writer w;
+  w.str(path);
+  return w.take();
+}
+
+TEST(Gdmp, AclBlocksUnauthorizedRelease) {
+  TwoSiteFixture f;
+  const std::string path = "/pool/lfn://cms/pinned";
+  ASSERT_TRUE(f.producer()
+                  .pool()
+                  .add_file(path, 1 * kMiB, 7, 0, /*pinned=*/true)
+                  .is_ok());
+  security::AccessControl acl;
+  acl.allow(security::Operation::kStageRequest, "/O=Grid/OU=slac/*");
+  f.producer().gdmp_server().set_access_control(std::move(acl));
+
+  EXPECT_EQ(call_producer(f, "gdmp.release", path_param(path)).code(),
+            ErrorCode::kPermissionDenied);
+  EXPECT_TRUE(f.producer().pool().peek(path)->pinned);
+}
+
+TEST(Gdmp, AuthorizedStageThenReleaseUnpins) {
+  TwoSiteFixture f;
+  const std::string path = "/pool/lfn://cms/staged";
+  ASSERT_TRUE(f.producer().pool().add_file(path, 1 * kMiB, 7, 0).is_ok());
+  security::AccessControl acl;
+  acl.allow(security::Operation::kStageRequest, "/O=Grid/OU=anl/*");
+  f.producer().gdmp_server().set_access_control(std::move(acl));
+
+  ASSERT_TRUE(call_producer(f, kMethodStage, path_param(path)).is_ok());
+  EXPECT_TRUE(f.producer().pool().peek(path)->pinned);
+  EXPECT_EQ(call_producer(f, "gdmp.release", {}).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(f.producer().pool().peek(path)->pinned);
+  EXPECT_TRUE(call_producer(f, "gdmp.release", path_param(path)).is_ok());
+  EXPECT_FALSE(f.producer().pool().peek(path)->pinned);
+}
+
 TEST(Gdmp, ObjectivityPostProcessAttachesOnConsumer) {
   TwoSiteFixture f;
   const auto lfns = f.publish_run(2000);

@@ -186,7 +186,7 @@ TEST(LintGraph, GraphExtractionAndDotExport) {
 // The hotpath/ subtree is a miniature event-driven engine whose sources
 // exercise every --hot-paths rule: reachability roots (declaration and
 // definition `hot-path` annotations, schedule-callback lambdas, cross-TU
-// propagation), the allocation rule with its pooled / diagnostic / hot-alloc
+// propagation, also past a call used as an `if` guard), the allocation rule with its pooled / diagnostic / hot-alloc
 // exemptions, and the three handle-lifetime rules.
 
 std::vector<std::string> hotpath_fixture_files() {

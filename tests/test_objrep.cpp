@@ -624,6 +624,33 @@ TEST(ObjectReplication, SourceTemporariesDeleted) {
   EXPECT_TRUE(f.grid.site(0).pool().list("/pack").empty());
 }
 
+TEST(ObjectReplication, ChunkAckDeletesOnlyPackedTemporaries) {
+  // A chunk ack that names a published file, or nothing readable, is
+  // refused: the file stays in the pool and attached to the federation.
+  ObjRepFixture f;
+  Site& source = f.grid.site(0);
+  const std::string published =
+      snapshot_catalog(source.federation()->catalog(), 1).ranges.at(0).file;
+  ASSERT_TRUE(source.federation()->is_attached(published));
+  const auto ack = [&f](std::vector<std::uint8_t> params) {
+    std::optional<Status> status;
+    f.grid.site(1)
+        .gdmp_server()
+        .peer(f.grid.site(0).host().id(), 2000)
+        .call("objrep.chunk_ack", std::move(params),
+              [&status](Status s, std::vector<std::uint8_t>) { status = s; });
+    f.grid.run_until(f.grid.simulator().now() + 60 * kSecond);
+    return status.value_or(make_error(ErrorCode::kInternal, "no reply"));
+  };
+  rpc::Writer w;
+  w.u64(1);  // request id
+  w.str(published);
+  EXPECT_EQ(ack(w.take()).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(ack({}).code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(source.pool().contains(published));
+  EXPECT_TRUE(source.federation()->is_attached(published));
+}
+
 TEST(ObjectReplication, ConcurrentEqualIdJobsFromTwoConsumers) {
   // Each consumer numbers its requests from 1, so two first jobs arrive at
   // the source with equal ids while both are still packing. Their

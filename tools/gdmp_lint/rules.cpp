@@ -337,12 +337,15 @@ std::vector<Function> find_functions(const std::vector<Token>& tokens) {
     if (params_close == std::string::npos) continue;
     // Scan past cv/ref/noexcept/override/trailing-return and member-init
     // lists to the body '{'; a ';' or '=' at paren depth 0 means this was a
-    // declaration, a call statement or an initializer, not a definition.
+    // declaration, a call statement or an initializer, not a definition,
+    // and a ')' below depth 0 closes an enclosing call or guard such as
+    // `if (has(x)) {`, whose body is not this name's.
     int paren_depth = 0;
     for (std::size_t k = params_close + 1;
          k < tokens.size() && k < params_close + 400; ++k) {
       if (punct_is(tokens[k], "(")) ++paren_depth;
       if (punct_is(tokens[k], ")")) --paren_depth;
+      if (paren_depth < 0) break;
       if (paren_depth > 0) continue;
       if (punct_is(tokens[k], ";") || punct_is(tokens[k], "=") ||
           punct_is(tokens[k], "}")) {
