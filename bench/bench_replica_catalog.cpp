@@ -1,15 +1,14 @@
 // CAT — §4.2 replica catalog service at scale (DESIGN.md §5j).
 //
-// Part A drives the in-process ShardedCatalog directly and reports
-// wall-clock publish/lookup/search throughput across shard counts. On a
-// single-threaded host sharding buys per-shard version domains and the
-// scaled-out service model, not raw speed — the sweep pins down what the
-// partitioning layer costs locally.
+// Part A drives the in-process ReplicaCatalog directly and reports
+// wall-clock publish/lookup/search throughput of the LDAP-backed object
+// model itself, with no network or service latency in the way.
 //
 // Part B stands the CatalogServer and CatalogClient on the paper's
 // 45 Mbit/s / 125 ms CERN–ANL path and measures the protocol axis:
-// per-file RPCs (the synchronous Globus-API style of the seed) against
-// rc.publish_batch / rc.lookup_batch, plus cold vs warm-cache vs
+// per-file RPCs (the synchronous Globus-API style of the seed, here one
+// rc.publish_batch frame of one file per call) against full
+// rc.publish_batch / rc.lookup_batch frames, plus cold vs warm-cache vs
 // stamp-revalidated lookups and cold vs cached searches.
 //
 // stdout carries only deterministic simulation numbers (the determinism
@@ -23,7 +22,7 @@
 
 #include "bench_util.h"
 #include "catalog/filter.h"
-#include "catalog/sharded_catalog.h"
+#include "catalog/replica_catalog.h"
 #include "gdmp/catalog_service.h"
 #include "net/topology.h"
 #include "security/credentials.h"
@@ -63,32 +62,18 @@ int main(int argc, char** argv) {
   const int kWarmPasses = smoke ? 3 : 20;      // zero-copy refs path
   const int kWarmCopyPasses = smoke ? 3 : 8;   // value-returning path
 
-  std::printf("CAT: sharded replica catalog, client cache, batched RPC\n");
+  std::printf("CAT: replica catalog service, client cache, batched RPC\n");
   std::printf("files=%d sequential=%d\n\n", kFiles, kSeq);
 
-  // ---- Part A: local ShardedCatalog scaling (wall-clock) -----------------
-  std::printf("part A: local ShardedCatalog (wall-clock rates on stderr)\n");
-  std::vector<std::string> lfns;
-  lfns.reserve(static_cast<std::size_t>(kFiles));
-  for (int i = 0; i < kFiles; ++i) {
-    lfns.push_back("lfn://cms/flat/" + std::to_string(i));
-  }
-  // Heap warm-up: populate and discard one catalog first so the measured
-  // configurations see comparable allocator state (the first sweep
-  // otherwise wins on a fresh heap).
+  // ---- Part A: local ReplicaCatalog (wall-clock) -------------------------
+  std::printf("part A: local ReplicaCatalog (wall-clock rates on stderr)\n");
   {
-    catalog::ShardedCatalog warmup("bench", 16);
-    (void)warmup.create_collection("cms");
-    (void)warmup.create_location("cms", "cern", "gsiftp://cern/pool");
+    std::vector<std::string> lfns;
+    lfns.reserve(static_cast<std::size_t>(kFiles));
     for (int i = 0; i < kFiles; ++i) {
-      catalog::LogicalFileAttributes attrs;
-      attrs.size = 1 * kMiB + i;
-      (void)warmup.register_logical_file("cms", lfns[i], attrs);
-      (void)warmup.add_replica("cms", "cern", lfns[i]);
+      lfns.push_back("lfn://cms/flat/" + std::to_string(i));
     }
-  }
-  for (const int shards : {1, 4, 16}) {
-    catalog::ShardedCatalog cat("bench", shards);
+    catalog::ReplicaCatalog cat("bench");
     (void)cat.create_collection("cms");
     (void)cat.create_location("cms", "cern", "gsiftp://cern/pool");
 
@@ -132,31 +117,24 @@ int main(int argc, char** argv) {
     const double search_wall = wall_since(t0);
     const int search_ops = 10 * kSearchPasses;
 
-    std::printf(
-        "  shards=%-3d version=%llu lookup_locations=%zu search_matches=%zu\n",
-        shards,
-        static_cast<unsigned long long>(cat.collection_version("cms")),
-        locations, matches);
+    std::printf("  generation=%llu lookup_locations=%zu search_matches=%zu\n",
+                static_cast<unsigned long long>(cat.generation()), locations,
+                matches);
     std::fprintf(stderr,
-                 "  shards=%-3d publish %.0f ops/s  lookup %.0f ops/s  "
-                 "search %.1f ops/s\n",
-                 shards, kFiles / publish_wall, kFiles / lookup_wall,
+                 "  publish %.0f ops/s  lookup %.0f ops/s  search %.1f ops/s\n",
+                 kFiles / publish_wall, kFiles / lookup_wall,
                  search_ops / search_wall);
-    const std::string suffix = "_s" + std::to_string(shards);
-    report.add({{"name", "local_publish" + suffix},
-                {"shards", shards},
+    report.add({{"name", "local_publish"},
                 {"files", kFiles},
                 {"operations", kFiles},
                 {"wall_seconds", publish_wall},
                 {"catalog_ops_per_sec", kFiles / publish_wall}});
-    report.add({{"name", "local_lookup" + suffix},
-                {"shards", shards},
+    report.add({{"name", "local_lookup"},
                 {"files", kFiles},
                 {"operations", kFiles},
                 {"wall_seconds", lookup_wall},
                 {"catalog_ops_per_sec", kFiles / lookup_wall}});
-    report.add({{"name", "local_search" + suffix},
-                {"shards", shards},
+    report.add({{"name", "local_search"},
                 {"files", kFiles},
                 {"operations", search_ops},
                 {"wall_seconds", search_wall},
@@ -173,11 +151,8 @@ int main(int argc, char** argv) {
   security::CertificateAuthority ca("BenchCA");
   constexpr SimDuration kYear = 365LL * 24 * 3600 * kSecond;
 
-  core::CatalogServerConfig server_config;
-  server_config.shards = 8;
   core::CatalogServer server(server_stack, ca,
-                             ca.issue("/CN=replica-catalog", kYear),
-                             server_config);
+                             ca.issue("/CN=replica-catalog", kYear));
   if (!server.start().is_ok()) {
     std::printf("catalog server failed to start\n");
     return 1;
@@ -197,8 +172,9 @@ int main(int argc, char** argv) {
   const std::string url_prefix = "gsiftp://site/pool";
   bool failed = false;
 
-  // publish, one rc.publish round trip per file, each awaited (the
-  // synchronous Globus-API calling style the wrapper replaces).
+  // publish, one round trip per file, each awaited (the synchronous
+  // Globus-API calling style the wrapper replaces): a one-file
+  // rc.publish_batch frame per call.
   std::vector<std::string> seq_lfns;
   for (int i = 0; i < kSeq; ++i) {
     seq_lfns.push_back("lfn://cms/seq/" + std::to_string(i));
@@ -213,11 +189,14 @@ int main(int argc, char** argv) {
       return;
     }
     const int i = next++;
-    cold_client.publish("cms", make_file(seq_lfns[i], i), location,
-                        url_prefix, [&](Status s) {
-                          if (!s.is_ok()) failed = true;
-                          publish_next();
-                        });
+    cold_client.publish_batch(
+        "cms", {make_file(seq_lfns[i], i)}, location, url_prefix,
+        [&](Status s, std::vector<Status> statuses) {
+          if (!s.is_ok() || statuses.size() != 1 || !statuses[0].is_ok()) {
+            failed = true;
+          }
+          publish_next();
+        });
   };
   publish_next();
   simulator.run();
@@ -530,10 +509,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(cache_stats.misses),
       static_cast<unsigned long long>(cache_stats.stale_probes),
       static_cast<unsigned long long>(cache_stats.revalidate_unchanged));
-  std::printf("server: entries=%zu version=%llu operations=%lld\n",
-              server.catalog().entry_count(),
-              static_cast<unsigned long long>(
-                  server.catalog().collection_version("cms")),
+  std::printf("server: entries=%zu generation=%llu operations=%lld\n",
+              server.catalog().store().entry_count(),
+              static_cast<unsigned long long>(server.catalog().generation()),
               static_cast<long long>(server.operations_served()));
   return failed ? 1 : 0;
 }

@@ -14,8 +14,8 @@
 #      JSONL rollup stream -> obs_report --validate + summary).
 #   6. determinism check — scheduler (observability), object-replication
 #      (hep_analysis), fluid-transfer (full bench_flow: 10^5 flows in
-#      ~10^3 rate classes) and sharded-catalog (bench_replica_catalog
-#      --smoke) workloads must produce
+#      ~10^3 rate classes) and catalog-service (bench_replica_catalog
+#      --smoke; its client cache keys a seeded hash) workloads must produce
 #      byte-identical output across two same-seed runs, and
 #      again with --hash-perturb, where the two runs get different
 #      GDMP_HASH_SEED salts scrambling every unordered container's
@@ -46,8 +46,10 @@
 #                               # hep_analysis, bench_object_vs_file (OBJ1),
 #                               # bench_pipeline (PIPE), bench_fig5_untuned,
 #                               # bench_fig6_tuned, bench_buffer_sweep
-#                               # (T-BUF), bench_staging (STAGE) and
-#                               # bench_scheduler (SCHED) the same stdout
+#                               # (T-BUF), bench_staging (STAGE),
+#                               # bench_scheduler (SCHED) and
+#                               # bench_replica_catalog --smoke (CAT) the
+#                               # same stdout
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,7 +69,9 @@ cd "$(dirname "$0")/.."
 # bench_pipeline, which load packed entries and plan across sites, and of
 # the deterministic tables that read TCP, GridFTP-server, staging and
 # scheduler constants perfbench does not reach: Fig 5, Fig 6, T-BUF, STAGE
-# and SCHED. CAT and OBJ2 print host-timed rates, so they stay out. Every
+# and SCHED, plus CAT --smoke for the catalog service, whose stdout holds
+# only sim-time numbers and counts (its rates go to stderr). OBJ2 prints
+# host-timed rates, so it stays out. Every
 # stage runs and names what differs, so a count a change moves on purpose
 # on one workload does not hide the rest; any difference fails the stage
 # at the end. Set TMPDIR to put the temporary trees somewhere other than
@@ -155,7 +159,7 @@ PY
       cmake --build --preset default --target observability hep_analysis \
         bench_object_vs_file bench_pipeline bench_fig5_untuned \
         bench_fig6_tuned bench_buffer_sweep bench_staging bench_scheduler \
-        -j "$(nproc)" >/dev/null)
+        bench_replica_catalog -j "$(nproc)" >/dev/null)
   done
   observe() {  # <tree> <run dir>: one run, outputs relative to <run dir>
     mkdir -p "$2"
@@ -173,14 +177,16 @@ PY
     fi
     echo "observability: $file identical ($(wc -c <"$runs/base/$file") bytes)"
   done
-  same_stdout() {  # <binary>...: each built binary prints the same stdout
-    for binary in "$@"; do
+  same_stdout() {  # "<binary> [args]"...: each run prints the same stdout
+    for spec in "$@"; do
+      read -r binary args <<<"$spec"
       name="$(basename "$binary")"
       for side in base tree; do  # each run in its own dir: benches write JSON
         root="$base_tree"
         [ "$side" = tree ] && root="$PWD"
         mkdir -p "$runs/$side/$name"
-        (cd "$runs/$side/$name" && "$root/build/$binary" >stdout.txt)
+        # shellcheck disable=SC2086  # args split into words on purpose
+        (cd "$runs/$side/$name" && "$root/build/$binary" $args >stdout.txt)
       done
       if ! cmp "$runs/base/$name/stdout.txt" "$runs/tree/$name/stdout.txt"; then
         echo "$name: stdout differs (base first, working tree second)"
@@ -196,7 +202,8 @@ PY
     bench/bench_pipeline
   echo "==> same behaviour [tables: $base_ref vs working tree]"
   same_stdout bench/bench_fig5_untuned bench/bench_fig6_tuned \
-    bench/bench_buffer_sweep bench/bench_staging bench/bench_scheduler
+    bench/bench_buffer_sweep bench/bench_staging bench/bench_scheduler \
+    "bench/bench_replica_catalog --smoke"
   if [ "$differences" -ne 0 ]; then
     echo "==> same-behaviour vs $base_ref FAILED: differences above"
     exit 1
@@ -278,7 +285,7 @@ if [ "$smoke" -eq 1 ]; then
   GDMP_BENCH_OUT=build ./build/tools/determinism_check --hash-perturb \
     ./build/bench/bench_flow
 
-  echo "==> determinism check [sharded catalog workload]"
+  echo "==> determinism check [catalog service workload]"
   GDMP_BENCH_OUT=build ./build/tools/determinism_check \
     ./build/bench/bench_replica_catalog --smoke
   GDMP_BENCH_OUT=build ./build/tools/determinism_check --hash-perturb \

@@ -137,17 +137,6 @@ bool LdapStore::exists(const Dn& dn) const noexcept {
   return entries_.contains(dn);
 }
 
-Result<std::vector<LdapEntry>> LdapStore::search(const Dn& base,
-                                                 SearchScope scope,
-                                                 const Filter& filter) const {
-  auto refs = search_refs(base, scope, filter);
-  if (!refs.is_ok()) return refs.status();
-  std::vector<LdapEntry> out;
-  out.reserve(refs->size());
-  for (const LdapEntry* entry : *refs) out.push_back(*entry);
-  return out;
-}
-
 Result<std::vector<const LdapEntry*>> LdapStore::search_refs(
     const Dn& base, SearchScope scope, const Filter& filter) const {
   if (!entries_.contains(base)) {
@@ -169,42 +158,9 @@ Result<std::vector<const LdapEntry*>> LdapStore::search_refs(
       bucket = &value_it->second;
     }
   }
-  std::vector<const LdapEntry*> out;
-  if (bucket == nullptr) {
-    // No equality conjunct to index on: scan the scope (same walk as
-    // search_scan, minus the copies).
-    const auto consider = [&](const LdapEntry& entry) {
-      if (filter.matches(entry.attributes)) out.push_back(&entry);
-    };
-    switch (scope) {
-      case SearchScope::kBase:
-        consider(entries_.at(base));
-        break;
-      case SearchScope::kOneLevel: {
-        const auto kids = children_.find(base);
-        if (kids != children_.end()) {
-          for (const Dn& child : kids->second) consider(entries_.at(child));
-        }
-        break;
-      }
-      case SearchScope::kSubtree: {
-        consider(entries_.at(base));
-        const std::string prefix = base.empty() ? "" : base + "/";
-        for (auto it = entries_.lower_bound(prefix); it != entries_.end();
-             ++it) {
-          if (!prefix.empty() &&
-              it->first.compare(0, prefix.size(), prefix) != 0) {
-            break;
-          }
-          if (prefix.empty() && it->first.empty()) continue;  // root itself
-          consider(it->second);
-        }
-        break;
-      }
-    }
-    return out;
-  }
+  if (bucket == nullptr) return search_scan(base, scope, filter);
 
+  std::vector<const LdapEntry*> out;
   const std::string prefix = base.empty() ? "" : base + "/";
   for (const Dn& dn : *bucket) {
     bool in_scope = false;
@@ -227,14 +183,14 @@ Result<std::vector<const LdapEntry*>> LdapStore::search_refs(
   return out;
 }
 
-Result<std::vector<LdapEntry>> LdapStore::search_scan(
+Result<std::vector<const LdapEntry*>> LdapStore::search_scan(
     const Dn& base, SearchScope scope, const Filter& filter) const {
   if (!entries_.contains(base)) {
     return make_error(ErrorCode::kNotFound, "no such base: " + base);
   }
-  std::vector<LdapEntry> out;
+  std::vector<const LdapEntry*> out;
   const auto consider = [&](const LdapEntry& entry) {
-    if (filter.matches(entry.attributes)) out.push_back(entry);
+    if (filter.matches(entry.attributes)) out.push_back(&entry);
   };
   switch (scope) {
     case SearchScope::kBase:

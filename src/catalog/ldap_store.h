@@ -65,23 +65,20 @@ class LdapStore {
 
   bool exists(const Dn& dn) const noexcept;
 
-  /// LDAP search: entries under `base` within `scope` matching `filter`.
-  /// When the filter carries an exact-equality term, candidates come from
-  /// the inverted attribute index (smallest bucket) instead of a scan.
-  Result<std::vector<LdapEntry>> search(const Dn& base, SearchScope scope,
-                                        const Filter& filter) const;
-
-  /// search() without the copies: borrowed pointers into the store, in the
-  /// same DN order. Invalidated by the next mutation — callers materialise
-  /// whatever outlives the probe.
+  /// LDAP search: borrowed pointers to the entries under `base` within
+  /// `scope` matching `filter`, in DN order. When the filter carries an
+  /// exact-equality term, candidates come from the inverted attribute index
+  /// (smallest bucket); otherwise this is search_scan(). Invalidated by the
+  /// next mutation — callers materialise whatever outlives the probe.
   Result<std::vector<const LdapEntry*>> search_refs(const Dn& base,
                                                     SearchScope scope,
                                                     const Filter& filter) const;
 
-  /// Reference implementation of search() without the index: full scan of
-  /// the scope. Kept for the index/scan agreement regression test.
-  Result<std::vector<LdapEntry>> search_scan(const Dn& base, SearchScope scope,
-                                             const Filter& filter) const;
+  /// search_refs() without the index: a walk of the whole scope. The
+  /// index/scan agreement test holds the indexed path to it.
+  Result<std::vector<const LdapEntry*>> search_scan(const Dn& base,
+                                                    SearchScope scope,
+                                                    const Filter& filter) const;
 
   std::size_t entry_count() const noexcept { return entries_.size(); }
 

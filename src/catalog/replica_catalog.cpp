@@ -1,5 +1,6 @@
 #include "catalog/replica_catalog.h"
 
+#include <algorithm>
 #include <charconv>
 
 namespace gdmp::catalog {
@@ -166,7 +167,10 @@ Status ReplicaCatalog::register_logical_file(
   if (!added.is_ok()) return added;
   // Collection membership is mirrored on the collection entry, as in the
   // Globus catalog where a collection is "a group of logical file names".
-  return store_.add_value(collection_dn(collection), "filename", lfn);
+  const Status listed =
+      store_.add_value(collection_dn(collection), "filename", lfn);
+  if (listed.is_ok()) restamp(collection, lfn);
+  return listed;
 }
 
 Status ReplicaCatalog::unregister_logical_file(const std::string& collection,
@@ -178,6 +182,7 @@ Status ReplicaCatalog::unregister_logical_file(const std::string& collection,
   }
   const Status removed = store_.remove(logical_file_dn(collection, lfn));
   if (!removed.is_ok()) return removed;
+  stamps_.erase({collection, lfn});
   return store_.remove_value(collection_dn(collection), "filename", lfn);
 }
 
@@ -247,14 +252,18 @@ Status ReplicaCatalog::add_replica(const std::string& collection,
     return make_error(ErrorCode::kAlreadyExists,
                       "replica already recorded at " + location + ": " + lfn);
   }
-  return store_.add_value(dn, "filename", lfn);
+  const Status status = store_.add_value(dn, "filename", lfn);
+  if (status.is_ok()) restamp(collection, lfn);
+  return status;
 }
 
 Status ReplicaCatalog::remove_replica(const std::string& collection,
                                       const std::string& location,
                                       const LogicalFileName& lfn) {
-  return store_.remove_value(location_dn(collection, location), "filename",
-                             lfn);
+  const Status status = store_.remove_value(location_dn(collection, location),
+                                            "filename", lfn);
+  if (status.is_ok()) restamp(collection, lfn);
+  return status;
 }
 
 Result<std::vector<LogicalFileName>> ReplicaCatalog::list_location(
@@ -310,7 +319,35 @@ ReplicaCatalog::search(const std::string& collection,
   for (const LdapEntry* entry : *entries) {
     out.emplace_back(entry->first("name"), attributes_from_entry(*entry));
   }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
+}
+
+void ReplicaCatalog::restamp(const std::string& collection,
+                             const LogicalFileName& lfn) {
+  stamps_[{collection, lfn}] = store_.generation();
+}
+
+Result<VersionedLocations> ReplicaCatalog::lookup_versioned(
+    const std::string& collection, const LogicalFileName& lfn) const {
+  auto locations = lookup(collection, lfn);
+  if (!locations.is_ok()) return locations.status();
+  VersionedLocations out;
+  out.locations = std::move(*locations);
+  const auto it = stamps_.find({collection, lfn});
+  out.stamp = it == stamps_.end() ? 0 : it->second;
+  return out;
+}
+
+Result<std::uint64_t> ReplicaCatalog::entry_stamp(
+    const std::string& collection, const LogicalFileName& lfn) const {
+  const auto it = stamps_.find({collection, lfn});
+  if (it == stamps_.end()) {
+    return make_error(ErrorCode::kNotFound,
+                      "logical file not registered: " + lfn);
+  }
+  return it->second;
 }
 
 }  // namespace gdmp::catalog

@@ -9,10 +9,17 @@
 //
 // "the heart of the system, a function to return all physical locations of
 // a logical file" is lookup().
+//
+// Every logical file also carries a version stamp: the store's generation
+// at the entry's last registration or replica change. Client caches keep
+// it beside a cached lookup and revalidate with one integer comparison
+// instead of a full re-fetch (DESIGN.md §5j).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/filter.h"
@@ -31,6 +38,12 @@ struct LogicalFileAttributes {
   std::uint64_t content_seed = 0;
   std::uint32_t crc = 0;
   std::map<std::string, std::string> extra;
+};
+
+/// Lookup result plus the entry's current version stamp, for client caches.
+struct VersionedLocations {
+  std::vector<PhysicalFileName> locations;
+  std::uint64_t stamp = 0;
 };
 
 class ReplicaCatalog {
@@ -84,8 +97,20 @@ class ReplicaCatalog {
   Result<std::vector<PhysicalFileName>> lookup(
       const std::string& collection, const LogicalFileName& lfn) const;
 
+  /// lookup() plus the entry's version stamp (cache insertion).
+  Result<VersionedLocations> lookup_versioned(const std::string& collection,
+                                              const LogicalFileName& lfn) const;
+
+  /// Current stamp of an entry without materialising its locations — the
+  /// cheap revalidation probe. kNotFound if the file is not registered.
+  /// Stamps are never 0 and only ever compared for equality.
+  Result<std::uint64_t> entry_stamp(const std::string& collection,
+                                    const LogicalFileName& lfn) const;
+
   /// Logical files in a collection whose attributes match `filter`
-  /// (attributes exposed: name, size, mtime, crc, seed, plus extras).
+  /// (attributes exposed: name, size, mtime, crc, seed, plus extras),
+  /// sorted by logical file name. DN order is not name order: '/' is
+  /// escaped to "%2F", which sorts before '-' and '.'.
   Result<std::vector<std::pair<LogicalFileName, LogicalFileAttributes>>>
   search(const std::string& collection, const Filter& filter) const;
 
@@ -101,9 +126,18 @@ class ReplicaCatalog {
 
   static LogicalFileAttributes attributes_from_entry(const LdapEntry& entry);
 
+  /// Stamps the entry with the store generation its mutation just reached.
+  void restamp(const std::string& collection, const LogicalFileName& lfn);
+
   LdapStore store_;
   Dn root_;
+  // (collection, lfn) -> store generation at the entry's last mutation.
+  std::map<std::pair<std::string, LogicalFileName>, std::uint64_t> stamps_;
 };
+
+/// The catalog's former name, still spelled by perfbench/campaign.cpp;
+/// delete it once that file says ReplicaCatalog.
+using ShardedCatalog = ReplicaCatalog;
 
 /// DN components cannot contain '/'; logical names like "lfn://x/y" are
 /// percent-escaped into RDN values and restored on the way out.

@@ -71,8 +71,7 @@ CatalogServer::CatalogServer(net::TcpStack& stack,
                              CatalogServerConfig config)
     : stack_(stack),
       rpc_(stack, config.port, ca, std::move(credential)),
-      config_(config),
-      catalog_("gdmp", config.shards) {
+      catalog_("gdmp") {
   const auto bind = [this](auto method) {
     return [this, method](const security::GsiContext&, std::uint64_t,
                           std::span<const std::uint8_t> params,
@@ -81,7 +80,6 @@ CatalogServer::CatalogServer(net::TcpStack& stack,
       (this->*method)(params, std::move(respond));
     };
   };
-  rpc_.register_method("rc.publish", bind(&CatalogServer::handle_publish));
   rpc_.register_method("rc.publish_batch",
                        bind(&CatalogServer::handle_publish_batch));
   rpc_.register_method("rc.add_replica",
@@ -125,24 +123,6 @@ Status CatalogServer::publish_one(const std::string& collection,
     (void)catalog_.create_location(collection, location_name, url_prefix);
   }
   return catalog_.add_replica(collection, location_name, file.lfn);
-}
-
-void CatalogServer::handle_publish(std::span<const std::uint8_t> params,
-                                   Respond respond) {
-  rpc::Reader r(params);
-  const std::string collection = r.str();
-  const PublishedFile file = decode_published_file(r);
-  const std::string location_name = r.str();
-  const std::string url_prefix = r.str();
-  if (!r.ok() || file.lfn.empty()) {
-    respond(make_error(ErrorCode::kInvalidArgument, "malformed rc.publish"),
-            {});
-    return;
-  }
-  with_latency(1, [this, collection, file, location_name, url_prefix,
-                   respond = std::move(respond)] {
-    respond(publish_one(collection, file, location_name, url_prefix), {});
-  });
 }
 
 void CatalogServer::handle_publish_batch(std::span<const std::uint8_t> params,
@@ -356,33 +336,6 @@ void CatalogClient::invalidate_local(const std::string& collection,
   lookup_cache_.invalidate(collection, lfn);
   // Any cached search of the collection may now include/exclude this file.
   search_cache_.invalidate_collection(collection);
-}
-
-void CatalogClient::publish(const std::string& collection,
-                            const PublishedFile& file,
-                            const std::string& location_name,
-                            const std::string& url_prefix,
-                            std::function<void(Status)> done) {
-  if (file.lfn.empty() || collection.empty() || location_name.empty()) {
-    done(make_error(ErrorCode::kInvalidArgument,
-                    "publish requires collection, lfn and location"));
-    return;
-  }
-  rpc::Writer w;
-  w.str(collection);
-  encode_published_file(w, file);
-  w.str(location_name);
-  w.str(url_prefix);
-  std::weak_ptr<bool> alive = alive_;
-  rpc_.call("rc.publish", w.take(),
-            [this, alive, collection, lfn = file.lfn, done = std::move(done)](
-                Status status, std::vector<std::uint8_t>) {
-              const auto live = alive.lock();
-              if (status.is_ok() && live != nullptr && *live) {
-                invalidate_local(collection, lfn);
-              }
-              done(status);
-            });
 }
 
 void CatalogClient::publish_batch(

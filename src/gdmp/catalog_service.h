@@ -1,25 +1,25 @@
-// GDMP Replica Catalog Service (§4.2), scaled out (DESIGN.md §5j).
+// GDMP Replica Catalog Service (§4.2, DESIGN.md §5j).
 //
-// Server side: the central catalog host, now running a ShardedCatalog —
-// N Globus Replica Catalog shards partitioned by seeded hash of
-// (collection, lfn) — instead of the paper's single LDAP server. Every
-// operation pays an LDAP service latency plus a per-result cost.
+// Server side: the central catalog host, one Globus Replica Catalog on
+// the LDAP store, as in the paper. Every operation pays an LDAP service
+// latency plus a per-result cost.
 //
 // Client side: the high-level object-oriented wrapper the paper describes
 // ("hides some Globus API details ... requires fewer method calls"),
 // extended with
 //   * a CatalogCache of lookup and search results (TTL + version-stamp
 //     revalidation; local mutations invalidate synchronously), and
-//   * batched wire ops — publish_batch / lookup_batch — that coalesce a
-//     bulk publish or prefetch into one framed request per batch instead
-//     of one round trip per file.
+//   * batched wire ops — rc.publish_batch / rc.lookup_batch — that carry a
+//     bulk publish or prefetch in one framed request per batch instead of
+//     one round trip per file. A single publish or lookup is a batch of
+//     one.
 #pragma once
 
 #include <functional>
 #include <memory>
 
 #include "catalog/catalog_cache.h"
-#include "catalog/sharded_catalog.h"
+#include "catalog/replica_catalog.h"
 #include "gdmp/types.h"
 #include "rpc/rpc_client.h"
 #include "rpc/rpc_server.h"
@@ -28,8 +28,6 @@ namespace gdmp::core {
 
 struct CatalogServerConfig {
   net::Port port = 2010;
-  /// Catalog shards behind the service endpoint.
-  int shards = 8;
 };
 
 class CatalogServer {
@@ -42,7 +40,7 @@ class CatalogServer {
   Status start();
   void stop();
 
-  catalog::ShardedCatalog& catalog() noexcept { return catalog_; }
+  catalog::ReplicaCatalog& catalog() noexcept { return catalog_; }
   std::int64_t operations_served() const noexcept { return operations_; }
 
  private:
@@ -53,13 +51,12 @@ class CatalogServer {
   /// here and the event kernel.
   void with_latency(std::size_t results, sim::Simulator::Callback fn);
 
-  /// Registers one logical file + first replica, auto-creating the
-  /// collection and location (shared by publish and publish_batch).
+  /// Registers one logical file + first replica of an rc.publish_batch
+  /// item, auto-creating the collection and location.
   Status publish_one(const std::string& collection, const PublishedFile& file,
                      const std::string& location_name,
                      const std::string& url_prefix);
 
-  void handle_publish(std::span<const std::uint8_t> params, Respond respond);
   void handle_publish_batch(std::span<const std::uint8_t> params,
                             Respond respond);
   void handle_add_replica(std::span<const std::uint8_t> params,
@@ -72,8 +69,7 @@ class CatalogServer {
 
   net::TcpStack& stack_;
   rpc::RpcServer rpc_;
-  CatalogServerConfig config_;
-  catalog::ShardedCatalog catalog_;
+  catalog::ReplicaCatalog catalog_;
   std::int64_t operations_ = 0;
 };
 
@@ -106,17 +102,12 @@ class CatalogClient {
                 CatalogClientConfig config = {});
   ~CatalogClient();
 
-  /// One call: ensures collection + location exist, registers the logical
-  /// file (globally unique name enforced server-side) and its first
-  /// replica. The raw Globus API needs four calls for this.
-  void publish(const std::string& collection, const PublishedFile& file,
-               const std::string& location_name,
-               const std::string& url_prefix,
-               std::function<void(Status)> done);
-
-  /// Bulk publish: one framed rc.publish_batch request per `max_batch`
-  /// files instead of one round trip each. `done` receives the transport
-  /// status plus one status per input file (aligned with `files`).
+  /// Publish: one framed rc.publish_batch request per `max_batch` files
+  /// instead of one round trip each. Per file it ensures the collection and
+  /// location exist, registers the logical file (globally unique name
+  /// enforced server-side) and its first replica; the raw Globus API needs
+  /// four calls for this. `done` receives the transport status plus one
+  /// status per input file (aligned with `files`).
   void publish_batch(const std::string& collection,
                      const std::vector<PublishedFile>& files,
                      const std::string& location_name,

@@ -124,7 +124,7 @@ void GdmpServer::publish(std::vector<PublishedFile> files, PublishDone done) {
   }
 
   // One rc.publish_batch round trip per CatalogClientConfig::max_batch files
-  // instead of one rc.publish per file (DESIGN.md §5j).
+  // instead of one per file (DESIGN.md §5j).
   auto shared = std::make_shared<std::vector<PublishedFile>>(std::move(files));
   std::weak_ptr<bool> alive = alive_;
   catalog_client_.publish_batch(

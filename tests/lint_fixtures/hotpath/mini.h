@@ -26,6 +26,7 @@ void helper_alloc(int n);
 void remember(int n);
 void cold_path();
 void settle(int n);
+void relay(int n);
 bool has_slot(int n);
 
 }  // namespace fx

@@ -113,23 +113,85 @@ TEST(LdapStore, SearchScopes) {
   (void)store.add("root/a/c", {{"objectclass", {"leaf"}}});
 
   const Filter all;
-  auto base = store.search("root", SearchScope::kBase, all);
+  auto base = store.search_refs("root", SearchScope::kBase, all);
   ASSERT_TRUE(base.is_ok());
   EXPECT_EQ(base->size(), 1u);
 
-  auto one = store.search("root", SearchScope::kOneLevel, all);
+  auto one = store.search_refs("root", SearchScope::kOneLevel, all);
   ASSERT_TRUE(one.is_ok());
   EXPECT_EQ(one->size(), 2u);
 
-  auto sub = store.search("root", SearchScope::kSubtree, all);
+  auto sub = store.search_refs("root", SearchScope::kSubtree, all);
   ASSERT_TRUE(sub.is_ok());
   EXPECT_EQ(sub->size(), 4u);
 
-  auto leaves = store.search("root", SearchScope::kSubtree,
-                             Filter::equals("objectclass", "leaf"));
+  auto leaves = store.search_refs("root", SearchScope::kSubtree,
+                                  Filter::equals("objectclass", "leaf"));
   ASSERT_TRUE(leaves.is_ok());
   EXPECT_EQ(leaves->size(), 3u);
-  EXPECT_FALSE(store.search("nonexistent", SearchScope::kBase, all).is_ok());
+  EXPECT_FALSE(
+      store.search_refs("nonexistent", SearchScope::kBase, all).is_ok());
+}
+
+std::vector<Dn> dns_of(const Result<std::vector<const LdapEntry*>>& found) {
+  std::vector<Dn> out;
+  for (const LdapEntry* entry : found.value()) out.push_back(entry->dn);
+  return out;
+}
+
+TEST(LdapStore, IndexedSearchAgreesWithScan) {
+  // A tree whose index buckets differ in size: "kind=leaf" is large,
+  // "colour=red" small, "colour=blue" mid-sized, and values repeat across
+  // levels and subtrees so scope checks decide membership.
+  LdapStore store;
+  ASSERT_TRUE(store.add("r", {{"kind", {"root"}}}).is_ok());
+  for (int i = 0; i < 12; ++i) {
+    const Dn branch = "r/b" + std::to_string(i);
+    ASSERT_TRUE(store
+                    .add(branch, {{"kind", {"branch"}},
+                                  {"colour", {i % 4 == 0 ? "red" : "blue"}},
+                                  {"size", {std::to_string(i)}}})
+                    .is_ok());
+    for (int j = 0; j < i % 5; ++j) {
+      ASSERT_TRUE(store
+                      .add(branch + "/l" + std::to_string(j),
+                           {{"kind", {"leaf"}},
+                            {"colour", {j == 0 ? "red" : "blue"}},
+                            {"size", {std::to_string(i * 10 + j)}}})
+                      .is_ok());
+    }
+  }
+  ASSERT_TRUE(store.add_value("r/b3", "kind", "leaf").is_ok());
+
+  const std::vector<Filter> filters = {
+      Filter(),
+      Filter::parse("(kind=leaf)").value(),
+      Filter::parse("(colour=red)").value(),
+      Filter::parse("(&(kind=leaf)(colour=blue))").value(),
+      Filter::parse("(&(kind=leaf)(colour=red)(size>=20))").value(),
+      Filter::parse("(&(kind=branch)(|(colour=red)(size<=3)))").value(),
+      Filter::parse("(&(kind=missing)(colour=red))").value(),
+      Filter::parse("(size>=25)").value(),
+      Filter::parse("(|(kind=leaf)(colour=red))").value(),
+      Filter::parse("(!(colour=blue))").value(),
+      Filter::parse("(kind=le*)").value(),
+  };
+  const std::vector<Dn> bases = {"", "r", "r/b0", "r/b3", "r/b9", "r/b9/l2"};
+  const SearchScope scopes[] = {SearchScope::kBase, SearchScope::kOneLevel,
+                                SearchScope::kSubtree};
+  int nonempty = 0;
+  for (const Dn& base : bases) {
+    for (const SearchScope scope : scopes) {
+      for (const Filter& filter : filters) {
+        const auto indexed = dns_of(store.search_refs(base, scope, filter));
+        EXPECT_EQ(indexed, dns_of(store.search_scan(base, scope, filter)))
+            << "base '" << base << "' scope " << static_cast<int>(scope)
+            << " filter " << filter.to_string();
+        if (!indexed.empty()) ++nonempty;
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 60);  // the comparisons are not all of empty sets
 }
 
 TEST(ReplicaCatalog, RdnEscapingRoundTrips) {

@@ -1,6 +1,7 @@
-// Catalog v2 tests: ShardedCatalog routing/equivalence, the client-side
-// CatalogCache, and the batched CatalogServer/CatalogClient RPC surface
-// (DESIGN.md §5j) — including destruction mid-flight.
+// Catalog service tests: ReplicaCatalog version stamps and delete
+// preconditions, the client-side CatalogCache, and the batched
+// CatalogServer/CatalogClient RPC surface (DESIGN.md §5j) — including
+// destruction mid-flight.
 
 #include <algorithm>
 #include <memory>
@@ -11,8 +12,7 @@
 
 #include "catalog/catalog_cache.h"
 #include "catalog/filter.h"
-#include "catalog/sharded_catalog.h"
-#include "common/det_hash.h"
+#include "catalog/replica_catalog.h"
 #include "counting_callback.h"
 #include "gdmp/catalog_service.h"
 #include "net/topology.h"
@@ -26,7 +26,7 @@ using testing::CountingCallback;
 
 constexpr SimDuration kYear = 365LL * 24 * 3600 * kSecond;
 
-// ------------------------------------------------------------ ShardedCatalog
+// ------------------------------------------------------------ ReplicaCatalog
 
 catalog::LogicalFileAttributes attrs_for(int i) {
   catalog::LogicalFileAttributes attrs;
@@ -39,8 +39,8 @@ catalog::LogicalFileAttributes attrs_for(int i) {
 std::string lfn_for(int i) { return "lfn://cms/file." + std::to_string(i); }
 
 /// Applies one fixed mutation script: 40 files over two locations, then a
-/// few removals, so reads exercise merged multi-shard state.
-void apply_script(catalog::ShardedCatalog& cat) {
+/// few removals.
+void apply_script(catalog::ReplicaCatalog& cat) {
   ASSERT_TRUE(cat.create_collection("cms").is_ok());
   ASSERT_TRUE(cat.create_location("cms", "cern", "gsiftp://cern/px").is_ok());
   ASSERT_TRUE(cat.create_location("cms", "fnal", "gsiftp://fnal/px").is_ok());
@@ -57,88 +57,8 @@ void apply_script(catalog::ShardedCatalog& cat) {
   }
 }
 
-/// Content-level snapshot of everything a reader can observe (sorted merged
-/// views), independent of shard count and hash seed.
-struct CatalogView {
-  std::vector<std::string> collections;
-  std::vector<std::string> locations;
-  std::vector<LogicalFileName> files;
-  std::vector<LogicalFileName> at_cern;
-  std::vector<LogicalFileName> at_fnal;
-  std::vector<std::vector<PhysicalFileName>> lookups;
-  std::vector<LogicalFileName> search_hits;
-};
-
-void expect_same_view(const CatalogView& a, const CatalogView& b) {
-  EXPECT_EQ(a.collections, b.collections);
-  EXPECT_EQ(a.locations, b.locations);
-  EXPECT_EQ(a.files, b.files);
-  EXPECT_EQ(a.at_cern, b.at_cern);
-  EXPECT_EQ(a.at_fnal, b.at_fnal);
-  EXPECT_EQ(a.lookups, b.lookups);
-  EXPECT_EQ(a.search_hits, b.search_hits);
-}
-
-CatalogView view_of(const catalog::ShardedCatalog& cat) {
-  CatalogView v;
-  v.collections = cat.list_collections().value();
-  v.locations = cat.list_locations("cms").value();
-  v.files = cat.list_collection("cms").value();
-  v.at_cern = cat.list_location("cms", "cern").value();
-  v.at_fnal = cat.list_location("cms", "fnal").value();
-  for (int i = 0; i < 40; ++i) {
-    v.lookups.push_back(cat.lookup("cms", lfn_for(i)).value());
-  }
-  const auto filter = catalog::Filter::parse("(runidx=2)").value();
-  // Materialize before iterating: value() on the temporary Result returns a
-  // reference that dies at the end of the full expression.
-  const auto hits = cat.search("cms", filter).value();
-  for (const auto& [lfn, a] : hits) {
-    v.search_hits.push_back(lfn);
-  }
-  return v;
-}
-
-TEST(ShardedCatalog, ShardCountInvisibleToReaders) {
-  catalog::ShardedCatalog one("gdmp", 1);
-  catalog::ShardedCatalog four("gdmp", 4);
-  apply_script(one);
-  apply_script(four);
-  expect_same_view(view_of(one), view_of(four));
-}
-
-TEST(ShardedCatalog, HashSeedInvisibleToReaders) {
-  // Shard assignment is a pure function of GDMP_HASH_SEED, so two seeds
-  // route files differently — but every merged, sorted read must agree.
-  const auto view_under = [](std::size_t seed) {
-    common::set_hash_seed(seed);
-    catalog::ShardedCatalog cat("gdmp", 4);
-    apply_script(cat);
-    return view_of(cat);
-  };
-  const auto first = view_under(1);
-  const auto second = view_under(2654435769u);
-  common::set_hash_seed(0);  // restore baseline for the rest of the suite
-  expect_same_view(first, second);
-}
-
-TEST(ShardedCatalog, FilesLiveOnExactlyTheirHomeShard) {
-  catalog::ShardedCatalog cat("gdmp", 4);
-  apply_script(cat);
-  for (int i = 0; i < 40; ++i) {
-    int holders = 0;
-    for (int s = 0; s < cat.shard_count(); ++s) {
-      if (cat.shard(s).logical_file_exists("cms", lfn_for(i))) ++holders;
-    }
-    EXPECT_EQ(holders, 1) << lfn_for(i);
-    const auto home = cat.shard_of("cms", lfn_for(i));
-    EXPECT_TRUE(cat.shard(home).logical_file_exists("cms", lfn_for(i)));
-    EXPECT_EQ(home, cat.shard_of("cms", lfn_for(i)));  // stable
-  }
-}
-
-TEST(ShardedCatalog, StampBumpsOnEveryMutationOfTheEntry) {
-  catalog::ShardedCatalog cat("gdmp", 4);
+TEST(ReplicaCatalog, StampBumpsOnEveryMutationOfTheEntry) {
+  catalog::ReplicaCatalog cat("gdmp");
   ASSERT_TRUE(cat.create_collection("cms").is_ok());
   ASSERT_TRUE(cat.create_location("cms", "cern", "gsiftp://cern/px").is_ok());
   ASSERT_TRUE(cat.create_location("cms", "fnal", "gsiftp://fnal/px").is_ok());
@@ -169,11 +89,10 @@ TEST(ShardedCatalog, StampBumpsOnEveryMutationOfTheEntry) {
             ErrorCode::kNotFound);
 }
 
-TEST(ShardedCatalog, DeletePreconditionsSpanAllShards) {
-  catalog::ShardedCatalog cat("gdmp", 4);
+TEST(ReplicaCatalog, DeletePreconditionsRefuseNonEmptyEntries) {
+  catalog::ReplicaCatalog cat("gdmp");
   apply_script(cat);
-  // Replicas for "cern" live on several shards; the mirrored location must
-  // refuse deletion while any shard still holds one.
+  // "cern" still holds replicas and "cms" still holds files and locations.
   EXPECT_EQ(cat.delete_location("cms", "cern").code(),
             ErrorCode::kFailedPrecondition);
   EXPECT_EQ(cat.delete_collection("cms").code(),
@@ -195,18 +114,6 @@ TEST(ShardedCatalog, DeletePreconditionsSpanAllShards) {
   }
   EXPECT_TRUE(cat.delete_collection("cms").is_ok());
   EXPECT_FALSE(cat.collection_exists("cms"));
-}
-
-TEST(ShardedCatalog, CollectionVersionIsMonotonic) {
-  catalog::ShardedCatalog cat("gdmp", 4);
-  ASSERT_TRUE(cat.create_collection("cms").is_ok());
-  std::uint64_t last = cat.collection_version("cms");
-  ASSERT_TRUE(cat.create_location("cms", "cern", "gsiftp://cern/px").is_ok());
-  EXPECT_GT(cat.collection_version("cms"), last);
-  last = cat.collection_version("cms");
-  ASSERT_TRUE(
-      cat.register_logical_file("cms", "lfn://a", attrs_for(0)).is_ok());
-  EXPECT_GT(cat.collection_version("cms"), last);
 }
 
 // -------------------------------------------------------------- CatalogCache
@@ -341,8 +248,7 @@ struct CatalogRig {
     client_stack = std::make_unique<net::TcpStack>(simulator, *path.host_a);
     server_stack = std::make_unique<net::TcpStack>(simulator, *path.host_b);
     server = std::make_unique<core::CatalogServer>(
-        *server_stack, ca, ca.issue("/CN=rc", kYear),
-        core::CatalogServerConfig{.shards = 4});
+        *server_stack, ca, ca.issue("/CN=rc", kYear));
     EXPECT_TRUE(server->start().is_ok());
     client = std::make_unique<core::CatalogClient>(
         *client_stack, path.host_b->id(), 2010, ca,
@@ -593,6 +499,40 @@ TEST(CatalogService, SearchCachesByFilterTextUntilMutation) {
                      });
   EXPECT_TRUE(completed);
   EXPECT_EQ(rig.server->operations_served(), ops_before);
+}
+
+TEST(CatalogService, SearchSortsByLogicalName) {
+  // The catalog escapes '/' to "%2F" in DNs, which sorts before '-' and
+  // '.', so DN order would put a/b first; rc.search answers in name order.
+  CatalogRig rig;
+  std::vector<PublishedFile> files;
+  for (const char* lfn : {"lfn://cms/a/b", "lfn://cms/a.b", "lfn://cms/a-b"}) {
+    PublishedFile file = rig.file(0);
+    file.lfn = lfn;
+    files.push_back(file);
+  }
+  bool published = false;
+  rig.client->publish_batch("cms", files, "cern", "gsiftp://cern/px",
+                            [&](Status s, std::vector<Status> statuses) {
+                              published = s.is_ok();
+                              for (const Status& st : statuses) {
+                                published = published && st.is_ok();
+                              }
+                            });
+  rig.simulator.run();
+  ASSERT_TRUE(published);
+
+  std::vector<LogicalFileName> names;
+  rig.client->search("cms", "(objectclass=logicalfile)",
+                     [&](Result<std::vector<core::ReplicaInfo>> r) {
+                       ASSERT_TRUE(r.is_ok());
+                       for (const core::ReplicaInfo& info : *r) {
+                         names.push_back(info.lfn);
+                       }
+                     });
+  rig.simulator.run();
+  EXPECT_EQ(names, (std::vector<LogicalFileName>{
+                       "lfn://cms/a-b", "lfn://cms/a.b", "lfn://cms/a/b"}));
 }
 
 TEST(CatalogService, ClientDestroyedMidLookupBatchFiresOnce) {

@@ -187,7 +187,9 @@ TEST(LintGraph, GraphExtractionAndDotExport) {
 // exercise every --hot-paths rule: reachability roots (declaration and
 // definition `hot-path` annotations, schedule-callback lambdas, cross-TU
 // propagation, also past a call used as an `if` guard), the allocation rule with its pooled / diagnostic / hot-alloc
-// exemptions, and the three handle-lifetime rules.
+// exemptions, and the three handle-lifetime rules. relay.cpp holds calls
+// that must not read as definitions: a later argument that is a lambda or
+// braces, and an init-capture.
 
 std::vector<std::string> hotpath_fixture_files() {
   std::vector<std::string> files;

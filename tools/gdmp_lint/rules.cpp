@@ -339,16 +339,21 @@ std::vector<Function> find_functions(const std::vector<Token>& tokens) {
     // lists to the body '{'; a ';' or '=' at paren depth 0 means this was a
     // declaration, a call statement or an initializer, not a definition,
     // and a ')' below depth 0 closes an enclosing call or guard such as
-    // `if (has(x)) {`, whose body is not this name's.
+    // `if (has(x)) {`, whose body is not this name's. So does a ']' (an
+    // init-capture `[f = std::move(f)](..) {`) and a ',' outside a member-
+    // init list (a later argument `g(std::move(a), [..](..) {` or `{}`).
     int paren_depth = 0;
+    bool init_list = false;
     for (std::size_t k = params_close + 1;
          k < tokens.size() && k < params_close + 400; ++k) {
       if (punct_is(tokens[k], "(")) ++paren_depth;
       if (punct_is(tokens[k], ")")) --paren_depth;
       if (paren_depth < 0) break;
       if (paren_depth > 0) continue;
+      if (punct_is(tokens[k], ":")) init_list = true;
       if (punct_is(tokens[k], ";") || punct_is(tokens[k], "=") ||
-          punct_is(tokens[k], "}")) {
+          punct_is(tokens[k], "}") || punct_is(tokens[k], "]") ||
+          (punct_is(tokens[k], ",") && !init_list)) {
         break;
       }
       if (punct_is(tokens[k], "{")) {
