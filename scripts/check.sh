@@ -14,8 +14,10 @@
 #      JSONL rollup stream -> obs_report --validate + summary).
 #   6. determinism check — scheduler (observability), object-replication
 #      (hep_analysis), fluid-transfer (full bench_flow: 10^5 flows in
-#      ~10^3 rate classes) and catalog-service (bench_replica_catalog
-#      --smoke; its client cache keys a seeded hash) workloads must produce
+#      ~10^3 rate classes), catalog-service (bench_replica_catalog
+#      --smoke; its client cache keys a seeded hash) and MSS-staging
+#      (bench_staging: cold stages through both access plug-ins and tape
+#      drive contention) workloads must produce
 #      byte-identical output across two same-seed runs, and
 #      again with --hash-perturb, where the two runs get different
 #      GDMP_HASH_SEED salts scrambling every unordered container's
@@ -290,6 +292,12 @@ if [ "$smoke" -eq 1 ]; then
     ./build/bench/bench_replica_catalog --smoke
   GDMP_BENCH_OUT=build ./build/tools/determinism_check --hash-perturb \
     ./build/bench/bench_replica_catalog --smoke
+
+  echo "==> determinism check [MSS staging workload]"
+  GDMP_BENCH_OUT=build ./build/tools/determinism_check \
+    ./build/bench/bench_staging
+  GDMP_BENCH_OUT=build ./build/tools/determinism_check --hash-perturb \
+    ./build/bench/bench_staging
 fi
 
 echo "==> all checks passed: ${presets[*]}"

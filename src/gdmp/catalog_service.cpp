@@ -5,6 +5,11 @@
 namespace gdmp::core {
 namespace {
 
+// The fewest bytes one encoded item takes: they bound how many items a
+// message can hold, whatever count it claims.
+constexpr std::size_t kReplicaInfoMinWireBytes = 40;  // no extras, no sites
+constexpr std::size_t kLookupItemMinWireBytes = 12;   // empty lfn + stamp
+
 void encode_replica_info(rpc::Writer& w, const ReplicaInfo& info) {
   w.str(info.lfn);
   w.i64(info.attributes.size);
@@ -133,7 +138,8 @@ void CatalogServer::handle_publish_batch(std::span<const std::uint8_t> params,
   std::string url_prefix = r.str();
   const std::uint32_t n = r.u32();
   std::vector<PublishedFile> files;
-  if (r.ok()) files.reserve(n);
+  files.reserve(
+      std::min<std::size_t>(n, r.remaining() / kPublishedFileMinWireBytes));
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     files.push_back(decode_published_file(r));
   }
@@ -211,7 +217,8 @@ void CatalogServer::handle_lookup_batch(std::span<const std::uint8_t> params,
   const std::string collection = r.str();
   const std::uint32_t n = r.u32();
   std::vector<std::pair<std::string, std::uint64_t>> items;
-  if (r.ok()) items.reserve(n);
+  items.reserve(
+      std::min<std::size_t>(n, r.remaining() / kLookupItemMinWireBytes));
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     std::string lfn = r.str();
     const std::uint64_t cached_stamp = r.u64();
@@ -689,9 +696,15 @@ void CatalogClient::search(
               rpc::Reader r(reply);
               const std::uint32_t n = r.u32();
               std::vector<ReplicaInfo> out;
-              out.reserve(n);
+              out.reserve(std::min<std::size_t>(
+                  n, r.remaining() / kReplicaInfoMinWireBytes));
               for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
                 out.push_back(decode_replica_info(r));
+              }
+              if (!r.ok()) {
+                done(make_error(ErrorCode::kInternal,
+                                "malformed rc.search reply"));
+                return;
               }
               const auto live = alive.lock();
               if (live != nullptr && *live) {

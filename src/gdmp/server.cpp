@@ -1,5 +1,7 @@
 #include "gdmp/server.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "gdmp/replica_selection.h"
 #include "gridftp/protocol.h"
@@ -442,9 +444,15 @@ void GdmpServer::fetch_remote_catalog(
               rpc::Reader r(reply);
               const std::uint32_t n = r.u32();
               std::vector<PublishedFile> out;
-              out.reserve(n);
+              out.reserve(std::min<std::size_t>(
+                  n, r.remaining() / kPublishedFileMinWireBytes));
               for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
                 out.push_back(decode_published_file(r));
+              }
+              if (!r.ok()) {
+                done(make_error(ErrorCode::kInternal,
+                                "malformed gdmp.get_catalog reply"));
+                return;
               }
               done(std::move(out));
             });
@@ -486,6 +494,11 @@ void GdmpServer::handle_unsubscribe(const security::GsiContext& peer_ctx,
   rpc::Reader r(params);
   SubscriberInfo info;
   info.site = r.str();
+  if (!r.ok() || info.site.empty()) {
+    respond(make_error(ErrorCode::kInvalidArgument, "malformed unsubscribe"),
+            {});
+    return;
+  }
   subscribers_.erase(info);
   respond(Status::ok(), {});
 }
@@ -502,7 +515,8 @@ void GdmpServer::handle_notify(const security::GsiContext& peer_ctx,
   const std::string from_site = r.str();
   const std::uint32_t n = r.u32();
   std::vector<PublishedFile> files;
-  files.reserve(n);
+  files.reserve(
+      std::min<std::size_t>(n, r.remaining() / kPublishedFileMinWireBytes));
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     files.push_back(decode_published_file(r));
   }
@@ -599,6 +613,11 @@ void GdmpServer::handle_delete(const security::GsiContext& peer_ctx,
   }
   rpc::Reader r(params);
   const LogicalFileName lfn = r.str();
+  if (!r.ok() || lfn.empty()) {
+    respond(make_error(ErrorCode::kInvalidArgument, "malformed delete_file"),
+            {});
+    return;
+  }
   const std::string local_path = local_path_for(lfn);
   if (site_.federation != nullptr &&
       site_.federation->is_attached(local_path)) {

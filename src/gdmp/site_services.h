@@ -8,7 +8,7 @@
 #include "security/credentials.h"
 #include "sim/simulator.h"
 #include "storage/disk_pool.h"
-#include "storage/hrm.h"
+#include "storage/mss.h"
 
 namespace gdmp::core {
 
@@ -18,7 +18,7 @@ struct SiteServices {
   net::TcpStack& stack;
   storage::DiskPool& pool;
   /// Null for disk-only sites (no MSS behind the pool).
-  storage::StorageBackend* storage_backend = nullptr;
+  storage::MassStorageSystem* mss = nullptr;
   /// Null for sites without an Objectivity federation.
   objstore::Federation* federation = nullptr;
   const security::CertificateAuthority& ca;

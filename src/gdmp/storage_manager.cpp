@@ -22,8 +22,7 @@ void StorageManager::ensure_on_disk(const std::string& path,
     done(std::move(hit));
     return;
   }
-  if (site_.storage_backend == nullptr ||
-      !site_.storage_backend->in_archive(path)) {
+  if (site_.mss == nullptr || !site_.mss->in_archive(path)) {
     done(make_error(ErrorCode::kNotFound,
                     "not on disk and not archived: " + path));
     return;
@@ -35,7 +34,7 @@ void StorageManager::ensure_on_disk(const std::string& path,
     ++stats_.stages_coalesced;
     return;  // a stage for this file is already in flight
   }
-  site_.storage_backend->stage_to_disk(
+  site_.mss->stage(
       path, site_.pool,
       [this, path, alive = std::weak_ptr<bool>(alive_)](
           Result<storage::FileInfo> result) {
@@ -49,7 +48,7 @@ void StorageManager::ensure_on_disk(const std::string& path,
 }
 
 void StorageManager::archive(const std::string& path, ArchiveCallback done) {
-  if (site_.storage_backend == nullptr) {
+  if (site_.mss == nullptr) {
     done(Status::ok());  // disk-only site: the pool copy is the copy
     return;
   }
@@ -59,7 +58,7 @@ void StorageManager::archive(const std::string& path, ArchiveCallback done) {
     return;
   }
   ++stats_.archives;
-  site_.storage_backend->archive_file(*info, std::move(done));
+  site_.mss->archive(*info, std::move(done));
 }
 
 }  // namespace gdmp::core

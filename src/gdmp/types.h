@@ -28,6 +28,10 @@ struct PublishedFile {
 
 void encode_published_file(rpc::Writer& w, const PublishedFile& file);
 PublishedFile decode_published_file(rpc::Reader& r);
+/// The fewest bytes one encoded PublishedFile takes (empty strings, no
+/// extras): bounds how many entries a message can hold, whatever count it
+/// claims.
+inline constexpr std::size_t kPublishedFileMinWireBytes = 44;
 
 /// GDMP site configuration.
 struct GdmpConfig {

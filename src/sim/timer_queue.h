@@ -1,10 +1,10 @@
 // Single-timer completion queue for coarse-grained subsystems.
 //
-// Tape stagers and script-spawn backends complete work at known future
-// times, but their completion closures are fat (paths, FileInfo, result
-// callbacks). Scheduling each completion directly would push those captures
-// into the kernel's event slots (spilling past the inline buffer) and keep
-// one kernel event per outstanding request. A TimerQueue instead keeps the
+// The MSS's tape drives complete work at known future times, but the
+// completion closures are fat (paths, FileInfo, result callbacks).
+// Scheduling each completion directly would push those captures into the
+// kernel's event slots (spilling past the inline buffer) and keep one
+// kernel event per outstanding request. A TimerQueue instead keeps the
 // payloads in an ordered map and arms ONE kernel event — re-armed in place
 // via Simulator::reschedule — for the earliest due time. The kernel sees a
 // single 24-byte closure regardless of backlog depth.
@@ -42,15 +42,6 @@ class TimerQueue {
     completions_.emplace(due, std::move(fn));
     if (new_front) arm();
   }
-
-  /// Runs `fn` after `delay` (clamped to 0).
-  void schedule(SimDuration delay, Callback fn) {
-    schedule_at(delay > 0 ? simulator_.now() + delay : simulator_.now(),
-                std::move(fn));
-  }
-
-  std::size_t size() const noexcept { return completions_.size(); }
-  bool empty() const noexcept { return completions_.empty(); }
 
  private:
   void arm() {

@@ -6,25 +6,23 @@
 namespace gdmp::storage {
 
 MassStorageSystem::MassStorageSystem(sim::Simulator& simulator,
-                                     MssConfig config)
-    : simulator_(simulator), config_(config), completions_(simulator) {
+                                     MssConfig config, StagingPlugin plugin)
+    : simulator_(simulator),
+      config_(config),
+      plugin_(plugin),
+      completions_(simulator) {
   assert(config_.tape_drives > 0);
   drive_busy_until_.assign(static_cast<std::size_t>(config_.tape_drives), 0);
 }
 
 MassStorageSystem::~MassStorageSystem() {
   // Fail-all drain: every parked completion fires exactly once even when
-  // the site is torn down with tape mounts still in flight. queue_ is
-  // normally empty here (pump() binds synchronously) but is covered too.
-  auto queue = std::move(queue_);
-  for (StageRequest& request : queue) {
-    request.done(make_error(ErrorCode::kUnavailable,
-                            "mss destroyed while staging " + request.path));
-  }
+  // the site is torn down with a request inside the plug-in delay or a
+  // tape mount still in flight.
   auto staging = std::move(staging_);
-  for (auto& [id, request] : staging) {
-    request.done(make_error(ErrorCode::kUnavailable,
-                            "mss destroyed while staging " + request.path));
+  for (auto& [id, job] : staging) {
+    job.done(make_error(ErrorCode::kUnavailable,
+                        "mss destroyed while staging " + job.path));
   }
   auto archiving = std::move(archiving_);
   for (auto& [id, job] : archiving) {
@@ -33,15 +31,25 @@ MassStorageSystem::~MassStorageSystem() {
   }
 }
 
+// A request reaches the drives after the plug-in's delay and takes the
+// earliest-free one. Every request pays the same delay and drive timelines
+// are absolute times, so binding it on arrival gives the drive, start and
+// end that binding it after the delay would, in arrival order.
+SimTime MassStorageSystem::take_drive(SimDuration service) {
+  const auto drive =
+      std::min_element(drive_busy_until_.begin(), drive_busy_until_.end());
+  const SimTime start =
+      std::max(*drive, simulator_.now() + plugin_.request_delay);
+  *drive = start + service;
+  return start;
+}
+
 void MassStorageSystem::archive(const FileInfo& info, ArchiveCallback done) {
   // Archival streams through a drive like staging does.
-  const auto drive_it =
-      std::min_element(drive_busy_until_.begin(), drive_busy_until_.end());
-  const SimTime start = std::max(*drive_it, simulator_.now());
   const SimDuration service =
       config_.mount_latency +
       transmission_delay(info.size, config_.tape_bandwidth);
-  *drive_it = start + service;
+  const SimTime end = take_drive(service) + service;
   ++stats_.archives;
   FileInfo copy = info;
   copy.pinned = false;
@@ -50,7 +58,7 @@ void MassStorageSystem::archive(const FileInfo& info, ArchiveCallback done) {
   // The timer closure holds only the id: teardown fails the parked job and
   // the armed event is silenced by the queue's sentinel.
   // gdmp-lint: owned-callback (closure owned by completions_, a member destroyed with *this)
-  completions_.schedule_at(*drive_it, [this, id] {
+  completions_.schedule_at(end, [this, id] {
     auto node = archiving_.extract(id);
     if (node.empty()) return;
     ArchiveJob& job = node.mapped();
@@ -63,54 +71,25 @@ void MassStorageSystem::archive(const FileInfo& info, ArchiveCallback done) {
 
 void MassStorageSystem::stage(const std::string& path, DiskPool& pool,
                               StageCallback done) {
-  if (!archive_.exists(path)) {
+  const auto archived = archive_.stat(path);
+  if (!archived.is_ok()) {
     done(make_error(ErrorCode::kNotFound, "not archived: " + path));
     return;
   }
-  // gdmp-lint: hot-alloc — stage queue grows with in-flight tape requests (seconds each)
-  queue_.push_back(
-      StageRequest{path, &pool, std::move(done), simulator_.now()});
-  pump();
-}
-
-void MassStorageSystem::pump() {
-  while (!queue_.empty()) {
-    const auto drive_it =
-        std::min_element(drive_busy_until_.begin(), drive_busy_until_.end());
-    // All drives model their own timelines; a request can always be bound to
-    // the earliest-free drive immediately (FIFO order preserved by binding
-    // in queue order).
-    const int drive =
-        static_cast<int>(drive_it - drive_busy_until_.begin());
-    StageRequest request = std::move(queue_.front());
-    queue_.pop_front();
-    run_stage(drive, std::move(request));
-  }
-}
-
-void MassStorageSystem::run_stage(int drive, StageRequest request) {
-  const auto archived = archive_.stat(request.path);
-  if (!archived.is_ok()) {
-    request.done(archived.status());
-    return;
-  }
-  const SimTime start =
-      std::max(drive_busy_until_[drive], simulator_.now());
-  const SimDuration wait = start - simulator_.now();
   const SimDuration service =
       config_.mount_latency +
       transmission_delay(archived->size, config_.tape_bandwidth);
-  drive_busy_until_[drive] = start + service;
+  const SimTime start = take_drive(service);
+  const SimDuration wait = start - (simulator_.now() + plugin_.request_delay);
   ++stats_.stages;
   stats_.total_queue_wait += wait;
   stats_.total_stage_time += wait + service;
 
   const FileInfo file = *archived;
   const std::uint64_t id = next_completion_++;
-  // gdmp-lint: hot-alloc — one map node per in-flight tape mount (seconds each)
-  staging_.emplace(id, std::move(request));
+  staging_.emplace(id, StageJob{path, &pool, std::move(done)});
   // gdmp-lint: owned-callback (closure owned by completions_, a member destroyed with *this)
-  completions_.schedule_at(drive_busy_until_[drive], [this, id, file] {
+  completions_.schedule_at(start + service, [this, id, file] {
     auto node = staging_.extract(id);
     if (node.empty()) return;
     auto result = node.mapped().pool->add_file(file.path, file.size,

@@ -5,17 +5,16 @@ namespace {
 
 constexpr SimDuration kYear = 365LL * 24 * 3600 * kSecond;
 
-core::SiteServices make_services(Site& owner, const std::string& name,
+core::SiteServices make_services(const std::string& name,
                                  sim::Simulator& simulator,
                                  net::TcpStack& stack,
                                  storage::DiskPool& pool,
-                                 storage::StorageBackend* backend,
+                                 storage::MassStorageSystem* mss,
                                  objstore::Federation* federation,
                                  security::CertificateAuthority& ca) {
-  (void)owner;
   return core::SiteServices{
       name,       simulator, stack,
-      pool,       backend,   federation,
+      pool,       mss,       federation,
       ca,         ca.issue("/O=Grid/OU=" + name + "/CN=gdmp-server", kYear)};
 }
 
@@ -30,14 +29,11 @@ Site::Site(sim::Simulator& simulator, net::Network& network, net::Node& host,
       disk_(simulator, config_.disk),
       pool_(config_.pool_capacity, disk_),
       mss_(config_.has_mss ? std::make_unique<storage::MassStorageSystem>(
-                                 simulator, config_.mss)
+                                 simulator, config_.mss,
+                                 config_.use_script_stager
+                                     ? storage::kScriptStagerPlugin
+                                     : storage::kHrmPlugin)
                            : nullptr),
-      backend_(mss_ ? std::make_unique<storage::StorageBackend>(
-                          simulator, *mss_,
-                          config_.use_script_stager
-                              ? storage::kScriptStagerPlugin
-                              : storage::kHrmPlugin)
-                    : nullptr),
       federation_(config_.has_federation
                       ? std::make_unique<objstore::Federation>(
                             host.name() + "-fd", model, pool_)
@@ -45,8 +41,8 @@ Site::Site(sim::Simulator& simulator, net::Network& network, net::Node& host,
       persistency_(federation_ ? std::make_unique<objstore::PersistencyLayer>(
                                      simulator, *federation_)
                                : nullptr),
-      services_(make_services(*this, host.name(), simulator, stack_, pool_,
-                              backend_.get(), federation_.get(), ca)),
+      services_(make_services(host.name(), simulator, stack_, pool_,
+                              mss_.get(), federation_.get(), ca)),
       ftp_server_(stack_, pool_, ca, services_.credential, config_.ftp),
       gdmp_server_(services_, config_.gdmp,
                    [&network](const std::string& hostname) -> Result<net::NodeId> {

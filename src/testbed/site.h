@@ -83,7 +83,6 @@ class Site {
   storage::Disk disk_;
   storage::DiskPool pool_;
   std::unique_ptr<storage::MassStorageSystem> mss_;
-  std::unique_ptr<storage::StorageBackend> backend_;
   std::unique_ptr<objstore::Federation> federation_;
   std::unique_ptr<objstore::PersistencyLayer> persistency_;
   core::SiteServices services_;

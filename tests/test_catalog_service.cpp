@@ -535,6 +535,108 @@ TEST(CatalogService, SearchSortsByLogicalName) {
                        "lfn://cms/a-b", "lfn://cms/a.b", "lfn://cms/a/b"}));
 }
 
+/// Sends one request to the catalog host on a raw RPC connection and runs
+/// the rig until it is answered; returns the status and reply bytes.
+std::pair<Status, std::vector<std::uint8_t>> call_catalog(
+    CatalogRig& rig, const char* method, std::vector<std::uint8_t> params,
+    net::Port port = 2010) {
+  rpc::RpcClient raw(*rig.client_stack, rig.path.host_b->id(), port, rig.ca,
+                     rig.ca.issue("/CN=raw", kYear));
+  std::pair<Status, std::vector<std::uint8_t>> out{
+      make_error(ErrorCode::kInternal, "pending"), {}};
+  raw.call(method, std::move(params),
+           [&out](Status s, std::vector<std::uint8_t> reply) {
+             out = {std::move(s), std::move(reply)};
+           });
+  rig.simulator.run();
+  return out;
+}
+
+TEST(CatalogService, OverstatedBatchCountsAreRefused) {
+  // rc.lookup_batch and rc.publish_batch requests claiming 2^32 - 1 items
+  // but carrying one are refused as malformed, with no reservation sized
+  // from the count, and the catalog host then serves well-formed batches.
+  CatalogRig rig;
+  rpc::Writer lookup;
+  lookup.str("cms");
+  lookup.u32(~std::uint32_t{0});
+  lookup.str(lfn_for(0));
+  lookup.u64(0);
+  EXPECT_EQ(call_catalog(rig, "rc.lookup_batch", lookup.take()).first.code(),
+            ErrorCode::kInvalidArgument);
+
+  rpc::Writer publish;
+  publish.str("cms");
+  publish.str("cern");
+  publish.str("gsiftp://cern/px");
+  publish.u32(~std::uint32_t{0});
+  core::encode_published_file(publish, rig.file(0));
+  EXPECT_EQ(call_catalog(rig, "rc.publish_batch", publish.take()).first.code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(rig.server->catalog().entry_stamp("cms", lfn_for(0)).is_ok());
+
+  rig.publish_all(2);
+  Status status = make_error(ErrorCode::kInternal, "pending");
+  std::size_t found = 0;
+  rig.client->lookup_batch(
+      "cms", rig.lfns(2),
+      [&](Status s, std::vector<Result<core::ReplicaInfo>> results) {
+        status = s;
+        for (const auto& result : results) found += result.is_ok() ? 1 : 0;
+      });
+  rig.simulator.run();
+  EXPECT_TRUE(status.is_ok());
+  EXPECT_EQ(found, 2u);
+}
+
+TEST(CatalogService, TruncatedSearchReplyIsAnErrorAndNotCached) {
+  // A stub rc.search handler serves a real two-result reply cut inside its
+  // second result, then the same reply with a count of 2^32 - 1: each
+  // search fails as malformed and caches nothing, so asking again reaches
+  // the stub again.
+  CatalogRig rig;
+  rig.publish_all(2);
+  rpc::Writer query;
+  query.str("cms");
+  query.str("(objectclass=logicalfile)");
+  const auto [status, whole] = call_catalog(rig, "rc.search", query.take());
+  ASSERT_TRUE(status.is_ok());
+  std::vector<std::uint8_t> overstated = whole;
+  std::fill_n(overstated.begin(), 4, std::uint8_t{0xff});
+  const std::vector<std::vector<std::uint8_t>> replies = {
+      {whole.begin(), whole.end() - 3}, overstated};
+
+  rpc::RpcServer stub(*rig.server_stack, 2011, rig.ca,
+                      rig.ca.issue("/CN=stub", kYear));
+  const std::vector<std::uint8_t>* reply = nullptr;
+  int served = 0;
+  stub.register_method("rc.search",
+                       [&served, &reply](auto&, auto, auto, auto respond) {
+                         ++served;
+                         respond(Status::ok(), *reply);
+                       });
+  ASSERT_TRUE(stub.start().is_ok());
+  core::CatalogClient client(*rig.client_stack, rig.path.host_b->id(), 2011,
+                             rig.ca, rig.ca.issue("/CN=site", kYear),
+                             {.cache_ttl = 300 * kSecond});
+  int searches = 0;
+  for (const auto& bytes : replies) {
+    reply = &bytes;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      Result<std::vector<core::ReplicaInfo>> result =
+          make_error(ErrorCode::kAborted, "pending");
+      client.search("cms", "(objectclass=logicalfile)",
+                    [&](Result<std::vector<core::ReplicaInfo>> r) {
+                      result = std::move(r);
+                    });
+      rig.simulator.run();
+      EXPECT_EQ(result.code(), ErrorCode::kInternal) << bytes.size();
+      EXPECT_EQ(result.status().message(), "malformed rc.search reply");
+      EXPECT_EQ(served, ++searches) << bytes.size();
+    }
+  }
+}
+
 TEST(CatalogService, ClientDestroyedMidLookupBatchFiresOnce) {
   CatalogRig rig;
   rig.publish_all(8);

@@ -2,6 +2,8 @@
 // plug-ins, publish/subscribe/replicate on a two-site grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "testbed/grid.h"
 #include "testbed/workload.h"
 
@@ -340,6 +342,122 @@ TEST(Gdmp, AuthorizedStageThenReleaseUnpins) {
   EXPECT_FALSE(f.producer().pool().peek(path)->pinned);
 }
 
+TEST(Gdmp, OverstatedNotifyCountIsRefused) {
+  // A notify claiming 2^32 - 1 files but carrying one is refused as
+  // malformed, with no reservation sized from the count, and the server
+  // then serves a well-formed notify.
+  TwoSiteFixture f;
+  PublishedFile blank;
+  blank.file_type.clear();
+  rpc::Writer empty;
+  encode_published_file(empty, blank);
+  EXPECT_EQ(empty.take().size(), kPublishedFileMinWireBytes);
+
+  PublishedFile file;
+  file.lfn = "lfn://cms/x";
+
+  rpc::Writer overstated;
+  overstated.str("anl");
+  overstated.u32(~std::uint32_t{0});
+  encode_published_file(overstated, file);
+  EXPECT_EQ(call_producer(f, kMethodNotify, overstated.take()).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(f.producer().gdmp_server().stats().notifications_received, 0);
+
+  rpc::Writer one;
+  one.str("anl");
+  one.u32(1);
+  encode_published_file(one, file);
+  EXPECT_TRUE(call_producer(f, kMethodNotify, one.take()).is_ok());
+  EXPECT_EQ(f.producer().gdmp_server().stats().notifications_received, 1);
+}
+
+TEST(Gdmp, TruncatedCatalogReplyIsAnError) {
+  // A stub gdmp.get_catalog handler serves a two-entry export catalog whole,
+  // cut inside its second entry, and with a count of 2^32 - 1: only the
+  // whole reply is a catalog, the other two fail as malformed.
+  TwoSiteFixture f;
+  PublishedFile a, b;
+  a.lfn = "lfn://cms/a";
+  b.lfn = "lfn://cms/b";
+  rpc::Writer w;
+  w.u32(2);
+  encode_published_file(w, a);
+  encode_published_file(w, b);
+  const std::vector<std::uint8_t> whole = w.take();
+  std::vector<std::uint8_t> overstated = whole;
+  std::fill_n(overstated.begin(), 4, std::uint8_t{0xff});
+  const std::vector<std::vector<std::uint8_t>> replies = {
+      whole, {whole.begin(), whole.end() - 6}, overstated};
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    f.producer().gdmp_server().rpc().register_method(
+        kMethodGetCatalog,
+        [reply = replies[i]](auto&, auto, auto, auto respond) {
+          respond(Status::ok(), reply);
+        });
+    Result<std::vector<PublishedFile>> fetched =
+        make_error(ErrorCode::kInternal, "pending");
+    bool answered = false;
+    f.consumer().gdmp_server().fetch_remote_catalog(
+        f.producer().host().id(), 2000,
+        [&](Result<std::vector<PublishedFile>> r) {
+          fetched = std::move(r);
+          answered = true;
+        });
+    f.grid.run_until(f.grid.simulator().now() + 60 * kSecond);
+    ASSERT_TRUE(answered) << i;
+    if (i == 0) {
+      ASSERT_TRUE(fetched.is_ok()) << fetched.status().to_string();
+      ASSERT_EQ(fetched->size(), 2u);
+      EXPECT_EQ((*fetched)[1].lfn, "lfn://cms/b");
+      continue;
+    }
+    EXPECT_EQ(fetched.code(), ErrorCode::kInternal) << i;
+    EXPECT_EQ(fetched.status().message(), "malformed gdmp.get_catalog reply");
+  }
+}
+
+TEST(Gdmp, MalformedUnsubscribeAndDeleteAreRefused) {
+  // Requests cut inside their one name are refused; the subscribers, the
+  // pool, the export catalog and the replica catalog stay as they were,
+  // and the catalog host is not asked anything.
+  TwoSiteFixture f;
+  bool subscribed = false;
+  f.consumer().gdmp().subscribe(f.producer().host().id(), 2000,
+                                [&](Status s) { subscribed = s.is_ok(); });
+  f.grid.run_until(f.grid.simulator().now() + 60 * kSecond);
+  ASSERT_TRUE(subscribed);
+  const auto lfns = f.publish_run(2000);
+  ASSERT_FALSE(lfns.empty());
+  const LogicalFileName& lfn = lfns[0];
+  GdmpServer& producer = f.producer().gdmp_server();
+  const std::string local_path = producer.local_path_for(lfn);
+  ASSERT_TRUE(f.producer().pool().contains(local_path));
+  const auto stamp = f.grid.catalog().catalog().entry_stamp("cms", lfn);
+  ASSERT_TRUE(stamp.is_ok());
+  const auto catalog_ops = f.grid.catalog().operations_served();
+
+  std::vector<std::uint8_t> unsubscribe = path_param("anl");
+  unsubscribe.pop_back();
+  EXPECT_EQ(call_producer(f, kMethodUnsubscribe, unsubscribe).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(call_producer(f, kMethodUnsubscribe, {}).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(producer.subscribers().size(), 1u);
+
+  std::vector<std::uint8_t> remove = path_param(lfn);
+  remove.pop_back();
+  EXPECT_EQ(call_producer(f, kMethodDeleteFile, remove).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(call_producer(f, kMethodDeleteFile, {}).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(f.producer().pool().contains(local_path));
+  EXPECT_EQ(producer.export_catalog().count(lfn), 1u);
+  EXPECT_EQ(f.grid.catalog().catalog().entry_stamp("cms", lfn).value_or(0),
+            *stamp);
+  EXPECT_EQ(f.grid.catalog().operations_served(), catalog_ops);
+}
+
 TEST(Gdmp, ObjectivityPostProcessAttachesOnConsumer) {
   TwoSiteFixture f;
   const auto lfns = f.publish_run(2000);
@@ -444,6 +562,116 @@ TEST(StorageManagerUnit, CoalescesDuplicateStages) {
   EXPECT_EQ(completions, 2);
   EXPECT_EQ(manager.stats().stages_coalesced, 1);
   EXPECT_EQ(site.mss()->stats().stages, 1);
+}
+
+// Staging timeline golden: a fixed cold-staging scenario through the
+// Storage Manager on a 2-drive MSS, for each access plug-in. Four files
+// are archived and dropped from disk; three stages start at once (the
+// third waits for a drive), a duplicate of the first coalesces 1 ms later,
+// a fifth file is archived at +1 s and the fourth file staged at +2 s.
+// The completion times (sim ns) and counters were captured on the build
+// in which the plug-in delay was a separate backend in front of the MSS;
+// the MSS must reproduce them exactly.
+struct StagingTimeline {
+  std::vector<std::pair<std::string, SimTime>> done;  // completion order
+  storage::MssStats mss;
+  StorageManagerStats manager;
+};
+
+StagingTimeline run_staging_timeline(bool script_stager) {
+  StagingTimeline out;
+  GridConfig config = two_site_config();
+  config.sites[0].site.has_mss = true;
+  config.sites[0].site.mss.tape_drives = 2;
+  config.sites[0].site.use_script_stager = script_stager;
+  Grid grid(TwoSiteFixture::customize(config));
+  EXPECT_TRUE(grid.start().is_ok());
+  Site& site = grid.site(0);
+  sim::Simulator& simulator = grid.simulator();
+  StorageManager& manager = site.gdmp_server().storage_manager();
+  // A completion callback that logs `label` at the sim time it fires (-1
+  // if it fails).
+  const auto record = [&out, &simulator](std::string label) {
+    return [&out, &simulator, label = std::move(label)](const auto& result) {
+      out.done.emplace_back(label, result.is_ok() ? simulator.now() : -1);
+    };
+  };
+  const std::vector<std::pair<std::string, Bytes>> files = {
+      {"/pool/g0", 40 * kMiB},
+      {"/pool/g1", 90 * kMiB},
+      {"/pool/g2", 25 * kMiB},
+      {"/pool/g3", 60 * kMiB}};
+  for (const auto& [path, size] : files) {
+    (void)site.pool().add_file(path, size, 11, simulator.now());
+    manager.archive(path, record("archive " + path));
+  }
+  grid.run_until(simulator.now() + 600 * kSecond);
+  for (const auto& [path, size] : files) (void)site.pool().remove(path);
+
+  manager.ensure_on_disk("/pool/g0", record("stage /pool/g0"));
+  manager.ensure_on_disk("/pool/g1", record("stage /pool/g1"));
+  manager.ensure_on_disk("/pool/g2", record("stage /pool/g2"));
+  simulator.schedule(1 * kMillisecond, [&] {
+    manager.ensure_on_disk("/pool/g0", record("stage /pool/g0 again"));
+  });
+  simulator.schedule(1 * kSecond, [&] {
+    (void)site.pool().add_file("/pool/h", 30 * kMiB, 12, simulator.now());
+    manager.archive("/pool/h", record("archive /pool/h"));
+  });
+  simulator.schedule(2 * kSecond, [&] {
+    manager.ensure_on_disk("/pool/g3", record("stage /pool/g3"));
+  });
+  grid.run_until(simulator.now() + 3600 * kSecond);
+  out.mss = site.mss()->stats();
+  out.manager = manager.stats();
+  return out;
+}
+
+void expect_staging_counters(const StagingTimeline& timeline) {
+  // The plug-in delay shifts every start alike, so both plug-ins wait the
+  // same on the drives.
+  EXPECT_EQ(timeline.mss.stages, 4);
+  EXPECT_EQ(timeline.mss.archives, 5);
+  EXPECT_EQ(timeline.mss.total_queue_wait, 95340031998);
+  EXPECT_EQ(timeline.mss.total_stage_time, 230369621330);
+  EXPECT_EQ(timeline.manager.disk_hits, 0);
+  EXPECT_EQ(timeline.manager.stage_requests, 5);
+  EXPECT_EQ(timeline.manager.stages_coalesced, 1);
+  EXPECT_EQ(timeline.manager.archives, 5);
+}
+
+TEST(StagingTimeline, HrmPluginGolden) {
+  const StagingTimeline timeline = run_staging_timeline(false);
+  const std::vector<std::pair<std::string, SimTime>> expected = {
+      {"archive /pool/g0", 32801202666},
+      {"archive /pool/g1", 36296456000},
+      {"archive /pool/g2", 64548829332},
+      {"archive /pool/g3", 70490760000},
+      {"stage /pool/g0", 632801202666},
+      {"stage /pool/g0 again", 632801202666},
+      {"stage /pool/g1", 636296456000},
+      {"stage /pool/g2", 664548829332},
+      {"archive /pool/h", 668393608000},
+      {"stage /pool/g3", 698743133332}};
+  EXPECT_EQ(timeline.done, expected);
+  expect_staging_counters(timeline);
+}
+
+TEST(StagingTimeline, ScriptPluginGolden) {
+  const StagingTimeline timeline = run_staging_timeline(true);
+  const std::vector<std::pair<std::string, SimTime>> expected = {
+      {"archive /pool/g0", 33196202666},
+      {"archive /pool/g1", 36691456000},
+      {"archive /pool/g2", 64943829332},
+      {"archive /pool/g3", 70885760000},
+      {"stage /pool/g0", 633196202666},
+      {"stage /pool/g0 again", 633196202666},
+      {"stage /pool/g1", 636691456000},
+      {"stage /pool/g2", 664943829332},
+      {"archive /pool/h", 668788608000},
+      {"stage /pool/g3", 699138133332}};
+  EXPECT_EQ(timeline.done, expected);
+  expect_staging_counters(timeline);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Tests for the storage substrate: filesystem, disk pool, MSS, HRM.
+// Tests for the storage substrate: filesystem, disk pool, MSS and its
+// access plug-ins.
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
 #include "storage/disk_pool.h"
-#include "storage/hrm.h"
 #include "storage/mss.h"
 
 namespace gdmp::storage {
@@ -152,7 +152,7 @@ TEST(DiskPool, FileLargerThanPoolRejected) {
 TEST(Mss, ArchiveThenStageRestoresFile) {
   PoolFixture f;
   DiskPool pool(10000, f.disk);
-  MassStorageSystem mss(f.simulator, MssConfig{});
+  MassStorageSystem mss(f.simulator, MssConfig{}, kHrmPlugin);
   FileInfo info;
   info.path = "/pool/run.0";
   info.size = 5000;
@@ -180,7 +180,7 @@ TEST(Mss, ArchiveThenStageRestoresFile) {
 TEST(Mss, StageUnknownFileFails) {
   PoolFixture f;
   DiskPool pool(10000, f.disk);
-  MassStorageSystem mss(f.simulator, MssConfig{});
+  MassStorageSystem mss(f.simulator, MssConfig{}, kHrmPlugin);
   Status status = Status::ok();
   mss.stage("/nope", pool, [&](Result<FileInfo> r) { status = r.status(); });
   f.simulator.run();
@@ -194,7 +194,7 @@ TEST(Mss, StagingPaysMountAndTransferTime) {
   config.tape_drives = 1;
   config.mount_latency = 30 * kSecond;
   config.tape_bandwidth = 15 * 8 * kMbps;
-  MassStorageSystem mss(f.simulator, config);
+  MassStorageSystem mss(f.simulator, config, kHrmPlugin);
   FileInfo info;
   info.path = "/f";
   info.size = 150 * kMiB;  // 10 s at 15 MB/s
@@ -214,7 +214,7 @@ TEST(Mss, DrivesLimitParallelism) {
   MssConfig config;
   config.tape_drives = 1;
   config.mount_latency = 10 * kSecond;
-  MassStorageSystem mss(f.simulator, config);
+  MassStorageSystem mss(f.simulator, config, kHrmPlugin);
   for (int i = 0; i < 3; ++i) {
     FileInfo info;
     info.path = "/f" + std::to_string(i);
@@ -240,30 +240,33 @@ TEST(Mss, DrivesLimitParallelism) {
 TEST(Hrm, ScriptStagerSlowerThanHrm) {
   PoolFixture f;
   DiskPool pool(1 * kGiB, f.disk);
-  MassStorageSystem mss(f.simulator, MssConfig{});
+  MassStorageSystem hrm(f.simulator, MssConfig{}, kHrmPlugin);
+  MassStorageSystem script(f.simulator, MssConfig{}, kScriptStagerPlugin);
   FileInfo info;
   info.path = "/f";
   info.size = 1000;
-  mss.archive(info, [](Status) {});
+  hrm.archive(info, [](Status) {});
+  script.archive(info, [](Status) {});
   f.simulator.run();
 
-  StorageBackend hrm(f.simulator, mss, kHrmPlugin);
-  StorageBackend script(f.simulator, mss, kScriptStagerPlugin);
   SimTime hrm_done = 0, script_done = 0;
   const SimTime t0 = f.simulator.now();
-  hrm.stage_to_disk("/f", pool, [&](Result<FileInfo>) {
+  hrm.stage("/f", pool, [&](Result<FileInfo>) {
     hrm_done = f.simulator.now() - t0;
   });
   f.simulator.run();
   (void)pool.remove("/f");
   const SimTime t1 = f.simulator.now();
-  script.stage_to_disk("/f", pool, [&](Result<FileInfo>) {
+  script.stage("/f", pool, [&](Result<FileInfo>) {
     script_done = f.simulator.now() - t1;
   });
   f.simulator.run();
   EXPECT_GT(script_done, hrm_done);
-  EXPECT_STREQ(hrm.name(), "hrm");
-  EXPECT_STREQ(script.name(), "script");
+  // Same drive work on idle drives: only the per-request cost differs.
+  EXPECT_EQ(script_done - hrm_done,
+            kScriptStagerPlugin.request_delay - kHrmPlugin.request_delay);
+  EXPECT_STREQ(hrm.plugin_name(), "hrm");
+  EXPECT_STREQ(script.plugin_name(), "script");
 }
 
 }  // namespace

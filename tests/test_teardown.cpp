@@ -19,7 +19,6 @@
 #include "rpc/rpc_client.h"
 #include "rpc/rpc_server.h"
 #include "storage/disk_pool.h"
-#include "storage/hrm.h"
 #include "storage/mss.h"
 #include "testbed/grid.h"
 #include "testbed/workload.h"
@@ -39,7 +38,9 @@ struct StorageRig {
   storage::DiskPool pool{100 * kGiB, disk};
   std::optional<storage::MassStorageSystem> mss;
 
-  StorageRig() { mss.emplace(simulator, storage::MssConfig{}); }
+  explicit StorageRig(storage::StagingPlugin plugin) {
+    mss.emplace(simulator, storage::MssConfig{}, plugin);
+  }
 
   storage::FileInfo file(const std::string& path, Bytes size) {
     return storage::FileInfo{path, size, 0x5eed, simulator.now(), false};
@@ -54,18 +55,21 @@ struct StorageRig {
   }
 };
 
-TEST(Teardown, HrmBackendFailsParkedStageAndArchiveOnce) {
-  StorageRig rig;
+// A stage and an archive still inside the plug-in's request delay when
+// the MSS dies: each fails once, and its armed timer never fires later.
+void expect_parked_in_plugin_delay_fail_once(storage::StagingPlugin plugin) {
+  StorageRig rig(plugin);
   rig.archive_now("/pool/a", 4 * kMiB);
   CountingCallback stage, archive;
-  {
-    storage::StorageBackend hrm(rig.simulator, *rig.mss, storage::kHrmPlugin);
-    hrm.stage_to_disk("/pool/a", rig.pool,
-                      stage.wrap<Result<storage::FileInfo>>());
-    hrm.archive_file(rig.file("/pool/b", 1 * kMiB), archive.wrap<Status>());
-    // Both jobs are parked behind the RPC-overhead timer; the backend dies
-    // before it fires.
-  }
+  rig.mss->stage("/pool/a", rig.pool,
+                 stage.wrap<Result<storage::FileInfo>>());
+  rig.mss->archive(rig.file("/pool/b", 1 * kMiB), archive.wrap<Status>());
+  // Both requests are waiting out the plug-in's request delay; the MSS
+  // dies before it ends.
+  rig.simulator.run_until(rig.simulator.now() + plugin.request_delay - 1);
+  EXPECT_EQ(stage.count(), 0);
+  EXPECT_EQ(archive.count(), 0);
+  rig.mss.reset();
   EXPECT_TRUE(stage.exactly_once());
   EXPECT_EQ(stage.last_code(), ErrorCode::kUnavailable);
   EXPECT_TRUE(archive.exactly_once());
@@ -76,36 +80,21 @@ TEST(Teardown, HrmBackendFailsParkedStageAndArchiveOnce) {
   EXPECT_TRUE(archive.exactly_once());
 }
 
-TEST(Teardown, ScriptStagerFailsParkedStageAndArchiveOnce) {
-  StorageRig rig;
-  rig.archive_now("/pool/a", 4 * kMiB);
-  CountingCallback stage, archive;
-  {
-    storage::StorageBackend stager(rig.simulator, *rig.mss,
-                                   storage::kScriptStagerPlugin);
-    stager.stage_to_disk("/pool/a", rig.pool,
-                         stage.wrap<Result<storage::FileInfo>>());
-    stager.archive_file(rig.file("/pool/b", 1 * kMiB),
-                        archive.wrap<Status>());
-  }
-  EXPECT_TRUE(stage.exactly_once());
-  EXPECT_EQ(stage.last_code(), ErrorCode::kUnavailable);
-  EXPECT_TRUE(archive.exactly_once());
-  EXPECT_EQ(archive.last_code(), ErrorCode::kUnavailable);
-  rig.simulator.run_until(rig.simulator.now() + 3600 * kSecond);
-  EXPECT_TRUE(stage.exactly_once());
-  EXPECT_TRUE(archive.exactly_once());
+TEST(Teardown, MssFailsStageAndArchiveInHrmDelayOnce) {
+  expect_parked_in_plugin_delay_fail_once(storage::kHrmPlugin);
 }
 
-TEST(Teardown, HrmBackendSuccessAndErrorPathsFireOnce) {
-  StorageRig rig;
+TEST(Teardown, MssFailsStageAndArchiveInScriptDelayOnce) {
+  expect_parked_in_plugin_delay_fail_once(storage::kScriptStagerPlugin);
+}
+
+TEST(Teardown, MssHrmPluginSuccessAndErrorPathsFireOnce) {
+  StorageRig rig(storage::kHrmPlugin);
   rig.archive_now("/pool/a", 4 * kMiB);
-  storage::StorageBackend hrm(rig.simulator, *rig.mss, storage::kHrmPlugin);
   CountingCallback hit, miss;
-  hrm.stage_to_disk("/pool/a", rig.pool,
-                    hit.wrap<Result<storage::FileInfo>>());
-  hrm.stage_to_disk("/pool/never-archived", rig.pool,
-                    miss.wrap<Result<storage::FileInfo>>());
+  rig.mss->stage("/pool/a", rig.pool, hit.wrap<Result<storage::FileInfo>>());
+  rig.mss->stage("/pool/never-archived", rig.pool,
+                 miss.wrap<Result<storage::FileInfo>>());
   rig.simulator.run_until(rig.simulator.now() + 3600 * kSecond);
   EXPECT_TRUE(hit.exactly_once());
   EXPECT_TRUE(hit.last_status().is_ok());
@@ -115,7 +104,7 @@ TEST(Teardown, HrmBackendSuccessAndErrorPathsFireOnce) {
 }
 
 TEST(Teardown, MssDestroyedMidMountFailsStageAndArchiveOnce) {
-  StorageRig rig;
+  StorageRig rig(storage::kHrmPlugin);
   rig.archive_now("/pool/a", 64 * kMiB);
   CountingCallback stage, archive;
   rig.mss->stage("/pool/a", rig.pool,
@@ -135,7 +124,7 @@ TEST(Teardown, MssDestroyedMidMountFailsStageAndArchiveOnce) {
 }
 
 TEST(Teardown, MssStageErrorFiresOnce) {
-  StorageRig rig;
+  StorageRig rig(storage::kHrmPlugin);
   CountingCallback miss;
   rig.mss->stage("/pool/never-archived", rig.pool,
                  miss.wrap<Result<storage::FileInfo>>());

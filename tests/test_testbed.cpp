@@ -219,6 +219,8 @@ TEST(SiteAssembly, StorageBackendSelection) {
   ASSERT_TRUE(grid.start().is_ok());
   ASSERT_NE(grid.site(0).mss(), nullptr);
   ASSERT_NE(grid.site(1).mss(), nullptr);
+  EXPECT_STREQ(grid.site(0).mss()->plugin_name(), "hrm");
+  EXPECT_STREQ(grid.site(1).mss()->plugin_name(), "script");
 }
 
 // ------------------------------------------------------- registry schema
