@@ -2,7 +2,7 @@
 // (InlineFunction callbacks + index-tracked 4-ary heap, DESIGN.md §5e)
 // versus a frozen copy of the pre-optimization kernel (legacy_sim.h).
 //
-// Three measurements:
+// Four measurements:
 //  1. schedule/fire — the hold model: a constant working set of pending
 //     events, each fire schedules one successor at a pseudo-random offset.
 //  2. RTO-style churn — schedule a timeout far out, cancel it and schedule
@@ -10,7 +10,10 @@
 //     rearms the retransmission timer). The legacy kernel leaves a tombstone
 //     per cancel; the new kernel removes in place, and reschedule() fuses
 //     the pair entirely.
-//  3. end-to-end — a tuned WAN transfer (bench_util.h harness) timed in
+//  3. self re-arm — events that re-arm from their own callbacks at reserved
+//     keys among far-future timers: the link-delivery shape, which fires in
+//     place at the heap root (new kernel only).
+//  4. end-to-end — a tuned WAN transfer (bench_util.h harness) timed in
 //     wall-clock seconds, showing what the kernel change buys a real
 //     workload.
 #include <algorithm>
@@ -18,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <ctime>
+#include <vector>
 
 #include "bench_util.h"
 #include "legacy_sim.h"
@@ -137,6 +141,54 @@ double run_churn(std::int64_t operations, int timers) {
   return elapsed;
 }
 
+// --- 3. self re-arm (link-delivery shape) ----------------------------------
+//
+// `rearming` events each re-arm from their own callback through
+// reschedule_at() at a key reserved one fire earlier, the way a link's
+// delivery event moves to the next packet's reserved key, among `timers`
+// far-future timers that never fire (idle RTOs). New kernel only: the
+// legacy kernel has no reserved keys.
+struct SelfRearm {
+  struct Arm {
+    sim::EventHandle handle;
+    std::uint64_t reserved = 0;
+  };
+
+  sim::Simulator& sim;
+  std::int64_t remaining;
+  std::vector<Arm> arms;
+  std::uint32_t x = 0x5bd1e995u;
+
+  void fire(std::size_t i) {
+    if (remaining <= 0) return;
+    --remaining;
+    x = lcg(x);
+    Arm& arm = arms[i];
+    sim.reschedule_at(arm.handle,
+                      sim.now() + static_cast<SimDuration>(x % 1000 + 1),
+                      arm.reserved);
+    arm.reserved = sim.reserve_seq();
+  }
+};
+
+double run_self_rearm(std::int64_t events, int rearming, int timers,
+                      std::int64_t& fired) {
+  sim::Simulator sim;
+  constexpr SimTime kFar = SimTime{1} << 60;
+  for (int i = 0; i < timers; ++i) sim.schedule_at(kFar + i, [] {});
+  SelfRearm rearm{sim, events - rearming, {}};
+  rearm.arms.resize(static_cast<std::size_t>(rearming));
+  for (std::size_t i = 0; i < rearm.arms.size(); ++i) {
+    SelfRearm::Arm& arm = rearm.arms[i];
+    arm.handle = sim.schedule(static_cast<SimDuration>(i + 1),
+                              [&rearm, i] { rearm.fire(i); });
+    arm.reserved = sim.reserve_seq();
+  }
+  const double start = bench_seconds();
+  fired = static_cast<std::int64_t>(sim.run_until(kFar - 1));
+  return bench_seconds() - start;
+}
+
 /// Interleaves the contestants rep by rep (A, B, A, B, …) so slow phases of
 /// a noisy host hit both kernels alike, and keeps each one's best time.
 template <typename... Fns>
@@ -216,7 +268,21 @@ int main(int argc, char** argv) {
               {"legacy_seconds", churn_old},
               {"speedup", fused_ratio}});
 
-  // 3. End-to-end WAN transfer on the production kernel. No in-process
+  // 3. Self re-arm at reserved keys (link deliveries).
+  const std::int64_t rearm_events = smoke ? 20'000 : 4'000'000;
+  const int rearming = smoke ? 16 : 256;
+  const int idle_timers = smoke ? 256 : 16384;
+  std::int64_t rearm_fired = 0;
+  const auto [rearm_new] = best_of_interleaved(reps, [&] {
+    return run_self_rearm(rearm_events, rearming, idle_timers, rearm_fired);
+  });
+  std::printf("%-28s %12.2f %12s %8s\n", "self re-arm (reserved keys)",
+              static_cast<double>(rearm_fired) / rearm_new / 1e6, "-", "-");
+  report.add({{"name", "self_rearm"},
+              {"events", static_cast<long long>(rearm_fired)},
+              {"new_seconds", rearm_new}});
+
+  // 4. End-to-end WAN transfer on the production kernel. No in-process
   // legacy comparison is possible (the whole net/storage stack now runs on
   // the new kernel); README §performance pins the before/after wall times.
   WanBenchConfig config;

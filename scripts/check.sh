@@ -23,8 +23,14 @@
 #      GDMP_HASH_SEED salts scrambling every unordered container's
 #      iteration order. determinism_check also sets GDMP_ROLLUP_FILE, so
 #      the observability runs must replay their rollup stream to the byte.
+#   7. kernel work counts — every gated bench_sim_kernel row (events
+#      fired, operations issued, the packets wan_transfer's tuned WAN
+#      transfer delivers) must equal bench/baselines/sim_kernel.json under
+#      GDMP_HASH_SEED 0 and 7919 (scripts/bench.sh --compare-counts: no
+#      timing, so it holds on any machine).
 #
 #   scripts/check.sh            # lint + all presets + smoke + determinism
+#                               # + kernel work counts
 #   scripts/check.sh default    # just one preset (skips lint/smoke)
 #   scripts/check.sh perf-gate  # non-default: full bench_sim_kernel, bench_flow,
 #                               # bench_replica_catalog,
@@ -298,6 +304,15 @@ if [ "$smoke" -eq 1 ]; then
     ./build/bench/bench_staging
   GDMP_BENCH_OUT=build ./build/tools/determinism_check --hash-perturb \
     ./build/bench/bench_staging
+
+  echo "==> kernel work counts [bench_sim_kernel vs baseline, two hash salts]"
+  for salt in 0 7919; do
+    counts_out="$(mktemp -d /tmp/gdmp-kernel-counts.XXXXXX)"
+    GDMP_HASH_SEED="$salt" scripts/bench.sh \
+      --compare-counts bench/baselines/sim_kernel.json "$counts_out" \
+      bench_sim_kernel
+    rm -rf "$counts_out"
+  done
 fi
 
 echo "==> all checks passed: ${presets[*]}"

@@ -570,6 +570,10 @@ void FtpServer::handle_size(std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const std::string path = r.str();
+  if (!r.ok() || path.empty()) {
+    respond(make_error(ErrorCode::kInvalidArgument, "malformed SIZE"), {});
+    return;
+  }
   auto file = pool_.peek(path);
   if (!file.is_ok()) {
     respond(file.status(), {});
@@ -584,6 +588,10 @@ void FtpServer::handle_cksm(std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const std::string path = r.str();
+  if (!r.ok() || path.empty()) {
+    respond(make_error(ErrorCode::kInvalidArgument, "malformed CKSM"), {});
+    return;
+  }
   auto file = pool_.peek(path);
   if (!file.is_ok()) {
     respond(file.status(), {});
@@ -598,6 +606,10 @@ void FtpServer::handle_dele(std::span<const std::uint8_t> params,
                             rpc::RpcServer::Respond respond) {
   rpc::Reader r(params);
   const std::string path = r.str();
+  if (!r.ok() || path.empty()) {
+    respond(make_error(ErrorCode::kInvalidArgument, "malformed DELE"), {});
+    return;
+  }
   respond(pool_.remove(path), {});
 }
 

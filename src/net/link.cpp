@@ -4,12 +4,33 @@
 
 namespace gdmp::net {
 
-Link::Link(sim::Simulator& simulator, LinkConfig config, Deliver deliver)
+void InFlightPool::grow() {
+  const Index base = static_cast<Index>(chunks_.size()) * kChunkSize;
+  // Runs only when the network-wide in-flight population sets a new
+  // high-water mark; a steady-state acquire() takes the free list.
+  chunks_.push_back(std::make_unique<InFlight[]>(kChunkSize));
+  InFlight* chunk = chunks_.back().get();
+  for (Index k = 0; k < kChunkSize; ++k) {
+    chunk[k].next = k + 1 < kChunkSize ? base + k + 1 : free_;
+  }
+  free_ = base;
+}
+
+Link::Link(sim::Simulator& simulator, InFlightPool& pool, LinkConfig config,
+           Deliver deliver)
     : simulator_(simulator),
+      pool_(pool),
       config_(config),
       deliver_(std::move(deliver)) {}
 
-Link::~Link() { simulator_.cancel(delivery_); }
+Link::~Link() {
+  simulator_.cancel(delivery_);
+  while (head_ != InFlightPool::kNone) {
+    const InFlightPool::Index next = pool_[head_].next;
+    pool_.release(head_);
+    head_ = next;
+  }
+}
 
 bool Link::enqueue(const Packet& packet) {
   const Bytes size = packet.wire_size();
@@ -28,26 +49,37 @@ bool Link::enqueue(const Packet& packet) {
   busy_until_ = done;
   busy_time_ += done - start;
 
+  const InFlightPool::Index index = pool_.acquire();
+  InFlight& entry = pool_[index];
+  entry.done = done;
   // Release first, then delivery: the order in which scheduling the two as
   // events would take their sequence numbers.
-  const std::uint64_t release_seq = simulator_.reserve_seq();
-  const std::uint64_t delivery_seq = simulator_.reserve_seq();
-  in_flight_.push_back({done, release_seq, delivery_seq, size, packet});
-  if (in_flight_.size() == 1) arm_delivery();
+  entry.release_seq = simulator_.reserve_seq();
+  entry.delivery_seq = simulator_.reserve_seq();
+  entry.size = size;
+  entry.packet = packet;
+  if (unreleased_ == InFlightPool::kNone) unreleased_ = index;
+  if (tail_ == InFlightPool::kNone) {
+    head_ = tail_ = index;
+    arm_delivery();
+  } else {
+    pool_[tail_].next = index;
+    tail_ = index;
+  }
   return true;
 }
 
 void Link::release_serialized() {
-  while (released_ < in_flight_.size()) {
-    const InFlight& next = in_flight_[released_];
+  while (unreleased_ != InFlightPool::kNone) {
+    const InFlight& next = pool_[unreleased_];
     if (!simulator_.has_fired(next.done, next.release_seq)) return;
     backlog_ -= next.size;
-    ++released_;
+    unreleased_ = next.next;
   }
 }
 
 void Link::arm_delivery() {
-  const InFlight& head = in_flight_.front();
+  const InFlight& head = pool_[head_];
   const SimTime at = head.done + config_.propagation;
   // Re-keys the firing event in place when called from deliver_head().
   if (simulator_.reschedule_at(delivery_, at, head.delivery_seq)) return;
@@ -58,21 +90,28 @@ void Link::arm_delivery() {
 }
 
 void Link::deliver_head() {
-  InFlight& head = in_flight_.front();
+  const InFlightPool::Index index = head_;
+  const InFlight& head = pool_[index];
   // A delivery follows its own release, which may not have been drained.
-  if (released_ > 0) {
-    --released_;
-  } else {
+  if (unreleased_ == index) {
     backlog_ -= head.size;
+    unreleased_ = head.next;
   }
   ++stats_.packets_delivered;
   stats_.bytes_delivered += head.size;
-  // Move the packet out and re-arm first: the receiver may enqueue on this
-  // link again, or destroy it.
-  const Packet arrived = std::move(head.packet);
-  in_flight_.pop_front();
-  if (!in_flight_.empty()) arm_delivery();
-  deliver_(arrived);
+  // Unlink the packet and re-arm first: the receiver may enqueue on this
+  // link again, or destroy it. The unlinked entry stays put (chunks never
+  // move) until it is handed back, through a reference that outlives the
+  // link.
+  head_ = head.next;
+  if (head_ == InFlightPool::kNone) {
+    tail_ = InFlightPool::kNone;
+  } else {
+    arm_delivery();
+  }
+  InFlightPool& pool = pool_;
+  deliver_(head.packet);
+  pool.release(index);
 }
 
 SimDuration Link::queueing_delay() const noexcept {

@@ -14,10 +14,18 @@
 // at the next packet's reserved key. Both keys are reserved in the order
 // two scheduled events would take them, so every event, and every drop
 // decision, lands exactly where it would if both were real events.
+//
+// A link's in-flight packets live in one InFlightPool shared by every link
+// of a Network, chained by index: the link keeps the head, the tail and the
+// first packet whose queue space is not yet released. The pool's chunks
+// never move and freed entries are reused, so memory follows the
+// network-wide in-flight high-water and a steady-state packet-hop
+// allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
+#include <vector>
 
 #include "common/types.h"
 #include "net/packet.h"
@@ -41,14 +49,74 @@ struct LinkStats {
   Bytes bytes_delivered = 0;  // wire bytes handed to the receiver
 };
 
+/// A packet accepted by a link but not yet delivered, with the reserved
+/// kernel keys of its serialization end `(done, release_seq)` and of its
+/// delivery `(done + propagation, delivery_seq)`, and the index of the next
+/// packet on the same link (or of the next free entry).
+struct InFlight {
+  SimTime done = 0;
+  std::uint64_t release_seq = 0;
+  std::uint64_t delivery_seq = 0;
+  Bytes size = 0;
+  std::uint32_t next = 0;
+  Packet packet;
+};
+
+/// Slab of in-flight packets shared by the links of one Network: fixed
+/// chunks of kChunkSize entries that never move, and a free list threaded
+/// through the entries' `next` indices. It must outlive its links.
+class InFlightPool {
+ public:
+  using Index = std::uint32_t;
+  static constexpr Index kNone = ~Index{0};
+
+  InFlightPool() = default;
+  InFlightPool(const InFlightPool&) = delete;
+  InFlightPool& operator=(const InFlightPool&) = delete;
+
+  InFlight& operator[](Index index) noexcept {
+    return chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
+  }
+
+  /// A free entry with `next == kNone`. Adds a chunk only when every entry
+  /// is taken.
+  Index acquire() {
+    if (free_ == kNone) grow();
+    const Index index = free_;
+    InFlight& entry = (*this)[index];
+    free_ = entry.next;
+    entry.next = kNone;
+    return index;
+  }
+
+  /// Returns an entry to the free list and drops its payload reference.
+  void release(Index index) noexcept {
+    InFlight& entry = (*this)[index];
+    entry.packet.data.reset();
+    entry.next = free_;
+    free_ = index;
+  }
+
+ private:
+  static constexpr unsigned kChunkShift = 7;
+  static constexpr Index kChunkSize = Index{1} << kChunkShift;
+
+  void grow();
+
+  std::vector<std::unique_ptr<InFlight[]>> chunks_;
+  Index free_ = kNone;
+};
+
 class Link {
  public:
   /// Inline callable: link delivery is the per-packet fast path, so the
   /// receive hook must not cost a heap-backed std::function.
   using Deliver = sim::InlineFunction<void(const Packet&), 64>;
 
-  /// The simulator must outlive the link: ~Link() cancels its event.
-  Link(sim::Simulator& simulator, LinkConfig config, Deliver deliver);
+  /// The simulator and the pool must outlive the link: ~Link() cancels its
+  /// event and returns its packets to the pool.
+  Link(sim::Simulator& simulator, InFlightPool& pool, LinkConfig config,
+       Deliver deliver);
   ~Link();
 
   Link(const Link&) = delete;
@@ -91,17 +159,6 @@ class Link {
   double sample_utilization();
 
  private:
-  /// A packet accepted but not yet delivered, with the reserved kernel keys
-  /// of its serialization end `(done, release_seq)` and of its delivery
-  /// `(done + propagation, delivery_seq)`.
-  struct InFlight {
-    SimTime done;
-    std::uint64_t release_seq;
-    std::uint64_t delivery_seq;
-    Bytes size;
-    Packet packet;
-  };
-
   /// Frees the queue space of every packet whose serialization end has
   /// passed.
   void release_serialized();
@@ -111,22 +168,26 @@ class Link {
   void deliver_head();
 
   sim::Simulator& simulator_;
+  InFlightPool& pool_;
   LinkConfig config_;
   Deliver deliver_;
   LinkStats stats_;
   Bytes backlog_ = 0;  // bytes of the in-flight packets not yet released
-  std::size_t released_ = 0;  // in_flight_ prefix already out of backlog_
   SimTime busy_until_ = 0;  // when the transmitter becomes idle
   SimDuration busy_time_ = 0;  // serialization time accumulated so far
   obs::Gauge* utilization_gauge_ = nullptr;
   SimTime sample_anchor_ = 0;         // window start of the last sample
   SimDuration sample_busy_base_ = 0;  // busy_time() at the window start
   double last_utilization_ = 0.0;     // returned for empty sample windows
-  /// FIFO: serialization ends and deliveries both come in enqueue order
-  /// (the transmitter is work-conserving and the propagation delay is
-  /// constant). A deque, so its memory follows the packets in flight.
-  std::deque<InFlight> in_flight_;
-  /// Armed at the head packet's delivery key while in_flight_ is non-empty.
+  /// The in-flight packets, chained through the pool in enqueue order:
+  /// serialization ends and deliveries both come in that order (the
+  /// transmitter is work-conserving and the propagation delay is constant).
+  InFlightPool::Index head_ = InFlightPool::kNone;
+  InFlightPool::Index tail_ = InFlightPool::kNone;
+  /// The first packet whose queue space is still in backlog_; every packet
+  /// before it on the chain has been released.
+  InFlightPool::Index unreleased_ = InFlightPool::kNone;
+  /// Armed at the head packet's delivery key while the chain is non-empty.
   sim::EventHandle delivery_;
 };
 

@@ -24,13 +24,13 @@ void Network::connect(Node& a, Node& b, const LinkConfig& ab,
   Node* pb = &b;
   Node* pa = &a;
   a.interfaces_.push_back(Node::Interface{
-      b.id(), std::make_unique<Link>(simulator_, ab, [pb](const Packet& p) {
-        pb->receive(p);
-      })});
+      b.id(), std::make_unique<Link>(
+                  simulator_, in_flight_, ab,
+                  [pb](const Packet& p) { pb->receive(p); })});
   b.interfaces_.push_back(Node::Interface{
-      a.id(), std::make_unique<Link>(simulator_, ba, [pa](const Packet& p) {
-        pa->receive(p);
-      })});
+      a.id(), std::make_unique<Link>(
+                  simulator_, in_flight_, ba,
+                  [pa](const Packet& p) { pa->receive(p); })});
 }
 
 void Network::compute_routes() {

@@ -54,6 +54,9 @@ class Network {
 
  private:
   sim::Simulator& simulator_;
+  /// Every link's in-flight packets. Declared before nodes_, so it outlives
+  /// the links.
+  InFlightPool in_flight_;
   std::vector<std::unique_ptr<Node>> nodes_;
   common::UnorderedMap<std::string, NodeId> by_name_;  // lookup-only
 };

@@ -436,6 +436,11 @@ void ObjectReplicationService::handle_pack_done(
   const std::uint64_t request_id = r.u64();
   const auto code = static_cast<ErrorCode>(r.u8());
   const std::string message = r.str();
+  if (!r.ok()) {
+    respond(make_error(ErrorCode::kInvalidArgument, "malformed pack_done"),
+            {});
+    return;
+  }
   respond(Status::ok(), {});
   const auto it = sub_requests_.find(request_id);
   if (it == sub_requests_.end()) return;

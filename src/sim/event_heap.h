@@ -13,6 +13,8 @@
 //    callback — the re-arm pattern costs one sift and zero allocations;
 //  * handles are {slot, generation} pairs: a handle to a fired or cancelled
 //    event can never alias a reused slot (the generation advances on free).
+// Heap positions sit in a dense array indexed by slot, away from the slots'
+// callables, so the position writes of a sift stay in a few cache lines.
 //
 // Determinism: ordering is the strict total order (time, seq) — seq is the
 // kernel's monotonically increasing schedule counter — so pop order is
@@ -20,11 +22,15 @@
 // the hot loop is pop-dominated (sift-down touches 4 children per level but
 // halves the depth, and all 4 fit in one cache line pair).
 //
-// Firing protocol: pop_firing() detaches the minimum and parks its callback
-// in a dedicated member while it executes; reschedule()/cancel() on the
-// firing handle work during the callback (this is how self-re-arming timers
-// keep one persistent callback alive across fires). finish_firing() then
-// either re-inserts the slot or frees it.
+// Firing protocol, in place: begin_firing() flags the minimum as firing and
+// leaves it at the root, and its callable runs in its own slot
+// (firing_fn()). Nothing can displace the root meanwhile: every event
+// scheduled, rescheduled or cancelled during the callback keys after the
+// firing (time, seq), and slots live in a deque, so the callable never
+// moves. reschedule()/cancel() on the firing handle only record what
+// finish_firing() does next: re-key the root and sift it down once for a
+// re-arm (how self-re-arming timers and link deliveries keep one callback
+// across fires), or remove the root and free the slot.
 #pragma once
 
 #include <cassert>
@@ -66,12 +72,15 @@ class EventHeap {
     std::uint64_t seq;
   };
 
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t size() const noexcept { return heap_.size(); }
+  /// Pending events; the firing event is not counted.
+  std::size_t size() const noexcept {
+    return heap_.size() - (firing_slot_ == kNoSlot ? 0 : 1);
+  }
+  bool empty() const noexcept { return size() == 0; }
 
-  /// Scheduled events currently flagged as daemons (the firing event is
-  /// detached and not counted). Simulator::run() stops when only daemons
-  /// remain: size() == daemon_count().
+  /// Scheduled events currently flagged as daemons (the firing event is not
+  /// counted). Simulator::run() stops when only daemons remain:
+  /// size() == daemon_count().
   std::size_t daemon_count() const noexcept { return daemon_count_; }
 
   /// Flags or clears an event's daemon status (periodic monitoring ticks
@@ -92,18 +101,20 @@ class EventHeap {
     return true;
   }
 
-  /// Earliest (time, seq) in the heap; undefined when empty.
+  /// Earliest (time, seq) in the heap; undefined when empty or firing.
   Minimum peek() const noexcept {
-    assert(!heap_.empty());
+    assert(!heap_.empty() && firing_slot_ == kNoSlot);
     return {heap_[0].time, heap_[0].seq};
   }
 
-  /// Pre-sizes the heap vector and free list for `events` concurrently
-  /// scheduled events, so push()/finish_firing() on the hot path never grow
-  /// a vector until the population exceeds the reservation. (The slot pool
-  /// is a deque — block-granular growth, no reallocation to front-load.)
+  /// Pre-sizes the heap vector, the position array and the free list for
+  /// `events` concurrently scheduled events, so push() on the hot path
+  /// never grows a vector until the population exceeds the reservation.
+  /// (The slot pool is a deque — block-granular growth, no reallocation to
+  /// front-load.)
   void reserve(std::size_t events) {
     heap_.reserve(events);
+    pos_.reserve(events);
     free_slots_.reserve(events);
   }
 
@@ -114,7 +125,7 @@ class EventHeap {
     s.state = Slot::kScheduled;
     const std::uint32_t pos = static_cast<std::uint32_t>(heap_.size());
     heap_.push_back(Node{time, seq, slot});
-    s.heap_pos = pos;
+    pos_[slot] = pos;
     sift_up(pos);
     return EventHandle(slot, s.gen);
   }
@@ -135,13 +146,13 @@ class EventHeap {
       return true;
     }
     if (s->daemon) --daemon_count_;
-    remove_node(s->heap_pos);
+    remove_node(pos_[h.slot_index()]);
     release_slot(h.slot_index());
     return true;
   }
 
   /// Re-keys a pending event to (time, seq), keeping slot and callback.
-  /// Works on the firing event (re-inserts it after the callback returns).
+  /// Works on the firing event (re-keys it after the callback returns).
   /// Returns false for stale handles.
   bool reschedule(EventHandle h, SimTime time, std::uint64_t seq) noexcept {
     Slot* s = resolve(h);
@@ -153,23 +164,22 @@ class EventHeap {
       rearm_seq_ = seq;
       return true;
     }
-    const std::uint32_t pos = s->heap_pos;
+    const std::uint32_t pos = pos_[h.slot_index()];
     heap_[pos].time = time;
     heap_[pos].seq = seq;
     if (!sift_up(pos)) sift_down(pos);
     return true;
   }
 
-  /// Detaches the minimum event and parks its callback for execution.
-  /// Call firing_fn()() next, then finish_firing(). Undefined when empty.
-  Minimum pop_firing() {
+  /// Starts firing the minimum event: it stays at the root, flagged as
+  /// firing. Call firing_fn()() next, then finish_firing(). Undefined when
+  /// empty.
+  Minimum begin_firing() noexcept {
     assert(!heap_.empty());
-    assert(firing_slot_ == kNoSlot && "pop_firing is not reentrant");
-    const Node top = heap_[0];
-    remove_node(0);
+    assert(firing_slot_ == kNoSlot && "begin_firing is not reentrant");
+    const Node& top = heap_[0];
     Slot& s = slots_[top.slot];
     if (s.daemon) --daemon_count_;
-    firing_fn_ = std::move(s.fn);
     s.state = Slot::kFiring;
     firing_slot_ = top.slot;
     firing_cancelled_ = false;
@@ -177,26 +187,26 @@ class EventHeap {
     return {top.time, top.seq};
   }
 
-  Fn& firing_fn() noexcept { return firing_fn_; }
+  /// The firing event's callable, invoked in its own slot.
+  Fn& firing_fn() noexcept { return slots_[firing_slot_].fn; }
 
-  /// Completes the firing protocol: re-inserts the slot if the callback
+  /// Completes the firing protocol: re-keys the root if the callback
   /// rescheduled itself (and was not subsequently cancelled), otherwise
-  /// destroys the callback and frees the slot.
+  /// removes the root, destroys the callback and frees the slot.
   void finish_firing() {
     assert(firing_slot_ != kNoSlot);
     const std::uint32_t slot = firing_slot_;
+    assert(heap_[0].slot == slot && "the firing event left the root");
     firing_slot_ = kNoSlot;
-    Slot& s = slots_[slot];
     if (rearm_ && !firing_cancelled_) {
-      s.fn = std::move(firing_fn_);
+      Slot& s = slots_[slot];
       s.state = Slot::kScheduled;
       if (s.daemon) ++daemon_count_;
-      const std::uint32_t pos = static_cast<std::uint32_t>(heap_.size());
-      heap_.push_back(Node{rearm_time_, rearm_seq_, slot});
-      s.heap_pos = pos;
-      sift_up(pos);
+      heap_[0].time = rearm_time_;
+      heap_[0].seq = rearm_seq_;
+      sift_down(0);
     } else {
-      firing_fn_.reset();
+      remove_node(0);
       release_slot(slot);
     }
     rearm_ = false;
@@ -214,7 +224,6 @@ class EventHeap {
 
     Fn fn;
     std::uint64_t gen = 1;
-    std::uint32_t heap_pos = 0;
     State state = kFree;
     bool daemon = false;
   };
@@ -243,8 +252,9 @@ class EventHeap {
       free_slots_.pop_back();
       return slot;
     }
-    // gdmp-lint: hot-alloc — deque block growth only while the live-event population sets a new high-water mark; steady state always hits the free list above
+    // gdmp-lint: hot-alloc — slot pool and position array grow only while the live-event population sets a new high-water mark; steady state always hits the free list above
     slots_.emplace_back();
+    pos_.push_back(0);
     // Worst case every slot is freed at once (a drain after cancel storms),
     // so keep the free list's capacity ahead of the pool: release_slot then
     // never allocates, even outside the steady state.
@@ -268,7 +278,7 @@ class EventHeap {
     const std::uint32_t last = static_cast<std::uint32_t>(heap_.size() - 1);
     if (pos != last) {
       heap_[pos] = heap_[last];
-      slots_[heap_[pos].slot].heap_pos = pos;
+      pos_[heap_[pos].slot] = pos;
       heap_.pop_back();
       if (!sift_up(pos)) sift_down(pos);
     } else {
@@ -284,12 +294,12 @@ class EventHeap {
       const std::uint32_t parent = (i - 1) / 4;
       if (!earlier(node, heap_[parent])) break;
       heap_[i] = heap_[parent];
-      slots_[heap_[i].slot].heap_pos = i;
+      pos_[heap_[i].slot] = i;
       i = parent;
     }
     if (i == pos) return false;
     heap_[i] = node;
-    slots_[node.slot].heap_pos = i;
+    pos_[node.slot] = i;
     return true;
   }
 
@@ -308,26 +318,29 @@ class EventHeap {
       }
       if (!earlier(heap_[best], node)) break;
       heap_[i] = heap_[best];
-      slots_[heap_[i].slot].heap_pos = i;
+      pos_[heap_[i].slot] = i;
       i = best;
     }
     if (i != pos) {
       heap_[i] = node;
-      slots_[node.slot].heap_pos = i;
+      pos_[node.slot] = i;
     }
   }
 
   std::size_t daemon_count_ = 0;
   std::vector<Node> heap_;
-  // Slots never move (deque), so growing the pool while callbacks are in
-  // flight cannot invalidate anything; freed slots are recycled via the
+  // Slots never move (deque), so growing the pool while a callback runs in
+  // its slot cannot invalidate anything; freed slots are recycled via the
   // free list with a bumped generation.
   std::deque<Slot> slots_;
+  // Heap position of each slot's node, indexed by slot (stale for a free
+  // slot); grows with the slot pool.
+  std::vector<std::uint32_t> pos_;
   std::vector<std::uint32_t> free_slots_;
 
   // Firing protocol state (single-threaded kernel: at most one event fires
-  // at a time; nested run() calls are not supported).
-  Fn firing_fn_;
+  // at a time; nested run() calls are not supported). The firing event
+  // stays at heap_[0] until finish_firing().
   std::uint32_t firing_slot_ = kNoSlot;
   bool firing_cancelled_ = false;
   bool rearm_ = false;

@@ -34,7 +34,8 @@ bool Simulator::reschedule_at(EventHandle handle, SimTime when,
 }
 
 void Simulator::fire_next() {
-  const auto top = heap_.pop_firing();
+  // The event fires in place at the heap root (event_heap.h).
+  const auto top = heap_.begin_firing();
   now_ = top.time;
   passed_ = top;
   ++fired_;

@@ -11,8 +11,11 @@
 // event slot, never on the heap — and the queue is an index-tracked 4-ary
 // min-heap (event_heap.h) with O(log n) in-place cancellation and a fused
 // cancel+schedule (`reschedule`) for re-arm patterns such as the TCP RTO
-// timer. Steady-state schedule/fire/cancel/reschedule perform zero heap
-// allocations (pinned by a regression test).
+// timer. An event fires in place: it stays at the heap root while its
+// callback runs in its own slot, so a self re-arm (link deliveries, CBR
+// shots, RTOs) costs one sift-down and no callback move. pending() never
+// counts the firing event. Steady-state schedule/fire/cancel/reschedule
+// perform zero heap allocations (pinned by a regression test).
 #pragma once
 
 #include <cstdint>
@@ -112,7 +115,8 @@ class Simulator {
     return heap_.set_daemon(handle, on);
   }
 
-  /// Pending (non-cancelled) event count.
+  /// Pending (non-cancelled) event count. Inside a callback the firing
+  /// event is not counted, even once it has re-armed itself.
   std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Pending events currently flagged as daemons.

@@ -1,6 +1,7 @@
 // Tests for the GridFTP protocol pieces and end-to-end transfers.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "common/crc32.h"
@@ -8,6 +9,7 @@
 #include "gridftp/client.h"
 #include "gridftp/server.h"
 #include "net/topology.h"
+#include "rpc/rpc_client.h"
 
 namespace gdmp::gridftp {
 namespace {
@@ -338,6 +340,37 @@ TEST(Ftp, SizeChecksumDeleteCommands) {
   f.simulator.run_until(120 * kSecond);
   EXPECT_TRUE(deleted.is_ok());
   EXPECT_FALSE(f.pool_a->contains("/pool/f"));
+}
+
+TEST(GridFtp, MalformedSizeChecksumDeleteAreRefused) {
+  // SIZE, CKSM and DELE refuse a request cut inside its path, an empty
+  // frame and an empty path, and the file stays where it was.
+  FtpFixture f;
+  (void)f.pool_a->add_file("/pool/f", 1 * kMiB, 9, 0);
+  rpc::RpcClient control(*f.stack_b, f.path.host_a->id(), kControlPort, f.ca,
+                         f.ca.issue("/CN=dst", kYear));
+  rpc::Writer whole;
+  whole.str("/pool/f");
+  std::vector<std::uint8_t> cut = whole.take();
+  cut.pop_back();
+  rpc::Writer empty_path;
+  empty_path.str("");
+  const std::vector<std::vector<std::uint8_t>> requests = {
+      cut, {}, empty_path.take()};
+  for (const char* command : {kCmdSize, kCmdChecksum, kCmdDelete}) {
+    for (const auto& params : requests) {
+      std::optional<Status> status;
+      control.call(command, params,
+                   [&status](Status s, std::vector<std::uint8_t>) {
+                     status = s;
+                   });
+      f.simulator.run_until(f.simulator.now() + 60 * kSecond);
+      ASSERT_TRUE(status.has_value()) << command;
+      EXPECT_EQ(status->code(), ErrorCode::kInvalidArgument)
+          << command << " with " << params.size() << " bytes";
+    }
+  }
+  EXPECT_TRUE(f.pool_a->contains("/pool/f"));
 }
 
 TEST(Ftp, ParallelStreamsImproveUntunedThroughput) {

@@ -31,7 +31,8 @@ TEST(Link, DropsWhenQueueFull) {
   config.bandwidth = 1 * kMbps;
   config.queue_capacity = 3000;
   int delivered = 0;
-  Link link(simulator, config, [&](const Packet&) { ++delivered; });
+  InFlightPool pool;
+  Link link(simulator, pool, config, [&](const Packet&) { ++delivered; });
   Packet packet;
   packet.payload_len = 1000;
   for (int i = 0; i < 5; ++i) link.enqueue(packet);
@@ -46,7 +47,9 @@ TEST(Link, SerializationPlusPropagationDelay) {
   config.bandwidth = 8 * kMbps;  // 1 byte per microsecond
   config.propagation = 10 * kMillisecond;
   SimTime arrival = -1;
-  Link link(simulator, config, [&](const Packet&) { arrival = simulator.now(); });
+  InFlightPool pool;
+  Link link(simulator, pool, config,
+            [&](const Packet&) { arrival = simulator.now(); });
   Packet packet;
   packet.payload_len = 960;  // wire = 1000 B -> 1 ms serialization
   link.enqueue(packet);
@@ -58,7 +61,8 @@ TEST(Link, UtilizationSampleOnEmptyWindowRepeatsLastValue) {
   sim::Simulator simulator;
   LinkConfig config;
   config.bandwidth = 8 * kMbps;  // 1 byte per microsecond
-  Link link(simulator, config, [](const Packet&) {});
+  InFlightPool pool;
+  Link link(simulator, pool, config, [](const Packet&) {});
   Packet packet;
   packet.payload_len = 960;  // wire = 1000 B -> 1 ms busy
   link.enqueue(packet);
@@ -80,7 +84,8 @@ TEST(Link, DeliveryCountersTrackArrivals) {
   LinkConfig config;
   config.bandwidth = 8 * kMbps;
   config.queue_capacity = 3000;
-  Link link(simulator, config, [](const Packet&) {});
+  InFlightPool pool;
+  Link link(simulator, pool, config, [](const Packet&) {});
   Packet packet;
   packet.payload_len = 1000;  // wire = 1040 B
   for (int i = 0; i < 5; ++i) link.enqueue(packet);  // 2 fit, 3 drop
@@ -98,6 +103,7 @@ TEST(Link, DeliveryCountersTrackArrivals) {
 // serialization at exactly t=1 ms, when a third packet arrives.
 struct TieRig {
   sim::Simulator simulator;
+  InFlightPool pool;
   Link link;
   Packet packet;
 
@@ -109,7 +115,7 @@ struct TieRig {
     return config;
   }
 
-  TieRig() : link(simulator, config(), [](const Packet&) {}) {
+  TieRig() : link(simulator, pool, config(), [](const Packet&) {}) {
     packet.payload_len = 960;  // wire = 1000 B -> 1 ms serialization
   }
 
@@ -156,7 +162,8 @@ TEST(Link, ReceiverMayReenterTheDeliveringLink) {
   config.propagation = 1 * kMillisecond;
   std::vector<SimTime> arrivals;
   Link* self = nullptr;
-  Link link(simulator, config, [&](const Packet& p) {
+  InFlightPool pool;
+  Link link(simulator, pool, config, [&](const Packet& p) {
     arrivals.push_back(simulator.now());
     if (arrivals.size() < 3) self->enqueue(p);
   });

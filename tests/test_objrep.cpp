@@ -855,6 +855,54 @@ TEST(ObjectReplication, OverstatedIdCountsAreRefused) {
   EXPECT_EQ(f.grid.site(0).objrep().stats().packs_served, 0);
 }
 
+TEST(ObjectReplication, MalformedPackDoneIsRefused) {
+  // A pack_done the reader cannot parse is refused and touches no
+  // sub-request: neither an empty frame nor one carrying only the id of a
+  // live sub-request, whose replication then completes normally.
+  ObjRepFixture f;
+  const auto send = [&f](std::vector<std::uint8_t> params) {
+    std::optional<Status> status;
+    f.grid.site(0)
+        .gdmp_server()
+        .peer(f.grid.site(1).host().id(), 2000)
+        .call("objrep.pack_done", std::move(params),
+              [&status](Status s, std::vector<std::uint8_t>) { status = s; });
+    while (!status.has_value() &&
+           f.grid.simulator().now() < 3600 * kSecond) {
+      f.grid.run_until(f.grid.simulator().now() + 10 * kMillisecond);
+    }
+    return status.value_or(make_error(ErrorCode::kInternal, "no reply"));
+  };
+  const Status empty = send({});
+  EXPECT_EQ(empty.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(empty.message(), "malformed pack_done");
+
+  Rng rng(5);
+  SelectionConfig selection;
+  selection.fraction = 1e-2;
+  const auto needed = select_objects(f.grid.model(), selection, rng);
+  ASSERT_FALSE(needed.empty());
+  bool done = false;
+  ObjectReplicationService::Outcome outcome;
+  f.grid.site(1).objrep().replicate_objects(
+      needed, [&](Result<ObjectReplicationService::Outcome> result) {
+        done = true;
+        ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+        outcome = *result;
+      });
+  rpc::Writer id_only;
+  id_only.u64(1);  // the consumer's first request id: the cern sub-request
+  EXPECT_EQ(send(id_only.take()).code(), ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(done);
+  f.grid.run_until(f.grid.simulator().now() + 3600 * kSecond);
+  ASSERT_TRUE(done);
+  EXPECT_GT(outcome.chunks, 0);
+  EXPECT_EQ(outcome.payload_bytes, selection_bytes(f.grid.model(), needed));
+  for (const ObjectId id : needed) {
+    EXPECT_TRUE(f.grid.site(1).persistency()->available(id));
+  }
+}
+
 TEST(ObjectReplication, PipeliningReducesResponseTime) {
   // 1000 AOD objects (~10 MiB) in 2 MiB chunks: the per-object seek cost of
   // the copier (~5 s total) is comparable to the WAN phase, so overlap must

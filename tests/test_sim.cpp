@@ -1,6 +1,8 @@
 // Unit tests for the discrete-event kernel.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -351,6 +353,291 @@ TEST(Simulator, ManyEventsStressOrdering) {
   }
   simulator.run();
   EXPECT_TRUE(monotone);
+}
+
+TEST(Simulator, PendingInsideCallbackExcludesFiringEvent) {
+  // The firing event is not pending while its callback runs, even after it
+  // re-arms itself; events it schedules are.
+  Simulator simulator;
+  std::vector<std::size_t> seen;
+  EventHandle self;
+  self = simulator.schedule(10, [&] {
+    seen.push_back(simulator.pending());
+    seen.push_back(simulator.daemon_pending());
+    EXPECT_TRUE(simulator.reschedule(self, 5));
+    seen.push_back(simulator.pending());
+    simulator.schedule(1, [] {});
+    seen.push_back(simulator.pending());
+    seen.push_back(simulator.daemon_pending());
+  });
+  ASSERT_TRUE(simulator.set_daemon(self));
+  simulator.schedule(20, [] {});
+  EXPECT_EQ(simulator.pending(), 2u);
+  EXPECT_EQ(simulator.daemon_pending(), 1u);
+  ASSERT_TRUE(simulator.step());
+  EXPECT_EQ(seen, (std::vector<std::size_t>{1, 0, 1, 2, 0}));
+  EXPECT_EQ(simulator.pending(), 3u);  // the other, the new and the re-arm
+  EXPECT_EQ(simulator.daemon_pending(), 1u);
+}
+
+// Differential test: seeded random programs run on the Simulator and on a
+// naive reference kernel, an ordered std::set of (time, seq, id) with the
+// firing protocol written out. Both must fire the same events in the same
+// order, and agree on pending() and daemon_pending() inside every callback
+// and after every event. Sequence numbers follow the kernel's contract: a
+// schedule, a reschedule and a reserve_seq() each take the next one.
+class ReferenceDiff {
+ public:
+  explicit ReferenceDiff(std::uint64_t seed) : rng_(seed) {}
+
+  void run_program(int operations) {
+    for (int op = 0; op < operations && !::testing::Test::HasFailure(); ++op) {
+      settle();
+      switch (draw(14)) {
+        case 0:
+        case 1:
+        case 2: schedule(draw_delay(6)); break;
+        case 3: schedule_reserved(draw_delay(4)); break;
+        case 4: reserve(); break;
+        case 5: cancel(any()); break;
+        case 6: reschedule(any(), draw_delay(6)); break;
+        case 7: reschedule_reserved(any(), draw_delay(4)); break;
+        case 8: set_daemon(any(), draw(3) != 0); break;
+        case 9:
+        case 10:
+        case 11: sim_.step(); break;
+        case 12: run_until(sim_.now() + draw_delay(4)); break;
+        default: run(); break;
+      }
+      settle();
+      check_counts();
+    }
+    budget_ = 0;  // callbacks stop scheduling; the queue drains
+    while (sim_.step()) {
+    }
+    settle();
+    EXPECT_TRUE(queue_.empty());
+    check_counts();
+  }
+
+  std::size_t fired() const noexcept { return fired_; }
+
+ private:
+  using Key = std::tuple<SimTime, std::uint64_t, int>;
+  struct Event {
+    EventHandle handle;
+    Key key{};
+    bool pending = false;
+    bool firing = false;
+    bool daemon = false;
+  };
+
+  std::uint64_t draw(std::uint64_t n) {
+    rng_ = rng_ * 6364136223846793005ull + 1442695040888963407ull;
+    return (rng_ >> 33) % n;
+  }
+  SimDuration draw_delay(std::uint64_t n) {
+    return static_cast<SimDuration>(draw(n));
+  }
+  int any() {
+    return events_.empty() ? -1 : static_cast<int>(draw(events_.size()));
+  }
+
+  void insert(int id, Key key) {
+    Event& e = events_[id];
+    e.key = key;
+    e.pending = true;
+    queue_.insert(key);
+    if (e.daemon) ++daemons_;
+  }
+  void erase(int id) {
+    Event& e = events_[id];
+    queue_.erase(e.key);
+    e.pending = false;
+    if (e.daemon) --daemons_;
+  }
+  bool live(int id) const {
+    return id >= 0 && (events_[id].pending || events_[id].firing);
+  }
+  EventHandle handle(int id) const {
+    return id < 0 ? EventHandle{} : events_[id].handle;
+  }
+  Simulator::Callback callback(int id) {
+    return [this, id] { on_fire(id); };
+  }
+
+  int schedule(SimDuration delay) {
+    const int id = static_cast<int>(events_.size());
+    events_.emplace_back();
+    events_[id].handle = sim_.schedule(delay, callback(id));
+    insert(id, {sim_.now() + delay, next_seq_++, id});
+    return id;
+  }
+  /// A key from reserve_seq(), pushed a little later (or at now, when the
+  /// key has not fired yet): equal-time ties with its own FIFO place.
+  std::pair<SimTime, std::uint64_t> reserved_key(SimDuration delay) {
+    const std::uint64_t seq = reserved_.back();
+    reserved_.pop_back();
+    SimTime when = sim_.now() + delay;
+    if (sim_.has_fired(when, seq)) ++when;
+    return {when, seq};
+  }
+  void schedule_reserved(SimDuration delay) {
+    if (reserved_.empty()) {
+      schedule(delay);
+      return;
+    }
+    const auto [when, seq] = reserved_key(delay);
+    const int id = static_cast<int>(events_.size());
+    events_.emplace_back();
+    events_[id].handle = sim_.schedule_at(when, seq, callback(id));
+    insert(id, {when, seq, id});
+  }
+  void reserve() {
+    const std::uint64_t seq = sim_.reserve_seq();
+    EXPECT_EQ(seq, next_seq_);
+    ++next_seq_;
+    reserved_.push_back(seq);
+  }
+  void cancel(int id) {
+    sim_.cancel(handle(id));
+    if (!live(id)) return;
+    if (events_[id].firing) {
+      cancelled_ = true;
+      return;
+    }
+    erase(id);
+  }
+  void move(int id, Key key) {
+    if (events_[id].firing) {
+      rearm_ = true;
+      cancelled_ = false;
+      rearm_key_ = key;
+      return;
+    }
+    erase(id);
+    insert(id, key);
+  }
+  void reschedule(int id, SimDuration delay) {
+    const bool expected = live(id);
+    EXPECT_EQ(sim_.reschedule(handle(id), delay), expected);
+    // A reschedule takes a sequence number even when the handle is stale.
+    const std::uint64_t seq = next_seq_++;
+    if (expected) move(id, {sim_.now() + delay, seq, id});
+  }
+  void reschedule_reserved(int id, SimDuration delay) {
+    if (reserved_.empty() || !live(id)) {
+      reschedule(id, delay);
+      return;
+    }
+    const auto [when, seq] = reserved_key(delay);
+    EXPECT_TRUE(sim_.reschedule_at(handle(id), when, seq));
+    move(id, {when, seq, id});
+  }
+  void set_daemon(int id, bool on) {
+    const bool expected = live(id);
+    EXPECT_EQ(sim_.set_daemon(handle(id), on), expected);
+    if (!expected) return;
+    Event& e = events_[id];
+    if (e.pending && e.daemon != on) {
+      if (on) {
+        ++daemons_;
+      } else {
+        --daemons_;
+      }
+    }
+    e.daemon = on;
+  }
+  void run_until(SimTime deadline) {
+    sim_.run_until(deadline);
+    settle();
+    EXPECT_TRUE(queue_.empty() || std::get<0>(*queue_.begin()) > deadline);
+  }
+  void run() {
+    sim_.run();
+    settle();
+    EXPECT_EQ(queue_.size(), daemons_);  // only daemons hold nothing open
+  }
+
+  /// Completes the reference's firing protocol once the kernel's callback
+  /// has returned (the kernel finished it before any later observation).
+  void settle() {
+    if (firing_ < 0) return;
+    events_[firing_].firing = false;
+    if (rearm_ && !cancelled_) insert(firing_, rearm_key_);
+    firing_ = -1;
+  }
+  void check_counts() {
+    EXPECT_EQ(sim_.pending(), queue_.size());
+    EXPECT_EQ(sim_.daemon_pending(), daemons_);
+  }
+
+  void on_fire(int id) {
+    settle();
+    ++fired_;
+    ASSERT_FALSE(queue_.empty());
+    const Key top = *queue_.begin();
+    ASSERT_EQ(std::get<2>(top), id) << "fire " << fired_;
+    ASSERT_EQ(std::get<0>(top), sim_.now()) << "fire " << fired_;
+    erase(id);
+    events_[id].firing = true;
+    firing_ = id;
+    rearm_ = false;
+    cancelled_ = false;
+    check_counts();
+    for (std::uint64_t n = draw(3); n > 0 && budget_ > 0; --n, --budget_) {
+      switch (draw(10)) {
+        case 0: reschedule(id, draw_delay(4)); break;
+        case 1:  // re-arm at a key reserved in this callback
+          reserve();
+          reschedule_reserved(id, draw_delay(3));
+          break;
+        case 2:  // re-arm, then a teardown cancels it
+          reschedule(id, draw_delay(4));
+          cancel(id);
+          break;
+        case 3:  // self-cancel, then schedule a successor
+          cancel(id);
+          schedule(draw_delay(3));
+          break;
+        case 4: cancel(any()); break;
+        case 5: set_daemon(id, draw(2) == 0); break;
+        case 6: schedule(0); break;  // equal-time tie behind the firing event
+        case 7:
+          reserve();
+          schedule_reserved(draw_delay(3));
+          break;
+        case 8: reschedule(any(), draw_delay(4)); break;
+        default: set_daemon(any(), draw(2) == 0); break;
+      }
+      check_counts();
+    }
+  }
+
+  Simulator sim_;
+  std::set<Key> queue_;
+  std::vector<Event> events_;
+  std::vector<std::uint64_t> reserved_;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t rng_;
+  std::size_t daemons_ = 0;
+  std::size_t fired_ = 0;
+  std::int64_t budget_ = 4'000;
+  int firing_ = -1;
+  bool rearm_ = false;
+  bool cancelled_ = false;
+  Key rearm_key_{};
+};
+
+TEST(Simulator, RandomOpsMatchReferenceOrder) {
+  std::size_t fired = 0;
+  for (std::uint64_t seed = 1; seed <= 200 && !HasFailure(); ++seed) {
+    SCOPED_TRACE(seed);
+    ReferenceDiff diff(seed);
+    diff.run_program(600);
+    fired += diff.fired();
+  }
+  EXPECT_GT(fired, 50'000u);
 }
 
 TEST(Simulator, CrcMemoIsScopedToOneRun) {

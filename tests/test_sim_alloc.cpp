@@ -14,8 +14,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "flow/flow_engine.h"
+#include "net/cross_traffic.h"
 #include "net/topology.h"
 #include "objstore/federation.h"
 #include "obs/heartbeat.h"
@@ -198,6 +200,50 @@ TEST(SimulatorAlloc, RescheduleAndPeriodicTimerAllocateNothing) {
   EXPECT_EQ(allocation_count(), before);
   EXPECT_GE(ticks, 1'000u);
   EXPECT_EQ(sink, 0u);
+}
+
+// Packet-path contract (net/link.h, DESIGN.md §5e): once the network's
+// in-flight pool has reached its high-water mark, a packet-hop (enqueue,
+// the lazy release of serialized packets, the delivery event's re-arm and
+// the hand-off to the next node) allocates nothing. Two grid sites send
+// CBR cross traffic to each other through the core, the background load
+// of the packet campaign.
+TEST(LinkAlloc, SteadyStatePacketHopsAllocateNothing) {
+  Simulator sim;
+  net::Network network{sim};
+  const net::GridTopology grid =
+      net::make_grid_topology(network, {{"cern", {}}, {"anl", {}}});
+  const net::DatagramSink sink_cern(*grid.hosts[0]);
+  const net::DatagramSink sink_anl(*grid.hosts[1]);
+  net::CbrConfig cbr;
+  cbr.rate = 20 * kMbps;
+  net::CbrSource to_anl(network, *grid.hosts[0], *grid.hosts[1], cbr, 1);
+  net::CbrSource to_cern(network, *grid.hosts[1], *grid.hosts[0], cbr, 2);
+  std::vector<const net::Link*> links;
+  for (std::size_t s = 0; s < 2; ++s) {
+    net::Node* path[] = {grid.hosts[s], grid.gateways[s], grid.core};
+    for (std::size_t i = 0; i + 1 < 3; ++i) {
+      links.push_back(network.link_between(*path[i], *path[i + 1]));
+      links.push_back(network.link_between(*path[i + 1], *path[i]));
+    }
+  }
+  const auto hops = [&links] {
+    std::int64_t delivered = 0;
+    for (const net::Link* link : links) {
+      delivered += link->stats().packets_delivered;
+    }
+    return delivered;
+  };
+  to_anl.start();
+  to_cern.start();
+  sim.run_until(1 * kSecond);  // warmup: the in-flight pool at high water
+  const std::int64_t hops_before = hops();
+  const std::uint64_t before = allocation_count();
+  sim.run_until(2 * kSecond);
+  EXPECT_EQ(allocation_count(), before);
+  EXPECT_GE(hops() - hops_before, 10'000);
+  EXPECT_GT(sink_anl.bytes_received(), 0);
+  EXPECT_GT(sink_cern.bytes_received(), 0);
 }
 
 // FlowEngine contract (flow/flow_engine.h): "steady state allocates
