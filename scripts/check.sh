@@ -23,14 +23,16 @@
 #      GDMP_HASH_SEED salts scrambling every unordered container's
 #      iteration order. determinism_check also sets GDMP_ROLLUP_FILE, so
 #      the observability runs must replay their rollup stream to the byte.
-#   7. kernel work counts — every gated bench_sim_kernel row (events
-#      fired, operations issued, the packets wan_transfer's tuned WAN
-#      transfer delivers) must equal bench/baselines/sim_kernel.json under
+#   7. work counts — every gated bench_sim_kernel row (events fired,
+#      operations issued, the packets wan_transfer's tuned WAN transfer
+#      delivers) must equal bench/baselines/sim_kernel.json, and
+#      bench_scheduler's deep_queue row (operations, busy deferrals,
+#      replicate() calls) bench/baselines/scheduler.json, under
 #      GDMP_HASH_SEED 0 and 7919 (scripts/bench.sh --compare-counts: no
-#      timing, so it holds on any machine).
+#      timing, so it holds on any machine; CI runs the same pins).
 #
 #   scripts/check.sh            # lint + all presets + smoke + determinism
-#                               # + kernel work counts
+#                               # + kernel and scheduler work counts
 #   scripts/check.sh default    # just one preset (skips lint/smoke)
 #   scripts/check.sh perf-gate  # non-default: full bench_sim_kernel, bench_flow,
 #                               # bench_replica_catalog,
@@ -305,12 +307,15 @@ if [ "$smoke" -eq 1 ]; then
   GDMP_BENCH_OUT=build ./build/tools/determinism_check --hash-perturb \
     ./build/bench/bench_staging
 
-  echo "==> kernel work counts [bench_sim_kernel vs baseline, two hash salts]"
+  echo "==> work counts [bench_sim_kernel and bench_scheduler vs baselines, two hash salts]"
   for salt in 0 7919; do
-    counts_out="$(mktemp -d /tmp/gdmp-kernel-counts.XXXXXX)"
+    counts_out="$(mktemp -d /tmp/gdmp-work-counts.XXXXXX)"
     GDMP_HASH_SEED="$salt" scripts/bench.sh \
       --compare-counts bench/baselines/sim_kernel.json "$counts_out" \
       bench_sim_kernel
+    GDMP_HASH_SEED="$salt" scripts/bench.sh \
+      --compare-counts bench/baselines/scheduler.json "$counts_out" \
+      bench_scheduler
     rm -rf "$counts_out"
   done
 fi

@@ -18,20 +18,9 @@ DataMover::~DataMover() {
 void DataMover::pull(net::NodeId source, net::Port source_port,
                      const std::string& remote_path,
                      const std::string& local_path,
-                     std::optional<std::uint32_t> expected_crc, Done done) {
-  gridftp::TransferOptions options = defaults_;
-  options.expected_crc = expected_crc;
-  pull_with_options(source, source_port, remote_path, local_path, options,
-                    std::move(done));
-}
-
-void DataMover::pull_with_options(net::NodeId source, net::Port source_port,
-                                  const std::string& remote_path,
-                                  const std::string& local_path,
-                                  gridftp::TransferOptions options,
-                                  Done done) {
+                     gridftp::TransferOptions options, Done done) {
   queue_.push_back(Request{source, source_port, remote_path, local_path,
-                           options, std::move(done)});
+                           std::move(options), std::move(done)});
   pump();
 }
 
@@ -45,16 +34,7 @@ void DataMover::pump() {
              [this, alive = std::weak_ptr<bool>(alive_),
               done = std::move(request.done)](
                  Result<gridftp::TransferResult> result) {
-               if (!alive.expired()) {
-                 --active_;
-                 if (result.is_ok()) {
-                   ++stats_.transfers_completed;
-                   stats_.bytes_moved += result->bytes;
-                   stats_.total_attempts += result->attempts;
-                 } else {
-                   ++stats_.transfers_failed;
-                 }
-               }
+               if (!alive.expired()) --active_;
                done(std::move(result));
                if (!alive.expired()) pump();
              });

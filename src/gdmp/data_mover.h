@@ -3,13 +3,13 @@
 // Queues wide-area pulls onto GridFTP with bounded concurrency, passes the
 // catalog CRC as the end-to-end check ("the built-in error correction in
 // GridFTP plus an additional CRC error check"), and leans on the client's
-// restart logic for interrupted transfers.
+// restart logic for interrupted transfers. It counts nothing itself: the
+// transfer channel and its callers' stats count the outcomes.
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 
 #include "common/result.h"
 #include "gdmp/site_services.h"
@@ -17,13 +17,6 @@
 #include "gridftp/client.h"
 
 namespace gdmp::core {
-
-struct DataMoverStats {
-  std::int64_t transfers_completed = 0;
-  std::int64_t transfers_failed = 0;
-  Bytes bytes_moved = 0;
-  std::int64_t total_attempts = 0;
-};
 
 class DataMover {
  public:
@@ -39,19 +32,12 @@ class DataMover {
   ~DataMover();
 
   /// Pulls `remote_path` from a GridFTP endpoint into the local pool.
-  /// `expected_crc` comes from the replica catalog.
+  /// `options` starts from defaults(); `expected_crc` is the catalog's.
   void pull(net::NodeId source, net::Port source_port,
             const std::string& remote_path, const std::string& local_path,
-            std::optional<std::uint32_t> expected_crc, Done done);
+            gridftp::TransferOptions options, Done done);
 
-  /// As `pull`, with per-transfer option overrides.
-  void pull_with_options(net::NodeId source, net::Port source_port,
-                         const std::string& remote_path,
-                         const std::string& local_path,
-                         gridftp::TransferOptions options, Done done);
-
-  const DataMoverStats& stats() const noexcept { return stats_; }
-  /// Site-wide transfer defaults (base for pull_with_options overrides).
+  /// Site-wide transfer defaults (the base for each pull's options).
   const gridftp::TransferOptions& defaults() const noexcept {
     return defaults_;
   }
@@ -75,11 +61,10 @@ class DataMover {
   gridftp::TransferOptions defaults_;
   int max_concurrent_;
   gridftp::FtpClient ftp_;
-  DataMoverStats stats_;
   std::deque<Request> queue_;
   int active_ = 0;
   /// The in-flight GridFTP completion lambdas must not touch `this` once
-  /// teardown starts: queue_ and stats_ are destroyed before ftp_ is.
+  /// teardown starts: queue_ is destroyed before ftp_ is.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

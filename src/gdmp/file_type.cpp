@@ -68,6 +68,13 @@ void ObjectivityPlugin::post_process(SiteServices& site,
       std::from_chars(token.data(), token.data() + token.size(), value);
       objects.push_back(ObjectId{value});
     }
+    // A chunk file's catalog entry carries only its object count.
+    if (objects.empty()) {
+      done(make_error(ErrorCode::kFailedPrecondition,
+                      "packed objectivity file without an object list: " +
+                          file.lfn));
+      return;
+    }
     done(site.federation->attach_packed_file(local_path, std::move(objects),
                                              schema == 0 ? 1 : schema));
     return;

@@ -51,6 +51,7 @@ class FlatFilePlugin final : public FileTypePlugin {
 
 /// Objectivity database files: carry "tier", "elo"/"ehi" (range files) or
 /// "objects" (packed files, comma-separated ids) and "schema" attributes.
+/// post_process refuses a packed file without ids (kFailedPrecondition).
 class ObjectivityPlugin final : public FileTypePlugin {
  public:
   const char* name() const override { return "objectivity"; }

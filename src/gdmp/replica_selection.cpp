@@ -2,10 +2,6 @@
 
 namespace gdmp::core {
 
-SelectorFn first_replica_selector() {
-  return [](const std::vector<Uri>&) { return std::size_t{0}; };
-}
-
 std::vector<Uri> remote_candidates(
     const std::vector<PhysicalFileName>& locations,
     std::string_view own_site) {

@@ -18,9 +18,7 @@ GdmpServer::GdmpServer(SiteServices& site, GdmpConfig config,
                       site.ca, site.credential,
                       {.cache_ttl = config.catalog_cache_ttl}),
       data_mover_(site, config.transfer, config.max_concurrent_transfers),
-      storage_manager_(site),
-      selector_(first_replica_selector()),
-      rng_(0x6d6d ^ std::hash<std::string>{}(site.site_name)) {
+      storage_manager_(site) {
   // Handlers live in the RpcServer's method table; guard them so a handler
   // dispatched during teardown cannot touch a dead GdmpServer.
   const auto guard = [this](auto handler) {
@@ -198,12 +196,12 @@ void GdmpServer::subscribe_to(net::NodeId producer, net::Port producer_port,
 
 namespace {
 
-/// The single clamp/validation point for selector output: a selector that
-/// returns an out-of-range index gets the first candidate (and a warning)
-/// instead of poisoning the modulo arithmetic downstream.
+/// The single clamp/validation point for a chooser's output: an
+/// out-of-range index gets the first candidate (and a warning) instead of
+/// poisoning the modulo arithmetic downstream.
 std::size_t sanitize_selected_index(std::size_t index, std::size_t count) {
   if (index < count) return index;
-  GDMP_WARN("gdmp.server", "replica selector returned index ", index,
+  GDMP_WARN("gdmp.server", "source chooser returned index ", index,
             " for ", count, " candidates; falling back to 0");
   return 0;
 }
@@ -260,7 +258,8 @@ void GdmpServer::replicate(const LogicalFileName& lfn,
                           "no remote replica of " + lfn));
           return;
         }
-        std::size_t index;
+        // GDMP 2.0 pulls from the first catalog location (§4.2).
+        std::size_t index = 0;
         if (options.choose_source) {
           auto chosen = options.choose_source(candidates);
           if (!chosen.is_ok()) {
@@ -270,9 +269,6 @@ void GdmpServer::replicate(const LogicalFileName& lfn,
             return;
           }
           index = sanitize_selected_index(*chosen, candidates.size());
-        } else {
-          index = sanitize_selected_index(selector_(candidates),
-                                          candidates.size());
         }
         const Uri source = candidates[index];
         auto source_node = resolver_(source.host);
@@ -330,7 +326,7 @@ void GdmpServer::replicate(const LogicalFileName& lfn,
                       options.channel = &transfer_channel_;
                       options.peer = source.host;
                       options.parent_span = span;
-                      data_mover_.pull_with_options(
+                      data_mover_.pull(
                           src_node, config_.gridftp_port, source.path,
                           file.local_path, std::move(options),
                           [this, alive, lfn, file, source, src_node,
@@ -423,9 +419,6 @@ void GdmpServer::set_metrics(const obs::MetricsScope& scope) {
   scope.expose("files_replicated", &stats_.files_replicated);
   scope.expose("replication_failures", &stats_.replication_failures);
   scope.expose("stage_requests_served", &stats_.stage_requests_served);
-  scope.expose("replications_retried", &stats_.replications_retried);
-  scope.expose("replications_dead_lettered",
-               &stats_.replications_dead_lettered);
   rpc_.set_metrics(scope.scope("rpc"));
   catalog_client_.set_metrics(scope.scope("catalog_cache"));
 }
@@ -528,22 +521,11 @@ void GdmpServer::handle_notify(const security::GsiContext& peer_ctx,
   for (const PublishedFile& file : files) {
     ++stats_.notifications_received;
     if (on_notification) on_notification(from_site, file);
-    if (config_.auto_replicate_on_notify) {
-      if (enqueue_replication_) {
-        // A scheduler owns the consumer path: queue instead of firing a
-        // concurrency-unbounded replicate() per notification.
-        ++stats_.notifications_queued;
-        enqueue_replication_(file);
-        continue;
-      }
-      replicate(file.lfn, [lfn = file.lfn](
-                              Result<gridftp::TransferResult> result) {
-        if (!result.is_ok() &&
-            result.code() != ErrorCode::kAlreadyExists) {
-          GDMP_WARN("gdmp.server", "auto-replication of ", lfn,
-                    " failed: ", result.status().to_string());
-        }
-      });
+    // The site's scheduler owns the consumer path: it queues the file
+    // behind its concurrency caps and retries it on failure.
+    if (config_.auto_replicate_on_notify && enqueue_replication_) {
+      ++stats_.notifications_queued;
+      enqueue_replication_(file);
     }
   }
 }

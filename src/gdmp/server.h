@@ -6,8 +6,9 @@
 // producer–consumer replication model:
 //
 //   producer: publish() -> central catalog + notify subscribers
-//   consumer: replicate() -> lookup -> pre-process -> stage@source ->
-//             GridFTP pull (+CRC) -> post-process -> register replica
+//   consumer: notification -> site scheduler -> replicate() -> lookup ->
+//             choose source -> pre-process -> stage@source -> Data Mover
+//             pull (+CRC) -> post-process -> register replica
 #pragma once
 
 #include <functional>
@@ -15,7 +16,6 @@
 #include <memory>
 #include <set>
 
-#include "common/random.h"
 #include "common/uri.h"
 #include "gdmp/catalog_service.h"
 #include "gdmp/data_mover.h"
@@ -48,10 +48,7 @@ struct GdmpServerStats {
   std::int64_t files_replicated = 0;
   std::int64_t replication_failures = 0;
   std::int64_t stage_requests_served = 0;
-  // Replication-scheduler pipeline (fed by sched::ReplicationScheduler, so
-  // one stats() read covers the whole consumer path).
-  std::int64_t replications_retried = 0;
-  std::int64_t replications_dead_lettered = 0;
+  /// Notified files handed to the site's scheduler.
   std::int64_t notifications_queued = 0;
 };
 
@@ -60,25 +57,24 @@ class GdmpServer {
   /// Resolves a hostname from a replica URL to a simulated node
   /// (the testbed provides this from its Network).
   using HostResolver = std::function<Result<net::NodeId>(const std::string&)>;
-  /// Picks a source replica from the candidate URLs. Default: first.
-  /// (Cost-function based selection is the paper's stated future work
-  /// [VTF01]; the hook makes it pluggable.)
-  using ReplicaSelector = std::function<std::size_t(const std::vector<Uri>&)>;
 
   using PublishDone = std::function<void(Status)>;
   using ReplicateDone =
       std::function<void(Result<gridftp::TransferResult>)>;
 
-  /// Per-request source choice. Unlike ReplicaSelector it may *refuse* the
-  /// request (e.g. every candidate's site is at its concurrency cap) by
-  /// returning an error; the request then fails with that status without
-  /// counting as a replication failure, and the caller decides what to do.
+  /// Per-request source choice: an index into the remote candidates, in
+  /// catalog order (out of range falls back to 0). Cost-function selection
+  /// is the paper's future work [VTF01]; the scheduler's dispatches supply
+  /// it. A chooser may *refuse* the request (e.g. every candidate's site is
+  /// at its concurrency cap) by returning an error; the request then fails
+  /// with that status without counting as a replication failure, and the
+  /// caller decides what to do.
   using SourceChooser =
       std::function<Result<std::size_t>(const std::vector<Uri>&)>;
 
   /// Per-request overrides for replicate().
   struct ReplicateOptions {
-    /// Overrides the installed selector for this request only.
+    /// Unset takes the first remote catalog location (GDMP 2.0, §4.2).
     SourceChooser choose_source;
     /// Invoked once a source replica has been chosen and resolved, before
     /// any staging or transfer work starts.
@@ -132,9 +128,9 @@ class GdmpServer {
     return transfer_channel_;
   }
 
-  /// When installed, auto-replication triggered by a notification enqueues
-  /// the file here (a replication scheduler) instead of firing replicate()
-  /// inline; such enqueues are counted in stats().notifications_queued.
+  /// With auto_replicate_on_notify set, each notified file is enqueued
+  /// here (the site's scheduler installs the hook) and counted in
+  /// stats().notifications_queued.
   using ReplicationEnqueue = std::function<void(const PublishedFile&)>;
   void set_replication_enqueue(ReplicationEnqueue enqueue) {
     enqueue_replication_ = std::move(enqueue);
@@ -160,21 +156,11 @@ class GdmpServer {
     acl_ = std::move(acl);
     use_acl_ = true;
   }
-  void set_replica_selector(ReplicaSelector selector) {
-    selector_ = std::move(selector);
-  }
 
   /// Exposes the stats() counters under `scope` (e.g. "site.cern.gdmp");
   /// the "rpc" child scope instruments the request-manager RPC server and
   /// "catalog_cache" the catalog client's caches.
   void set_metrics(const obs::MetricsScope& scope);
-
-  // Scheduler feedback, recorded here so the server's stats block covers
-  // the whole replication pipeline.
-  void note_replication_retried() noexcept { ++stats_.replications_retried; }
-  void note_replication_dead_lettered() noexcept {
-    ++stats_.replications_dead_lettered;
-  }
 
   /// Site-local pool path of a logical file.
   std::string local_path_for(const LogicalFileName& lfn) const {
@@ -228,11 +214,9 @@ class GdmpServer {
   DataMover data_mover_;
   StorageManager storage_manager_;
   FileTypeRegistry plugins_;
-  ReplicaSelector selector_;
   ReplicationEnqueue enqueue_replication_;
   security::AccessControl acl_;
   bool use_acl_ = false;
-  Rng rng_;
 
   std::set<SubscriberInfo> subscribers_;
   std::map<LogicalFileName, PublishedFile> export_catalog_;

@@ -44,7 +44,7 @@ struct GdmpConfig {
   /// Catalog client cache TTL (0 disables; see DESIGN.md §5j). The cache
   /// capacity and batch size are CatalogClientConfig's defaults.
   SimDuration catalog_cache_ttl = 120 * kSecond;
-  /// Consumers: start replication as soon as a notification arrives.
+  /// Consumers: queue each notified file at the site's scheduler.
   bool auto_replicate_on_notify = false;
   /// Producers: archive published files to the MSS automatically.
   bool auto_archive_published = false;

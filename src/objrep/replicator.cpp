@@ -380,7 +380,7 @@ void ObjectReplicationService::pull_chunk(
   options.channel = &server_.transfer_channel();
   options.peer = sub->site;
   std::weak_ptr<bool> alive = alive_;
-  server_.data_mover().pull_with_options(
+  server_.data_mover().pull(
       sub->node, server_.config().gridftp_port, remote_path, local_path,
       std::move(options),
       [this, alive, sub, remote_path, local_path, lfn,

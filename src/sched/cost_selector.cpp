@@ -74,13 +74,4 @@ std::vector<std::size_t> CostAwareSelector::rank(
   return order;
 }
 
-core::SelectorFn CostAwareSelector::selector_fn() {
-  return [this](const std::vector<Uri>& candidates) {
-    if (candidates.empty()) return std::size_t{0};
-    const std::size_t pick = rank(candidates)[0];
-    if (!measured(candidates[pick].host)) note_probe(candidates[pick].host);
-    return pick;
-  };
-}
-
 }  // namespace gdmp::sched

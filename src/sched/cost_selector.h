@@ -6,7 +6,8 @@
 // average of per-source throughput, and candidates are ranked by the
 // estimate, with never-measured sources probed exactly once so history
 // eventually covers every replica site. Failures decay a source's
-// estimate so flaky-but-fast sites lose preference.
+// estimate so flaky-but-fast sites lose preference. Its one user is the
+// scheduler's dispatch chooser (the best-ranked source with a free slot).
 #pragma once
 
 #include <cstdint>
@@ -15,8 +16,6 @@
 #include <vector>
 
 #include "common/uri.h"
-#include "gdmp/replica_selection.h"
-#include "gridftp/client.h"
 
 namespace gdmp::sched {
 
@@ -27,9 +26,6 @@ class CostAwareSelector {
       : smoothing_(smoothing) {}
 
   /// Feeds a completed transfer's measured throughput.
-  void record(const std::string& host, const gridftp::TransferResult& result) {
-    record_mbps(host, result.mbps);
-  }
   void record_mbps(const std::string& host, double mbps);
 
   /// A failed transfer halves the source's estimate (and settles a
@@ -50,10 +46,6 @@ class CostAwareSelector {
   /// first (rotating, so repeated calls spread probes), then measured
   /// hosts by descending estimate, then probes still in flight.
   std::vector<std::size_t> rank(const std::vector<Uri>& candidates);
-
-  /// Greedy hook for GdmpServer::set_replica_selector: takes rank()[0]
-  /// and marks the probe if the winner is unmeasured.
-  core::SelectorFn selector_fn();
 
   std::int64_t observations() const noexcept { return observations_; }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "gdmp/replica_selection.h"
 
 namespace gdmp::sched {
 
@@ -16,12 +17,11 @@ ReplicationScheduler::ReplicationScheduler(core::GdmpServer& server,
   if (config_.max_per_source < 1) config_.max_per_source = 1;
   if (config_.max_attempts < 1) config_.max_attempts = 1;
 
-  // Attach to the server: cost-aware selection replaces the first-URL
-  // stub, the transfer channel's summaries feed the bandwidth history
-  // (successes only — failures are scored by record_failure() on the
-  // attempt path), and notification auto-replication queues here.
+  // Attach to the server: the transfer channel's summaries feed the
+  // bandwidth history (successes only — failures are scored by
+  // record_failure() on the attempt path), and notification
+  // auto-replication queues here.
   std::weak_ptr<bool> alive = alive_;
-  server_.set_replica_selector(selector_.selector_fn());
   obs::TransferChannel::Observer observer;
   observer.on_complete = [this, alive](const obs::TransferSummary& summary) {
     if (alive.expired()) return;
@@ -51,7 +51,6 @@ ReplicationScheduler::~ReplicationScheduler() {
   *alive_ = false;
   server_.catalog().set_lookup_observer(nullptr);
   server_.site().pool.remove_residency_observer(pool_observer_);
-  server_.set_replica_selector(core::first_replica_selector());
   server_.transfer_channel().unsubscribe(channel_token_);
   server_.set_replication_enqueue(nullptr);
   // Queued and in-flight requests still hold caller completions; fail them
@@ -81,11 +80,11 @@ void ReplicationScheduler::set_metrics(const obs::MetricsScope& scope) {
 }
 
 void ReplicationScheduler::begin_queue_wait(Request& request) {
-  auto& tracer = obs::Tracer::global();
-  if (!tracer.enabled() || request.queue_span.valid()) return;
-  request.queue_span = tracer.begin(
-      "sched.queue_wait",
-      request.span.valid() ? request.span : obs::Tracer::root_parent());
+  // A request submitted while tracing was off has no request span and
+  // stays untraced, even after the tracer comes on.
+  if (!request.span.valid() || request.queue_span.valid()) return;
+  request.queue_span =
+      obs::Tracer::global().begin("sched.queue_wait", request.span);
 }
 
 void ReplicationScheduler::end_queue_wait(Request& request) {
@@ -113,8 +112,6 @@ std::uint64_t ReplicationScheduler::submit(LogicalFileName lfn, int priority,
     // Nothing queued, so no rank is live: restart the order index.
     parked_counts_.clear();
     cursor_ = kBeforeAll;
-    skips_.clear();
-    release_tick_ = ticks_;
   }
   Request request;
   request.id = id;
@@ -226,13 +223,9 @@ void ReplicationScheduler::pump() {
       }
     }
     if (cursor_ < next) {
-      const std::int64_t skipped =
+      stats_.busy_deferrals +=
           parked_counts_.through(next.priority, next.seq - 1) -
           parked_counts_.through(cursor_.priority, cursor_.seq);
-      if (skipped > 0) {
-        stats_.busy_deferrals += skipped;
-        skips_.push_back(Skip{cursor_, next, ++ticks_});
-      }
       cursor_ = next;
     }
     if (next.id == kAfterAll.id) break;  // nothing left to visit
@@ -349,8 +342,6 @@ void ReplicationScheduler::on_attempt_done(
     --request.attempts;
     begin_queue_wait(request);
     request.queue = Queue::kRecheck;
-    request.park_tick = ++ticks_;
-    if (!request.queue_span.valid()) queue_spans_missing_ = true;
     recheck_.push_back(id);
     pump();
     return;
@@ -377,7 +368,6 @@ void ReplicationScheduler::on_attempt_done(
                                        request.attempts,
                                        simulator().now()});
     ++stats_.dead_lettered;
-    server_.note_replication_dead_lettered();
     settle(it, std::move(result));
     return;
   }
@@ -403,7 +393,6 @@ void ReplicationScheduler::settle(
 void ReplicationScheduler::schedule_retry(Request& request,
                                           const Status& cause) {
   ++stats_.retries;
-  server_.note_replication_retried();
   const SimDuration delay = backoff_after(request.attempts);
   GDMP_DEBUG("sched", "retrying ", request.lfn, " in ", to_seconds(delay),
              "s after: ", cause.to_string());
@@ -424,8 +413,6 @@ void ReplicationScheduler::schedule_retry(Request& request,
 void ReplicationScheduler::park(Request& request) {
   const ReadyKey key = key_of(request);
   request.queue = Queue::kParked;
-  request.park_tick = ++ticks_;
-  if (!request.queue_span.valid()) queue_spans_missing_ = true;
   parked_counts_.add(key.priority, key.seq, 1);
   for (const std::string& host : request.source_hosts) {
     auto it = parked_by_host_.find(host);
@@ -488,12 +475,7 @@ void ReplicationScheduler::wake_expired() {
 }
 
 void ReplicationScheduler::release() {
-  if (queue_spans_missing_ && obs::Tracer::global().enabled()) {
-    open_missing_queue_spans();
-  }
   cursor_ = kBeforeAll;
-  skips_.clear();
-  release_tick_ = ticks_;
   for (const std::uint64_t id : recheck_) {
     const auto it = requests_.find(id);
     if (it == requests_.end()) continue;  // cancelled
@@ -502,42 +484,6 @@ void ReplicationScheduler::release() {
     ready_.insert(key_of(it->second));
   }
   recheck_.clear();
-}
-
-void ReplicationScheduler::open_missing_queue_spans() {
-  // Requests parked since the last release, in the order they parked: a
-  // walk visit or a busy bounce stamped its own tick, one counted past in
-  // a skip takes the skip's tick, and a skip parks in queue order.
-  std::vector<std::pair<std::uint64_t, ReadyKey>> order;
-  bool missing = false;
-  for (auto& [id, request] : requests_) {
-    if ((request.queue != Queue::kParked &&
-         request.queue != Queue::kRecheck) ||
-        request.queue_span.valid()) {
-      continue;
-    }
-    const ReadyKey key = key_of(request);
-    std::uint64_t tick = request.park_tick;
-    if (tick <= release_tick_) {
-      const auto skip = std::partition_point(
-          skips_.begin(), skips_.end(),
-          [&key](const Skip& s) { return !(key < s.before); });
-      if (skip == skips_.end() || !(skip->after < key)) {
-        missing = true;  // not visited since the last release
-        continue;
-      }
-      tick = skip->tick;
-    }
-    // gdmp-lint: hot-alloc — runs only at releases after the tracer came on mid-run
-    order.emplace_back(tick, key);
-  }
-  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first < b.first : a.second < b.second;
-  });
-  for (const auto& [tick, key] : order) {
-    begin_queue_wait(requests_.find(key.id)->second);
-  }
-  queue_spans_missing_ = missing;
 }
 
 std::uint64_t ReplicationScheduler::ParkedCounts::enroll(int priority) {

@@ -20,10 +20,10 @@
 //   * exponential backoff with jitter on failure, and a dead-letter list
 //     (surfaced through stats) once max_attempts is exhausted.
 //
-// Constructing a scheduler attaches it to its server: the cost selector
-// becomes the default replica selector, successful transfers feed the
-// bandwidth history, and auto-replication on notification enqueues here
-// instead of firing immediately.
+// Constructing a scheduler attaches it to its server: successful
+// transfers feed the bandwidth history, and auto-replication on
+// notification enqueues here. The cost selector reaches replicate() only
+// through each dispatch's ReplicateOptions::choose_source.
 #pragma once
 
 #include <functional>
@@ -163,8 +163,6 @@ class ReplicationScheduler {
     std::uint64_t hosts_stamp = 0;
     std::vector<std::string> source_hosts;
     SimTime fresh_until = 0;
-    // When it last parked other than by a counted skip (see skips_).
-    std::uint64_t park_tick = 0;
     Done done;
     obs::SpanId span;        // "sched.request": submit -> settle
     obs::SpanId queue_span;  // "sched.queue_wait": open while queued
@@ -203,14 +201,6 @@ class ReplicationScheduler {
     std::map<int, Tree, std::greater<>> levels_;
   };
 
-  /// A run of parked requests the walk counted past without re-checking:
-  /// the keys strictly between `after` and `before`, at tick `tick`.
-  struct Skip {
-    ReadyKey after;
-    ReadyKey before;
-    std::uint64_t tick;
-  };
-
   static ReadyKey key_of(const Request& r) { return {r.priority, r.seq, r.id}; }
 
   /// (file name, request id) pairs; names are views into the requests.
@@ -226,6 +216,7 @@ class ReplicationScheduler {
   /// Walks the queue in key order: dispatches what can go, parks what
   /// cannot, and counts the parked requests no wake source has touched.
   void pump();
+  /// Opens the request's queue span under its request span, if it has one.
   void begin_queue_wait(Request& request);
   void end_queue_wait(Request& request);
   void end_request_span(Request& request, const char* outcome);
@@ -264,9 +255,6 @@ class ReplicationScheduler {
   /// Every parked request is due a visit again: the walk restarts at the
   /// queue head. Runs whenever an attempt settles or fails.
   void release();
-  /// release() after the tracer came on while requests were parked: opens
-  /// the missing queue spans in the order the requests parked.
-  void open_missing_queue_spans();
 
   core::GdmpServer& server_;
   SchedulerConfig config_;
@@ -288,12 +276,6 @@ class ReplicationScheduler {
   // The walk's position since the last release: parked keys after it are
   // due a visit, parked keys at or before it were visited and stay parked.
   ReadyKey cursor_ = kBeforeAll;
-  // Park order since the last release, kept for open_missing_queue_spans:
-  // every park and counted skip takes the next tick.
-  std::vector<Skip> skips_;
-  std::uint64_t ticks_ = 0;
-  std::uint64_t release_tick_ = 0;
-  bool queue_spans_missing_ = false;  // a request parked without one
   std::map<std::string, int> per_source_;
   std::vector<DeadLetter> dead_letters_;
   SchedulerStats stats_;

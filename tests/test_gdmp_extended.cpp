@@ -223,7 +223,7 @@ TEST(Gdmp, DataMoverBoundsConcurrency) {
   }
   EXPECT_LE(max_in_flight, 2);
   EXPECT_GE(max_in_flight, 2);  // it did saturate the budget
-  EXPECT_EQ(mover.stats().transfers_completed,
+  EXPECT_EQ(grid.site(1).gdmp_server().stats().files_replicated,
             static_cast<std::int64_t>(lfns.size()));
 }
 

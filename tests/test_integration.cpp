@@ -73,7 +73,7 @@ TEST(Integration, ThreeSiteFanOutReplication) {
 
 TEST(Integration, SecondConsumerPullsFromNearestOfTwoReplicas) {
   // After caltech replicates from cern, slac can be served by either; the
-  // replica selector hook picks the second candidate (caltech).
+  // request's source chooser picks the second candidate (caltech).
   Grid grid(three_site_config());
   ASSERT_TRUE(grid.start().is_ok());
   testbed::ProductionConfig production;
@@ -93,17 +93,19 @@ TEST(Integration, SecondConsumerPullsFromNearestOfTwoReplicas) {
   ASSERT_TRUE(caltech_done);
 
   std::vector<std::string> seen_hosts;
-  grid.site(2).gdmp_server().set_replica_selector(
-      [&](const std::vector<Uri>& candidates) {
-        for (const Uri& uri : candidates) seen_hosts.push_back(uri.host);
-        return std::size_t{1};  // prefer the second (caltech) replica
-      });
+  core::GdmpServer::ReplicateOptions options;
+  options.choose_source =
+      [&](const std::vector<Uri>& candidates) -> Result<std::size_t> {
+    for (const Uri& uri : candidates) seen_hosts.push_back(uri.host);
+    return std::size_t{1};  // prefer the second (caltech) replica
+  };
   bool slac_done = false;
-  grid.site(2).gdmp().get_file(
-      lfn, [&](Result<gridftp::TransferResult> r) { slac_done = r.is_ok(); });
+  grid.site(2).gdmp_server().replicate(
+      lfn, std::move(options),
+      [&](Result<gridftp::TransferResult> r) { slac_done = r.is_ok(); });
   grid.run_until(grid.simulator().now() + 1800 * kSecond);
   ASSERT_TRUE(slac_done);
-  ASSERT_EQ(seen_hosts.size(), 2u);  // both replicas offered to the selector
+  ASSERT_EQ(seen_hosts.size(), 2u);  // both replicas offered to the chooser
   EXPECT_NE(std::find(seen_hosts.begin(), seen_hosts.end(), "caltech"),
             seen_hosts.end());
   EXPECT_NE(std::find(seen_hosts.begin(), seen_hosts.end(), "cern"),

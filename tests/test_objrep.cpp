@@ -903,6 +903,62 @@ TEST(ObjectReplication, MalformedPackDoneIsRefused) {
   }
 }
 
+TEST(ObjectReplication, ChunkReplicatedWithoutObjectListIsRefused) {
+  // A chunk file lands at its consumer as a first-class logical file, but
+  // its catalog entry carries only the object count, not the id list. A
+  // third site that pulls it through GDMP must refuse to attach it as a
+  // packed file holding no objects: the pull fails, the pool copy goes
+  // and no replica is registered.
+  ObjRepFixture f(/*pipeline=*/true, /*events=*/20000, /*chunk=*/8 * kMiB,
+                  /*consumers=*/2);
+  Site& first = f.grid.site(1);
+  Site& third = f.grid.site(2);
+  Rng rng(5);
+  SelectionConfig selection;
+  selection.fraction = 2e-3;
+  const auto needed = select_objects(f.grid.model(), selection, rng);
+  bool replicated = false;
+  first.objrep().replicate_objects(
+      needed, [&](Result<ObjectReplicationService::Outcome> result) {
+        replicated = result.is_ok() && result->chunks > 0;
+      });
+  f.grid.run_until(f.grid.simulator().now() + 3600 * kSecond);
+  ASSERT_TRUE(replicated);
+
+  const std::string chunk_prefix = "lfn://cms/" + first.name() + "/objrep/";
+  LogicalFileName chunk;
+  for (const auto& [lfn, file] : first.gdmp_server().export_catalog()) {
+    if (lfn.starts_with(chunk_prefix)) chunk = lfn;
+  }
+  ASSERT_FALSE(chunk.empty());
+
+  const std::int64_t failures_before =
+      third.gdmp_server().stats().replication_failures;
+  std::optional<Status> pulled;
+  third.gdmp().get_file(chunk, [&](Result<gridftp::TransferResult> r) {
+    pulled = r.status();
+  });
+  f.grid.run_until(f.grid.simulator().now() + 600 * kSecond);
+  ASSERT_TRUE(pulled.has_value());
+  EXPECT_EQ(pulled->code(), ErrorCode::kFailedPrecondition)
+      << pulled->to_string();
+  EXPECT_FALSE(third.pool().contains(
+      third.gdmp_server().local_path_for(chunk)));
+  EXPECT_EQ(third.gdmp_server().stats().replication_failures,
+            failures_before + 1);
+
+  std::vector<PhysicalFileName> locations;
+  third.gdmp_server().catalog().lookup(
+      "cms", chunk, [&](Result<core::ReplicaInfo> info) {
+        ASSERT_TRUE(info.is_ok()) << info.status().to_string();
+        locations = info->locations;
+      });
+  f.grid.run_until(f.grid.simulator().now() + 60 * kSecond);
+  ASSERT_EQ(locations.size(), 1u);
+  EXPECT_NE(locations[0].find("//" + first.name() + ":"), std::string::npos)
+      << locations[0];
+}
+
 TEST(ObjectReplication, PipeliningReducesResponseTime) {
   // 1000 AOD objects (~10 MiB) in 2 MiB chunks: the per-object seek cost of
   // the copier (~5 s total) is comparable to the WAN phase, so overlap must

@@ -400,9 +400,9 @@ TEST(TransferChannel, FanOutAndUnsubscribe) {
   EXPECT_FALSE(channel.has_subscribers());
 }
 
-// The channel-fed EWMA history must match PR 1's direct
-// on_transfer_observed feed: successes recorded with the same mbps, same
-// peer, failures ignored (they are scored by record_failure elsewhere).
+// The channel-fed EWMA history must match a direct record_mbps feed:
+// successes recorded with the same mbps, same peer, failures ignored (they
+// are scored by record_failure elsewhere).
 TEST(TransferChannel, SummaryFeedMatchesDirectEwmaFeed) {
   sched::CostAwareSelector direct(0.3);
   sched::CostAwareSelector channel_fed(0.3);
@@ -423,11 +423,7 @@ TEST(TransferChannel, SummaryFeedMatchesDirectEwmaFeed) {
       {"anl", 0.0, false},  {"fnal", 33.1, true}, {"cern", 11.0, true},
   };
   for (const auto& t : transfers) {
-    if (t.ok) {
-      gridftp::TransferResult result;
-      result.mbps = t.mbps;
-      direct.record(t.host, result);  // the PR 1 path
-    }
+    if (t.ok) direct.record_mbps(t.host, t.mbps);  // the direct path
     TransferSummary summary;
     summary.peer = t.host;
     summary.mbps = t.mbps;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "gdmp/replica_selection.h"
 #include "obs/trace.h"
 #include "sched/cost_selector.h"
 #include "testbed/grid.h"
@@ -72,18 +73,6 @@ TEST(CostAwareSelector, EwmaSmoothsAndFailureDecays) {
   EXPECT_TRUE(selector.measured("fresh"));
   EXPECT_DOUBLE_EQ(selector.estimate("fresh"), 0.0);
   EXPECT_EQ(selector.observations(), 2);
-}
-
-TEST(CostAwareSelector, SelectorFnProbesEachHostOnce) {
-  CostAwareSelector selector(0.3);
-  auto fn = selector.selector_fn();
-  const auto candidates = hosts({"a", "b"});
-  const std::size_t first = fn(candidates);
-  const std::size_t second = fn(candidates);
-  // Two greedy picks with no results yet probe the two distinct hosts.
-  EXPECT_NE(first, second);
-  // With both probes pending, picks stay in range.
-  EXPECT_LT(fn(candidates), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -225,6 +214,49 @@ TEST(ReplicationScheduler, CostSelectorPrefersFasterSourceAfterWarmup) {
             consumer.scheduler().cost_selector().estimate("slow"));
 }
 
+TEST(ReplicationScheduler, DirectPullsTakeTheFirstCatalogLocation) {
+  // A pull outside the scheduler has no source chooser, so it takes the
+  // first remote catalog location (GDMP 2.0, §4.2). The second pull stays
+  // there although the cost ranking would now probe the unmeasured "slow":
+  // the ranking serves only the scheduler's dispatches.
+  Grid grid(two_producer_config());
+  ASSERT_TRUE(grid.start().is_ok());
+  Site& consumer = grid.site(2);
+  const auto lfns = seed_flat_files(
+      grid, {&grid.site(0), &grid.site(1)}, 2, 2 * kMiB);
+
+  std::string first_location;
+  consumer.gdmp_server().catalog().lookup(
+      "cms", lfns[0], [&](Result<core::ReplicaInfo> info) {
+        ASSERT_TRUE(info.is_ok()) << info.status().to_string();
+        const auto remote =
+            core::remote_candidates(info->locations, consumer.name());
+        ASSERT_EQ(remote.size(), 2u);
+        first_location = remote[0].host;
+      });
+  grid.run_until(grid.simulator().now() + 60 * kSecond);
+  ASSERT_EQ(first_location, "fast");
+
+  std::vector<std::string> peers;
+  obs::TransferChannel::Observer observer;
+  observer.on_complete = [&](const obs::TransferSummary& summary) {
+    peers.push_back(summary.peer);
+  };
+  const auto token =
+      consumer.gdmp_server().transfer_channel().subscribe(std::move(observer));
+  for (const LogicalFileName& lfn : lfns) {
+    bool done = false;
+    consumer.gdmp().get_file(lfn, [&](Result<gridftp::TransferResult> r) {
+      EXPECT_TRUE(r.is_ok()) << r.status().to_string();
+      done = true;
+    });
+    grid.run_until(grid.simulator().now() + 600 * kSecond);
+    ASSERT_TRUE(done) << lfn;
+  }
+  consumer.gdmp_server().transfer_channel().unsubscribe(token);
+  EXPECT_EQ(peers, (std::vector<std::string>{"fast", "fast"}));
+}
+
 struct SchedTwoSiteFixture {
   Grid grid;
 
@@ -301,13 +333,13 @@ TEST(ReplicationScheduler, RetriesWithBackoffThenSucceeds) {
                                   });
   // Heal the link as soon as the first retry has been scheduled.
   f.run_while(600 * kSecond, [&] {
-    if (f.consumer().gdmp_server().stats().replications_retried >= 1) {
+    if (f.consumer().scheduler().stats().retries >= 1) {
       f.producer().ftp_server().set_corrupt_probability(0.0);
       return true;
     }
     return false;
   });
-  ASSERT_GE(f.consumer().gdmp_server().stats().replications_retried, 1);
+  ASSERT_GE(f.consumer().scheduler().stats().retries, 1);
   f.run_while(600 * kSecond, [&] { return done; });
 
   ASSERT_TRUE(done);
@@ -353,10 +385,7 @@ TEST(ReplicationScheduler, DeadLettersAfterMaxAttempts) {
   EXPECT_EQ(scheduler.stats().retries, 2);
   EXPECT_TRUE(scheduler.idle());
 
-  const auto& server_stats = f.consumer().gdmp_server().stats();
-  EXPECT_EQ(server_stats.replications_dead_lettered, 1);
-  EXPECT_EQ(server_stats.replications_retried, 2);
-  EXPECT_EQ(server_stats.files_replicated, 0);
+  EXPECT_EQ(f.consumer().gdmp_server().stats().files_replicated, 0);
 }
 
 TEST(ReplicationScheduler, NotificationsEnqueueThroughScheduler) {
@@ -429,23 +458,26 @@ TEST(ReplicationScheduler, CancelPendingFiresAbortedAndSkipsTransfer) {
       f.consumer().gdmp_server().local_path_for(lfns[2])));
 }
 
-// Regression: a selector returning an out-of-range index must be clamped
+// Regression: a chooser returning an out-of-range index must be clamped
 // (previous behaviour reduced it modulo the candidate count; a buggy
-// selector could silently reroute transfers).
+// chooser could silently reroute transfers).
 TEST(ReplicationScheduler, OutOfRangeSelectorFallsBackToFirstCandidate) {
   SchedTwoSiteFixture f;
   const auto lfns = f.seed(1);
 
-  f.consumer().gdmp_server().set_replica_selector(
-      [](const std::vector<Uri>&) { return std::size_t{999}; });
+  core::GdmpServer::ReplicateOptions options;
+  options.choose_source =
+      [](const std::vector<Uri>&) -> Result<std::size_t> {
+    return std::size_t{999};
+  };
   Result<gridftp::TransferResult> result =
       make_error(ErrorCode::kInternal, "pending");
   bool done = false;
-  f.consumer().gdmp().get_file(lfns[0],
-                               [&](Result<gridftp::TransferResult> r) {
-                                 result = std::move(r);
-                                 done = true;
-                               });
+  f.consumer().gdmp_server().replicate(
+      lfns[0], std::move(options), [&](Result<gridftp::TransferResult> r) {
+        result = std::move(r);
+        done = true;
+      });
   f.run_while(1200 * kSecond, [&] { return done; });
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.is_ok()) << result.status().to_string();
@@ -968,38 +1000,36 @@ TEST(ReplicationScheduler, WakeGoldenRemoteRegistrationAndPrefetch) {
   EXPECT_EQ(s.catalog_ops, 74);
 }
 
-TEST(ReplicationScheduler, WakeGoldenQueueSpansOpenedAfterTracingStarts) {
-  // Tracing starts at 20 s, while requests parked without a queue span
-  // wait. The next release opens those spans in the order the requests
-  // parked, so the run's "sched.queue_wait" spans, in id order, must keep
-  // their start and end instants. Pinned: the span count and an FNV-1a
-  // digest of the (start, end) pairs in ns from submission.
+TEST(ReplicationScheduler, RequestsSubmittedBeforeTracingStartsStayUntraced) {
+  // Tracing starts at 20 s, while requests submitted untraced wait. A
+  // request's queue spans nest under its own "sched.request" span, so
+  // these requests stay untraced to the end, while the replicate() calls
+  // made after 20 s are traced. The walk is the one
+  // WakeGoldenSlotsTtlBouncesAndWalkStops pins, with the same counts.
   auto& tracer = obs::Tracer::global();
   tracer.clear();
-  std::size_t spans = 0;
-  std::uint64_t digest = 14695981039346656037ull;
+  std::size_t sched_spans = 0;
+  std::size_t replicate_spans = 0;
   {
-    WakeScenario s(three_host_spec());
+    WakeScenario::Spec spec = three_host_spec();
+    spec.already_local = {9, 22};
+    WakeScenario s(spec);
     s.run({{20 * kSecond, [&] {
               tracer.set_clock([&s] { return s.grid.simulator().now(); });
               tracer.enable(true);
             }}});
     tracer.enable(false);
     for (const obs::Span& span : tracer.spans()) {
-      if (span.name != "sched.queue_wait") continue;
-      ++spans;
-      for (const SimTime t : {span.start - s.start, span.end - s.start}) {
-        for (int b = 0; b < 8; ++b) {
-          digest ^= static_cast<std::uint64_t>(t) >> (8 * b) & 0xffu;
-          digest *= 1099511628211ull;
-        }
-      }
+      if (span.name.starts_with("sched.")) ++sched_spans;
+      if (span.name == "gdmp.replicate") ++replicate_spans;
     }
+    EXPECT_EQ(s.stats().busy_deferrals, 147);
+    EXPECT_EQ(s.stats().dispatched, 118);
   }
   tracer.set_clock(nullptr);
   tracer.clear();
-  EXPECT_EQ(spans, 96u);
-  EXPECT_EQ(digest, 678744388999162911ull);
+  EXPECT_EQ(sched_spans, 0u);
+  EXPECT_GE(replicate_spans, 1u);
 }
 
 TEST(ReplicationScheduler, DeepQueueCountsArePinned) {

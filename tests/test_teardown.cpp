@@ -426,7 +426,7 @@ TEST(Teardown, RpcClientCloseFailsPendingOnce) {
 TEST(Teardown, DataMoverDestroyedSettlesQueuedAndInFlightOnce) {
   // Regression for two pass-era bugs: queued requests were dropped with
   // their completions, and the in-flight completion lambda touched members
-  // already destroyed during ~DataMover (queue_/stats_ die before ftp_).
+  // already destroyed during ~DataMover (queue_ dies before ftp_).
   testbed::GridConfig config = testbed::two_site_config();
   config.sites[1].site.gdmp.max_concurrent_transfers = 1;
   auto grid = std::make_unique<testbed::Grid>(config);
@@ -440,7 +440,7 @@ TEST(Teardown, DataMoverDestroyedSettlesQueuedAndInFlightOnce) {
   std::vector<CountingCallback> pulls(3);
   for (std::size_t i = 0; i < pulls.size(); ++i) {
     mover.pull(producer.host().id(), gridftp::kControlPort, remote,
-               "/pool/teardown-dst" + std::to_string(i), std::nullopt,
+               "/pool/teardown-dst" + std::to_string(i), mover.defaults(),
                pulls[i].wrap<Result<gridftp::TransferResult>>());
   }
   grid->run_until(grid->simulator().now() + 2 * kSecond);

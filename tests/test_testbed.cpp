@@ -259,8 +259,6 @@ gdmp.notifications_queued counter
 gdmp.notifications_received counter
 gdmp.notifications_sent counter
 gdmp.replication_failures counter
-gdmp.replications_dead_lettered counter
-gdmp.replications_retried counter
 gdmp.rpc.auth_failures counter
 gdmp.rpc.requests_served counter
 gdmp.stage_requests_served counter
@@ -390,8 +388,6 @@ Fields site_fields(Site& site) {
       {"gdmp.files_replicated", d(gdmp.files_replicated)},
       {"gdmp.replication_failures", d(gdmp.replication_failures)},
       {"gdmp.stage_requests_served", d(gdmp.stage_requests_served)},
-      {"gdmp.replications_retried", d(gdmp.replications_retried)},
-      {"gdmp.replications_dead_lettered", d(gdmp.replications_dead_lettered)},
       {"gdmp.rpc.requests_served",
        d(site.gdmp_server().rpc().requests_served())},
       {"gdmp.rpc.auth_failures", d(site.gdmp_server().rpc().auth_failures())},

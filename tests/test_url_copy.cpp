@@ -212,19 +212,6 @@ TEST(UrlCopy, StripedGetFasterThanSingleSourceWhenSourceLimited) {
 namespace gdmp::core {
 namespace {
 
-std::vector<Uri> candidates(std::initializer_list<const char*> hosts) {
-  std::vector<Uri> out;
-  for (const char* host : hosts) {
-    out.push_back(make_gsiftp_uri(host, "/pool/f"));
-  }
-  return out;
-}
-
-TEST(ReplicaSelection, FirstAlwaysPicksZero) {
-  auto selector = first_replica_selector();
-  EXPECT_EQ(selector(candidates({"a", "b", "c"})), 0u);
-}
-
 TEST(ReplicaSelection, RemoteCandidatesSkipOwnSiteAndMalformed) {
   const std::vector<PhysicalFileName> locations = {
       "gsiftp://cern:2811/pool/f", "not a url", "gsiftp://lyon:2811/pool/f",
