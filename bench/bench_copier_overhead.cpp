@@ -295,7 +295,11 @@ int main(int argc, char** argv) {
       static_cast<double>(file_bytes / (10 * kKiB)) / kEvents;
   const auto needed = objrep::select_objects(grid.model(), selection, rng);
 
+  // The object phase's kernel events and host time: the copier's share of
+  // them is one disk-run event per chunk (DESIGN.md "Lazy disk runs").
   const auto disk_before_obj = source_disk.stats();
+  const std::uint64_t events_before_obj = grid.simulator().events_fired();
+  const auto object_t0 = std::chrono::steady_clock::now();
   bool object_done = false;
   Bytes object_bytes = 0;
   grid.site(1).objrep().replicate_objects(
@@ -305,6 +309,12 @@ int main(int argc, char** argv) {
         if (result.is_ok()) object_bytes = result->transferred_bytes;
       });
   grid.run_until(grid.simulator().now() + 8 * 3600 * kSecond);
+  const double object_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    object_t0)
+          .count();
+  const auto object_events = static_cast<long long>(
+      grid.simulator().events_fired() - events_before_obj);
   const auto disk_after_obj = source_disk.stats();
   if (!object_done) {
     std::printf("object replication failed\n");
@@ -345,6 +355,8 @@ int main(int argc, char** argv) {
               {"disk_ops", static_cast<long long>(object_ops)},
               {"copier_cpu_seconds", to_seconds(copier_cost.cpu_time)},
               {"objects_copied",
-               static_cast<long long>(copier_cost.objects_copied)}});
+               static_cast<long long>(copier_cost.objects_copied)},
+              {"events", object_events},
+              {"wall_seconds", object_seconds}});
   return 0;
 }

@@ -25,14 +25,16 @@
 #      the observability runs must replay their rollup stream to the byte.
 #   7. work counts — every gated bench_sim_kernel row (events fired,
 #      operations issued, the packets wan_transfer's tuned WAN transfer
-#      delivers) must equal bench/baselines/sim_kernel.json, and
+#      delivers) must equal bench/baselines/sim_kernel.json,
 #      bench_scheduler's deep_queue row (operations, busy deferrals,
-#      replicate() calls) bench/baselines/scheduler.json, under
-#      GDMP_HASH_SEED 0 and 7919 (scripts/bench.sh --compare-counts: no
-#      timing, so it holds on any machine; CI runs the same pins).
+#      replicate() calls) bench/baselines/scheduler.json, and every gated
+#      bench_copier_overhead row (the object phase's kernel events, the
+#      catalog and CRC rows' operations) bench/baselines/copier_overhead.json,
+#      under GDMP_HASH_SEED 0 and 7919 (scripts/bench.sh --compare-counts:
+#      no timing, so it holds on any machine; CI runs the same pins).
 #
 #   scripts/check.sh            # lint + all presets + smoke + determinism
-#                               # + kernel and scheduler work counts
+#                               # + kernel, scheduler and copier work counts
 #   scripts/check.sh default    # just one preset (skips lint/smoke)
 #   scripts/check.sh perf-gate  # non-default: full bench_sim_kernel, bench_flow,
 #                               # bench_replica_catalog,
@@ -307,7 +309,7 @@ if [ "$smoke" -eq 1 ]; then
   GDMP_BENCH_OUT=build ./build/tools/determinism_check --hash-perturb \
     ./build/bench/bench_staging
 
-  echo "==> work counts [bench_sim_kernel and bench_scheduler vs baselines, two hash salts]"
+  echo "==> work counts [bench_sim_kernel, bench_scheduler and bench_copier_overhead vs baselines, two hash salts]"
   for salt in 0 7919; do
     counts_out="$(mktemp -d /tmp/gdmp-work-counts.XXXXXX)"
     GDMP_HASH_SEED="$salt" scripts/bench.sh \
@@ -316,6 +318,9 @@ if [ "$smoke" -eq 1 ]; then
     GDMP_HASH_SEED="$salt" scripts/bench.sh \
       --compare-counts bench/baselines/scheduler.json "$counts_out" \
       bench_scheduler
+    GDMP_HASH_SEED="$salt" scripts/bench.sh \
+      --compare-counts bench/baselines/copier_overhead.json "$counts_out" \
+      bench_copier_overhead
     rm -rf "$counts_out"
   done
 fi

@@ -43,7 +43,6 @@ class DataMover {
   }
   int in_flight() const noexcept { return active_; }
   std::size_t queued() const noexcept { return queue_.size(); }
-  gridftp::FtpClient& ftp() noexcept { return ftp_; }
 
  private:
   struct Request {

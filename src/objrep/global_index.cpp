@@ -141,8 +141,9 @@ std::map<std::string, std::vector<ObjectId>> GlobalObjectIndex::plan(
       if (out.contains(site)) continue;
       held.assign(remaining.size(), false);
       std::size_t count = 0;
+      objstore::ObjectFileCatalog::Cursor cursor;
       for (std::size_t i = 0; i < remaining.size(); ++i) {
-        if (catalog.contains(remaining[i])) {
+        if (catalog.contains(remaining[i], cursor)) {
           held[i] = true;
           ++count;
         }

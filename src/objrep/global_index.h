@@ -64,8 +64,9 @@ class GlobalObjectIndex {
   std::vector<RemoteObject> locate(ObjectId id) const;
 
   /// Collective lookup: partitions `needed` by source site, greedily
-  /// preferring sites that hold the most of the remainder. Objects nobody
-  /// holds are returned under the empty site name.
+  /// preferring sites that hold the most of the remainder. Each site
+  /// counts the remainder with one catalog cursor per round. Objects
+  /// nobody holds are returned under the empty site name.
   std::map<std::string, std::vector<ObjectId>> plan(
       const std::vector<ObjectId>& needed) const;
 

@@ -54,10 +54,16 @@ Status Federation::detach(const std::string& file) {
   return catalog_.remove_file(file);
 }
 
-// gdmp-lint: hot-path — persistency reads, and each id of missing()
+namespace {
+/// Stops a location walk at the first file on local disk.
+constexpr auto kResident = [](const std::string&, Bytes, bool resident) {
+  return resident;
+};
+}  // namespace
+
+// gdmp-lint: hot-path — persistency reads
 bool Federation::has_local(ObjectId id) const {
-  return catalog_.visit_locations(
-      id, [](const std::string&, Bytes, bool resident) { return resident; });
+  return catalog_.visit_locations(id, kResident);
 }
 
 // gdmp-lint: hot-path — one pass per replication request and per pack job
@@ -66,12 +72,15 @@ std::vector<ObjectId> Federation::missing(std::span<const ObjectId> ids) const {
   // (nothing held) so that it never regrows.
   std::vector<ObjectId> out;
   out.reserve(ids.size());
+  ObjectFileCatalog::Cursor cursor;
   // The posting table outgrows the cache; its slots are loaded a few ids
   // ahead of their probes.
   constexpr std::size_t kAhead = 8;
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (i + kAhead < ids.size()) catalog_.prefetch(ids[i + kAhead]);
-    if (!has_local(ids[i])) out.push_back(ids[i]);
+    if (!catalog_.visit_locations(ids[i], cursor, kResident)) {
+      out.push_back(ids[i]);
+    }
   }
   return out;
 }

@@ -65,8 +65,8 @@ class Federation {
 
   /// The collective "held locally" query behind the already-local filter
   /// of object replication and copier validation: the ids of `ids` that
-  /// are not held locally, in input order, duplicates kept. One
-  /// allocation, for the result.
+  /// are not held locally, in input order, duplicates kept. One catalog
+  /// cursor serves every id, and one allocation, the result.
   std::vector<ObjectId> missing(std::span<const ObjectId> ids) const;
 
   const ObjectFileCatalog& catalog() const noexcept { return catalog_; }

@@ -1,12 +1,14 @@
 #include "objstore/object_copier.h"
 
+#include <span>
+
 namespace gdmp::objstore {
 namespace {
 
 /// CPU cost per object copied (file-system calls, context switches).
 constexpr SimDuration kCpuPerObject = 50 * kMicrosecond;
 
-std::uint64_t seed_for_objects(const std::vector<ObjectId>& objects) {
+std::uint64_t seed_for_objects(std::span<const ObjectId> objects) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const ObjectId id : objects) {
     h ^= id.value;
@@ -19,14 +21,19 @@ std::uint64_t seed_for_objects(const std::vector<ObjectId>& objects) {
 
 struct ObjectCopier::Job {
   std::vector<ObjectId> objects;
+  std::size_t chunk_first = 0;  // the chunk in progress: [chunk_first, next)
   std::size_t next = 0;
+  Bytes chunk_bytes = 0;
+  storage::Disk::RunId run = 0;
   std::string prefix;
   int chunk_index = 0;
-  std::vector<ObjectId> chunk_objects;
-  Bytes chunk_bytes = 0;
   ChunkCallback on_chunk;
   DoneCallback done;
 };
+
+ObjectCopier::~ObjectCopier() {
+  for (const storage::Disk::RunId run : runs_) disk_.cancel(run);
+}
 
 void ObjectCopier::pack(std::vector<ObjectId> objects,
                         const std::string& output_prefix,
@@ -48,64 +55,69 @@ void ObjectCopier::pack(std::vector<ObjectId> objects,
                              " not locally available for packing"));
     return;
   }
-  pump(job);
+  start_chunk(job);
 }
 
-void ObjectCopier::pump(const std::shared_ptr<Job>& job) {
+void ObjectCopier::start_chunk(const std::shared_ptr<Job>& job) {
+  // One seek+read per object, each issued after the previous one's CPU
+  // charge; the chunk ends with the object that fills it to
+  // max_output_file. Its write is folded into the emission (a single
+  // sequential write).
+  job->chunk_first = job->next;
+  job->chunk_bytes = 0;
+  std::vector<Bytes> sizes;
+  do {
+    const Bytes size =
+        federation_.model().object_size(job->objects[job->next++]);
+    // gdmp-lint: hot-alloc — one size list per chunk run, not per object
+    sizes.push_back(size);
+    job->chunk_bytes += size;
+  } while (job->next < job->objects.size() &&
+           job->chunk_bytes < config_.max_output_file);
+  job->run = disk_.run(
+      std::move(sizes), kCpuPerObject, [this, job] { finish_chunk(job); });
+  // gdmp-lint: hot-alloc — holds one id per pack in progress, and keeps its capacity
+  runs_.push_back(job->run);
+}
+
+// gdmp-lint: hot-path — a chunk run's kernel event, fired through the disk
+void ObjectCopier::finish_chunk(const std::shared_ptr<Job>& job) {
+  std::erase(runs_, job->run);
+  job->run = 0;
+  const auto count = static_cast<std::int64_t>(job->next - job->chunk_first);
+  stats_.objects_copied += count;
+  stats_.io_ops += count;
+  stats_.bytes_copied += job->chunk_bytes;
+  stats_.cpu_time += count * kCpuPerObject;
+  if (!emit_chunk(job)) return;
   if (job->next == job->objects.size()) {
-    if (!job->chunk_objects.empty()) emit_chunk(job);
     job->done(Status::ok());
     return;
   }
-  const ObjectId id = job->objects[job->next++];
-  const Bytes size = federation_.model().object_size(id);
-  ++stats_.objects_copied;
-  ++stats_.io_ops;
-  stats_.bytes_copied += size;
-  stats_.cpu_time += kCpuPerObject;
-
-  // One seek+read per object, then the per-object CPU charge, then the
-  // write is folded into the chunk emission (a single sequential write).
-  std::weak_ptr<bool> alive = alive_;
-  federation_.pool().disk().read(size, [this, alive, job, id, size] {
-    if (alive.expired()) return;
-    simulator_.schedule(kCpuPerObject, [this, alive, job, id, size] {
-      if (alive.expired()) return;
-      job->chunk_objects.push_back(id);
-      job->chunk_bytes += size;
-      if (job->chunk_bytes >= config_.max_output_file) emit_chunk(job);
-      pump(job);
-    });
-  });
+  start_chunk(job);
 }
 
-void ObjectCopier::emit_chunk(const std::shared_ptr<Job>& job) {
+bool ObjectCopier::emit_chunk(const std::shared_ptr<Job>& job) {
   const std::string name =
       // gdmp-lint: hot-alloc — one catalog name per emitted chunk file, not per object
       job->prefix + "." + std::to_string(job->chunk_index++);
-  const std::uint64_t seed = seed_for_objects(job->chunk_objects);
-  auto added = federation_.pool().add_file(name, job->chunk_bytes, seed,
-                                           simulator_.now());
+  const std::span<const ObjectId> objects(
+      job->objects.data() + job->chunk_first, job->next - job->chunk_first);
+  auto added = federation_.pool().add_file(
+      name, job->chunk_bytes, seed_for_objects(objects), simulator_.now());
   if (!added.is_ok()) {
     // Surface pool exhaustion through done() and stop the job.
-    auto done = std::move(job->done);
-    job->done = [](Status) {};
-    job->next = job->objects.size();
-    job->chunk_objects.clear();
-    job->chunk_bytes = 0;
-    done(added.status());
-    return;
+    job->done(added.status());
+    return false;
   }
-  federation_.pool().disk().write(job->chunk_bytes, [] {});
+  disk_.write(job->chunk_bytes, [] {});
   ++stats_.io_ops;
-  (void)federation_.attach_packed_file(name, job->chunk_objects);
-
   PackedOutput output;
   output.file = *added;
-  output.objects = std::move(job->chunk_objects);
-  job->chunk_objects.clear();
-  job->chunk_bytes = 0;
+  output.objects.assign(objects.begin(), objects.end());
+  (void)federation_.attach_packed_file(name, output.objects);
   if (job->on_chunk) job->on_chunk(output);
+  return true;
 }
 
 }  // namespace gdmp::objstore

@@ -7,6 +7,10 @@
 // replication servers), charges CPU per object, and emits packed files of
 // bounded size so copying can overlap the wide-area transfer
 // ("object copying and file transport operations are pipelined").
+//
+// Each chunk is one lazy disk run (storage/disk.h): the chunk's reads, each
+// issued the per-object CPU charge after the previous one completes, and
+// one completion event that emits the chunk and starts the next.
 #pragma once
 
 #include <functional>
@@ -17,6 +21,7 @@
 #include "common/result.h"
 #include "objstore/federation.h"
 #include "sim/simulator.h"
+#include "storage/disk.h"
 #include "storage/file_system.h"
 
 namespace gdmp::objstore {
@@ -28,6 +33,7 @@ struct CopierConfig {
   Bytes max_output_file = 256 * kMiB;
 };
 
+/// Counted per chunk as its run completes.
 struct CopierStats {
   std::int64_t objects_copied = 0;
   Bytes bytes_copied = 0;
@@ -47,7 +53,17 @@ class ObjectCopier {
 
   ObjectCopier(sim::Simulator& simulator, Federation& federation,
                CopierConfig config = {})
-      : simulator_(simulator), federation_(federation), config_(config) {}
+      : simulator_(simulator),
+        federation_(federation),
+        disk_(federation.pool().disk()),
+        config_(config) {}
+  /// Cancels the pending chunk runs: the reads issued so far stay on the
+  /// disk, and no callback fires. Touches only the disk, which may be
+  /// tearing down the last run that owns this copier.
+  ~ObjectCopier();
+
+  ObjectCopier(const ObjectCopier&) = delete;
+  ObjectCopier& operator=(const ObjectCopier&) = delete;
 
   /// Packs `objects` (which must all be locally available) into files
   /// "<output_prefix>.<k>" in the site pool, invoking `on_chunk` as each
@@ -60,17 +76,19 @@ class ObjectCopier {
 
  private:
   struct Job;
-  void pump(const std::shared_ptr<Job>& job);
-  void emit_chunk(const std::shared_ptr<Job>& job);
+  /// Packs the job's next chunk as one disk run.
+  void start_chunk(const std::shared_ptr<Job>& job);
+  void finish_chunk(const std::shared_ptr<Job>& job);
+  /// Writes, attaches and hands out the chunk; false once the pool refused
+  /// it and the job has ended.
+  bool emit_chunk(const std::shared_ptr<Job>& job);
 
   sim::Simulator& simulator_;
   Federation& federation_;
+  storage::Disk& disk_;  // the federation's pool's
   CopierConfig config_;
   CopierStats stats_;
-  /// Liveness sentinel for the disk/CPU completion callbacks: a copier can
-  /// be destroyed mid-pack (its owner erases the job), and the pending
-  /// simulator events must then fall silent instead of touching `this`.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  std::vector<storage::Disk::RunId> runs_;  // one per pack in progress
 };
 
 }  // namespace gdmp::objstore

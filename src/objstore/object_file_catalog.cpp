@@ -172,9 +172,9 @@ std::vector<ObjectLocation> ObjectFileCatalog::locate(ObjectId id) const {
   return out;
 }
 
-bool ObjectFileCatalog::contains(ObjectId id) const {
+bool ObjectFileCatalog::contains(ObjectId id, Cursor& cursor) const {
   return visit_locations(
-      id, [](const std::string&, Bytes, bool) { return true; });
+      id, cursor, [](const std::string&, Bytes, bool) { return true; });
 }
 
 Result<std::vector<ObjectId>> ObjectFileCatalog::objects_in(

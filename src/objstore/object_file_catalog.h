@@ -18,7 +18,9 @@
 // read from that file's own offsets array. Postings live in one pooled
 // array, chained per object in registration order from a seeded
 // open-addressing table, so lookups and steady-state churn allocate
-// nothing. visit_locations() walks both indexes. Every entry also carries
+// nothing. visit_locations() walks both indexes; a Cursor carries one
+// collective lookup's interval walks forward from id to id, so ascending
+// ids cost one pass over each tier's intervals. Every entry also carries
 // a residency bit (is the file on local disk?) that its owner keeps
 // current through set_resident().
 #pragma once
@@ -26,6 +28,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -73,10 +76,29 @@ class ObjectFileCatalog {
   /// ignored.
   void set_resident(std::string_view file, bool resident);
 
+  /// Where the interval walks of one collective lookup stand: per tier,
+  /// the last event looked up and the first interval starting after it.
+  /// The next id of that tier resumes the forward step from there when its
+  /// event is not lower, and binary-searches when it is; a fresh cursor
+  /// always searches. Holds no memory, and is valid only while the catalog
+  /// is not modified.
+  class Cursor {
+    friend class ObjectFileCatalog;
+    std::array<std::int64_t, 4> event_{kFresh, kFresh, kFresh, kFresh};
+    std::array<std::size_t, 4> after_{};
+    static constexpr std::int64_t kFresh =
+        std::numeric_limits<std::int64_t>::max();
+  };
+
   /// All files (with offsets) containing the object, in visit order.
   /// Ignores residency, as contains() does.
   std::vector<ObjectLocation> locate(ObjectId id) const;
-  bool contains(ObjectId id) const;
+  bool contains(ObjectId id) const {
+    Cursor cursor;
+    return contains(id, cursor);
+  }
+  /// contains() as one id of a collective lookup.
+  bool contains(ObjectId id, Cursor& cursor) const;
 
   /// Calls `visit(file, offset, resident)` for each file holding `id` until
   /// it returns true, and returns whether it did. Order: range files first,
@@ -84,16 +106,36 @@ class ObjectFileCatalog {
   /// registration order. A packed file that lists `id` n times is visited
   /// n times, each at the first occurrence's offset.
   template <class Visit>
-  // gdmp-lint: hot-path — every "held locally" probe and copier validation
   bool visit_locations(ObjectId id, Visit&& visit) const {
+    Cursor cursor;
+    return visit_locations(id, cursor, std::forward<Visit>(visit));
+  }
+
+  /// visit_locations() as one id of a collective lookup: ids visited in
+  /// ascending order per tier cost one forward walk over the tier's
+  /// intervals in all.
+  template <class Visit>
+  // gdmp-lint: hot-path — every "held locally" probe and copier validation
+  bool visit_locations(ObjectId id, Cursor& cursor, Visit&& visit) const {
     if (!valid_tier(tier_of(id))) return false;  // no file can hold it
     const std::int64_t event = event_of(id);
-    const auto& index = tier_ranges_[static_cast<std::size_t>(tier_of(id))];
+    const auto tier = static_cast<std::size_t>(tier_of(id));
+    const auto& index = tier_ranges_[tier];
+    // The first interval starting after `event`.
+    std::size_t after = cursor.after_[tier];
+    if (event < cursor.event_[tier]) {
+      after = static_cast<std::size_t>(
+          std::upper_bound(index.begin(), index.end(), event, starts_after) -
+          index.begin());
+    } else {
+      while (after < index.size() && index[after].event_lo <= event) ++after;
+    }
+    cursor.event_[tier] = event;
+    cursor.after_[tier] = after;
     // Intervals starting at or before `event`, latest start first. One
     // that ends at or before `event` is skipped, and the walk stops where
     // no interval up to the slot reaches past `event`.
-    for (auto it = std::upper_bound(index.begin(), index.end(), event,
-                                    starts_after);
+    for (auto it = index.begin() + static_cast<std::ptrdiff_t>(after);
          it != index.begin();) {
       const RangeSlot& slot = *--it;
       if (slot.reach <= event) break;

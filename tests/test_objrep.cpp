@@ -6,6 +6,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "objrep/global_index.h"
@@ -381,6 +383,122 @@ TEST(GlobalIndex, LocateMatchesScanOfOverlappingSnapshots) {
       }
     }
   }
+}
+
+// plan() counts each site's share of the remainder with one catalog cursor
+// per round (DESIGN.md §5k). The same greedy rule asked per id with fresh
+// walks, over catalogs built from the same snapshots, gives the same
+// partition for ascending, descending, duplicated, tier-interleaved and
+// shuffled batches over nested, overlapping range files and packed files.
+TEST(GlobalIndex, PlanWithCursorMatchesPerIdReference) {
+  const EventModel model = EventModel::standard(10000);
+  std::uint64_t x = 0xbb67ae8584caa73bULL;
+  const auto next = [&x](std::uint64_t bound) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (x >> 33) % bound;
+  };
+  const auto random_tier = [&] {
+    return next(2) == 0 ? Tier::kAod : Tier::kEsd;
+  };
+  using Plan = std::map<std::string, std::vector<ObjectId>>;
+  int split = 0;  // plans that drew on two or more sites
+  for (int layout = 0; layout < 20; ++layout) {
+    GlobalObjectIndex index;
+    std::map<std::string, objstore::ObjectFileCatalog> sites;
+    for (const char* site : {"ral", "cern", "lyon", "fnal"}) {
+      objstore::ObjectFileCatalog catalog;
+      for (int i = 0, n = static_cast<int>(next(14)); i < n; ++i) {
+        const auto lo = static_cast<std::int64_t>(next(400));
+        (void)catalog.add_range_file(
+            "/r" + std::to_string(i), random_tier(), lo,
+            lo + 1 + static_cast<std::int64_t>(next(next(3) == 0 ? 250 : 25)),
+            model);
+      }
+      for (int i = 0, n = static_cast<int>(next(8)); i < n; ++i) {
+        std::vector<ObjectId> objects(1 + next(30));
+        for (ObjectId& id : objects) {
+          id = make_object_id(random_tier(),
+                              static_cast<std::int64_t>(next(450)));
+        }
+        (void)catalog.add_packed_file("/p" + std::to_string(i),
+                                      std::move(objects), model);
+      }
+      const IndexSnapshot snapshot = snapshot_catalog(catalog, 1);
+      ASSERT_TRUE(index.update_site(site, snapshot, model).is_ok());
+      for (const auto& entry : snapshot.ranges) {
+        ASSERT_TRUE(sites[site]
+                        .add_range_file(entry.file, entry.tier, entry.event_lo,
+                                        entry.event_hi, model)
+                        .is_ok());
+      }
+      for (const auto& entry : snapshot.packed) {
+        ASSERT_TRUE(
+            sites[site].add_packed_file(entry.file, entry.objects, model)
+                .is_ok());
+      }
+    }
+    const auto reference = [&sites](std::vector<ObjectId> remaining) {
+      Plan out;
+      while (!remaining.empty()) {
+        const std::string* best = nullptr;
+        std::size_t best_count = 0;
+        for (const auto& [site, catalog] : sites) {
+          if (out.contains(site)) continue;
+          const auto count = static_cast<std::size_t>(std::count_if(
+              remaining.begin(), remaining.end(),
+              [&catalog](ObjectId id) { return catalog.contains(id); }));
+          if (count > best_count) {
+            best_count = count;
+            best = &site;
+          }
+        }
+        if (best == nullptr) {
+          out[""].insert(out[""].end(), remaining.begin(), remaining.end());
+          break;
+        }
+        std::vector<ObjectId> rest;
+        for (const ObjectId id : remaining) {
+          (sites.at(*best).contains(id) ? out[*best] : rest).push_back(id);
+        }
+        remaining = std::move(rest);
+      }
+      return out;
+    };
+    for (int batch = 0; batch < 10; ++batch) {
+      std::vector<ObjectId> needed(1 + next(150));
+      for (ObjectId& id : needed) {
+        id = make_object_id(random_tier(), static_cast<std::int64_t>(next(480)));
+      }
+      switch (batch % 5) {
+        case 0:
+          std::sort(needed.begin(), needed.end());
+          break;
+        case 1:
+          std::sort(needed.rbegin(), needed.rend());
+          break;
+        case 2:
+          for (std::size_t i = 0, n = needed.size(); i < n; i += 2) {
+            needed.push_back(needed[i]);
+          }
+          std::sort(needed.begin(), needed.end());
+          break;
+        case 3:
+          std::stable_sort(needed.begin(), needed.end(),
+                           [](ObjectId a, ObjectId b) {
+                             return objstore::event_of(a) <
+                                    objstore::event_of(b);
+                           });
+          break;
+        default:
+          break;
+      }
+      const Plan plan = index.plan(needed);
+      ASSERT_EQ(plan, reference(needed))
+          << "layout " << layout << " batch " << batch;
+      split += plan.size() - plan.count("") >= 2 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(split, 50);
 }
 
 // Snapshot wire format: range files come straight from the catalog's range
@@ -957,6 +1075,82 @@ TEST(ObjectReplication, ChunkReplicatedWithoutObjectListIsRefused) {
   ASSERT_EQ(locations.size(), 1u);
   EXPECT_NE(locations[0].find("//" + first.name() + ":"), std::string::npos)
       << locations[0];
+}
+
+// Captured on the two-event copier (a disk read event, then a CPU event, per
+// object) before chunks became lazy disk runs. A five-chunk pipelined pack
+// shares the source disk with the GridFTP read-ahead of the chunks already
+// shipped, with one write that lands mid-way through the first chunk's
+// run and delays the rest of it, and with one read issued at the instant the
+// third chunk's run starts, after that run's first read (its event is
+// scheduled from the emission callback, so the run's read goes first on
+// either copier). The pack is done when the source's copier stats first
+// read non-zero, at the last emission.
+TEST(ObjectReplication, PipelinedPackTimelineGolden) {
+  ObjRepFixture f(/*pipeline=*/true, 20000, 2 * kMiB);
+  Site& source = f.grid.site(0);
+  sim::Simulator& simulator = f.grid.simulator();
+  storage::Disk& disk = source.pool().disk();
+  std::vector<std::pair<std::string, SimTime>> emitted;
+  SimTime pack_done = 0;
+  SimTime read_done = 0;
+  SimTime write_done = 0;
+  const std::uint64_t observer = source.pool().add_residency_observer(
+      [&](std::string_view path, bool resident) {
+        if (!resident || !path.starts_with("/pack/req")) return;
+        emitted.emplace_back(std::string(path), simulator.now());
+        if (emitted.size() == 2) {
+          // At the instant the third chunk's run starts, after its first
+          // read went in.
+          simulator.schedule(0, [&] {
+            disk.read(64 * kKiB, [&] { read_done = simulator.now(); });
+          });
+        }
+        simulator.schedule(0, [&] {
+          if (pack_done == 0 &&
+              source.objrep().copier_stats().objects_copied > 0) {
+            pack_done = simulator.now();
+          }
+        });
+      });
+  const SimTime start = simulator.now();
+  // Mid-way through the first chunk's run: delays every later read of it.
+  simulator.schedule_at(start + 500 * kMillisecond + 12'345, [&] {
+    disk.write(1 * kMiB, [&] { write_done = simulator.now(); });
+  });
+  Rng rng(8);
+  SelectionConfig selection;
+  selection.fraction = 5e-2;
+  const auto needed = select_objects(f.grid.model(), selection, rng);
+  SimTime finished = 0;
+  int chunks = 0;
+  f.grid.site(1).objrep().replicate_objects(
+      needed, [&](Result<ObjectReplicationService::Outcome> r) {
+        ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+        finished = simulator.now();
+        chunks = r->chunks;
+      });
+  f.grid.run_until(start + 7200 * kSecond);
+  source.pool().remove_residency_observer(observer);
+
+  const std::vector<std::pair<std::string, SimTime>> expected = {
+      {"/pack/req1.0", 1'334'191'203}, {"/pack/req1.1", 2'604'311'133},
+      {"/pack/req1.2", 3'881'565'596}, {"/pack/req1.3", 5'151'685'526},
+      {"/pack/req1.4", 6'287'022'131}};
+  ASSERT_EQ(emitted.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(emitted[i].first, expected[i].first);
+    EXPECT_EQ(emitted[i].second - start, expected[i].second) << i;
+  }
+  EXPECT_EQ(pack_done - start, 6'287'022'131);
+  EXPECT_EQ(read_done - start, 2'691'810'332);
+  EXPECT_EQ(write_done - start, 541'665'252);
+  EXPECT_EQ(finished - start, 8'319'330'326);
+  EXPECT_EQ(chunks, 5);
+  const storage::DiskStats& stats = disk.stats();
+  EXPECT_EQ(stats.operations, 1027);
+  EXPECT_EQ(stats.bytes_moved, 31'834'112);
+  EXPECT_EQ(stats.busy_time, 6'196'136'726);
 }
 
 TEST(ObjectReplication, PipeliningReducesResponseTime) {

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "objstore/object_copier.h"
 #include "objstore/persistency.h"
@@ -742,6 +746,115 @@ TEST(Federation, MissingKeepsInputOrderAndDuplicates) {
   EXPECT_TRUE(f.federation.missing(std::vector<ObjectId>{held, held}).empty());
 }
 
+// Collective-lookup cursor (DESIGN.md §5k): resuming each tier's interval
+// walk from id to id visits exactly the files a fresh per-id walk visits, in
+// the same order, whether the batch ascends, descends, repeats ids or
+// interleaves tiers; missing() agrees with per-id has_local(). The layouts
+// nest and overlap range files of two tiers, some evicted from the pool,
+// beside packed files.
+TEST(Federation, CursorWalkAgreesWithPerIdWalk) {
+  std::uint64_t x = 0x2545f4914f6cdd1dULL;
+  const auto next = [&x](std::uint64_t bound) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (x >> 33) % bound;
+  };
+  const auto random_tier = [&] {
+    return next(2) == 0 ? Tier::kAod : Tier::kEsd;
+  };
+  const auto visits = [](const ObjectFileCatalog& catalog, ObjectId id,
+                         ObjectFileCatalog::Cursor* cursor) {
+    Located out;
+    const auto collect = [&out](const std::string& file, Bytes offset, bool) {
+      out.emplace_back(file, offset);
+      return false;
+    };
+    if (cursor != nullptr) {
+      catalog.visit_locations(id, *cursor, collect);
+    } else {
+      catalog.visit_locations(id, collect);
+    }
+    return out;
+  };
+  std::int64_t resumed = 0;  // ids answered without a binary search
+  for (int layout = 0; layout < 12; ++layout) {
+    FederationFixture f;
+    const int ranges = 5 + static_cast<int>(next(40));
+    for (int r = 0; r < ranges; ++r) {
+      const std::string name = "/r" + std::to_string(r);
+      const Tier tier = random_tier();
+      const auto lo = static_cast<std::int64_t>(next(2000));
+      const auto length =
+          static_cast<std::int64_t>(1 + next(next(4) == 0 ? 1500 : 60));
+      ASSERT_TRUE(f.pool.add_file(name, 1, 1, 0).is_ok());
+      ASSERT_TRUE(
+          f.federation.attach_range_file(name, tier, lo, lo + length).is_ok());
+      if (next(4) == 0) {
+        ASSERT_TRUE(f.pool.remove(name).is_ok());
+      }
+    }
+    const int packed = static_cast<int>(next(12));
+    for (int p = 0; p < packed; ++p) {
+      const std::string name = "/p" + std::to_string(p);
+      std::vector<ObjectId> objects(1 + next(40));
+      for (ObjectId& id : objects) {
+        id = make_object_id(random_tier(), static_cast<std::int64_t>(next(2100)));
+      }
+      ASSERT_TRUE(f.pool.add_file(name, 1, 2, 0).is_ok());
+      ASSERT_TRUE(f.federation.attach_packed_file(name, objects).is_ok());
+      if (next(4) == 0) {
+        ASSERT_TRUE(f.pool.remove(name).is_ok());
+      }
+    }
+    const ObjectFileCatalog& catalog = f.federation.catalog();
+    for (int batch = 0; batch < 30; ++batch) {
+      std::vector<ObjectId> ids(1 + next(200));
+      for (ObjectId& id : ids) {
+        const Tier tier = next(10) == 0 ? Tier::kRaw : random_tier();
+        id = make_object_id(tier, static_cast<std::int64_t>(next(2200)));
+      }
+      const auto by_event = [](ObjectId a, ObjectId b) {
+        return event_of(a) < event_of(b);
+      };
+      switch (batch % 5) {
+        case 0:  // ascending: one tier after the other
+          std::sort(ids.begin(), ids.end());
+          break;
+        case 1:  // descending: every id searches again
+          std::sort(ids.rbegin(), ids.rend());
+          break;
+        case 2:  // ascending, each id repeated up to three times
+          for (std::size_t i = 0, n = ids.size(); i < n; ++i) {
+            for (std::uint64_t k = next(3); k > 0; --k) ids.push_back(ids[i]);
+          }
+          std::sort(ids.begin(), ids.end());
+          break;
+        case 3:  // ascending events with the tiers interleaved
+          std::stable_sort(ids.begin(), ids.end(), by_event);
+          break;
+        default:  // shuffled
+          break;
+      }
+      ObjectFileCatalog::Cursor walk;
+      ObjectFileCatalog::Cursor probe;
+      std::vector<ObjectId> expected;
+      std::array<std::int64_t, 4> last{-1, -1, -1, -1};
+      for (const ObjectId id : ids) {
+        ASSERT_EQ(visits(catalog, id, &walk), visits(catalog, id, nullptr))
+            << "layout " << layout << " batch " << batch << " "
+            << tier_name(tier_of(id)) << " " << event_of(id);
+        ASSERT_EQ(catalog.contains(id, probe), catalog.contains(id));
+        auto& seen = last[static_cast<std::size_t>(tier_of(id))];
+        resumed += event_of(id) >= seen && seen >= 0;
+        seen = event_of(id);
+        if (!f.federation.has_local(id)) expected.push_back(id);
+      }
+      ASSERT_EQ(f.federation.missing(ids), expected)
+          << "layout " << layout << " batch " << batch;
+    }
+  }
+  EXPECT_GT(resumed, 10'000);
+}
+
 TEST(Persistency, ReadsLocallyAvailableObject) {
   FederationFixture f;
   (void)f.pool.add_file("/db", 1000 * 10 * kKiB, 1, 0);
@@ -888,6 +1001,357 @@ TEST(ObjectCopier, DiskIoChargedPerObject) {
   // 50 per-object reads plus chunk write(s): many small I/Os — the §5.3
   // overhead signature.
   EXPECT_GE(f.disk.stats().operations - ops_before, 51);
+}
+
+// An undisturbed pack fires two kernel events per chunk: its disk run's
+// completion and its chunk write's (the two-event copier fired one read
+// event and one CPU event per object). The done time is the per-object
+// arithmetic plus the two chunk writes the next chunk's first read waits
+// behind.
+TEST(ObjectCopier, UndisturbedPackFiresTwoEventsPerChunk) {
+  FederationFixture f;
+  (void)f.pool.add_file("/db", 10000LL * 10 * kKiB, 1, 0);
+  (void)f.federation.attach_range_file("/db", Tier::kAod, 0, 10000);
+  CopierConfig config;
+  config.max_output_file = 100 * 10 * kKiB;  // 100 objects per chunk
+  ObjectCopier copier(f.simulator, f.federation, config);
+  std::vector<ObjectId> selection;
+  for (int e = 0; e < 250; ++e) {
+    selection.push_back(make_object_id(Tier::kAod, e * 37 % 10000));
+  }
+  int chunks = 0;
+  SimTime done_at = -1;
+  const std::uint64_t before = f.simulator.events_fired();
+  copier.pack(selection, "/pack/quiet",
+              [&](const PackedOutput&) { ++chunks; },
+              [&](Status s) {
+                EXPECT_TRUE(s.is_ok());
+                done_at = f.simulator.now();
+              });
+  f.simulator.run();
+  EXPECT_EQ(chunks, 3);
+  EXPECT_EQ(f.simulator.events_fired() - before, 2u * 3);
+  const storage::DiskConfig disk;
+  const auto service = [&disk](Bytes bytes) {
+    return disk.seek_latency + transmission_delay(bytes, disk.bandwidth);
+  };
+  constexpr SimDuration kCpuPerObject = 50 * kMicrosecond;
+  EXPECT_EQ(done_at, 250 * (service(10 * kKiB) + kCpuPerObject) +
+                         2 * service(100 * 10 * kKiB));
+  EXPECT_EQ(f.disk.stats().operations, 250 + 3);
+}
+
+// ---- lazy disk runs against the two-event reference model
+
+/// The disk as it was before lazy runs: each request takes the head when
+/// it is issued and fires its own kernel event.
+class TwoEventDisk {
+ public:
+  TwoEventDisk(sim::Simulator& simulator, storage::DiskConfig config)
+      : simulator_(simulator), config_(config) {}
+
+  void submit(Bytes bytes, sim::Callback done) {
+    const SimTime start = std::max(busy_until_, simulator_.now());
+    const SimDuration service =
+        config_.seek_latency + transmission_delay(bytes, config_.bandwidth);
+    busy_until_ = start + service;
+    ++stats_.operations;
+    stats_.bytes_moved += bytes;
+    stats_.busy_time += service;
+    simulator_.schedule_at(busy_until_, std::move(done));
+  }
+  const storage::DiskStats& stats() const noexcept { return stats_; }
+
+ private:
+  sim::Simulator& simulator_;
+  storage::DiskConfig config_;
+  storage::DiskStats stats_;
+  SimTime busy_until_ = 0;
+};
+
+/// The copier as it was before chunks became disk runs: per object, a read
+/// event, then a CPU-charge event that adds the object to the chunk, emits
+/// a full chunk (one write) and issues the next read. Destroying it leaves
+/// its pending events to fall silent.
+class TwoEventCopier {
+ public:
+  using OnChunk = std::function<void(const std::vector<ObjectId>&)>;
+
+  TwoEventCopier(sim::Simulator& simulator, TwoEventDisk& disk,
+                 const EventModel& model, Bytes max_output_file)
+      : simulator_(simulator),
+        disk_(disk),
+        model_(model),
+        max_output_file_(max_output_file) {}
+
+  void pack(std::vector<ObjectId> objects, OnChunk on_chunk,
+            std::function<void()> done) {
+    auto job = std::make_shared<Job>();
+    job->objects = std::move(objects);
+    job->on_chunk = std::move(on_chunk);
+    job->done = std::move(done);
+    pump(job);
+  }
+
+ private:
+  static constexpr SimDuration kCpuPerObject = 50 * kMicrosecond;
+
+  struct Job {
+    std::vector<ObjectId> objects;
+    std::size_t next = 0;
+    std::vector<ObjectId> chunk;
+    Bytes chunk_bytes = 0;
+    OnChunk on_chunk;
+    std::function<void()> done;
+  };
+
+  void pump(const std::shared_ptr<Job>& job) {
+    if (job->next == job->objects.size()) {
+      if (!job->chunk.empty()) emit(job);
+      job->done();
+      return;
+    }
+    const ObjectId id = job->objects[job->next++];
+    const Bytes size = model_.object_size(id);
+    std::weak_ptr<bool> alive = alive_;
+    disk_.submit(size, [this, alive, job, id, size] {
+      if (alive.expired()) return;
+      simulator_.schedule(kCpuPerObject, [this, alive, job, id, size] {
+        if (alive.expired()) return;
+        job->chunk.push_back(id);
+        job->chunk_bytes += size;
+        if (job->chunk_bytes >= max_output_file_) emit(job);
+        pump(job);
+      });
+    });
+  }
+
+  void emit(const std::shared_ptr<Job>& job) {
+    disk_.submit(job->chunk_bytes, [] {});
+    job->on_chunk(job->chunk);
+    job->chunk.clear();
+    job->chunk_bytes = 0;
+  }
+
+  sim::Simulator& simulator_;
+  TwoEventDisk& disk_;
+  const EventModel& model_;
+  Bytes max_output_file_;
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+};
+
+/// One seeded scenario: two packs on one disk that may overlap, either of
+/// which may be destroyed part-way, foreign reads and writes, and stats()
+/// reads at random nanoseconds.
+struct RunScenario {
+  struct Pack {
+    SimTime start = 0;
+    std::vector<ObjectId> objects;
+    Bytes max_output_file = 0;
+    SimTime destroy_at = -1;  // never when negative
+  };
+  struct Request {
+    SimTime at = 0;
+    Bytes bytes = 0;
+    bool write = false;
+  };
+  std::array<Pack, 2> packs;
+  std::vector<Request> requests;
+  std::vector<SimTime> stats_at;
+};
+
+RunScenario make_run_scenario(std::uint64_t seed) {
+  std::uint64_t x = seed * 0x9e3779b97f4a7c15ULL + 1;
+  const auto next = [&x](std::uint64_t bound) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (x >> 33) % bound;
+  };
+  const auto at = [&next](SimTime bound) {
+    return static_cast<SimTime>(next(static_cast<std::uint64_t>(bound)));
+  };
+  RunScenario s;
+  for (std::size_t i = 0; i < s.packs.size(); ++i) {
+    RunScenario::Pack& pack = s.packs[i];
+    pack.start = i == 0 ? at(50 * kMillisecond) : at(600 * kMillisecond);
+    pack.objects.resize(1 + next(120));
+    for (ObjectId& id : pack.objects) {
+      id = make_object_id(next(3) == 0 ? Tier::kEsd : Tier::kAod,
+                          static_cast<std::int64_t>(next(5000)));
+    }
+    pack.max_output_file = static_cast<Bytes>(1 + next(2 * kMiB));
+    if (next(i == 0 ? 4 : 2) == 0) {
+      pack.destroy_at = pack.start + at(1 * kSecond);
+    }
+  }
+  for (std::uint64_t k = 5 + next(30); k > 0; --k) {
+    s.requests.push_back({at(1500 * kMillisecond),
+                          static_cast<Bytes>(1 + next(4 * kMiB)),
+                          next(2) == 0});
+  }
+  for (std::uint64_t k = 2 + next(8); k > 0; --k) {
+    s.stats_at.push_back(at(1500 * kMillisecond));
+  }
+  return s;
+}
+
+/// What a scenario's run shows, in the order it happened.
+struct RunLog {
+  std::vector<std::string> lines;
+  // Coverage, counted on the lazy side.
+  int overlapping_starts = 0;     // a pack started while the other packed
+  int destroyed_mid_pack = 0;
+  int stats_mid_pack = 0;
+  int requests_mid_pack = 0;
+
+  void add(SimTime now, const std::string& what) {
+    lines.push_back(std::to_string(now) + " " + what);
+  }
+  static std::string stats(const storage::DiskStats& s) {
+    return "stats ops=" + std::to_string(s.operations) +
+           " bytes=" + std::to_string(s.bytes_moved) +
+           " busy=" + std::to_string(s.busy_time);
+  }
+  static std::string chunk(std::size_t pack,
+                           const std::vector<ObjectId>& objects) {
+    std::string line = "chunk " + std::to_string(pack) + ":";
+    for (const ObjectId id : objects) line += " " + std::to_string(id.value);
+    return line;
+  }
+};
+
+constexpr std::int64_t kScenarioEvents = 5000;
+
+RunLog run_lazy(const RunScenario& s) {
+  sim::Simulator simulator;
+  storage::Disk disk{simulator, storage::DiskConfig{}};
+  storage::DiskPool pool{100 * kGiB, disk};
+  Federation federation{"lazy-fd", EventModel::standard(kScenarioEvents),
+                        pool};
+  for (const Tier tier : {Tier::kAod, Tier::kEsd}) {
+    const std::string name = std::string("/") + tier_name(tier);
+    EXPECT_TRUE(pool.add_file(name, 1, 1, 0).is_ok());
+    EXPECT_TRUE(
+        federation.attach_range_file(name, tier, 0, kScenarioEvents).is_ok());
+  }
+  RunLog log;
+  std::array<std::unique_ptr<ObjectCopier>, 2> copiers;
+  std::array<bool, 2> packing{false, false};
+  const auto any_packing = [&packing] { return packing[0] || packing[1]; };
+  for (std::size_t i = 0; i < s.packs.size(); ++i) {
+    const RunScenario::Pack& pack = s.packs[i];
+    simulator.schedule_at(pack.start, [&, i] {
+      log.overlapping_starts += packing[1 - i];
+      CopierConfig config;
+      config.max_output_file = pack.max_output_file;
+      copiers[i] = std::make_unique<ObjectCopier>(simulator, federation,
+                                                  config);
+      packing[i] = true;
+      copiers[i]->pack(
+          pack.objects, "/pack/" + std::to_string(i),
+          [&, i](const PackedOutput& chunk) {
+            log.add(simulator.now(), RunLog::chunk(i, chunk.objects));
+          },
+          [&, i](Status status) {
+            EXPECT_TRUE(status.is_ok()) << status.to_string();
+            packing[i] = false;
+            log.add(simulator.now(), "done " + std::to_string(i));
+          });
+    });
+    if (pack.destroy_at >= 0) {
+      simulator.schedule_at(pack.destroy_at, [&, i] {
+        log.destroyed_mid_pack += packing[i];
+        packing[i] = false;
+        copiers[i].reset();
+      });
+    }
+  }
+  for (std::size_t k = 0; k < s.requests.size(); ++k) {
+    const RunScenario::Request& request = s.requests[k];
+    simulator.schedule_at(request.at, [&, k] {
+      log.requests_mid_pack += any_packing();
+      auto done = [&, k] {
+        log.add(simulator.now(), "request " + std::to_string(k));
+      };
+      if (request.write) {
+        disk.write(request.bytes, done);
+      } else {
+        disk.read(request.bytes, done);
+      }
+    });
+  }
+  for (const SimTime when : s.stats_at) {
+    simulator.schedule_at(when, [&] {
+      log.stats_mid_pack += any_packing();
+      log.add(simulator.now(), RunLog::stats(disk.stats()));
+    });
+  }
+  simulator.run();
+  log.add(simulator.now(), RunLog::stats(disk.stats()));
+  return log;
+}
+
+RunLog run_two_event(const RunScenario& s) {
+  sim::Simulator simulator;
+  TwoEventDisk disk{simulator, storage::DiskConfig{}};
+  const EventModel model = EventModel::standard(kScenarioEvents);
+  RunLog log;
+  std::array<std::unique_ptr<TwoEventCopier>, 2> copiers;
+  for (std::size_t i = 0; i < s.packs.size(); ++i) {
+    const RunScenario::Pack& pack = s.packs[i];
+    simulator.schedule_at(pack.start, [&, i] {
+      copiers[i] = std::make_unique<TwoEventCopier>(simulator, disk, model,
+                                                    pack.max_output_file);
+      copiers[i]->pack(
+          pack.objects,
+          [&, i](const std::vector<ObjectId>& chunk) {
+            log.add(simulator.now(), RunLog::chunk(i, chunk));
+          },
+          [&, i] { log.add(simulator.now(), "done " + std::to_string(i)); });
+    });
+    if (pack.destroy_at >= 0) {
+      simulator.schedule_at(pack.destroy_at, [&, i] { copiers[i].reset(); });
+    }
+  }
+  for (std::size_t k = 0; k < s.requests.size(); ++k) {
+    const RunScenario::Request& request = s.requests[k];
+    simulator.schedule_at(request.at, [&, k] {
+      disk.submit(request.bytes, [&, k] {
+        log.add(simulator.now(), "request " + std::to_string(k));
+      });
+    });
+  }
+  for (const SimTime when : s.stats_at) {
+    simulator.schedule_at(when, [&] {
+      log.add(simulator.now(), RunLog::stats(disk.stats()));
+    });
+  }
+  simulator.run();
+  log.add(simulator.now(), RunLog::stats(disk.stats()));
+  return log;
+}
+
+// Differential check of lazy disk runs (DESIGN.md "Lazy disk runs"): on
+// seeded scenarios the copier's chunk emissions and completions, every
+// foreign request's completion and every DiskStats read equal those of the
+// two-event reference, with two packs sharing the disk, foreign requests
+// delaying them, stats() read mid-run and copiers destroyed mid-run.
+TEST(ObjectCopier, LazyRunsMatchTwoEventReference) {
+  int overlapping = 0, destroyed = 0, stats_read = 0, disturbed = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const RunScenario scenario = make_run_scenario(seed);
+    const RunLog lazy = run_lazy(scenario);
+    const RunLog reference = run_two_event(scenario);
+    ASSERT_EQ(lazy.lines, reference.lines) << "seed " << seed;
+    overlapping += lazy.overlapping_starts;
+    destroyed += lazy.destroyed_mid_pack;
+    stats_read += lazy.stats_mid_pack;
+    disturbed += lazy.requests_mid_pack;
+  }
+  // The scenarios do reach every interleaving the test names.
+  EXPECT_GE(overlapping, 10);
+  EXPECT_GE(destroyed, 10);
+  EXPECT_GE(stats_read, 30);
+  EXPECT_GE(disturbed, 200);
 }
 
 }  // namespace

@@ -363,8 +363,9 @@ TEST(HeartbeatAlloc, SteadyStateTickAndRenderAllocateNothing) {
 
 // Object location index contract (objstore/object_file_catalog.h, DESIGN.md
 // §5k): on a warm catalog holding range and packed files, the "held
-// locally" query and contains() allocate nothing, hit or miss, and the
-// collective missing() allocates only its result.
+// locally" query and contains() allocate nothing, hit or miss, with or
+// without a collective lookup's cursor, and the collective missing()
+// allocates only its result.
 TEST(ObjectCatalogAlloc, HasLocalAndContainsAllocateNothing) {
   using namespace objstore;
   Simulator sim;
@@ -405,15 +406,19 @@ TEST(ObjectCatalogAlloc, HasLocalAndContainsAllocateNothing) {
   const std::uint64_t before = allocation_count();
   int local = 0;
   int held = 0;
+  int walked = 0;
   for (int i = 0; i < 1'000; ++i) {
+    ObjectFileCatalog::Cursor cursor;  // one collective lookup's walk
     for (const ObjectId id : {range_hit, packed_hit, evicted, miss}) {
       local += federation.has_local(id) ? 1 : 0;
       held += catalog.contains(id) ? 1 : 0;
+      walked += catalog.contains(id, cursor) ? 1 : 0;
     }
   }
   EXPECT_EQ(allocation_count(), before);
   EXPECT_EQ(local, 2'000);
   EXPECT_EQ(held, 3'000);
+  EXPECT_EQ(walked, 3'000);
 
   // missing(): one allocation per call, for its result, whether it finds
   // absent ids or none.

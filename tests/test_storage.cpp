@@ -67,6 +67,39 @@ TEST(Disk, SerializesRequests) {
   EXPECT_EQ(disk.stats().bytes_moved, 2000);
 }
 
+// The tie rule of lazy runs (DESIGN.md "Lazy disk runs"): a run read issued
+// at the same nanosecond as another request goes first, and stats() at that
+// instant counts it, even where the other request's event was keyed before
+// the run started. Reads take 2 ms each and the think time is 0.5 ms, so the
+// run's second read is issued at 2.5 ms.
+TEST(DiskRun, RunReadIssuedAtTheSameInstantGoesFirst) {
+  sim::Simulator simulator;
+  DiskConfig config;
+  config.bandwidth = 8 * kMbps;  // 1 byte/us
+  config.seek_latency = 1 * kMillisecond;
+  Disk disk(simulator, config);
+  constexpr SimTime kTie = 2500 * kMicrosecond;
+  std::int64_t operations_at_tie = 0;
+  SimTime other_done = 0;
+  SimTime run_done = 0;
+  simulator.schedule_at(kTie, [&] {
+    operations_at_tie = disk.stats().operations;
+    disk.read(1000, [&] { other_done = simulator.now(); });
+  });
+  disk.run({1000, 1000, 1000}, 500 * kMicrosecond,
+           [&] { run_done = simulator.now(); });
+  EXPECT_EQ(simulator.pending(), 2u);  // the tie event and the run's one
+  simulator.run();
+  EXPECT_EQ(operations_at_tie, 2);
+  // Run read 2 takes [2.5, 4.5] ms, the other read [4.5, 6.5] ms, and run
+  // read 3, issued at 5 ms, waits for it: [6.5, 8.5] ms, then 0.5 ms think.
+  EXPECT_EQ(other_done, 6500 * kMicrosecond);
+  EXPECT_EQ(run_done, 9 * kMillisecond);
+  EXPECT_EQ(disk.stats().operations, 4);
+  EXPECT_EQ(disk.stats().busy_time, 8 * kMillisecond);
+  EXPECT_EQ(simulator.events_fired(), 3u);  // tie, other read, run
+}
+
 struct PoolFixture {
   sim::Simulator simulator;
   Disk disk{simulator, DiskConfig{}};
