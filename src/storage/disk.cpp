@@ -39,8 +39,8 @@ Disk::RunId Disk::run(std::vector<Bytes> sizes, SimDuration think,
   run.id = ++last_run_;
   run.sizes = std::move(sizes);
   run.think = think;
-  run.issue_at = simulator_.now();
-  run.pending_service = pending;
+  run.committed.issue_at = simulator_.now();
+  run.committed.pending = pending;
   run.done = std::move(done);
   project();  // keys the new run's event, re-keys the runs it delays
   return last_run_;
@@ -59,11 +59,12 @@ void Disk::cancel(RunId id) {
   // gdmp-lint: dropped-ok — a cancelled run never fires (header contract)
 }
 
-Disk::Run* Disk::first_issue() {
+Disk::Run* Disk::first_issue(Progress Run::*progress) {
   Run* first = nullptr;
   for (Run& run : runs_) {
-    if (run.next < run.sizes.size() &&
-        (first == nullptr || run.issue_at < first->issue_at)) {
+    const Progress& at = run.*progress;
+    if (at.next < run.sizes.size() &&
+        (first == nullptr || at.issue_at < (first->*progress).issue_at)) {
       first = &run;
     }
   }
@@ -72,11 +73,13 @@ Disk::Run* Disk::first_issue() {
 
 void Disk::materialise(SimTime t) {
   if (runs_.empty()) return;
-  for (Run* run = first_issue(); run != nullptr && run->issue_at <= t;
-       run = first_issue()) {
-    const Bytes bytes = run->sizes[run->next++];
-    run->pending_service -= service(bytes);
-    run->issue_at = commit(bytes, run->issue_at) + run->think;
+  for (Run* run = first_issue(&Run::committed);
+       run != nullptr && run->committed.issue_at <= t;
+       run = first_issue(&Run::committed)) {
+    Progress& at = run->committed;
+    const Bytes bytes = run->sizes[at.next++];
+    at.pending -= service(bytes);
+    at.issue_at = commit(bytes, at.issue_at) + run->think;
   }
 }
 
@@ -88,31 +91,24 @@ void Disk::project() {
   SimTime busy = busy_until_;
   std::size_t reading = 0;
   for (Run& run : runs_) {
-    run.v_next = run.next;
-    run.v_issue_at = run.issue_at;
-    run.v_pending = run.pending_service;
-    if (run.next < run.sizes.size()) ++reading;
+    run.ahead = run.committed;
+    if (run.ahead.next < run.sizes.size()) ++reading;
   }
   while (reading > 1) {
-    Run* first = nullptr;
-    for (Run& run : runs_) {
-      if (run.v_next < run.sizes.size() &&
-          (first == nullptr || run.v_issue_at < first->v_issue_at)) {
-        first = &run;
-      }
-    }
-    const SimDuration took = service(first->sizes[first->v_next++]);
-    first->v_pending -= took;
-    busy = std::max(busy, first->v_issue_at) + took;
-    first->v_issue_at = busy + first->think;
-    if (first->v_next == first->sizes.size()) --reading;
+    Run& run = *first_issue(&Run::ahead);
+    Progress& at = run.ahead;
+    const SimDuration took = service(run.sizes[at.next++]);
+    at.pending -= took;
+    busy = std::max(busy, at.issue_at) + took;
+    at.issue_at = busy + run.think;
+    if (at.next == run.sizes.size()) --reading;
   }
   for (Run& run : runs_) {
-    SimTime due = run.v_issue_at;
-    if (run.v_next < run.sizes.size()) {
-      due = std::max(busy, run.v_issue_at) + run.v_pending +
-            static_cast<SimDuration>(run.sizes.size() - run.v_next) *
-                run.think;
+    const Progress& at = run.ahead;
+    SimTime due = at.issue_at;
+    if (at.next < run.sizes.size()) {
+      due = std::max(busy, at.issue_at) + at.pending +
+            static_cast<SimDuration>(run.sizes.size() - at.next) * run.think;
     }
     if (due == run.due && run.event.valid()) continue;
     run.due = due;

@@ -79,22 +79,23 @@ class Disk {
   const DiskConfig& config() const noexcept { return config_; }
 
  private:
-  struct Run {
-    RunId id;
-    std::vector<Bytes> sizes;
-    SimDuration think;
-    std::size_t next = 0;  // first read not yet committed
-    // When read `next` is issued; once every read is committed, when
+  /// How far a run has got on one timeline.
+  struct Progress {
+    std::size_t next = 0;  // first read not yet on the head
+    // When read `next` is issued; once every read is on the head, when
     // `done` fires.
-    SimTime issue_at;
-    SimDuration pending_service;  // service time of reads next..end
-    SimTime due = 0;              // the time `event` is keyed at
+    SimTime issue_at = 0;
+    SimDuration pending = 0;  // service time of reads next..end
+  };
+  struct Run {
+    RunId id = 0;
+    std::vector<Bytes> sizes;
+    SimDuration think = 0;
+    Progress committed;  // on the head's timeline
+    Progress ahead;      // scratch for project(): on the virtual timeline
+    SimTime due = 0;     // the time `event` is keyed at
     sim::EventHandle event;
     Done done;
-    // Scratch for project(): the run's state on the virtual timeline.
-    std::size_t v_next = 0;
-    SimTime v_issue_at = 0;
-    SimDuration v_pending = 0;
   };
 
   SimDuration service(Bytes bytes) const noexcept {
@@ -104,9 +105,10 @@ class Disk {
   /// Puts `bytes` on the head's timeline, issued at `issue_at`; returns
   /// when the head finishes it.
   SimTime commit(Bytes bytes, SimTime issue_at);
-  /// The run whose next read is issued first (of equal times, the earliest
-  /// started), or null when no run has a read left.
-  Run* first_issue();
+  /// The run whose next read on the `progress` timeline is issued first
+  /// (of equal times, the earliest started), or null when no run has a
+  /// read left there.
+  Run* first_issue(Progress Run::*progress);
   /// Commits every run read issued at or before `t`, in issue order.
   void materialise(SimTime t);
   /// Recomputes each run's completion time from the committed state and

@@ -1081,11 +1081,14 @@ TEST(ObjectReplication, ChunkReplicatedWithoutObjectListIsRefused) {
 // object) before chunks became lazy disk runs. A five-chunk pipelined pack
 // shares the source disk with the GridFTP read-ahead of the chunks already
 // shipped, with one write that lands mid-way through the first chunk's
-// run and delays the rest of it, and with one read issued at the instant the
-// third chunk's run starts, after that run's first read (its event is
-// scheduled from the emission callback, so the run's read goes first on
-// either copier). The pack is done when the source's copier stats first
-// read non-zero, at the last emission.
+// run and delays the rest of it, with one read issued at the exact
+// nanosecond a later read of that run is issued, and with one read issued
+// at the instant the third chunk's run starts, after that run's first read
+// (its event is scheduled from the emission callback, so the run's read
+// goes first on either copier). The tie read is keyed after the two-event
+// copier's CPU event for that instant, so there too the copier's read went
+// first: the lazy disk's tie rule. The pack is done when the source's
+// copier stats first read non-zero, at the last emission.
 TEST(ObjectReplication, PipelinedPackTimelineGolden) {
   ObjRepFixture f(/*pipeline=*/true, 20000, 2 * kMiB);
   Site& source = f.grid.site(0);
@@ -1095,6 +1098,7 @@ TEST(ObjectReplication, PipelinedPackTimelineGolden) {
   SimTime pack_done = 0;
   SimTime read_done = 0;
   SimTime write_done = 0;
+  SimTime tie_done = 0;
   const std::uint64_t observer = source.pool().add_residency_observer(
       [&](std::string_view path, bool resident) {
         if (!resident || !path.starts_with("/pack/req")) return;
@@ -1118,6 +1122,13 @@ TEST(ObjectReplication, PipelinedPackTimelineGolden) {
   simulator.schedule_at(start + 500 * kMillisecond + 12'345, [&] {
     disk.write(1 * kMiB, [&] { write_done = simulator.now(); });
   });
+  // 703,405,242 ns in, the first chunk's run issues a read; this read is
+  // issued at the same nanosecond from an event keyed 1 ns before.
+  simulator.schedule_at(start + 703'405'241, [&] {
+    simulator.schedule(1, [&] {
+      disk.read(64 * kKiB, [&] { tie_done = simulator.now(); });
+    });
+  });
   Rng rng(8);
   SelectionConfig selection;
   selection.fraction = 5e-2;
@@ -1134,23 +1145,26 @@ TEST(ObjectReplication, PipelinedPackTimelineGolden) {
   source.pool().remove_residency_observer(observer);
 
   const std::vector<std::pair<std::string, SimTime>> expected = {
-      {"/pack/req1.0", 1'334'191'203}, {"/pack/req1.1", 2'604'311'133},
-      {"/pack/req1.2", 3'881'565'596}, {"/pack/req1.3", 5'151'685'526},
-      {"/pack/req1.4", 6'287'022'131}};
+      {"/pack/req1.0", 1'341'325'736}, {"/pack/req1.1", 2'611'445'666},
+      {"/pack/req1.2", 3'888'700'129}, {"/pack/req1.3", 5'158'820'059},
+      {"/pack/req1.4", 6'294'156'664}};
   ASSERT_EQ(emitted.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(emitted[i].first, expected[i].first);
     EXPECT_EQ(emitted[i].second - start, expected[i].second) << i;
   }
-  EXPECT_EQ(pack_done - start, 6'287'022'131);
-  EXPECT_EQ(read_done - start, 2'691'810'332);
+  EXPECT_EQ(pack_done - start, 6'294'156'664);
+  EXPECT_EQ(read_done - start, 2'698'944'865);
   EXPECT_EQ(write_done - start, 541'665'252);
-  EXPECT_EQ(finished - start, 8'319'330'326);
+  // Behind the run's read of that instant (the other order would end at
+  // 710,589,775 ns).
+  EXPECT_EQ(tie_done - start, 715'931'108);
+  EXPECT_EQ(finished - start, 8'326'464'859);
   EXPECT_EQ(chunks, 5);
   const storage::DiskStats& stats = disk.stats();
-  EXPECT_EQ(stats.operations, 1027);
-  EXPECT_EQ(stats.bytes_moved, 31'834'112);
-  EXPECT_EQ(stats.busy_time, 6'196'136'726);
+  EXPECT_EQ(stats.operations, 1028);
+  EXPECT_EQ(stats.bytes_moved, 31'899'648);
+  EXPECT_EQ(stats.busy_time, 6'203'321'259);
 }
 
 TEST(ObjectReplication, PipeliningReducesResponseTime) {

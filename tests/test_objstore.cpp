@@ -1072,17 +1072,20 @@ class TwoEventDisk {
 /// The copier as it was before chunks became disk runs: per object, a read
 /// event, then a CPU-charge event that adds the object to the chunk, emits
 /// a full chunk (one write) and issues the next read. Destroying it leaves
-/// its pending events to fall silent.
+/// its pending events to fall silent. Each read's issue time is appended to
+/// `issued`.
 class TwoEventCopier {
  public:
   using OnChunk = std::function<void(const std::vector<ObjectId>&)>;
 
   TwoEventCopier(sim::Simulator& simulator, TwoEventDisk& disk,
-                 const EventModel& model, Bytes max_output_file)
+                 const EventModel& model, Bytes max_output_file,
+                 std::vector<SimTime>& issued)
       : simulator_(simulator),
         disk_(disk),
         model_(model),
-        max_output_file_(max_output_file) {}
+        max_output_file_(max_output_file),
+        issued_(issued) {}
 
   void pack(std::vector<ObjectId> objects, OnChunk on_chunk,
             std::function<void()> done) {
@@ -1114,6 +1117,7 @@ class TwoEventCopier {
     const ObjectId id = job->objects[job->next++];
     const Bytes size = model_.object_size(id);
     std::weak_ptr<bool> alive = alive_;
+    issued_.push_back(simulator_.now());
     disk_.submit(size, [this, alive, job, id, size] {
       if (alive.expired()) return;
       simulator_.schedule(kCpuPerObject, [this, alive, job, id, size] {
@@ -1137,12 +1141,14 @@ class TwoEventCopier {
   TwoEventDisk& disk_;
   const EventModel& model_;
   Bytes max_output_file_;
+  std::vector<SimTime>& issued_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 /// One seeded scenario: two packs on one disk that may overlap, either of
 /// which may be destroyed part-way, foreign reads and writes, and stats()
-/// reads at random nanoseconds.
+/// reads at random nanoseconds, and foreign requests that tie with a
+/// copier read (add_ties()).
 struct RunScenario {
   struct Pack {
     SimTime start = 0;
@@ -1154,6 +1160,9 @@ struct RunScenario {
     SimTime at = 0;
     Bytes bytes = 0;
     bool write = false;
+    // Issued from an event keyed 1 ns before `at`, so after the two-event
+    // copier's CPU event for that instant (keyed one think time before).
+    bool keyed_late = false;
   };
   std::array<Pack, 2> packs;
   std::vector<Request> requests;
@@ -1202,6 +1211,10 @@ struct RunLog {
   int destroyed_mid_pack = 0;
   int stats_mid_pack = 0;
   int requests_mid_pack = 0;
+  // On the reference side: the copiers' read issue times, and the requests
+  // issued at the nanosecond of the latest of them.
+  std::vector<SimTime> reads;
+  int ties = 0;
 
   void add(SimTime now, const std::string& what) {
     lines.push_back(std::to_string(now) + " " + what);
@@ -1220,6 +1233,20 @@ struct RunLog {
 };
 
 constexpr std::int64_t kScenarioEvents = 5000;
+
+/// Calls `issue` at `request.at`, from an event keyed then or, for a
+/// keyed-late request, 1 ns before.
+template <class Issue>
+void schedule_request(sim::Simulator& simulator,
+                      const RunScenario::Request& request, Issue issue) {
+  if (!request.keyed_late) {
+    simulator.schedule_at(request.at, std::move(issue));
+    return;
+  }
+  simulator.schedule_at(request.at - 1, [&simulator, issue] {
+    simulator.schedule(1, issue);
+  });
+}
 
 RunLog run_lazy(const RunScenario& s) {
   sim::Simulator simulator;
@@ -1267,7 +1294,7 @@ RunLog run_lazy(const RunScenario& s) {
   }
   for (std::size_t k = 0; k < s.requests.size(); ++k) {
     const RunScenario::Request& request = s.requests[k];
-    simulator.schedule_at(request.at, [&, k] {
+    schedule_request(simulator, request, [&, k] {
       log.requests_mid_pack += any_packing();
       auto done = [&, k] {
         log.add(simulator.now(), "request " + std::to_string(k));
@@ -1299,8 +1326,8 @@ RunLog run_two_event(const RunScenario& s) {
   for (std::size_t i = 0; i < s.packs.size(); ++i) {
     const RunScenario::Pack& pack = s.packs[i];
     simulator.schedule_at(pack.start, [&, i] {
-      copiers[i] = std::make_unique<TwoEventCopier>(simulator, disk, model,
-                                                    pack.max_output_file);
+      copiers[i] = std::make_unique<TwoEventCopier>(
+          simulator, disk, model, pack.max_output_file, log.reads);
       copiers[i]->pack(
           pack.objects,
           [&, i](const std::vector<ObjectId>& chunk) {
@@ -1314,7 +1341,9 @@ RunLog run_two_event(const RunScenario& s) {
   }
   for (std::size_t k = 0; k < s.requests.size(); ++k) {
     const RunScenario::Request& request = s.requests[k];
-    simulator.schedule_at(request.at, [&, k] {
+    schedule_request(simulator, request, [&, k] {
+      log.ties += request.keyed_late && !log.reads.empty() &&
+                  log.reads.back() == simulator.now();
       disk.submit(request.bytes, [&, k] {
         log.add(simulator.now(), "request " + std::to_string(k));
       });
@@ -1330,15 +1359,37 @@ RunLog run_two_event(const RunScenario& s) {
   return log;
 }
 
+/// Adds up to three keyed-late requests to `s`, each at the issue time of
+/// a copier read in the reference run with the earlier ones in place, and
+/// later than all of them, so each stays a tie: a request at the same
+/// nanosecond as a copier read, where the two-event copier's read went
+/// first, as the lazy disk's tie rule has it.
+void add_ties(RunScenario& s, std::uint64_t seed) {
+  SimTime last = 0;
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    std::vector<SimTime> later;
+    for (const SimTime read : run_two_event(s).reads) {
+      if (read > last) later.push_back(read);
+    }
+    if (later.empty()) return;
+    last = later[(seed * 40503 + k * 7919) % later.size()];
+    const auto bytes = static_cast<Bytes>(1 + (seed + k) * 65537 % kMiB);
+    s.requests.push_back({last, bytes, k == 1, /*keyed_late=*/true});
+  }
+}
+
 // Differential check of lazy disk runs (DESIGN.md "Lazy disk runs"): on
 // seeded scenarios the copier's chunk emissions and completions, every
 // foreign request's completion and every DiskStats read equal those of the
 // two-event reference, with two packs sharing the disk, foreign requests
-// delaying them, stats() read mid-run and copiers destroyed mid-run.
+// delaying them or tying with a copier read, stats() read mid-run and
+// copiers destroyed mid-run.
 TEST(ObjectCopier, LazyRunsMatchTwoEventReference) {
   int overlapping = 0, destroyed = 0, stats_read = 0, disturbed = 0;
+  int ties = 0;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-    const RunScenario scenario = make_run_scenario(seed);
+    RunScenario scenario = make_run_scenario(seed);
+    add_ties(scenario, seed);
     const RunLog lazy = run_lazy(scenario);
     const RunLog reference = run_two_event(scenario);
     ASSERT_EQ(lazy.lines, reference.lines) << "seed " << seed;
@@ -1346,12 +1397,14 @@ TEST(ObjectCopier, LazyRunsMatchTwoEventReference) {
     destroyed += lazy.destroyed_mid_pack;
     stats_read += lazy.stats_mid_pack;
     disturbed += lazy.requests_mid_pack;
+    ties += reference.ties;
   }
   // The scenarios do reach every interleaving the test names.
   EXPECT_GE(overlapping, 10);
   EXPECT_GE(destroyed, 10);
   EXPECT_GE(stats_read, 30);
   EXPECT_GE(disturbed, 200);
+  EXPECT_GE(ties, 100);
 }
 
 }  // namespace
